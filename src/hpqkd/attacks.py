@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import DetectionEvent, TwoModeCoherentState
+from .polarization import DetectionCounts, DetectionEvent, TwoModeCoherentState
 
 #: Stand-in for log(0) that keeps matrix products finite: one photon observed
 #: where a hypothesis predicts a dark arm must veto that hypothesis.
@@ -252,7 +252,7 @@ class AnomalyVerdict:
     events: int
 
 
-def bob_anomaly_monitor(events, expected_dark_rate: float) -> AnomalyVerdict:
+def bob_anomaly_monitor(counts: DetectionCounts, expected_dark_rate: float) -> AnomalyVerdict:
     """Flag excess clicks in the arm that should only see dark counts.
 
     The receiver knows the transmitted polarization in advance, so his
@@ -260,14 +260,12 @@ def bob_anomaly_monitor(events, expected_dark_rate: float) -> AnomalyVerdict:
     verdict is anomalous when the empirical rate exceeds it by more than
     5 binomial standard errors.
     """
-    events = list(events)
-    if not events:
+    n = len(counts)
+    if not n:
         raise ValueError("need at least one detection event")
     if not 0 <= expected_dark_rate <= 1:
         raise ValueError("expected_dark_rate must be a probability")
-    n = len(events)
-    wrong = sum(1 for e in events if e.counts_reflect > 0)
-    rate = wrong / n
+    rate = int((counts.counts_reflect > 0).sum()) / n
     threshold = expected_dark_rate + 5 * math.sqrt(expected_dark_rate * (1 - expected_dark_rate) / n)
     return AnomalyVerdict(
         wrong_arm_rate=rate,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import DetectionEvent
+from .polarization import DetectionCounts
 
 #: Identifier of the key-expansion keystream: 32-byte blocks of
 #: blake2b(key=seed, data=block_index as 8-byte big-endian).
@@ -138,9 +138,12 @@ def first_quadrant_angle(basis_index, m_bases: int) -> np.ndarray:
 def _basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
     bits_per = bits_per_slot(m_bases)
     slots = len(kprime.bits) // bits_per
-    words = kprime.bits[: slots * bits_per].reshape(slots, bits_per)
-    weights = 1 << np.arange(bits_per - 1, -1, -1)
-    return words @ weights
+    columns = kprime.bits[: slots * bits_per].reshape(slots, bits_per).T
+    words = np.zeros(slots, dtype=np.int64)
+    for column in columns:  # most significant bit first
+        words <<= 1
+        words |= column
+    return words
 
 
 def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> BasisSchedule:
@@ -174,21 +177,18 @@ class DecodedBits:
     erasure: np.ndarray
 
 
-def bob_decode(kprime: ExpandedKey, events, m_bases: int) -> DecodedBits:
-    """Decode detection events using the shared basis words.
+def bob_decode(kprime: ExpandedKey, counts: DetectionCounts, m_bases: int) -> DecodedBits:
+    """Decode per-slot detection counts using the shared basis words.
 
     The receiver rebuilds each slot's basis word from the expanded key and
     analyzes at the first-quadrant angle, so a transmit-arm click decodes to
     the bit that maps to the first quadrant for that word's parity and a
     reflect-arm click to the other bit.
     """
-    events = list(events)
     words = _basis_words(kprime, m_bases)
-    if len(events) != len(words):
-        raise ValueError(f"got {len(events)} events for {len(words)} slots")
-    counts_t = np.array([e.counts_transmit for e in events])
-    counts_r = np.array([e.counts_reflect for e in events])
-    return _decode_counts(words, counts_t, counts_r)
+    if len(counts) != len(words):
+        raise ValueError(f"got counts for {len(counts)} slots, expected {len(words)}")
+    return _decode_counts(words, counts.counts_transmit, counts.counts_reflect)
 
 
 def _decode_counts(words: np.ndarray, counts_t: np.ndarray, counts_r: np.ndarray) -> DecodedBits:
@@ -206,7 +206,7 @@ def simulate_meso_transmission(
     rng: np.random.Generator,
     survival: float = 1.0,
     dark_count_prob: float = 0.0,
-) -> list[DetectionEvent]:
+) -> DetectionCounts:
     """Send the schedule as mesoscopic pulses and detect at the shared basis.
 
     Each slot carries a coherent pulse of mean photon number ``alpha_sq`` at
@@ -225,7 +225,7 @@ def simulate_meso_transmission(
     dark_l = rng.random(n) < dark_count_prob
     counts_t = np.where(aligned, signal, 0) + dark_t
     counts_r = np.where(aligned, 0, signal) + dark_l
-    return [DetectionEvent(int(t), int(r)) for t, r in zip(counts_t, counts_r)]
+    return DetectionCounts(counts_t, counts_r)
 
 
 def schedule_records(schedule: BasisSchedule) -> str:

@@ -67,6 +67,32 @@ class DetectionEvent:
             raise ValueError("photon counts must be >= 0")
 
 
+@dataclass(frozen=True)
+class DetectionCounts:
+    """Photon counts at the two PBS outputs for a run of slots, one array per arm."""
+
+    counts_transmit: np.ndarray
+    counts_reflect: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.counts_transmit)
+        r = np.asarray(self.counts_reflect)
+        if t.ndim != 1 or r.ndim != 1 or len(t) != len(r):
+            raise ValueError("counts must be two 1-D arrays of one length")
+        if (t < 0).any() or (r < 0).any():
+            raise ValueError("photon counts must be >= 0")
+        object.__setattr__(self, "counts_transmit", t)
+        object.__setattr__(self, "counts_reflect", r)
+
+    def __len__(self) -> int:
+        return len(self.counts_transmit)
+
+    @classmethod
+    def from_events(cls, events) -> "DetectionCounts":
+        pairs = np.array([(e.counts_transmit, e.counts_reflect) for e in events], dtype=np.int64)
+        return cls(*pairs.reshape(-1, 2).T)
+
+
 def rotate(state: TwoModeCoherentState, delta: float) -> TwoModeCoherentState:
     """Polarization rotation by ``delta``; energy and amplitude are invariant."""
     return replace(state, theta=(state.theta + delta) % np.pi)

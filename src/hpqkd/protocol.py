@@ -373,14 +373,14 @@ def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
         config.resolved_seed_key(), len(r_bits) * ks.bits_per_slot(ch.m_bases)
     )
     schedule = ks.build_basis_schedule(kprime, r_bits, ch.m_bases)
-    events = ks.simulate_meso_transmission(
+    counts = ks.simulate_meso_transmission(
         schedule,
         ch.alpha_sq_meso,
         streams["meso_channel"],
         survival=ch.survival_probability,
         dark_count_prob=ch.dark_count_prob,
     )
-    return ks.bob_decode(kprime, events, ch.m_bases)
+    return ks.bob_decode(kprime, counts, ch.m_bases)
 
 
 def run_hybrid(config: SessionConfig) -> SessionReport:

@@ -169,14 +169,28 @@ def resolve(raw: dict) -> dict:
             merged[key].update(value)
         else:
             merged[key] = value
+    seed = merged["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ScenarioError(f"scenario key seed must be an integer in [0, 2**64), got {seed!r}")
     return merged
+
+
+def _reject_constant(name: str):
+    raise ScenarioError(f"scenario contains the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # a literal such as 1e999 overflows to inf
+        _reject_constant(text)
+    return value
 
 
 def load(path) -> tuple[dict, dict]:
     """Read a scenario file; returns (raw document, resolved document)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -16,7 +16,7 @@ from hpqkd.attacks import (
     estimate_success,
     pns_exploitable_fraction,
 )
-from hpqkd.polarization import DetectionEvent, TwoModeCoherentState
+from hpqkd.polarization import DetectionCounts, TwoModeCoherentState
 
 
 class TestConfig:
@@ -223,7 +223,7 @@ class TestAnomalyMonitor:
     @staticmethod
     def _dark_only_events(n, dark, rng):
         reflect = (rng.random(n) < dark).astype(int)
-        return [DetectionEvent(1, int(r)) for r in reflect]
+        return DetectionCounts(np.ones(n, dtype=int), reflect)
 
     def test_clean_channel_not_flagged(self):
         rng = np.random.default_rng(12)
@@ -236,7 +236,7 @@ class TestAnomalyMonitor:
         pulse = TwoModeCoherentState(alpha=np.sqrt(25.0), theta=0.0)
         amplified = amplifier_attack(pulse, gain=4.0)
         rng = np.random.default_rng(13)
-        events = [amplified.measure(0.0, rng) for _ in range(5000)]
+        events = DetectionCounts.from_events(amplified.measure(0.0, rng) for _ in range(5000))
         verdict = bob_anomaly_monitor(events, expected_dark_rate=1e-5)
         assert verdict.anomalous
         assert verdict.wrong_arm_rate > verdict.threshold
@@ -252,16 +252,16 @@ class TestAnomalyMonitor:
         assert noisy_rate >= clean_rate
 
     def test_silent_detectors(self):
-        events = [DetectionEvent(0, 0)] * 100
+        events = DetectionCounts(np.zeros(100, dtype=int), np.zeros(100, dtype=int))
         verdict = bob_anomaly_monitor(events, expected_dark_rate=1e-3)
         assert verdict.wrong_arm_rate == 0.0
         assert not verdict.anomalous
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bob_anomaly_monitor([], 1e-3)
+            bob_anomaly_monitor(DetectionCounts([], []), 1e-3)
         with pytest.raises(ValueError):
-            bob_anomaly_monitor([DetectionEvent(0, 0)], 1.5)
+            bob_anomaly_monitor(DetectionCounts([0], [0]), 1.5)
 
 
 class TestPns:

@@ -18,7 +18,7 @@ from hpqkd.keystream import (
     simulate_meso_transmission,
     slot_count,
 )
-from hpqkd.polarization import DetectionEvent
+from hpqkd.polarization import DetectionCounts
 
 #: Frozen interoperability vectors for the blake2b256-ctr-v1 keystream.
 VECTOR_SEED_HEX = "00112233445566778899aabbccddeeff"
@@ -123,6 +123,18 @@ class TestSchedule:
         schedule = self._schedule_for([0, 0, 1, 0], [1], 16)
         assert schedule.angle[0] == pytest.approx(2 * np.pi / 32 + np.pi / 2)
 
+    @pytest.mark.parametrize("m", [2, 4, 64, 256, 1024])
+    def test_basis_words_are_big_endian(self, m):
+        bits_per = int(np.log2(m))
+        kprime = expand_key(_fresh_key(), 50 * bits_per + bits_per - 1)  # trailing bits unused
+        schedule = build_basis_schedule(kprime, np.zeros(50, dtype=np.uint8), m)
+        expected = [
+            int("".join(str(b) for b in kprime.bits[i * bits_per : (i + 1) * bits_per]), 2)
+            for i in range(50)
+        ]
+        assert schedule.basis_index.dtype == np.int64
+        assert schedule.basis_index.tolist() == expected
+
     @given(m=powers_of_two, seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
     def test_quadrant_rule_holds_everywhere(self, m, seed, slots):
@@ -205,19 +217,19 @@ class TestRoundTrip:
         schedule = build_basis_schedule(kprime, np.array([0], dtype=np.uint8), m)
         word = int(schedule.basis_index[0])
         transmit_first = schedule.angle[0] < np.pi / 2
-        event = DetectionEvent(5, 0) if transmit_first else DetectionEvent(0, 5)
-        decoded = bob_decode(kprime, [event], m)
+        counts = DetectionCounts([5], [0]) if transmit_first else DetectionCounts([0], [5])
+        decoded = bob_decode(kprime, counts, m)
         assert not decoded.erasure[0]
         assert decoded.bits[0] == 0
 
     def test_event_count_mismatch_rejected(self):
         kprime = expand_key(_fresh_key(), 8)
         with pytest.raises(ValueError):
-            bob_decode(kprime, [DetectionEvent(1, 0)], 4)
+            bob_decode(kprime, DetectionCounts([1], [0]), 4)
 
     def test_double_click_is_erasure(self):
         kprime = expand_key(_fresh_key(), 2)
-        decoded = bob_decode(kprime, [DetectionEvent(1, 1)], 4)
+        decoded = bob_decode(kprime, DetectionCounts([1], [1]), 4)
         assert isinstance(decoded, DecodedBits)
         assert decoded.erasure[0]
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hpqkd.polarization import (
+    DetectionCounts,
     DetectionEvent,
     TwoModeCoherentState,
     overlap_exact,
@@ -39,6 +40,18 @@ class TestState:
     def test_detection_event_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             DetectionEvent(counts_transmit=-1, counts_reflect=0)
+
+    def test_detection_counts_validated(self):
+        with pytest.raises(ValueError):
+            DetectionCounts(np.array([1, -1]), np.array([0, 0]))
+        with pytest.raises(ValueError):
+            DetectionCounts(np.array([1, 0]), np.array([0]))
+        with pytest.raises(ValueError):
+            DetectionCounts(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
+        counts = DetectionCounts.from_events([DetectionEvent(3, 0), DetectionEvent(0, 1)])
+        assert len(counts) == 2
+        assert counts.counts_transmit.tolist() == [3, 0]
+        assert counts.counts_reflect.tolist() == [0, 1]
 
 
 class TestRotate:

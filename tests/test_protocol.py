@@ -1,5 +1,7 @@
 """Session engine: detection law, sifting, rate multipliers, determinism."""
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -250,3 +252,31 @@ class TestOrderingAndDeterminism:
     def test_ratio_field_self_consistent(self):
         report = run_hybrid(config(mode="hybrid", seed=28))
         assert abs(report.rate_ratio_vs_baseline - 2.0) <= 3 * 2.0 * 0.045
+
+
+#: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
+#: 2000 slots.  A change that alters any of these changes the numbers a
+#: scenario produces, and must say so and bump a stream-layout id.
+GOLDEN_DIGESTS = {
+    "default": {
+        "baseline_bb84": "89eaa68cbe02497a9c1c94d3e766a05b31c3ca95c1b403f8d1dd9cbf89eba3c4",
+        "hybrid": "7f3e09d12a6b55f8b049c2997668cfa7589dc10d573979f6753bf5825c8c8481",
+        "parallel": "62f3a245975cc96c42504223888445da6892f2321ba85ef11de44dc4b736c60f",
+        "hybrid_parallel": "8b3395e4c5382d740971e6db9caefa15c197bca4569ddceae4e7abbd1432db6a",
+    },
+    "longhaul": {
+        "baseline_bb84": "027f07ef99eb3a0dfd7d9c95e87150ed10b716e41606abc3247c8e4ef7ea4dc9",
+        "hybrid": "29f829deb29ee8484b52f4b3c2081f8266875473e63ebb28921009d90b3d1736",
+        "parallel": "5ce89b2a1a4014d3cb5709d51bbffd3050c8f44ebb998ecdfb1470ed05f534aa",
+        "hybrid_parallel": "3af27253087b5851ae892ace03da82f177232ef6d16af432991641d3963716ee",
+    },
+}
+GOLDEN_CHANNELS = {"default": IDEAL, "longhaul": ChannelModel(length_km=100, dark_count_prob=1e-5)}
+
+
+@pytest.mark.parametrize("channel", sorted(GOLDEN_DIGESTS))
+@pytest.mark.parametrize("mode", ("baseline_bb84", "hybrid", "parallel", "hybrid_parallel"))
+def test_report_matches_golden_digest(mode, channel):
+    report = run_session(config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel]))
+    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[channel][mode]

@@ -300,3 +300,18 @@ class TestHelp:
         for section, keys in scenario.SCHEMA.items():
             for name in keys:
                 assert name in text
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, constant):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"schema_version": 1, "channel": {"mu_weak": %s}}' % constant)
+        assert cli.main(["simulate", "--scenario", str(path)]) == cli.EXIT_CONFIG
+        assert constant in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, None])
+    @pytest.mark.parametrize("command", ["simulate", "attack-sweep", "optics-verify"])
+    def test_bad_scenario_seed_is_config_error(self, tmp_path, command, seed):
+        path = write_scenario(tmp_path, {"schema_version": 1, "seed": seed})
+        assert cli.main([command, "--scenario", path]) == cli.EXIT_CONFIG
