@@ -14,10 +14,6 @@ import numpy as np
 
 from .polarization import DetectionCounts, DetectionEvent, TwoModeCoherentState
 
-#: Stand-in for log(0) that keeps matrix products finite: one photon observed
-#: where a hypothesis predicts a dark arm must veto that hypothesis.
-_LOG_FLOOR = -1e9
-
 #: Ties between candidate scores are broken uniformly at random by adding a
 #: jitter far below any physical log-likelihood gap.
 _TIE_JITTER = 1e-9
@@ -46,6 +42,9 @@ class BruteForceConfig:
     def __post_init__(self):
         if self.m_bases < 1:
             raise ValueError("m_bases must be positive")
+        for name in ("detector_efficiency", "dark_count_mean"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0 <= self.detector_efficiency <= 1:
             raise ValueError("detector_efficiency must be a probability")
         if self.dark_count_mean < 0:
@@ -57,7 +56,7 @@ class BruteForceConfig:
         )
         if len(angles) != self.m_bases:
             raise ValueError("need exactly m_bases candidate angles")
-        if np.any(angles < 0) or np.any(angles >= np.pi):
+        if not np.all((angles >= 0) & (angles < np.pi)):  # NaN fails too
             raise ValueError("candidate angles must lie in [0, pi)")
         if np.any(np.diff(angles) <= 0):
             raise ValueError("candidate angles must be distinct and sorted")
@@ -81,14 +80,99 @@ class AttackOutcome:
     success: bool
 
 
-def _hypothesis_log_means(angles: np.ndarray, signal_mean: float, dark_mean: float):
-    """log of the per-arm count means under every (candidate, analyzer) pair."""
-    delta = angles[:, None] - angles[None, :]
-    cos2 = np.cos(delta) ** 2
-    with np.errstate(divide="ignore"):
-        log_t = np.maximum(np.log(signal_mean * cos2 + dark_mean), _LOG_FLOOR)
-        log_r = np.maximum(np.log(signal_mean * (1 - cos2) + dark_mean), _LOG_FLOOR)
-    return log_t, log_r
+def _hypothesis_tables(angles: np.ndarray, signal_mean: float, dark_mean: float):
+    """Per-arm count means under every (candidate, analyzer) pair, as M x 2M
+    tables over the transmit then reflect arms of every analyzer.
+
+    Returns the log-means, 0 where a mean is exactly 0, and the indicator of
+    those dark arms: one photon observed where a hypothesis predicts a dark
+    arm vetoes that hypothesis.  Counting vetoes apart from the likelihood
+    keeps both exact, so ties break on the jitter and not on rounding.
+    """
+    cos2 = np.cos(angles[:, None] - angles[None, :]) ** 2
+    means = np.concatenate(
+        [signal_mean * cos2 + dark_mean, signal_mean * (1 - cos2) + dark_mean], axis=1
+    )
+    zero = means == 0
+    return np.log(np.where(zero, 1.0, means)), zero.astype(float)
+
+
+#: Trials scored per batched draw in ``estimate_success``.  Part of the
+#: stream layout: memory stays O(_TRIAL_BLOCK * M + M^2) for any trial count.
+_TRIAL_BLOCK = 1024
+
+#: Layout of the random streams consumed by the brute-force sweep, recorded
+#: in the ``attack-sweep`` bundle.  Layout 2: ``estimate_success`` runs blocks
+#: of up to ``_TRIAL_BLOCK`` trials; per block of n trials it draws the true
+#: candidate indices ``integers(0, M, n)``, then ``_identify`` draws the
+#: transmit counts ``poisson`` (n, M), the reflect counts ``poisson`` (n, M),
+#: the tie jitter ``uniform`` (n, M) and the fallback indices
+#: ``integers(0, M, n)``, every one of them whether or not it is used.
+STREAM_LAYOUT = 2
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Outcomes of n identification trials, one entry per trial."""
+
+    estimated_angle: np.ndarray
+    case_both: np.ndarray
+    case_none: np.ndarray
+    case_one: np.ndarray
+    success: np.ndarray
+
+
+def _identify(
+    theta: np.ndarray,
+    config: BruteForceConfig,
+    signal_mean: float,
+    rng: np.random.Generator,
+) -> _Batch:
+    """Run ``len(theta)`` identification trials at once.
+
+    Trial i splits a pulse of polarization ``theta[i]`` and mean photon
+    number ``signal_mean`` into M sub-pulses and scores every candidate with
+    matrix products against the trial-invariant hypothesis tables.
+    Draw order as documented at ``STREAM_LAYOUT``.
+    """
+    m = config.m_bases
+    if m < 2:
+        raise ValueError("brute force needs at least 2 candidates")
+    angles = config.candidate_angles
+    n = len(theta)
+    detected_mean = signal_mean / m * config.detector_efficiency
+    dark = config.dark_count_mean
+
+    delta = theta[:, None] - angles
+    # Transmit then reflect arm of every analyzer, as in the hypothesis tables.
+    counts = np.concatenate(
+        [
+            rng.poisson(detected_mean * np.cos(delta) ** 2 + dark),
+            rng.poisson(detected_mean * np.sin(delta) ** 2 + dark),
+        ],
+        axis=1,
+        dtype=float,
+    )
+    jitter = rng.uniform(0.0, _TIE_JITTER, (n, m))
+    fallback = rng.integers(0, m, n)
+
+    clicks_t, clicks_r = counts[:, :m] > 0, counts[:, m:] > 0
+    both = clicks_t & clicks_r
+    none = ~(clicks_t | clicks_r)
+    one = clicks_t ^ clicks_r
+
+    # Fewest vetoing photons first, then the highest log-likelihood.
+    log_means, dark_arms = _hypothesis_tables(angles, detected_mean, dark)
+    vetoes = counts @ dark_arms.T
+    vetoes[~one] = np.inf
+    scores = counts @ log_means.T
+    scores += jitter
+    scores[vetoes > vetoes.min(axis=1, keepdims=True)] = -np.inf
+    index = np.where(one.any(axis=1), np.argmax(scores, axis=1), fallback)
+    estimated = angles[index]
+
+    success = np.abs((estimated - theta + np.pi / 2) % np.pi - np.pi / 2) < 1e-9
+    return _Batch(estimated, both.sum(axis=1), none.sum(axis=1), one.sum(axis=1), success)
 
 
 def brute_force_identify(
@@ -105,42 +189,16 @@ def brute_force_identify(
     candidate as consistent.  Among consistent candidates the estimate
     maximizes the log-Poisson likelihood of every observed count under that
     candidate's angle (ties uniform at random); with no consistent candidate
-    the estimate falls back to a uniform random pick.
+    the estimate falls back to a uniform random pick.  This is one trial of
+    the batched kernel ``estimate_success`` runs.
     """
-    m = config.m_bases
-    if m < 2:
-        raise ValueError("brute force needs at least 2 candidates")
-    angles = config.candidate_angles
-    mu_sub = pulse.mean_photons / m
-    detected_mean = mu_sub * config.detector_efficiency
-    dark = config.dark_count_mean
-
-    delta = pulse.theta - angles
-    counts_t = rng.poisson(detected_mean * np.cos(delta) ** 2 + dark)
-    counts_r = rng.poisson(detected_mean * np.sin(delta) ** 2 + dark)
-
-    both = (counts_t > 0) & (counts_r > 0)
-    none = (counts_t == 0) & (counts_r == 0)
-    one = ~(both | none)
-
-    log_mean_t, log_mean_r = _hypothesis_log_means(angles, detected_mean, dark)
-    scores = log_mean_t @ counts_t + log_mean_r @ counts_r
-    scores = scores + rng.uniform(0.0, _TIE_JITTER, m)
-    scores = np.where(one, scores, -np.inf)
-
-    if one.any():
-        estimate_index = int(np.argmax(scores))
-    else:
-        estimate_index = int(rng.integers(0, m))
-    estimated_angle = float(angles[estimate_index])
-
-    matches = abs((estimated_angle - pulse.theta + np.pi / 2) % np.pi - np.pi / 2) < 1e-9
+    batch = _identify(np.array([pulse.theta]), config, pulse.mean_photons, rng)
     return AttackOutcome(
-        estimated_angle=estimated_angle,
-        case_both=int(both.sum()),
-        case_none=int(none.sum()),
-        case_one=int(one.sum()),
-        success=bool(matches),
+        estimated_angle=float(batch.estimated_angle[0]),
+        case_both=int(batch.case_both[0]),
+        case_none=int(batch.case_none[0]),
+        case_one=int(batch.case_one[0]),
+        success=bool(batch.success[0]),
     )
 
 
@@ -161,17 +219,20 @@ def estimate_success(
     """Identification probability at one pulse intensity.
 
     The transmitter draws a fresh uniform candidate angle per trial and the
-    attacker runs ``brute_force_identify``; returns the success rate with
-    its binomial standard error.
+    attacker runs the brute-force identification, in blocks of at most
+    ``_TRIAL_BLOCK`` trials; returns the success rate with its binomial
+    standard error.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials per grid point")
+    if not alpha_sq >= 0:
+        raise ValueError("alpha_sq must be >= 0")
     config = BruteForceConfig(m_bases)
     hits = 0
-    for _ in range(trials):
-        angle = config.candidate_angles[rng.integers(0, m_bases)]
-        pulse = TwoModeCoherentState(alpha=math.sqrt(alpha_sq), theta=angle)
-        hits += brute_force_identify(pulse, config, rng).success
+    for start in range(0, trials, _TRIAL_BLOCK):
+        n = min(_TRIAL_BLOCK, trials - start)
+        theta = config.candidate_angles[rng.integers(0, m_bases, n)]
+        hits += int(_identify(theta, config, alpha_sq, rng).success.sum())
     rate = hits / trials
     stderr = math.sqrt(rate * (1 - rate) / trials)
     return SweepPoint(alpha_sq=float(alpha_sq), success_rate=rate, stderr=stderr, trials=trials)

@@ -9,8 +9,9 @@ discrete Fourier projection.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,14 @@ class OpticsNotTunedError(ValueError):
 
 class SmallSignalWarning(UserWarning):
     """A modulation depth exceeds the small-signal validity range."""
+
+
+def _require_finite(config) -> None:
+    """Reject a NaN or infinite value in any field of a dataclass."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if not isinstance(value, int) and not math.isfinite(value):  # an int may exceed float range
+            raise ValueError(f"{field.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,7 @@ class ModulationPlan:
     phi2_b: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         depths = (self.m1, self.m2, self.m3, self.m4)
         if any(m < 0 for m in depths):
             raise ValueError("modulation depths must be >= 0")
@@ -116,6 +126,7 @@ class FiberLink:
     refractive_index: float = 1.5
 
     def __post_init__(self):
+        _require_finite(self)
         if self.length_m < 0:
             raise ValueError("length_m must be >= 0")
         if self.refractive_index < 1:

@@ -18,6 +18,7 @@ from . import keystream as ks
 from .optics import (
     FiberLink,
     ModulationPlan,
+    _require_finite,
     require_tuned,
     split_upper_probability,
 )
@@ -70,6 +71,7 @@ class ChannelModel:
     m_bases: int = 256
 
     def __post_init__(self):
+        _require_finite(self)
         if self.length_km < 0 or self.loss_db_per_km < 0:
             raise ValueError("link length and loss must be >= 0")
         for name in ("detector_efficiency", "dark_count_prob"):

@@ -9,12 +9,13 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .attacks import PnsModel, estimate_success, pns_exploitable_fraction
+from .attacks import STREAM_LAYOUT, PnsModel, estimate_success, pns_exploitable_fraction
 from .optics import (
     fit_half_angle_fringe,
     is_tuned,
@@ -84,6 +85,12 @@ def _pns_rows(resolved: dict, rng: np.random.Generator) -> list[dict]:
     return rows
 
 
+def _require_int(name: str, value, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _sweep_point_task(args):
     alpha_sq, m_bases, trials, rng = args
     point = estimate_success(alpha_sq, m_bases, trials, rng)
@@ -100,14 +107,25 @@ def attack_sweep_results(resolved: dict, trials_override: int | None = None, wor
     """Brute-force success curve plus the multi-photon exploitability table.
 
     Sweep points run on index-derived child streams, so the output is
-    identical for any worker count; rows are ordered by grid index.
+    identical for any worker count; rows are ordered by grid index.  The
+    results record the ``stream_layout`` the sweep consumed its streams in.
     """
     sweep = resolved["attack_sweep"]
-    m_bases = int(sweep["m_bases"])
-    trials = int(trials_override or sweep["trials"])
-    grid = [ratio * m_bases for ratio in sweep["alpha_sq_over_m_grid"]]
-    if not grid:
+    m_bases = _require_int("attack_sweep.m_bases", sweep["m_bases"], 2)
+    if trials_override is None:
+        trials = _require_int("attack_sweep.trials", sweep["trials"], 100)
+    else:
+        trials = _require_int("--trials", trials_override, 100)
+    ratios = sweep["alpha_sq_over_m_grid"]
+    if not ratios:
         raise ScenarioError("attack_sweep.alpha_sq_over_m_grid must not be empty")
+    for ratio in ratios:
+        number = isinstance(ratio, (int, float)) and not isinstance(ratio, bool)
+        if not number or not math.isfinite(ratio) or ratio < 0:
+            raise ScenarioError(
+                f"attack_sweep.alpha_sq_over_m_grid entries must be finite numbers >= 0, got {ratio!r}"
+            )
+    grid = [ratio * m_bases for ratio in ratios]
     root = np.random.default_rng(np.random.SeedSequence(int(resolved["seed"])))
     children = root.spawn(len(grid) + 1)
     tasks = [(alpha_sq, m_bases, trials, rng) for alpha_sq, rng in zip(grid, children[:-1])]
@@ -126,6 +144,7 @@ def attack_sweep_results(resolved: dict, trials_override: int | None = None, wor
         "brute_force_table": rows,
         "monotone_within_2_stderr": monotone,
         "pns_table": _pns_rows(resolved, children[-1]),
+        "stream_layout": STREAM_LAYOUT,
     }
 
 

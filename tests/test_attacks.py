@@ -1,10 +1,18 @@
 """Adversary models: brute-force identification, amplifier attack, PNS tails."""
+import copy
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpqkd.attacks import (
+    _TIE_JITTER,
+    _TRIAL_BLOCK,
+    STREAM_LAYOUT,
     AnomalyVerdict,
     BruteForceConfig,
     PnsModel,
@@ -15,6 +23,7 @@ from hpqkd.attacks import (
     default_candidate_angles,
     estimate_success,
     pns_exploitable_fraction,
+    _identify,
 )
 from hpqkd.polarization import DetectionCounts, TwoModeCoherentState
 
@@ -147,6 +156,105 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             BruteForceConfig(4, dark_count_mean=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["detector_efficiency", "dark_count_mean"])
+    def test_non_finite_knobs_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BruteForceConfig(4, **{name: value})
+
+    def test_non_finite_candidate_angle_rejected(self):
+        with pytest.raises(ValueError):
+            BruteForceConfig(2, candidate_angles=[0.0, np.nan])
+
+
+def _reference_identify(theta, config, signal_mean, rng):
+    """Scalar reference for ``_identify``.
+
+    Replays the layout-2 draws by hand (transmit counts, reflect counts,
+    jitter, fallback indices), then scores every trial on its own as the
+    per-trial identification did before batching: fewest vetoing photons
+    first (a photon where the hypothesis predicts a dark arm), then the
+    highest log-likelihood plus jitter; no single click means the fallback.
+    """
+    m = config.m_bases
+    angles = config.candidate_angles
+    n = len(theta)
+    detected_mean = signal_mean / m * config.detector_efficiency
+    dark = config.dark_count_mean
+    delta = theta[:, None] - angles
+    counts_t = rng.poisson(detected_mean * np.cos(delta) ** 2 + dark)
+    counts_r = rng.poisson(detected_mean * np.sin(delta) ** 2 + dark)
+    jitter = rng.uniform(0.0, _TIE_JITTER, (n, m))
+    fallback = rng.integers(0, m, n)
+
+    cos2 = np.cos(angles[:, None] - angles[None, :]) ** 2
+    mean_t = detected_mean * cos2 + dark
+    mean_r = detected_mean * (1 - cos2) + dark
+    log_t = np.log(np.where(mean_t > 0, mean_t, 1.0))
+    log_r = np.log(np.where(mean_r > 0, mean_r, 1.0))
+    estimates = []
+    for i in range(n):
+        both = (counts_t[i] > 0) & (counts_r[i] > 0)
+        none = (counts_t[i] == 0) & (counts_r[i] == 0)
+        one = ~(both | none)
+        if not one.any():
+            estimates.append(angles[fallback[i]])
+            continue
+        vetoes = (mean_t == 0) @ counts_t[i] + (mean_r == 0) @ counts_r[i]
+        scores = log_t @ counts_t[i] + log_r @ counts_r[i] + jitter[i]
+        scores = np.where(one & (vetoes == vetoes[one].min()), scores, -np.inf)
+        estimates.append(angles[int(np.argmax(scores))])
+    return np.array(estimates)
+
+
+class TestStreamLayout:
+    @pytest.mark.parametrize("dark", [0.0, 0.05])
+    @pytest.mark.parametrize("m", [2, 8, 64])
+    def test_batched_kernel_matches_scalar_reference(self, m, dark):
+        config = BruteForceConfig(m, dark_count_mean=dark)
+        rng = np.random.default_rng([m, int(dark > 0)])
+        for ratio in (0.0, 1 / 16, 1.0, 4.0, 64.0):
+            theta = config.candidate_angles[rng.integers(0, m, 300)]
+            replay = copy.deepcopy(rng)
+            batch = _identify(theta, config, ratio * m, rng)
+            expected = _reference_identify(theta, config, ratio * m, replay)
+            np.testing.assert_array_equal(batch.estimated_angle, expected)
+            np.testing.assert_array_equal(batch.success, expected == theta)
+            np.testing.assert_array_equal(batch.case_both + batch.case_none + batch.case_one, m)
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("trials", [100, 2 * _TRIAL_BLOCK + 1])
+    def test_estimate_success_draws_in_blocks(self, trials):
+        m, alpha_sq = 8, 8.0
+        rng = np.random.default_rng(11)
+        replay = copy.deepcopy(rng)
+        point = estimate_success(alpha_sq, m, trials, rng)
+        config = BruteForceConfig(m)
+        hits = 0
+        for start in range(0, trials, _TRIAL_BLOCK):
+            theta = config.candidate_angles[replay.integers(0, m, min(_TRIAL_BLOCK, trials - start))]
+            hits += int(np.sum(_reference_identify(theta, config, alpha_sq, replay) == theta))
+        assert point.success_rate == hits / trials
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
+#: sha256 of ``attack_success_curve`` as JSON under stream layout 2, per
+#: (M, trials); the second case ends on a partial block.  A new digest means
+#: the sweep consumes its streams differently: bump ``STREAM_LAYOUT``.
+SWEEP_GOLDEN_DIGESTS = {
+    (64, 1000): "ca5234bbb286da9beaff1aa63281de9f5ddde5a938c9cefe39806b03f879df86",
+    (8, 2 * _TRIAL_BLOCK + 1): "0635fc417e26d954244cee02e3bf3a44f8f913813702963e1ba96ae58be4f1ec",
+}
+
+
+@pytest.mark.parametrize("m, trials", sorted(SWEEP_GOLDEN_DIGESTS))
+def test_success_curve_matches_golden_digest(m, trials):
+    assert STREAM_LAYOUT == 2
+    grid = [m * ratio for ratio in (0.0, 0.25, 1.0, 4.0, 64.0)]
+    points = attack_success_curve(grid, m, trials, np.random.default_rng(2026))
+    payload = json.dumps([dataclasses.asdict(p) for p in points], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == SWEEP_GOLDEN_DIGESTS[(m, trials)]
+
 
 class TestSuccessCurve:
     def test_monotone_and_saturating(self):
@@ -169,6 +277,10 @@ class TestSuccessCurve:
             attack_success_curve([], 4, 200, rng)
         with pytest.raises(ValueError):
             attack_success_curve([1.0], 4, 50, rng)
+
+    def test_negative_intensity_rejected(self):
+        with pytest.raises(ValueError, match="alpha_sq"):
+            estimate_success(-1.0, 4, 100, np.random.default_rng(0))
 
     def test_reproducible_per_seed(self):
         grid = [1.0, 4.0]

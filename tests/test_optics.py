@@ -1,4 +1,6 @@
 """Sideband optics: exact modulator identities, fringe laws, and the oracle."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -55,6 +57,12 @@ class TestPlanValidation:
     def test_rf_near_carrier_rejected(self):
         with pytest.raises(ValueError):
             ModulationPlan(omega0=1e10, omega1=2e9, omega2=6e9)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModulationPlan)])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModulationPlan(**{name: value})
 
     def test_large_depth_warns_but_constructs(self):
         with pytest.warns(SmallSignalWarning):
@@ -152,6 +160,12 @@ class TestFiberAndPropagation:
             FiberLink(length_m=-1.0)
         with pytest.raises(ValueError):
             FiberLink(length_m=1.0, refractive_index=0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["length_m", "refractive_index"])
+    def test_fiber_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FiberLink(**{"length_m": 1.0, name: value})
 
 
 class TestClosedForm:

@@ -48,6 +48,14 @@ class TestChannelModel:
         with pytest.raises(ValueError):
             ChannelModel(m_bases=12)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ChannelModel) if f.name != "m_bases"]
+    )
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ChannelModel(**{name: value})
+
 
 class TestSessionConfig:
     def test_mode_and_bounds_validated(self):

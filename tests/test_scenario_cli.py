@@ -207,6 +207,31 @@ class TestAttackSweepCommand:
         parallel_bundle = reporting.make_bundle("attack-sweep", raw, resolved, parallel)
         assert reporting.data_bytes(serial_bundle) == reporting.data_bytes(parallel_bundle)
 
+    def test_bundle_records_stream_layout(self, tmp_path):
+        path = write_scenario(tmp_path, FAST_SWEEP)
+        out = tmp_path / "sweep.json"
+        assert cli.main(["attack-sweep", "--scenario", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["data"]["results"]["stream_layout"] == 2
+
+    @pytest.mark.parametrize(
+        "sweep, argv",
+        [
+            ({"m_bases": 1}, []),
+            ({"m_bases": 64.7}, []),
+            ({"alpha_sq_over_m_grid": [1.0, -0.5]}, []),
+            ({"alpha_sq_over_m_grid": ["bright"]}, []),
+            ({"trials": 5}, []),
+            ({}, ["--trials", "5"]),
+            ({}, ["--trials", "0"]),
+        ],
+        ids=["m-one", "m-fraction", "grid-negative", "grid-string", "trials-5", "override-5", "override-0"],
+    )
+    def test_bad_sweep_input_is_config_error(self, tmp_path, capsys, sweep, argv):
+        doc = {**FAST_SWEEP, "attack_sweep": {**FAST_SWEEP["attack_sweep"], **sweep}}
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["attack-sweep", "--scenario", path, *argv]) == cli.EXIT_CONFIG
+        assert "scenario error" in capsys.readouterr().err
+
     def test_missing_grid_is_config_error(self, tmp_path):
         doc = {"schema_version": 1, "attack_sweep": {"alpha_sq_over_m_grid": []}}
         path = write_scenario(tmp_path, doc)

@@ -27,3 +27,16 @@ def test_fringe_scan_small_run():
     )
     assert result.returncode == 0, result.stderr
     assert "fitted A" in result.stdout
+
+
+def test_attack_crossover_small_run():
+    script = SCRIPTS[[s.name for s in SCRIPTS].index("attack_crossover.py")]
+    result = subprocess.run(
+        [sys.executable, str(script), "--m-bases", "4", "--trials", "100", "--ratios", "1", "64"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[1:] if line.strip()]
+    assert [(row[0], float(row[1])) for row in rows] == [("4", 1.0), ("4", 64.0)]
