@@ -4,8 +4,8 @@ Alice drives a Mach-Zehnder amplitude modulator with two RF tones, the light
 propagates over a dispersionless fiber link, and Bob phase-modulates with the
 same two tones before sideband-selective detection.  The module provides both
 the first-order closed-form sideband intensities and an exact time-domain
-spectral oracle that synthesizes the full field and extracts tone powers by
-discrete Fourier projection.
+spectral oracle that synthesizes the full field and reads the tone powers
+from one discrete Fourier transform of it.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -312,8 +313,43 @@ def _common_period(omega1: float, omega2: float, max_denominator: int = 4096):
             "omega1/omega2 must be rational (within 1e-9) for leak-free "
             f"spectral extraction; got ratio {ratio!r}"
         )
-    cycles1, cycles2 = frac.numerator, frac.denominator
-    return 2 * np.pi * cycles1 / omega1, cycles1, cycles2
+    return 2 * np.pi * frac.numerator / omega1
+
+
+def oracle_period(plan: ModulationPlan, num_samples: int) -> float:
+    """Duration of the oracle grid: one common period of the two tones.
+
+    Raises ValueError when the tones share no common period, when
+    ``num_samples`` < 2, or when ``num_samples`` points over that period
+    violate the Nyquist bound for the highest tone.
+    """
+    period = _common_period(plan.omega1, plan.omega2)
+    if num_samples < 2:
+        raise ValueError("num_samples must be >= 2")
+    nyquist = 2 * max(plan.omega1, plan.omega2) / np.pi
+    if num_samples / period <= nyquist:
+        raise ValueError(
+            f"num_samples {num_samples} gives sample rate {num_samples / period:g}, which "
+            f"violates the Nyquist bound {nyquist:g} for the highest tone"
+        )
+    return period
+
+
+@lru_cache(maxsize=4)
+def _oracle_grid(omega1, omega2, m3, m4, phi1_b, phi2_b, num_samples, fiber):
+    """Sample times, propagation phasor and Bob's phasor of one oracle grid.
+
+    None of them depends on Alice's settings, which the fringe sweeps vary,
+    so a sweep builds them once.  The arrays are shared and read-only.
+    """
+    period = _common_period(omega1, omega2)
+    t = np.arange(num_samples) * (period / num_samples)
+    offsets = 2 * np.pi * np.fft.fftfreq(num_samples, d=period / num_samples)
+    propagation = np.exp(1j * (fiber.refractive_index / SPEED_OF_LIGHT) * offsets * fiber.length_m)
+    bob = np.exp(1j * (m3 * np.cos(omega1 * t + phi1_b) + m4 * np.cos(omega2 * t + phi2_b)))
+    for array in (t, propagation, bob):
+        array.flags.writeable = False
+    return t, propagation, bob
 
 
 def synthesize_bob_field(
@@ -335,21 +371,16 @@ def synthesize_bob_field(
 
     Propagation applies the per-component relative phase (n/c)*delta*L in
     the discrete Fourier domain; Bob's exact phase-modulator exponential is
-    applied in the time domain.
+    applied in the time domain.  Both phasors and the sample times come from
+    a small per-grid cache, since they do not depend on Alice's settings.
 
     Raises ValueError when the grid violates the Nyquist bound for the
     highest tone or the tones share no common period.
     """
-    period, cycles1, cycles2 = _common_period(plan.omega1, plan.omega2)
-    if num_samples < 2:
-        raise ValueError("num_samples must be >= 2")
-    sample_rate = num_samples / period
-    if sample_rate <= 2 * max(plan.omega1, plan.omega2) / np.pi:
-        raise ValueError(
-            f"sample rate {sample_rate:g} violates the Nyquist bound "
-            f"{2 * max(plan.omega1, plan.omega2) / np.pi:g} for the highest tone"
-        )
-    t = np.arange(num_samples) * (period / num_samples)
+    period = oracle_period(plan, num_samples)
+    t, propagation, bob = _oracle_grid(
+        plan.omega1, plan.omega2, plan.m3, plan.m4, plan.phi1_b, plan.phi2_b, num_samples, fiber
+    )
     drive = plan.m1 * np.cos(plan.omega1 * t + plan.phi1_a) + plan.m2 * np.cos(
         plan.omega2 * t + plan.phi2_a
     )
@@ -359,30 +390,39 @@ def synthesize_bob_field(
         field = plan.e0 * np.cos((plan.psi1 + drive) / 2)
 
     spectrum = np.fft.fft(field)
-    offsets = 2 * np.pi * np.fft.fftfreq(num_samples, d=period / num_samples)
-    spectrum *= np.exp(1j * (fiber.refractive_index / SPEED_OF_LIGHT) * offsets * fiber.length_m)
+    spectrum *= propagation
     field = np.fft.ifft(spectrum)
+    field *= bob
+    return TimeDomainField(sample_rate=num_samples / period, samples=field)
 
-    bob_drive = plan.m3 * np.cos(plan.omega1 * t + plan.phi1_b) + plan.m4 * np.cos(
-        plan.omega2 * t + plan.phi2_b
-    )
-    field = field * np.exp(1j * bob_drive)
-    return TimeDomainField(sample_rate=sample_rate, samples=field)
+
+def _tone_powers(field: TimeDomainField, omegas) -> list[float]:
+    """Powers at several baseband offsets, read from one FFT of the field.
+
+    Each offset must fall on an exact DFT bin of the sampled duration
+    (integer number of cycles), otherwise its power would leak into
+    neighbouring bins.
+    """
+    n = len(field.samples)
+    bins = []
+    for omega in omegas:
+        cycles = omega * field.duration / (2 * np.pi)
+        k = round(cycles)
+        if abs(cycles - k) > 1e-6:
+            raise ValueError(f"omega {omega:g} does not sit on a DFT bin (cycles {cycles:g})")
+        bins.append(k % n)
+    spectrum = np.fft.fft(field.samples)
+    return [float(abs(spectrum[k] / n) ** 2) for k in bins]
 
 
 def tone_power(field: TimeDomainField, omega: float) -> float:
     """Power of the spectral component at baseband offset ``omega``.
 
     The offset must fall on an exact DFT bin of the sampled duration
-    (integer number of cycles), otherwise the projection would leak.
+    (integer number of cycles), otherwise the readout would leak.
     """
-    n = len(field.samples)
-    bins = omega * field.duration / (2 * np.pi)
-    k = round(bins)
-    if abs(bins - k) > 1e-6:
-        raise ValueError(f"omega {omega:g} does not sit on a DFT bin (cycles {bins:g})")
-    projection = np.mean(field.samples * np.exp(-2j * np.pi * k * np.arange(n) / n))
-    return float(abs(projection) ** 2)
+    (power,) = _tone_powers(field, (omega,))
+    return power
 
 
 def sideband_intensities_oracle(
@@ -394,17 +434,12 @@ def sideband_intensities_oracle(
     """Ground-truth sideband powers from the exact synthesized field.
 
     No small-depth expansion anywhere: the modulator envelope and Bob's
-    phase exponential are evaluated exactly and tone powers extracted by
-    discrete Fourier projection on a leak-free grid.
+    phase exponential are evaluated exactly and the five tone powers read
+    from one discrete Fourier transform on a leak-free grid.
     """
     field = synthesize_bob_field(plan, fiber, num_samples, include_chirp)
-    return SidebandSpectrum(
-        carrier=tone_power(field, 0.0),
-        upper1=tone_power(field, plan.omega1),
-        lower1=tone_power(field, -plan.omega1),
-        upper2=tone_power(field, plan.omega2),
-        lower2=tone_power(field, -plan.omega2),
-    )
+    offsets = (0.0, plan.omega1, -plan.omega1, plan.omega2, -plan.omega2)  # field order
+    return SidebandSpectrum(*_tone_powers(field, offsets))
 
 
 def fit_half_angle_fringe(delta_phis, powers, kind: str = "cos2") -> tuple[float, float]:

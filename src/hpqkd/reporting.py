@@ -19,6 +19,7 @@ from .attacks import STREAM_LAYOUT, PnsModel, estimate_success, pns_exploitable_
 from .optics import (
     fit_half_angle_fringe,
     is_tuned,
+    oracle_period,
     sideband_intensities_closed_form,
     sideband_intensities_oracle,
     tuning_offsets,
@@ -64,13 +65,12 @@ def simulate_results(resolved: dict) -> dict:
     }
 
 
-def _pns_rows(resolved: dict, rng: np.random.Generator) -> list[dict]:
+def _pns_rows(resolved: dict, trials: int, rng: np.random.Generator) -> list[dict]:
     sweep = resolved["attack_sweep"]
     rows = []
     for mu in sweep["pns_mu"]:
         for threshold in sweep["pns_thresholds"]:
             analytic = pns_exploitable_fraction(PnsModel(mu=mu, min_exploitable=threshold))
-            trials = int(sweep["pns_mc_trials"])
             draws = rng.poisson(mu, trials)
             mc = float(np.mean(draws >= threshold))
             rows.append(
@@ -89,6 +89,14 @@ def _require_int(name: str, value, minimum: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _require_numbers(name: str, values) -> None:
+    """Every entry must be a finite number >= 0 (bools are not numbers here)."""
+    for value in values:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or not math.isfinite(value) or value < 0:
+            raise ScenarioError(f"{name} entries must be finite numbers >= 0, got {value!r}")
 
 
 def _sweep_point_task(args):
@@ -119,12 +127,12 @@ def attack_sweep_results(resolved: dict, trials_override: int | None = None, wor
     ratios = sweep["alpha_sq_over_m_grid"]
     if not ratios:
         raise ScenarioError("attack_sweep.alpha_sq_over_m_grid must not be empty")
-    for ratio in ratios:
-        number = isinstance(ratio, (int, float)) and not isinstance(ratio, bool)
-        if not number or not math.isfinite(ratio) or ratio < 0:
-            raise ScenarioError(
-                f"attack_sweep.alpha_sq_over_m_grid entries must be finite numbers >= 0, got {ratio!r}"
-            )
+    _require_numbers("attack_sweep.alpha_sq_over_m_grid", ratios)
+    pns_trials = _require_int("attack_sweep.pns_mc_trials", sweep["pns_mc_trials"], 1)
+    _require_numbers("attack_sweep.pns_mu", sweep["pns_mu"])
+    for threshold in sweep["pns_thresholds"]:
+        if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold not in (2, 3):
+            raise ScenarioError(f"attack_sweep.pns_thresholds entries must be 2 or 3, got {threshold!r}")
     grid = [ratio * m_bases for ratio in ratios]
     root = np.random.default_rng(np.random.SeedSequence(int(resolved["seed"])))
     children = root.spawn(len(grid) + 1)
@@ -143,7 +151,7 @@ def attack_sweep_results(resolved: dict, trials_override: int | None = None, wor
     return {
         "brute_force_table": rows,
         "monotone_within_2_stderr": monotone,
-        "pns_table": _pns_rows(resolved, children[-1]),
+        "pns_table": _pns_rows(resolved, pns_trials, children[-1]),
         "stream_layout": STREAM_LAYOUT,
     }
 
@@ -229,8 +237,13 @@ def optics_verify_results(resolved: dict) -> tuple[dict, bool]:
     plan = build_plan(resolved)
     fiber = build_fiber(resolved)
     section = resolved["optics_verify"]
-    points = int(section["sweep_points"])
-    num_samples = int(section["num_samples"])
+    points = _require_int("optics_verify.sweep_points", section["sweep_points"], 2)
+    cross_points = _require_int("optics_verify.cross_sweep_points", section["cross_sweep_points"], 1)
+    num_samples = _require_int("optics_verify.num_samples", section["num_samples"], 2)
+    try:
+        oracle_period(plan, num_samples)
+    except ValueError as exc:
+        raise ScenarioError(f"optics_verify oracle grid: {exc}") from exc
     tuned = is_tuned(plan, fiber)
     off1, off2 = tuning_offsets(plan, fiber)
 
@@ -244,7 +257,7 @@ def optics_verify_results(resolved: dict) -> tuple[dict, bool]:
     # Opposite-channel probe: sweep the channel-2 phase, watch channel 1 at
     # its half-fringe point (both arms powered, spreads well conditioned).
     cross_rows = []
-    for phase in np.linspace(0.0, 2 * np.pi, int(section["cross_sweep_points"]), endpoint=False):
+    for phase in np.linspace(0.0, 2 * np.pi, cross_points, endpoint=False):
         swept = plan.with_phases(phi1_a=np.pi / 2, phi2_a=float(phase))
         oracle = sideband_intensities_oracle(swept, fiber, num_samples=num_samples)
         cross_rows.append(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hpqkd import optics
 from hpqkd.optics import (
     DEFAULT_ORACLE_SAMPLES,
     SPEED_OF_LIGHT,
@@ -328,6 +329,107 @@ class TestOracle:
     def test_default_grid_size(self):
         field = synthesize_bob_field(PLAN, FIBER)
         assert len(field.samples) == DEFAULT_ORACLE_SAMPLES
+
+
+def _projection_power(field, omega) -> float:
+    """Reference readout: direct projection onto one DFT bin."""
+    n = len(field.samples)
+    k = round(omega * field.duration / (2 * np.pi))
+    return float(abs(np.mean(field.samples * np.exp(-2j * np.pi * k * np.arange(n) / n))) ** 2)
+
+
+def reference_oracle(plan, fiber, num_samples=DEFAULT_ORACLE_SAMPLES, include_chirp=False):
+    """Oracle spectrum on a freshly built grid, read by direct projection."""
+    optics._oracle_grid.cache_clear()
+    field = synthesize_bob_field(plan, fiber, num_samples, include_chirp)
+    return SidebandSpectrum(
+        carrier=_projection_power(field, 0.0),
+        upper1=_projection_power(field, plan.omega1),
+        lower1=_projection_power(field, -plan.omega1),
+        upper2=_projection_power(field, plan.omega2),
+        lower2=_projection_power(field, -plan.omega2),
+    )
+
+
+def assert_spectra_close(spectrum, reference, e0):
+    for name in ("carrier", "upper1", "lower1", "upper2", "lower2"):
+        assert abs(getattr(spectrum, name) - getattr(reference, name)) <= 1e-15 * e0**2, name
+
+
+class TestFftReadout:
+    CASES = {
+        "default": (PLAN, FIBER, False),
+        "chirp": (PLAN, FIBER, True),
+        "detuned": (PLAN, FiberLink(length_m=FIBER.length_m * 1.01), False),
+        "dark-channel1": (plan_with(m1=0.0, m3=0.0, phi2_a=0.7), FIBER, False),
+        "swept": (plan_with(phi1_a=1.3, phi2_a=2.9, phi1_b=0.4, phi2_b=5.1), FIBER, False),
+    }
+
+    @pytest.mark.parametrize("num_samples", [1024, 4096, 16384])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_direct_projection(self, case, num_samples):
+        plan, fiber, chirp = self.CASES[case]
+        reference = reference_oracle(plan, fiber, num_samples, chirp)
+        spectrum = sideband_intensities_oracle(plan, fiber, num_samples, include_chirp=chirp)
+        assert_spectra_close(spectrum, reference, plan.e0)
+
+    def test_tone_power_matches_direct_projection(self):
+        field = synthesize_bob_field(plan_with(phi1_a=0.9), FIBER, num_samples=4096)
+        for omega in (0.0, PLAN.omega1, -PLAN.omega1, PLAN.omega2, -PLAN.omega2, 2 * PLAN.omega2):
+            assert abs(tone_power(field, omega) - _projection_power(field, omega)) <= 1e-15
+
+
+class TestOracleGridCache:
+    @pytest.mark.parametrize(
+        "variants",
+        [
+            [(PLAN, FIBER), (PLAN, FiberLink(length_m=FIBER.length_m * 1.01))],
+            [(PLAN, FIBER), (PLAN, FiberLink(length_m=FIBER.length_m, refractive_index=1.6))],
+            [(plan_with(phi1_b=0.0), FIBER), (plan_with(phi1_b=0.8), FIBER)],
+            [(plan_with(phi2_b=0.0), FIBER), (plan_with(phi2_b=2.2), FIBER)],
+            [(plan_with(m3=0.05), FIBER), (plan_with(m3=0.02, m4=0.07), FIBER)],
+        ],
+        ids=["length", "index", "phi1_b", "phi2_b", "bob-depths"],
+    )
+    def test_alternating_settings_never_read_a_stale_grid(self, variants):
+        references = [reference_oracle(plan, fiber, num_samples=2048) for plan, fiber in variants]
+        uncached = []
+        for plan, fiber in variants:
+            optics._oracle_grid.cache_clear()
+            uncached.append(sideband_intensities_oracle(plan, fiber, num_samples=2048))
+        assert uncached[0] != uncached[1]  # a stale grid would show
+        optics._oracle_grid.cache_clear()
+        for _ in range(3):
+            for (plan, fiber), reference, fresh in zip(variants, references, uncached):
+                spectrum = sideband_intensities_oracle(plan, fiber, num_samples=2048)
+                assert spectrum == fresh
+                assert_spectra_close(spectrum, reference, plan.e0)
+        assert optics._oracle_grid.cache_info().misses == len(variants)
+
+    def test_alice_sweep_reuses_one_grid(self):
+        optics._oracle_grid.cache_clear()
+        for phase in np.linspace(0, 2 * np.pi, 5, endpoint=False):
+            sideband_intensities_oracle(PLAN.with_phases(phi1_a=phase, phi2_a=phase), FIBER, 1024)
+        info = optics._oracle_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = optics._oracle_grid(
+            PLAN.omega1, PLAN.omega2, PLAN.m3, PLAN.m4, PLAN.phi1_b, PLAN.phi2_b, 1024, FIBER
+        )
+        assert len(arrays) == 3
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_field_samples_are_not_the_cached_arrays(self):
+        # Callers own the field they get back; writing to it leaves the cache intact.
+        first = synthesize_bob_field(PLAN, FIBER, num_samples=1024)
+        expected = first.samples.copy()
+        first.samples[:] = 0
+        again = synthesize_bob_field(PLAN, FIBER, num_samples=1024)
+        np.testing.assert_array_equal(again.samples, expected)
 
 
 class TestFringeFit:

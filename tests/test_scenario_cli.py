@@ -1,5 +1,6 @@
 """Scenario parsing, CLI exit codes, bundle determinism, CSV emission."""
 import json
+import math
 
 import pytest
 
@@ -340,3 +341,32 @@ class TestBoundary:
     def test_bad_scenario_seed_is_config_error(self, tmp_path, command, seed):
         path = write_scenario(tmp_path, {"schema_version": 1, "seed": seed})
         assert cli.main([command, "--scenario", path]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("optics-verify", {"optics_verify": {"num_samples": 8}}),
+            ("optics-verify", {"optics_verify": {"num_samples": 0}}),
+            ("optics-verify", {"optics_verify": {"num_samples": 16384.5}}),
+            ("optics-verify", {"plan": {"omega2": 2 * math.pi * 1.0e9 * math.sqrt(2)}}),
+            ("optics-verify", {"optics_verify": {"sweep_points": 0}}),
+            ("optics-verify", {"optics_verify": {"sweep_points": -1}}),
+            ("optics-verify", {"optics_verify": {"sweep_points": 1}}),
+            ("optics-verify", {"optics_verify": {"cross_sweep_points": 0}}),
+            ("attack-sweep", {"attack_sweep": {"pns_mc_trials": 0}}),
+            ("attack-sweep", {"attack_sweep": {"pns_thresholds": [4]}}),
+            ("attack-sweep", {"attack_sweep": {"pns_mu": [-0.1]}}),
+        ],
+        ids=[
+            "nyquist", "samples-0", "samples-fraction", "incommensurate", "sweep-0",
+            "sweep-negative", "sweep-1", "cross-0", "pns-trials-0", "pns-threshold-4", "pns-mu-negative",
+        ],
+    )
+    def test_bad_oracle_and_pns_input_is_config_error(self, tmp_path, capsys, command, doc):
+        path = write_scenario(tmp_path, {"schema_version": 1, **doc})
+        out = tmp_path / "report.json"
+        assert cli.main([command, "--scenario", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
