@@ -3,12 +3,13 @@
 
 The keystream-assisted modes remove sifting (x2) and the two-tone composition
 doubles again (x4); both multipliers are loss-independent, which this sweep
-makes visible.
+makes visible.  Each row is one ``simulate`` scenario, so the ratio is the
+one the report bundles carry ("n/a" where the baseline rate is 0).
 """
 import argparse
 
-from hpqkd.optics import ModulationPlan, tuned_fiber
-from hpqkd.protocol import ChannelModel, MODES, SessionConfig, run_session
+from hpqkd import scenario
+from hpqkd.reporting import simulate_results
 
 
 def main() -> None:
@@ -20,29 +21,22 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    plan = ModulationPlan()
-    fiber = tuned_fiber(plan)
     print(f"{'length_km':>10} {'mode':>16} {'sifted':>8} {'rate':>9} {'qber':>7} {'ratio':>7}")
     for length in args.lengths_km:
-        channel = ChannelModel(length_km=length, detector_efficiency=0.8, mu_weak=0.5)
-        baseline_rate = None
-        for mode in MODES:
-            config = SessionConfig(
-                mode=mode,
-                num_slots=args.slots,
-                channel=channel,
-                plan=plan,
-                fiber=fiber,
-                seed=args.seed,
-            )
-            report = run_session(config)
-            rate = report.useful_rate_bits_per_slot
-            if mode == "baseline_bb84":
-                baseline_rate = rate
-            ratio = rate / baseline_rate if baseline_rate else float("nan")
+        resolved = scenario.resolve(
+            {
+                "schema_version": scenario.SCHEMA_VERSION,
+                "seed": args.seed,
+                "simulate": {"num_slots": args.slots},
+                "channel": {"length_km": length, "detector_efficiency": 0.8, "mu_weak": 0.5},
+            }
+        )
+        for row in simulate_results(resolved)["rates_table"]:
+            ratio = row["rate_ratio_vs_baseline"]
+            ratio_text = f"{ratio:.3f}" if ratio is not None else "n/a"
             print(
-                f"{length:>10.1f} {mode:>16} {report.sifted_bits:>8d} "
-                f"{rate:>9.5f} {report.qber:>7.4f} {ratio:>7.3f}"
+                f"{length:>10.1f} {row['mode']:>16} {row['sifted_bits']:>8d} "
+                f"{row['useful_rate_bits_per_slot']:>9.5f} {row['qber']:>7.4f} {ratio_text:>7}"
             )
         print()
 

@@ -55,11 +55,6 @@ from .protocol import (
     SessionConfig,
     SessionReport,
     compute_qber,
-    detection_split,
-    run_baseline_bb84,
-    run_hybrid,
-    run_hybrid_parallel,
-    run_parallel,
     run_session,
 )
 
@@ -104,10 +99,5 @@ __all__ = [
     "SessionConfig",
     "SessionReport",
     "compute_qber",
-    "detection_split",
-    "run_baseline_bb84",
-    "run_hybrid",
-    "run_hybrid_parallel",
-    "run_parallel",
     "run_session",
 ]

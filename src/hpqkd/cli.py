@@ -116,13 +116,19 @@ def main(argv=None) -> int:
 
     bundle = reporting.make_bundle(args.command, raw, resolved, results)
     if args.out:
-        reporting.write_bundle(bundle, args.out)
-        if args.csv:
-            stem = str(args.out)
-            if stem.endswith(".json"):
-                stem = stem[: -len(".json")]
-            for path in reporting.write_csv_tables(args.command, results, stem):
-                print(f"wrote {path}")
+        try:
+            reporting.write_bundle(bundle, args.out)
+            written = []
+            if args.csv:
+                stem = str(args.out)
+                if stem.endswith(".json"):
+                    stem = stem[: -len(".json")]
+                written = reporting.write_csv_tables(args.command, results, stem)
+        except OSError as exc:
+            print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        for path in written:
+            print(f"wrote {path}")
         print(f"wrote {args.out}")
     print(_summary_line(args.command, results))
 

@@ -1,16 +1,17 @@
 """End-to-end key distribution sessions over a lossy photonic channel.
 
-Four modes share one detection model: a plain sifted single-channel session
-(``baseline_bb84``), the keystream-assisted single channel with no sifting
-(``hybrid``), two sideband channels running side by side (``parallel``), and
-the keystream-assisted two-channel composition (``hybrid_parallel``) whose
-useful-bit rate reaches four times the baseline.
+Four modes share one detection model and one runner, ``run_session``: a
+plain sifted single-channel session (``baseline_bb84``), the
+keystream-assisted single channel with no sifting (``hybrid``), two sideband
+channels running side by side (``parallel``), and the keystream-assisted
+two-channel composition (``hybrid_parallel``) whose useful-bit rate reaches
+four times the baseline.
 """
 from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +25,6 @@ from .optics import (
 )
 
 MODES = ("baseline_bb84", "hybrid", "parallel", "hybrid_parallel")
-
-#: XORed into the session seed to derive the internal reference-baseline run
-#: used for the rate-ratio field.
-_COMPANION_SALT = 0x9E3779B97F4A7C15
 
 _HALF_PI = np.pi / 2
 
@@ -149,7 +146,11 @@ class ChannelReport:
 
 @dataclass(frozen=True)
 class SessionReport:
-    """Aggregated session accounting; field names are frozen (see README)."""
+    """Aggregated session accounting; field names are frozen (see README).
+
+    The rate ratio against the baseline compares two sessions, so it is not
+    a field here: ``reporting.simulate_results`` adds it to each session.
+    """
 
     mode: str
     seed: int
@@ -161,7 +162,6 @@ class SessionReport:
     meso_erasures: int
     qber: float
     useful_rate_bits_per_slot: float
-    rate_ratio_vs_baseline: float | None
     per_channel: tuple[ChannelReport, ...]
     public_transcript: dict
 
@@ -177,7 +177,6 @@ class SessionReport:
             "meso_erasures": self.meso_erasures,
             "qber": self.qber,
             "useful_rate_bits_per_slot": self.useful_rate_bits_per_slot,
-            "rate_ratio_vs_baseline": self.rate_ratio_vs_baseline,
             "per_channel": [c.to_dict() for c in self.per_channel],
             "public_transcript": self.public_transcript,
         }
@@ -195,36 +194,6 @@ def compute_qber(alice_bits, bob_bits, matched_slots) -> float:
     if not matched.any():
         raise ValueError("no matched slots to compare")
     return float(np.mean(alice_bits[matched] != bob_bits[matched]))
-
-
-def detection_split(
-    delta_phi: float,
-    channel: int,
-    plan: ModulationPlan,
-    fiber: FiberLink,
-    channel_model: ChannelModel,
-    rng: np.random.Generator,
-) -> str:
-    """Single-slot detector outcome: 'upper', 'lower', 'none', or 'both'.
-
-    A surviving weak pulse routes to one sideband detector with the
-    normalized closed-form split for the channel; dark counts click each
-    detector independently.  Scalar reference for the vectorized session
-    internals, which follow the same law.
-    """
-    p_upper = split_upper_probability(plan, fiber, channel, delta_phi)
-    mu = channel_model.mu_weak * channel_model.survival_probability if p_upper is not None else 0.0
-    signal = rng.poisson(mu) > 0
-    to_upper = rng.random() < (float(p_upper) if p_upper is not None else 0.5)
-    upper = (signal and to_upper) or (rng.random() < channel_model.dark_count_prob)
-    lower = (signal and not to_upper) or (rng.random() < channel_model.dark_count_prob)
-    if upper and lower:
-        return "both"
-    if upper:
-        return "upper"
-    if lower:
-        return "lower"
-    return "none"
 
 
 def _streams(seed: int) -> dict[str, np.random.Generator]:
@@ -280,92 +249,10 @@ def _run_channel(
     return _ChannelRun(bits, click_upper, click_lower, conclusive, bob_bits)
 
 
-def _channel_report(channel, run, kept, usable_count) -> ChannelReport:
-    sifted = int(kept.sum())
-    qber = (
-        compute_qber(run.alice_bits, run.bob_bits, kept) if sifted else 0.0
-    )
-    return ChannelReport(
-        channel=channel,
-        raw_detections=int(run.conclusive.sum()),
-        sifted_bits=sifted,
-        qber=qber,
-        useful_rate_bits_per_slot=sifted / usable_count if usable_count else 0.0,
-    )
 
 
 def _hex_bits(bits: np.ndarray) -> str:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
-
-
-def _assemble(config, channel_reports, usable_slots, meso_erasures, transcript, ratio) -> SessionReport:
-    raw = sum(c.raw_detections for c in channel_reports)
-    sifted = sum(c.sifted_bits for c in channel_reports)
-    errors = sum(c.qber * c.sifted_bits for c in channel_reports)
-    rate = sum(c.useful_rate_bits_per_slot for c in channel_reports)
-    double_clicks = transcript.pop("_double_clicks")
-    return SessionReport(
-        mode=config.mode,
-        seed=config.seed,
-        slots=config.num_slots,
-        usable_slots=usable_slots,
-        raw_detections=raw,
-        sifted_bits=sifted,
-        double_click_erasures=double_clicks,
-        meso_erasures=meso_erasures,
-        qber=errors / sifted if sifted else 0.0,
-        useful_rate_bits_per_slot=rate,
-        rate_ratio_vs_baseline=ratio,
-        per_channel=tuple(channel_reports),
-        public_transcript=transcript,
-    )
-
-
-def _ratio(config: SessionConfig, rate: float) -> float | None:
-    """Rate against an internal reference baseline run (salted seed).
-
-    None when the reference rate is zero (a dead channel has no meaningful
-    multiplier); reports stay strict-JSON serializable either way.
-    """
-    companion = replace(
-        config,
-        mode="baseline_bb84",
-        seed=config.seed ^ _COMPANION_SALT,
-        basis_flip_fault_fraction=0.0,
-    )
-    reference = run_baseline_bb84(companion).useful_rate_bits_per_slot
-    return rate / reference if reference > 0 else None
-
-
-def run_baseline_bb84(config: SessionConfig) -> SessionReport:
-    """Single sideband channel with random independent bases and sifting.
-
-    Matched bases give a fringe phase of 0 or pi (deterministic detector),
-    mismatched bases give +-pi/2 (an even split); sifting keeps only the
-    matched conclusive slots, which costs half the detections on an ideal
-    channel.
-    """
-    if config.mode != "baseline_bb84":
-        raise ValueError(f"config mode is {config.mode!r}, not 'baseline_bb84'")
-    streams = _streams(config.seed)
-    n = config.num_slots
-    alice_basis = streams["alice_bases_ch1"].integers(0, 2, n, dtype=np.uint8)
-    bob_basis = streams["bob_bases_ch1"].integers(0, 2, n, dtype=np.uint8)
-    bob_actual = bob_basis ^ _flip_mask(config)
-    run = _run_channel(config, streams, 1, alice_basis, bob_actual)
-
-    matched = alice_basis == bob_basis
-    kept = matched & run.conclusive
-    report = _channel_report(1, run, kept, n)
-    transcript = {
-        "_double_clicks": int((run.click_upper & run.click_lower).sum()),
-        "erasure_slots": [],
-        "announced_bases": {
-            "alice_ch1": _hex_bits(alice_basis),
-            "bob_ch1": _hex_bits(bob_basis),
-        },
-    }
-    return _assemble(config, [report], n, 0, transcript, 1.0)
 
 
 def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
@@ -385,134 +272,94 @@ def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
     return ks.bob_decode(kprime, counts, ch.m_bases)
 
 
-def run_hybrid(config: SessionConfig) -> SessionReport:
-    """Keystream-assisted single channel: bases always agree, no sifting.
+def run_session(config: SessionConfig) -> SessionReport:
+    """Run one session of ``config.mode``.
 
-    The data stream R reaches the receiver over the mesoscopic polarization
-    channel; both parties then use R as the basis sequence of the weak-pulse
-    channel, so every conclusive slot yields a key bit.  Slots whose
-    mesoscopic decode was an erasure are reconciled publicly by index and
-    excluded from rate accounting on both sides.
+    The mode fixes two things.  The parallel modes run both sideband
+    channels on the same slots, which requires the link phases tuned so each
+    channel realizes its deterministic matched-basis split (upper/lower
+    orientation swapped between channels); the other modes run channel 1.
+
+    The sifted modes (``baseline_bb84``, ``parallel``) draw independent
+    random bases for each party and channel and announce them.  Matched
+    bases give a fringe phase of 0 or pi (deterministic detector), mismatched
+    bases give +-pi/2 (an even split), and sifting keeps only the matched
+    conclusive slots, which costs half the detections on an ideal channel.
+
+    The keystream-assisted modes (``hybrid``, ``hybrid_parallel``) send one
+    data stream R over the mesoscopic polarization channel; both parties use
+    it as the basis sequence, consumed interleaved (channel 1 then channel 2
+    within each slot), so bases always agree and every conclusive slot yields
+    a key bit.  Slots whose mesoscopic decode was an erasure are reconciled
+    publicly by index into the interleaved sequence, which keeps the list
+    unambiguous across channels, and excluded from rate accounting on both
+    sides.  The final key is the channel-1 key followed by the channel-2 key.
     """
-    if config.mode != "hybrid":
-        raise ValueError(f"config mode is {config.mode!r}, not 'hybrid'")
-    streams = _streams(config.seed)
-    n = config.num_slots
-    r_bits = ks.generate_r(n, streams["r_entropy"])
-    decoded = _meso_leg(config, streams, r_bits)
-    usable = ~decoded.erasure
-
-    bob_actual = decoded.bits ^ _flip_mask(config)
-    run = _run_channel(config, streams, 1, r_bits, bob_actual)
-    kept = usable & run.conclusive
-    usable_count = int(usable.sum())
-    report = replace(
-        _channel_report(1, run, kept, usable_count),
-        basis_agreement=float(np.mean(decoded.bits[usable] == r_bits[usable])) if usable_count else 0.0,
-    )
-    transcript = {
-        "_double_clicks": int((run.click_upper & run.click_lower).sum()),
-        "erasure_slots": np.flatnonzero(decoded.erasure).tolist(),
-    }
-    ratio = _ratio(config, report.useful_rate_bits_per_slot)
-    return _assemble(config, [report], usable_count, int(decoded.erasure.sum()), transcript, ratio)
-
-
-def run_parallel(config: SessionConfig) -> SessionReport:
-    """Two independent sifted sessions sharing slots on the two RF channels.
-
-    Requires the link phases tuned so each channel realizes its
-    deterministic matched-basis split (with the upper/lower orientation
-    swapped between channels).
-    """
-    if config.mode != "parallel":
-        raise ValueError(f"config mode is {config.mode!r}, not 'parallel'")
-    require_tuned(config.plan, config.fiber)
+    channels = (1, 2) if config.mode in ("parallel", "hybrid_parallel") else (1,)
+    assisted = config.mode in ("hybrid", "hybrid_parallel")
+    if len(channels) == 2:
+        require_tuned(config.plan, config.fiber)
     streams = _streams(config.seed)
     n = config.num_slots
     flip = _flip_mask(config)
+    if assisted:
+        r_bits = ks.generate_r(len(channels) * n, streams["r_entropy"])
+        decoded = _meso_leg(config, streams, r_bits)
 
     reports = []
+    usable_counts = []
     double_clicks = 0
     announced = {}
-    for channel in (1, 2):
-        alice_basis = streams[f"alice_bases_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
-        bob_basis = streams[f"bob_bases_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
+    for channel in channels:
+        if assisted:
+            sel = slice(channel - 1, None, len(channels))
+            alice_basis, bob_basis = r_bits[sel], decoded.bits[sel]
+            keep = ~decoded.erasure[sel]
+            usable = int(keep.sum())
+            agreement = float(np.mean(bob_basis[keep] == alice_basis[keep])) if usable else 0.0
+        else:
+            alice_basis = streams[f"alice_bases_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
+            bob_basis = streams[f"bob_bases_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
+            keep = alice_basis == bob_basis
+            usable = n
+            agreement = None
+            announced[f"alice_ch{channel}"] = _hex_bits(alice_basis)
+            announced[f"bob_ch{channel}"] = _hex_bits(bob_basis)
         run = _run_channel(config, streams, channel, alice_basis, bob_basis ^ flip)
-        kept = (alice_basis == bob_basis) & run.conclusive
-        reports.append(_channel_report(channel, run, kept, n))
-        double_clicks += int((run.click_upper & run.click_lower).sum())
-        announced[f"alice_ch{channel}"] = _hex_bits(alice_basis)
-        announced[f"bob_ch{channel}"] = _hex_bits(bob_basis)
-
-    transcript = {
-        "_double_clicks": double_clicks,
-        "erasure_slots": [],
-        "announced_bases": announced,
-    }
-    rate = sum(r.useful_rate_bits_per_slot for r in reports)
-    ratio = _ratio(config, rate)
-    return _assemble(config, reports, n, 0, transcript, ratio)
-
-
-def run_hybrid_parallel(config: SessionConfig) -> SessionReport:
-    """Keystream-assisted bases on both channels at once: the 4x composition.
-
-    One R stream drives both channels, consumed in fixed interleaved order
-    (channel 1 then channel 2 within each slot); the final key is the
-    channel-1 key followed by the channel-2 key.
-    """
-    if config.mode != "hybrid_parallel":
-        raise ValueError(f"config mode is {config.mode!r}, not 'hybrid_parallel'")
-    require_tuned(config.plan, config.fiber)
-    streams = _streams(config.seed)
-    n = config.num_slots
-    flip = _flip_mask(config)
-
-    r_bits = ks.generate_r(2 * n, streams["r_entropy"])
-    decoded = _meso_leg(config, streams, r_bits)
-
-    reports = []
-    double_clicks = 0
-    usable_counts = []
-    for channel in (1, 2):
-        sel = slice(channel - 1, None, 2)
-        r_ch = r_bits[sel]
-        bob_ch = decoded.bits[sel]
-        usable = ~decoded.erasure[sel]
-        run = _run_channel(config, streams, channel, r_ch, bob_ch ^ flip)
-        kept = usable & run.conclusive
-        usable_count = int(usable.sum())
-        usable_counts.append(usable_count)
+        kept = keep & run.conclusive
+        sifted = int(kept.sum())
         reports.append(
-            replace(
-                _channel_report(channel, run, kept, usable_count),
-                basis_agreement=float(np.mean(bob_ch[usable] == r_ch[usable])) if usable_count else 0.0,
+            ChannelReport(
+                channel=channel,
+                raw_detections=int(run.conclusive.sum()),
+                sifted_bits=sifted,
+                qber=compute_qber(run.alice_bits, run.bob_bits, kept) if sifted else 0.0,
+                useful_rate_bits_per_slot=sifted / usable if usable else 0.0,
+                basis_agreement=agreement,
             )
         )
+        usable_counts.append(usable)
         double_clicks += int((run.click_upper & run.click_lower).sum())
 
-    # Erasure indices refer to the interleaved key-stream sequence, so the
-    # reconciliation list stays unambiguous across the two channels.
-    transcript = {
-        "_double_clicks": double_clicks,
-        "erasure_slots": np.flatnonzero(decoded.erasure).tolist(),
-    }
-    rate = sum(r.useful_rate_bits_per_slot for r in reports)
-    ratio = _ratio(config, rate)
-    return _assemble(
-        config, reports, min(usable_counts), int(decoded.erasure.sum()), transcript, ratio
+    if assisted:
+        transcript = {"erasure_slots": np.flatnonzero(decoded.erasure).tolist()}
+        meso_erasures = int(decoded.erasure.sum())
+    else:
+        transcript = {"erasure_slots": [], "announced_bases": announced}
+        meso_erasures = 0
+    sifted = sum(c.sifted_bits for c in reports)
+    errors = sum(c.qber * c.sifted_bits for c in reports)
+    return SessionReport(
+        mode=config.mode,
+        seed=config.seed,
+        slots=n,
+        usable_slots=min(usable_counts),
+        raw_detections=sum(c.raw_detections for c in reports),
+        sifted_bits=sifted,
+        double_click_erasures=double_clicks,
+        meso_erasures=meso_erasures,
+        qber=errors / sifted if sifted else 0.0,
+        useful_rate_bits_per_slot=sum(c.useful_rate_bits_per_slot for c in reports),
+        per_channel=tuple(reports),
+        public_transcript=transcript,
     )
-
-
-_RUNNERS = {
-    "baseline_bb84": run_baseline_bb84,
-    "hybrid": run_hybrid,
-    "parallel": run_parallel,
-    "hybrid_parallel": run_hybrid_parallel,
-}
-
-
-def run_session(config: SessionConfig) -> SessionReport:
-    """Dispatch to the mode-specific runner."""
-    return _RUNNERS[config.mode](config)

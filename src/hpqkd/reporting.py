@@ -7,6 +7,7 @@ scenario reproduces the data section byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -25,10 +26,14 @@ from .optics import (
     tuning_offsets,
 )
 from .protocol import run_session
-from .scenario import ScenarioError, build_fiber, build_plan, build_session_configs
+from .scenario import ScenarioError, _require_int, build_fiber, build_plan, build_session_configs
 
 #: Candidate fringe prefactors in units of e0^2 * m1^2; the oracle decides.
 PREFACTOR_CANDIDATES = {"e0^2*m1^2/8": 1 / 8, "e0^2*m1^2/16": 1 / 16}
+
+#: Largest accepted ``attack_sweep.pns_mu``: far above any weak-pulse mean,
+#: and far below the ~9.2e18 mean numpy's Poisson sampler refuses.
+PNS_MU_MAX = 1e6
 
 #: Residual and spread tolerances enforced by verify mode on a tuned link.
 VERIFY_RESIDUAL_TOL = 0.01
@@ -36,18 +41,26 @@ VERIFY_CLOSED_FORM_TOL = 1e-12
 
 
 def simulate_results(resolved: dict) -> dict:
-    """Run every configured mode and tabulate rates against the baseline."""
-    reports = [run_session(config) for config in build_session_configs(resolved)]
-    by_mode = {r.mode: r for r in reports}
-    baseline = by_mode.get("baseline_bb84")
+    """Run every configured mode and tabulate rates against the baseline.
+
+    ``rate_ratio_vs_baseline`` is a mode's useful rate divided by that of the
+    scenario's ``baseline_bb84`` session (same seed, channel and fault
+    fraction), or null when the baseline rate is 0.  When ``modes`` omits
+    the baseline it is run once for the ratio and not reported.
+    """
+    configs = build_session_configs(resolved)
+    reports = [run_session(config) for config in configs]
+    baseline = next((r for r in reports if r.mode == "baseline_bb84"), None)
+    if baseline is None and configs:
+        baseline = run_session(dataclasses.replace(configs[0], mode="baseline_bb84"))
+    sessions = []
     rows = []
     for report in reports:
-        if baseline is None:
-            ratio = report.rate_ratio_vs_baseline  # internal companion run
-        elif baseline.useful_rate_bits_per_slot > 0:
+        if baseline.useful_rate_bits_per_slot > 0:
             ratio = report.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
         else:
             ratio = None  # multiplier undefined against a dead baseline
+        sessions.append({**report.to_dict(), "rate_ratio_vs_baseline": ratio})
         rows.append(
             {
                 "mode": report.mode,
@@ -59,10 +72,7 @@ def simulate_results(resolved: dict) -> dict:
                 "rate_ratio_vs_baseline": ratio,
             }
         )
-    return {
-        "sessions": [r.to_dict() for r in reports],
-        "rates_table": rows,
-    }
+    return {"sessions": sessions, "rates_table": rows}
 
 
 def _pns_rows(resolved: dict, trials: int, rng: np.random.Generator) -> list[dict]:
@@ -85,18 +95,13 @@ def _pns_rows(resolved: dict, trials: int, rng: np.random.Generator) -> list[dic
     return rows
 
 
-def _require_int(name: str, value, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _require_numbers(name: str, values) -> None:
-    """Every entry must be a finite number >= 0 (bools are not numbers here)."""
+def _require_numbers(name: str, values, maximum: float = math.inf) -> None:
+    """Every entry must be a finite number in [0, maximum] (bools are not numbers here)."""
     for value in values:
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not math.isfinite(value) or value < 0:
-            raise ScenarioError(f"{name} entries must be finite numbers >= 0, got {value!r}")
+        if not number or not math.isfinite(value) or not 0 <= value <= maximum:
+            limit = f" and <= {maximum:g}" if maximum < math.inf else ""
+            raise ScenarioError(f"{name} entries must be finite numbers >= 0{limit}, got {value!r}")
 
 
 def _sweep_point_task(args):
@@ -129,7 +134,7 @@ def attack_sweep_results(resolved: dict, trials_override: int | None = None, wor
         raise ScenarioError("attack_sweep.alpha_sq_over_m_grid must not be empty")
     _require_numbers("attack_sweep.alpha_sq_over_m_grid", ratios)
     pns_trials = _require_int("attack_sweep.pns_mc_trials", sweep["pns_mc_trials"], 1)
-    _require_numbers("attack_sweep.pns_mu", sweep["pns_mu"])
+    _require_numbers("attack_sweep.pns_mu", sweep["pns_mu"], PNS_MU_MAX)
     for threshold in sweep["pns_thresholds"]:
         if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold not in (2, 3):
             raise ScenarioError(f"attack_sweep.pns_thresholds entries must be 2 or 3, got {threshold!r}")

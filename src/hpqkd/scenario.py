@@ -219,8 +219,15 @@ def build_channel(resolved: dict) -> ChannelModel:
         raise ScenarioError(f"invalid channel: {exc}") from exc
 
 
+def _require_int(name: str, value, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def build_session_configs(resolved: dict) -> list[SessionConfig]:
     sim = resolved["simulate"]
+    num_slots = _require_int("simulate.num_slots", sim["num_slots"], 1)
     channel = build_channel(resolved)
     plan = build_plan(resolved)
     fiber = build_fiber(resolved)
@@ -230,7 +237,7 @@ def build_session_configs(resolved: dict) -> list[SessionConfig]:
             configs.append(
                 SessionConfig(
                     mode=mode,
-                    num_slots=int(sim["num_slots"]),
+                    num_slots=num_slots,
                     channel=channel,
                     plan=plan,
                     fiber=fiber,

@@ -6,23 +6,42 @@ import json
 import numpy as np
 import pytest
 
-from hpqkd.optics import ModulationPlan, OpticsNotTunedError, tuned_fiber
+from hpqkd import protocol
+from hpqkd.optics import ModulationPlan, OpticsNotTunedError, split_upper_probability, tuned_fiber
 from hpqkd.protocol import (
     ChannelModel,
     SecurityConditionWarning,
     SessionConfig,
     compute_qber,
-    detection_split,
-    run_baseline_bb84,
-    run_hybrid,
-    run_hybrid_parallel,
-    run_parallel,
     run_session,
 )
 
 PLAN = ModulationPlan()
 FIBER = tuned_fiber(PLAN)
 IDEAL = ChannelModel()  # no loss, unit efficiency, no dark counts
+
+
+def detection_split(delta_phi, channel, plan, fiber, channel_model, rng) -> str:
+    """Single-slot detector outcome: 'upper', 'lower', 'none', or 'both'.
+
+    Scalar reference for the session engine's vectorized detection pass: a
+    surviving weak pulse routes to one sideband detector with the normalized
+    closed-form split for the channel; dark counts click each detector
+    independently.
+    """
+    p_upper = split_upper_probability(plan, fiber, channel, delta_phi)
+    mu = channel_model.mu_weak * channel_model.survival_probability if p_upper is not None else 0.0
+    signal = rng.poisson(mu) > 0
+    to_upper = rng.random() < (float(p_upper) if p_upper is not None else 0.5)
+    upper = (signal and to_upper) or (rng.random() < channel_model.dark_count_prob)
+    lower = (signal and not to_upper) or (rng.random() < channel_model.dark_count_prob)
+    if upper and lower:
+        return "both"
+    if upper:
+        return "upper"
+    if lower:
+        return "lower"
+    return "none"
 
 
 def config(mode="baseline_bb84", slots=10_000, seed=42, channel=IDEAL, plan=PLAN, fiber=FIBER, **kw):
@@ -65,12 +84,6 @@ class TestSessionConfig:
             config(slots=0)
         with pytest.raises(ValueError):
             config(seed=-1)
-
-    def test_runner_rejects_other_modes(self):
-        with pytest.raises(ValueError):
-            run_hybrid(config(mode="baseline_bb84"))
-        with pytest.raises(ValueError):
-            run_baseline_bb84(config(mode="hybrid"))
 
 
 class TestComputeQber:
@@ -123,38 +136,67 @@ class TestDetectionSplit:
         ch = ChannelModel(mu_weak=0.0)
         assert detection_split(0.0, 1, PLAN, FIBER, ch, rng) == "none"
 
+    @pytest.mark.parametrize("channel", (1, 2))
+    @pytest.mark.parametrize("alice_basis", (0, 1), ids=["phase-0", "phase-half-pi"])
+    def test_engine_follows_reference_law(self, channel, alice_basis):
+        # Bob measures in basis 0, so the slots whose bit is 0 sit at
+        # delta_phi = alice_basis * pi/2.  Bright enough pulses and frequent
+        # dark counts make all four outcomes common.
+        ch = ChannelModel(mu_weak=1.0, dark_count_prob=0.2)
+        slots = 40_000
+        run = protocol._run_channel(
+            config(slots=slots, channel=ch),
+            protocol._streams(31),
+            channel,
+            np.full(slots, alice_basis, dtype=np.uint8),
+            np.zeros(slots, dtype=np.uint8),
+        )
+        at_phase = run.alice_bits == 0
+        upper, lower = run.click_upper[at_phase], run.click_lower[at_phase]
+        engine = {"upper": upper & ~lower, "lower": ~upper & lower, "both": upper & lower, "none": ~upper & ~lower}
+        rng = np.random.default_rng(32)
+        reference = [
+            detection_split(alice_basis * np.pi / 2, channel, PLAN, FIBER, ch, rng) for _ in range(20_000)
+        ]
+        n_engine, n_reference = int(at_phase.sum()), len(reference)
+        for outcome, hits in engine.items():
+            f_engine = hits.mean()
+            f_reference = reference.count(outcome) / n_reference
+            pooled = (f_engine * n_engine + f_reference * n_reference) / (n_engine + n_reference)
+            sigma = np.sqrt(pooled * (1 - pooled) * (1 / n_engine + 1 / n_reference))
+            assert abs(f_engine - f_reference) <= 3 * sigma, outcome
+
 
 class TestBaseline:
     def test_sifted_fraction_is_half_of_detections(self):
-        report = run_baseline_bb84(config(seed=7))
+        report = run_session(config(seed=7))
         fraction = report.sifted_bits / report.raw_detections
         sigma = np.sqrt(0.25 / report.raw_detections)
         assert abs(fraction - 0.5) <= 3 * sigma
 
     def test_ideal_channel_qber_zero(self):
-        report = run_baseline_bb84(config(seed=8))
+        report = run_session(config(seed=8))
         assert report.qber == 0.0
 
     def test_dark_count_only_clicks_give_half_qber(self):
         ch = ChannelModel(mu_weak=0.0, dark_count_prob=1e-3)
-        report = run_baseline_bb84(config(seed=9, slots=100_000, channel=ch))
+        report = run_session(config(seed=9, slots=100_000, channel=ch))
         assert report.sifted_bits > 30
         assert abs(report.qber - 0.5) <= 3 * np.sqrt(0.25 / report.sifted_bits)
 
     def test_report_count_invariants(self):
-        report = run_baseline_bb84(config(seed=10))
+        report = run_session(config(seed=10))
         assert report.sifted_bits <= report.raw_detections <= report.slots
         assert 0 <= report.qber <= 1
-        assert report.rate_ratio_vs_baseline == 1.0
 
     def test_transcript_announces_bases(self):
-        report = run_baseline_bb84(config(seed=11, slots=64))
+        report = run_session(config(seed=11, slots=64))
         assert "announced_bases" in report.public_transcript
         assert "alice_ch1" in report.public_transcript["announced_bases"]
 
     def test_basis_flip_fault_raises_qber_by_half_fraction(self):
         fault = 0.2
-        report = run_baseline_bb84(config(seed=12, basis_flip_fault_fraction=fault))
+        report = run_session(config(seed=12, basis_flip_fault_fraction=fault))
         expected = fault / 2
         sigma = np.sqrt(expected * (1 - expected) / report.sifted_bits)
         assert abs(report.qber - expected) <= 3 * sigma
@@ -162,30 +204,30 @@ class TestBaseline:
 
 class TestHybrid:
     def test_rate_doubles_baseline(self):
-        baseline = run_baseline_bb84(config(seed=13))
-        hybrid = run_hybrid(config(mode="hybrid", seed=13))
+        baseline = run_session(config(seed=13))
+        hybrid = run_session(config(mode="hybrid", seed=13))
         ratio = hybrid.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
         assert abs(ratio - 2.0) <= 3 * 2.0 * 0.03  # ~3% rate cv at 1e4 slots
         assert hybrid.qber == 0.0
 
     def test_bases_always_agree(self):
-        report = run_hybrid(config(mode="hybrid", seed=14))
+        report = run_session(config(mode="hybrid", seed=14))
         assert report.per_channel[0].basis_agreement == 1.0
 
     def test_erasures_negligible_at_bright_meso(self):
-        report = run_hybrid(config(mode="hybrid", seed=15))
+        report = run_session(config(mode="hybrid", seed=15))
         assert report.meso_erasures / report.slots < 1e-3
 
     def test_transcript_hides_bases(self):
-        report = run_hybrid(config(mode="hybrid", seed=16, slots=256))
+        report = run_session(config(mode="hybrid", seed=16, slots=256))
         assert "announced_bases" not in report.public_transcript
         assert set(report.public_transcript) == {"erasure_slots"}
 
 
 class TestParallel:
     def test_rate_doubles_baseline(self):
-        baseline = run_baseline_bb84(config(seed=17))
-        parallel = run_parallel(config(mode="parallel", seed=17))
+        baseline = run_session(config(seed=17))
+        parallel = run_session(config(mode="parallel", seed=17))
         ratio = parallel.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
         assert abs(ratio - 2.0) <= 3 * 2.0 * 0.03
         assert parallel.qber == 0.0
@@ -194,26 +236,26 @@ class TestParallel:
     def test_requires_tuned_link(self):
         detuned = dataclasses.replace(FIBER, length_m=FIBER.length_m * 1.02)
         with pytest.raises(OpticsNotTunedError):
-            run_parallel(config(mode="parallel", seed=18, fiber=detuned))
+            run_session(config(mode="parallel", seed=18, fiber=detuned))
 
     def test_disabled_second_channel_reduces_to_baseline(self):
         plan = dataclasses.replace(PLAN, m2=0.0, m4=0.0)
-        baseline = run_baseline_bb84(config(seed=19, plan=plan))
-        parallel = run_parallel(config(mode="parallel", seed=19, plan=plan))
+        baseline = run_session(config(seed=19, plan=plan))
+        parallel = run_session(config(mode="parallel", seed=19, plan=plan))
         ch2 = parallel.per_channel[1]
         assert ch2.raw_detections == 0 and ch2.sifted_bits == 0
         ratio = parallel.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
         assert abs(ratio - 1.0) <= 3 * 0.03
 
     def test_transcript_announces_both_channels(self):
-        report = run_parallel(config(mode="parallel", seed=20, slots=128))
+        report = run_session(config(mode="parallel", seed=20, slots=128))
         assert "alice_ch2" in report.public_transcript["announced_bases"]
 
 
 class TestHybridParallel:
     def test_rate_quadruples_baseline(self):
-        baseline = run_baseline_bb84(config(seed=21))
-        quad = run_hybrid_parallel(config(mode="hybrid_parallel", seed=21))
+        baseline = run_session(config(seed=21))
+        quad = run_session(config(mode="hybrid_parallel", seed=21))
         ratio = quad.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
         assert abs(ratio - 4.0) <= 3 * 4.0 * 0.03
         for channel_report in quad.per_channel:
@@ -222,14 +264,14 @@ class TestHybridParallel:
 
     def test_multiplier_survives_loss(self):
         lossy = ChannelModel(length_km=50, loss_db_per_km=0.2, detector_efficiency=0.1, mu_weak=0.5)
-        baseline = run_baseline_bb84(config(seed=22, channel=lossy, slots=200_000))
-        quad = run_hybrid_parallel(config(mode="hybrid_parallel", seed=22, channel=lossy, slots=200_000))
+        baseline = run_session(config(seed=22, channel=lossy, slots=200_000))
+        quad = run_session(config(mode="hybrid_parallel", seed=22, channel=lossy, slots=200_000))
         ratio = quad.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
         cv = np.sqrt(1 / baseline.sifted_bits + 1 / quad.sifted_bits)
         assert abs(ratio - 4.0) <= 3 * 4.0 * cv
 
     def test_transcript_hides_bases(self):
-        report = run_hybrid_parallel(config(mode="hybrid_parallel", seed=23, slots=256))
+        report = run_session(config(mode="hybrid_parallel", seed=23, slots=256))
         assert "announced_bases" not in report.public_transcript
 
 
@@ -253,13 +295,9 @@ class TestOrderingAndDeterminism:
             assert a.to_dict() == b.to_dict()
 
     def test_seed_changes_report(self):
-        a = run_baseline_bb84(config(seed=26, slots=2000))
-        b = run_baseline_bb84(config(seed=27, slots=2000))
+        a = run_session(config(seed=26, slots=2000))
+        b = run_session(config(seed=27, slots=2000))
         assert a.sifted_bits != b.sifted_bits or a.qber != b.qber or a.to_dict() != b.to_dict()
-
-    def test_ratio_field_self_consistent(self):
-        report = run_hybrid(config(mode="hybrid", seed=28))
-        assert abs(report.rate_ratio_vs_baseline - 2.0) <= 3 * 2.0 * 0.045
 
 
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
@@ -267,16 +305,16 @@ class TestOrderingAndDeterminism:
 #: scenario produces, and must say so and bump a stream-layout id.
 GOLDEN_DIGESTS = {
     "default": {
-        "baseline_bb84": "89eaa68cbe02497a9c1c94d3e766a05b31c3ca95c1b403f8d1dd9cbf89eba3c4",
-        "hybrid": "7f3e09d12a6b55f8b049c2997668cfa7589dc10d573979f6753bf5825c8c8481",
-        "parallel": "62f3a245975cc96c42504223888445da6892f2321ba85ef11de44dc4b736c60f",
-        "hybrid_parallel": "8b3395e4c5382d740971e6db9caefa15c197bca4569ddceae4e7abbd1432db6a",
+        "baseline_bb84": "b510b2ed414483f398882b1ee782c86c05db2972a4db5fae91e7a6eb68a0868d",
+        "hybrid": "f853cb3b8a7190e7e93389b42dc2b4d06a8c6c8be9fa96f5c131590babe0a1c4",
+        "parallel": "09c66fdd5c10e36ee92aca199a765e7beb41dbbb4cb0de374c5fd14b19c4a3ec",
+        "hybrid_parallel": "28cd8ba3b3e463434ea01b0db278c5c07a5cffe56a68ac682d7a93d661242b12",
     },
     "longhaul": {
-        "baseline_bb84": "027f07ef99eb3a0dfd7d9c95e87150ed10b716e41606abc3247c8e4ef7ea4dc9",
-        "hybrid": "29f829deb29ee8484b52f4b3c2081f8266875473e63ebb28921009d90b3d1736",
-        "parallel": "5ce89b2a1a4014d3cb5709d51bbffd3050c8f44ebb998ecdfb1470ed05f534aa",
-        "hybrid_parallel": "3af27253087b5851ae892ace03da82f177232ef6d16af432991641d3963716ee",
+        "baseline_bb84": "5dd774df98cf6402f95c7c31c17736a3c872fc2cc4fcef21e7c6112c7b3b4241",
+        "hybrid": "4628dba3965fa319be9f4a3d2f91e58f0115409a586dae33fe2504c7d84232f3",
+        "parallel": "fff93b98a96d0e81186f4798d0beec36e75619f3cabbcfa1fb48f459ba3bf1de",
+        "hybrid_parallel": "556a1e2541d85d111499705f139876f728663eec9e6e31d2af681de4483a821f",
     },
 }
 GOLDEN_CHANNELS = {"default": IDEAL, "longhaul": ChannelModel(length_km=100, dark_count_prob=1e-5)}

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from hpqkd import cli, reporting, scenario
+from hpqkd.protocol import MODES, run_session
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -113,6 +114,27 @@ class TestSimulateCommand:
         assert bundle["data"]["scenario"] == FAST_SIM
         summary = capsys.readouterr().out
         assert "hybrid_parallel" in summary
+
+    def test_sessions_and_table_share_one_ratio(self, tmp_path):
+        path = write_scenario(tmp_path, FAST_SIM)
+        out = tmp_path / "report.json"
+        assert cli.main(["simulate", "--scenario", path, "--out", str(out)]) == cli.EXIT_OK
+        results = json.loads(out.read_text())["data"]["results"]
+        sessions, rows = results["sessions"], results["rates_table"]
+        assert [s["mode"] for s in sessions] == [row["mode"] for row in rows] == list(MODES)
+        for session, row in zip(sessions, rows):
+            assert session["rate_ratio_vs_baseline"] == row["rate_ratio_vs_baseline"]
+        assert sessions[0]["rate_ratio_vs_baseline"] == 1.0
+
+    def test_ratio_without_listed_baseline(self):
+        doc = {"schema_version": 1, "seed": 28, "simulate": {"modes": ["hybrid"], "num_slots": 10_000}}
+        (session,) = reporting.simulate_results(scenario.resolve(doc))["sessions"]
+        baseline_doc = {**doc, "simulate": {**doc["simulate"], "modes": ["baseline_bb84"]}}
+        (baseline_config,) = scenario.build_session_configs(scenario.resolve(baseline_doc))
+        baseline_rate = run_session(baseline_config).useful_rate_bits_per_slot
+        ratio = session["rate_ratio_vs_baseline"]
+        assert ratio == session["useful_rate_bits_per_slot"] / baseline_rate
+        assert abs(ratio - 2.0) <= 3 * 2.0 * 0.045
 
     def test_rerun_reproduces_data_section(self, tmp_path):
         path = write_scenario(tmp_path, FAST_SIM)
@@ -356,10 +378,13 @@ class TestBoundary:
             ("attack-sweep", {"attack_sweep": {"pns_mc_trials": 0}}),
             ("attack-sweep", {"attack_sweep": {"pns_thresholds": [4]}}),
             ("attack-sweep", {"attack_sweep": {"pns_mu": [-0.1]}}),
+            ("attack-sweep", {"attack_sweep": {"pns_mu": [1e30]}}),
+            ("simulate", {"simulate": {"num_slots": 100.7}}),
         ],
         ids=[
             "nyquist", "samples-0", "samples-fraction", "incommensurate", "sweep-0",
             "sweep-negative", "sweep-1", "cross-0", "pns-trials-0", "pns-threshold-4", "pns-mu-negative",
+            "pns-mu-huge", "slots-fraction",
         ],
     )
     def test_bad_oracle_and_pns_input_is_config_error(self, tmp_path, capsys, command, doc):
@@ -370,3 +395,16 @@ class TestBoundary:
         assert "scenario error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["bundle", "csv"])
+    def test_write_failure_is_runtime_error(self, tmp_path, capsys, target):
+        path = write_scenario(tmp_path, {"schema_version": 1, "simulate": {"num_slots": 300}})
+        if target == "bundle":
+            out = tmp_path / "missing" / "report.json"
+        else:
+            out = tmp_path / "report.json"
+            (tmp_path / "report_rates.csv").mkdir()  # the CSV target cannot be opened
+        assert cli.main(["simulate", "--scenario", path, "--out", str(out), "--csv"]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error" in err
+        assert "Traceback" not in err

@@ -40,3 +40,20 @@ def test_attack_crossover_small_run():
     assert result.returncode == 0, result.stderr
     rows = [line.split() for line in result.stdout.splitlines()[1:] if line.strip()]
     assert [(row[0], float(row[1])) for row in rows] == [("4", 1.0), ("4", 64.0)]
+
+
+def test_rate_multipliers_small_run():
+    script = SCRIPTS[[s.name for s in SCRIPTS].index("rate_multipliers.py")]
+    result = subprocess.run(
+        [sys.executable, str(script), "--slots", "2000", "--lengths-km", "0", "1000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[1:] if line.strip()]
+    modes = ["baseline_bb84", "hybrid", "parallel", "hybrid_parallel"]
+    assert [(row[0], row[1]) for row in rows] == [(length, mode) for length in ("0.0", "1000.0") for mode in modes]
+    assert rows[0][-1] == "1.000"
+    # No photon survives 1000 km, so every ratio is undefined, never nan.
+    assert [row[-1] for row in rows[4:]] == ["n/a"] * 4
