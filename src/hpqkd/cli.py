@@ -36,12 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--scenario", required=True, help="path to the scenario JSON file")
         cmd.add_argument("--out", help="write the report bundle (JSON) here")
-        cmd.add_argument("--seed", type=int, help="override the scenario seed (u64)")
-        cmd.add_argument(
-            "--trials",
-            type=int,
-            help="override per-point trial count (attack-sweep; ignored elsewhere)",
-        )
+        cmd.add_argument("--seed", type=int, help="override the scenario key seed")
+        cmd.add_argument("--trials", type=int, help="override the scenario key attack_sweep.trials")
         cmd.add_argument(
             "--csv",
             action="store_true",
@@ -52,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="parallel processes for sweep points (results identical to serial)",
+                help="processes for sweep points, at most one per point and CPU (results identical to serial)",
             )
     return parser
 
@@ -88,11 +84,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw, resolved = scenario.load(args.scenario)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise scenario.ScenarioError("--seed must fit in 64 bits")
-            resolved["seed"] = args.seed
+        overrides = {"seed": args.seed, "attack_sweep.trials": args.trials}
+        raw, resolved = scenario.load(args.scenario, {k: v for k, v in overrides.items() if v is not None})
     except scenario.ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -102,9 +95,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             results = reporting.simulate_results(resolved)
         elif args.command == "attack-sweep":
-            results = reporting.attack_sweep_results(
-                resolved, trials_override=args.trials, workers=max(1, args.workers)
-            )
+            results = reporting.attack_sweep_results(resolved, workers=args.workers)
         else:
             results, checks_passed = reporting.optics_verify_results(resolved)
     except scenario.ScenarioError as exc:

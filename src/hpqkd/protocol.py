@@ -114,6 +114,10 @@ class SessionConfig:
             raise ValueError("seed must fit in 64 bits")
         if not 0 <= self.basis_flip_fault_fraction <= 1:
             raise ValueError("basis_flip_fault_fraction must be in [0, 1]")
+        if self.seed_key_hex is not None:
+            self.resolved_seed_key()  # must parse as hex and hold >= 64 bits
+        if self.mode in ("parallel", "hybrid_parallel"):
+            require_tuned(self.plan, self.fiber)  # both channels need the tuned split
 
     def resolved_seed_key(self) -> ks.SeedKey:
         if self.seed_key_hex is not None:
@@ -297,8 +301,6 @@ def run_session(config: SessionConfig) -> SessionReport:
     """
     channels = (1, 2) if config.mode in ("parallel", "hybrid_parallel") else (1,)
     assisted = config.mode in ("hybrid", "hybrid_parallel")
-    if len(channels) == 2:
-        require_tuned(config.plan, config.fiber)
     streams = _streams(config.seed)
     n = config.num_slots
     flip = _flip_mask(config)

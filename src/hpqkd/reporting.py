@@ -10,7 +10,7 @@ import csv
 import dataclasses
 import datetime
 import json
-import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -26,14 +26,10 @@ from .optics import (
     tuning_offsets,
 )
 from .protocol import run_session
-from .scenario import ScenarioError, _require_int, build_fiber, build_plan, build_session_configs
+from .scenario import ScenarioError, build_fiber, build_plan, build_session_configs
 
 #: Candidate fringe prefactors in units of e0^2 * m1^2; the oracle decides.
 PREFACTOR_CANDIDATES = {"e0^2*m1^2/8": 1 / 8, "e0^2*m1^2/16": 1 / 16}
-
-#: Largest accepted ``attack_sweep.pns_mu``: far above any weak-pulse mean,
-#: and far below the ~9.2e18 mean numpy's Poisson sampler refuses.
-PNS_MU_MAX = 1e6
 
 #: Residual and spread tolerances enforced by verify mode on a tuned link.
 VERIFY_RESIDUAL_TOL = 0.01
@@ -95,15 +91,6 @@ def _pns_rows(resolved: dict, trials: int, rng: np.random.Generator) -> list[dic
     return rows
 
 
-def _require_numbers(name: str, values, maximum: float = math.inf) -> None:
-    """Every entry must be a finite number in [0, maximum] (bools are not numbers here)."""
-    for value in values:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not math.isfinite(value) or not 0 <= value <= maximum:
-            limit = f" and <= {maximum:g}" if maximum < math.inf else ""
-            raise ScenarioError(f"{name} entries must be finite numbers >= 0{limit}, got {value!r}")
-
-
 def _sweep_point_task(args):
     alpha_sq, m_bases, trials, rng = args
     point = estimate_success(alpha_sq, m_bases, trials, rng)
@@ -116,34 +103,24 @@ def _sweep_point_task(args):
     }
 
 
-def attack_sweep_results(resolved: dict, trials_override: int | None = None, workers: int = 1) -> dict:
+def attack_sweep_results(resolved: dict, workers: int = 1) -> dict:
     """Brute-force success curve plus the multi-photon exploitability table.
 
     Sweep points run on index-derived child streams, so the output is
     identical for any worker count; rows are ordered by grid index.  The
     results record the ``stream_layout`` the sweep consumed its streams in.
     """
+    if workers < 1:
+        raise ScenarioError(f"workers must be >= 1, got {workers}")
     sweep = resolved["attack_sweep"]
-    m_bases = _require_int("attack_sweep.m_bases", sweep["m_bases"], 2)
-    if trials_override is None:
-        trials = _require_int("attack_sweep.trials", sweep["trials"], 100)
-    else:
-        trials = _require_int("--trials", trials_override, 100)
-    ratios = sweep["alpha_sq_over_m_grid"]
-    if not ratios:
-        raise ScenarioError("attack_sweep.alpha_sq_over_m_grid must not be empty")
-    _require_numbers("attack_sweep.alpha_sq_over_m_grid", ratios)
-    pns_trials = _require_int("attack_sweep.pns_mc_trials", sweep["pns_mc_trials"], 1)
-    _require_numbers("attack_sweep.pns_mu", sweep["pns_mu"], PNS_MU_MAX)
-    for threshold in sweep["pns_thresholds"]:
-        if not isinstance(threshold, int) or isinstance(threshold, bool) or threshold not in (2, 3):
-            raise ScenarioError(f"attack_sweep.pns_thresholds entries must be 2 or 3, got {threshold!r}")
-    grid = [ratio * m_bases for ratio in ratios]
-    root = np.random.default_rng(np.random.SeedSequence(int(resolved["seed"])))
+    m_bases, trials = sweep["m_bases"], sweep["trials"]
+    grid = [ratio * m_bases for ratio in sweep["alpha_sq_over_m_grid"]]
+    root = np.random.default_rng(np.random.SeedSequence(resolved["seed"]))
     children = root.spawn(len(grid) + 1)
     tasks = [(alpha_sq, m_bases, trials, rng) for alpha_sq, rng in zip(grid, children[:-1])]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = min(workers, len(grid), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             rows = list(pool.map(_sweep_point_task, tasks))
     else:
         rows = [_sweep_point_task(task) for task in tasks]
@@ -156,7 +133,7 @@ def attack_sweep_results(resolved: dict, trials_override: int | None = None, wor
     return {
         "brute_force_table": rows,
         "monotone_within_2_stderr": monotone,
-        "pns_table": _pns_rows(resolved, pns_trials, children[-1]),
+        "pns_table": _pns_rows(resolved, sweep["pns_mc_trials"], children[-1]),
         "stream_layout": STREAM_LAYOUT,
     }
 
@@ -242,9 +219,7 @@ def optics_verify_results(resolved: dict) -> tuple[dict, bool]:
     plan = build_plan(resolved)
     fiber = build_fiber(resolved)
     section = resolved["optics_verify"]
-    points = _require_int("optics_verify.sweep_points", section["sweep_points"], 2)
-    cross_points = _require_int("optics_verify.cross_sweep_points", section["cross_sweep_points"], 1)
-    num_samples = _require_int("optics_verify.num_samples", section["num_samples"], 2)
+    num_samples = section["num_samples"]
     try:
         oracle_period(plan, num_samples)
     except ValueError as exc:
@@ -255,14 +230,14 @@ def optics_verify_results(resolved: dict) -> tuple[dict, bool]:
     sweeps = {}
     fits = {}
     for channel, upper_kind in ((1, "cos2"), (2, "sin2")):
-        sweep = _fringe_sweep(plan, fiber, channel, points, num_samples)
+        sweep = _fringe_sweep(plan, fiber, channel, section["sweep_points"], num_samples)
         sweeps[f"channel{channel}"] = sweep
         fits[f"channel{channel}"] = _fit_block(sweep["rows"], upper_kind, plan.e0**2)
 
     # Opposite-channel probe: sweep the channel-2 phase, watch channel 1 at
     # its half-fringe point (both arms powered, spreads well conditioned).
     cross_rows = []
-    for phase in np.linspace(0.0, 2 * np.pi, cross_points, endpoint=False):
+    for phase in np.linspace(0.0, 2 * np.pi, section["cross_sweep_points"], endpoint=False):
         swept = plan.with_phases(phi1_a=np.pi / 2, phi2_a=float(phase))
         oracle = sideband_intensities_oracle(swept, fiber, num_samples=num_samples)
         cross_rows.append(

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .optics import SPEED_OF_LIGHT, FiberLink, ModulationPlan
-from .protocol import ChannelModel, SessionConfig
+from .protocol import MODES, ChannelModel, SessionConfig
 
 SCHEMA_VERSION = 1
 
@@ -25,32 +26,51 @@ class ScenarioError(ValueError):
     """Scenario file could not be parsed or validated."""
 
 
+#: Largest accepted ``simulate.num_slots``: all four modes hold about 120 B
+#: per slot (160 MB peak RSS at 1e6 slots), so a run stays near 1.2 GB.
+MAX_NUM_SLOTS = 10_000_000
+
+#: Largest accepted ``attack_sweep.m_bases``: the hypothesis tables of the
+#: brute-force sweep grow as M^2 (132 MB peak at M = 1024 with 1000 trials).
+MAX_ATTACK_M_BASES = 1024
+
+#: Largest accepted mean photon number of a pulse: far above any physical
+#: setting, and far below the ~9.2e18 mean numpy's Poisson sampler refuses.
+_MAX_PHOTONS = 1e6
+
+
 @dataclass(frozen=True)
 class _Key:
+    """One key: default, unit, help, and the rule its value follows.
+
+    A value has the default's type (int means int, not bool or 256.0; float
+    any finite number; a list a non-empty list, a null default a string or
+    null), and ``low``/``high`` or ``choices`` bound each entry.
+    """
+
     default: object
     unit: str
     help: str
+    low: float | None = None
+    high: float | None = None
+    choices: tuple | None = None
 
 
-#: Full schema: section -> key -> (default, unit, description).  The CLI help
-#: text is generated from this table, so it stays in sync by construction.
+#: Full schema: section -> key -> rule.  The CLI help text is generated from
+#: this table, so the documented contract and the checks cannot drift apart.
 SCHEMA: dict[str, dict[str, _Key]] = {
     "": {
-        "schema_version": _Key(None, "-", "scenario format version; must equal 1"),
-        "seed": _Key(20260809, "-", "64-bit master seed for every random stream"),
+        "schema_version": _Key(SCHEMA_VERSION, "-", "scenario format version, mandatory", choices=(SCHEMA_VERSION,)),
+        "seed": _Key(20260809, "-", "64-bit master seed for every random stream", low=0, high=2**64 - 1),
     },
     "simulate": {
-        "modes": _Key(
-            ["baseline_bb84", "hybrid", "parallel", "hybrid_parallel"],
-            "-",
-            "session modes to run, in report order",
-        ),
-        "num_slots": _Key(10000, "slots", "time slots per session"),
+        "modes": _Key(list(MODES), "-", "session modes to run, in report order", choices=MODES),
+        "num_slots": _Key(10000, "slots", "time slots per session", low=1, high=MAX_NUM_SLOTS),
         "basis_flip_fault_fraction": _Key(
             0.0, "fraction", "receiver-side basis-flip fault injected on this fraction of slots"
         ),
         "seed_key_hex": _Key(
-            None, "hex", "pre-shared secret key (>= 16 hex bytes); derived from seed when null"
+            None, "hex", "pre-shared secret key, at least 16 hex digits (8 bytes); derived from seed when null"
         ),
     },
     "channel": {
@@ -58,8 +78,8 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "loss_db_per_km": _Key(0.2, "dB/km", "fiber attenuation"),
         "detector_efficiency": _Key(1.0, "probability", "single-photon detector efficiency"),
         "dark_count_prob": _Key(0.0, "probability/gate", "dark-count probability per detector gate"),
-        "mu_weak": _Key(0.5, "photons", "mean photon number of weak pulses"),
-        "alpha_sq_meso": _Key(25.0, "photons", "mean photon number of mesoscopic pulses"),
+        "mu_weak": _Key(0.5, "photons", "mean photon number of weak pulses", low=0, high=_MAX_PHOTONS),
+        "alpha_sq_meso": _Key(25.0, "photons", "mean photon number of mesoscopic pulses", low=0, high=_MAX_PHOTONS),
         "m_bases": _Key(256, "-", "basis count M (power of two)"),
     },
     "plan": {
@@ -82,32 +102,66 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "refractive_index": _Key(1.5, "-", "fiber group index"),
     },
     "attack_sweep": {
-        "m_bases": _Key(64, "-", "candidate polarization count M for the brute-force attack"),
-        "alpha_sq_over_m_grid": _Key(
-            [2.0**e for e in range(-4, 7)],
-            "-",
-            "pulse intensities as multiples of M",
+        "m_bases": _Key(
+            64, "-", "candidate polarization count M for the brute-force attack", low=2, high=MAX_ATTACK_M_BASES
         ),
-        "trials": _Key(1000, "-", "identification trials per grid point"),
-        "pns_mu": _Key([0.05, 0.1, 0.2], "photons", "weak-pulse means for the multi-photon tail table"),
-        "pns_thresholds": _Key([2, 3], "photons", "exploitable photon-number thresholds"),
-        "pns_mc_trials": _Key(200000, "-", "Monte Carlo pulses per tail estimate"),
+        "alpha_sq_over_m_grid": _Key(
+            [2.0**e for e in range(-4, 7)], "-", "pulse intensities as multiples of M", low=0, high=_MAX_PHOTONS
+        ),
+        "trials": _Key(1000, "-", "identification trials per grid point", low=100),
+        "pns_mu": _Key(
+            [0.05, 0.1, 0.2], "photons", "weak-pulse means for the multi-photon table", low=0, high=_MAX_PHOTONS
+        ),
+        "pns_thresholds": _Key([2, 3], "photons", "exploitable photon-number thresholds", choices=(2, 3)),
+        "pns_mc_trials": _Key(200000, "-", "Monte Carlo pulses per tail estimate", low=1),
     },
     "optics_verify": {
-        "sweep_points": _Key(32, "-", "fringe-phase sweep resolution per channel"),
-        "num_samples": _Key(16384, "samples", "time-domain oracle grid size"),
-        "cross_sweep_points": _Key(16, "-", "opposite-channel phase points for the independence probe"),
+        "sweep_points": _Key(32, "-", "fringe-phase sweep resolution per channel", low=2),
+        "num_samples": _Key(16384, "samples", "time-domain oracle grid size", low=2),
+        "cross_sweep_points": _Key(16, "-", "opposite-channel phase points for the independence probe", low=1),
     },
 }
 
 
+def _rule(key: _Key) -> str:
+    """The key's rule in words, as the help text and error messages state it."""
+    if key.default is None:
+        return "a string or null"
+    entry = key.default[0] if isinstance(key.default, list) else key.default
+    text = {int: "an integer", float: "a number", str: "a string"}[type(entry)]
+    if key.choices is not None:
+        text += " in {" + ", ".join(map(repr, key.choices)) + "}"
+    elif key.low is not None:
+        text += f" >= {key.low!r}" if key.high is None else f" in [{key.low!r}, {key.high!r}]"
+    return f"a list of one or more entries, each {text}" if isinstance(key.default, list) else text
+
+
+def _valid_entry(key: _Key, kind: type, value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return False
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, an int too big for a float
+        return False
+    if key.choices is not None:
+        return value in key.choices
+    return (key.low is None or value >= key.low) and (key.high is None or value <= key.high)
+
+
+def _valid(key: _Key, value) -> bool:
+    if key.default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(key.default, list):
+        kind = type(key.default[0])
+        return isinstance(value, list) and bool(value) and all(_valid_entry(key, kind, v) for v in value)
+    return _valid_entry(key, type(key.default), value)
+
+
 def describe_keys() -> str:
-    """Human-readable key table for the CLI help text."""
+    """Human-readable key table, with each key's rule, for the CLI help text."""
     lines = []
     for section, keys in SCHEMA.items():
         for name, key in keys.items():
             path = name if not section else f"{section}.{name}"
-            lines.append(f"  {path:42s} [{key.unit}] {key.help} (default {key.default!r})")
+            lines.append(f"  {path:42s} [{key.unit}] {key.help}; {_rule(key)} (default {key.default!r})")
     return "\n".join(lines)
 
 
@@ -118,60 +172,42 @@ def defaults() -> dict:
         for name, key in keys.items():
             # Copy list defaults so callers can never mutate the schema table.
             target[name] = list(key.default) if isinstance(key.default, list) else key.default
-    out["schema_version"] = SCHEMA_VERSION
     return out
 
 
-def _check_type(path: str, value, default) -> None:
-    if default is None or value is None:
-        return
-    if isinstance(default, bool) or isinstance(value, bool):
-        if type(value) is not type(default):
-            raise ScenarioError(f"scenario key {path} must be a {type(default).__name__}")
-        return
-    if isinstance(default, (int, float)):
-        if not isinstance(value, (int, float)):
-            raise ScenarioError(f"scenario key {path} must be a number")
-        return
-    if not isinstance(value, type(default)):
-        raise ScenarioError(f"scenario key {path} must be a {type(default).__name__}")
+def resolve(raw: dict, overrides: dict | None = None) -> dict:
+    """Fill in every default, apply ``overrides``, and check every key by its rule.
 
-
-def _check_unknown(raw: dict) -> None:
+    ``overrides`` maps a key path such as ``"attack_sweep.trials"`` to a
+    value that replaces the scenario's.  All keys are checked, whichever
+    command reads them.
+    """
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    if "schema_version" not in raw:
+        raise ScenarioError("scenario is missing the mandatory schema_version field")
+    merged = defaults()
     for key, value in raw.items():
         if key in SCHEMA[""]:
-            _check_type(key, value, SCHEMA[""][key].default)
+            merged[key] = value
             continue
         if key not in SCHEMA:
             raise ScenarioError(f"unknown scenario key: {key!r}")
         if not isinstance(value, dict):
             raise ScenarioError(f"scenario section {key!r} must be an object")
-        for sub, sub_value in value.items():
+        for sub in value:
             if sub not in SCHEMA[key]:
                 raise ScenarioError(f"unknown scenario key: {key!r}.{sub!r}")
-            _check_type(f"{key}.{sub}", sub_value, SCHEMA[key][sub].default)
-
-
-def resolve(raw: dict) -> dict:
-    """Validate a raw scenario dict and fill in every default."""
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    if "schema_version" not in raw:
-        raise ScenarioError("scenario is missing the mandatory schema_version field")
-    if raw["schema_version"] != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"unsupported schema_version {raw['schema_version']!r} (expected {SCHEMA_VERSION})"
-        )
-    _check_unknown(raw)
-    merged = defaults()
-    for key, value in raw.items():
-        if isinstance(value, dict):
-            merged[key].update(value)
-        else:
-            merged[key] = value
-    seed = merged["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ScenarioError(f"scenario key seed must be an integer in [0, 2**64), got {seed!r}")
+        merged[key].update(value)
+    for path, value in (overrides or {}).items():
+        section, _, name = path.rpartition(".")
+        (merged[section] if section else merged)[name] = value
+    for section, keys in SCHEMA.items():
+        values = merged[section] if section else merged
+        for name, key in keys.items():
+            if not _valid(key, values[name]):
+                path = f"{section}.{name}" if section else name
+                raise ScenarioError(f"scenario key {path} must be {_rule(key)}, got {values[name]!r}")
     return merged
 
 
@@ -186,16 +222,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def load(path) -> tuple[dict, dict]:
-    """Read a scenario file; returns (raw document, resolved document)."""
+def load(path, overrides: dict | None = None) -> tuple[dict, dict]:
+    """Read a scenario file; returns (raw document, resolved document).
+
+    ``overrides`` is passed to ``resolve``; the raw document stays as read.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, a too-long int, deep nesting
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    return raw, resolve(raw)
+    return raw, resolve(raw, overrides)
 
 
 def build_plan(resolved: dict) -> ModulationPlan:
@@ -219,15 +258,8 @@ def build_channel(resolved: dict) -> ChannelModel:
         raise ScenarioError(f"invalid channel: {exc}") from exc
 
 
-def _require_int(name: str, value, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ScenarioError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def build_session_configs(resolved: dict) -> list[SessionConfig]:
     sim = resolved["simulate"]
-    num_slots = _require_int("simulate.num_slots", sim["num_slots"], 1)
     channel = build_channel(resolved)
     plan = build_plan(resolved)
     fiber = build_fiber(resolved)
@@ -237,11 +269,11 @@ def build_session_configs(resolved: dict) -> list[SessionConfig]:
             configs.append(
                 SessionConfig(
                     mode=mode,
-                    num_slots=num_slots,
+                    num_slots=sim["num_slots"],
                     channel=channel,
                     plan=plan,
                     fiber=fiber,
-                    seed=int(resolved["seed"]),
+                    seed=resolved["seed"],
                     basis_flip_fault_fraction=float(sim["basis_flip_fault_fraction"]),
                     seed_key_hex=sim["seed_key_hex"],
                 )

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hpqkd import cli, reporting, scenario
+from hpqkd import cli, protocol, reporting, scenario
 from hpqkd.protocol import MODES, run_session
 
 
@@ -168,15 +168,33 @@ class TestSimulateCommand:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["simulate", "--scenario", str(tmp_path / "absent.json")]) == cli.EXIT_CONFIG
 
-    def test_runtime_error_exit_code(self, tmp_path):
-        # Parallel modes on a detuned link fail at run time, not parse time.
+    def test_detuned_parallel_link_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # A parallel mode on a detuned link is refused while the session
+        # configs are built, before any session runs.
+        def never(config):
+            raise AssertionError("no session may run")
+
+        monkeypatch.setattr(protocol, "run_session", never)
+        monkeypatch.setattr(reporting, "run_session", never)
         doc = {
             "schema_version": 1,
-            "simulate": {"modes": ["parallel"], "num_slots": 100},
+            "simulate": {"modes": ["baseline_bb84", "parallel"], "num_slots": 100},
             "fiber": {"length_m": 0.123},
         }
         path = write_scenario(tmp_path, doc)
+        assert cli.main(["simulate", "--scenario", path]) == cli.EXIT_CONFIG
+        assert "tuning" in capsys.readouterr().err
+
+    def test_runtime_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(config):
+            raise RuntimeError("detector exploded")
+
+        monkeypatch.setattr(reporting, "run_session", fail)
+        path = write_scenario(tmp_path, FAST_SIM)
         assert cli.main(["simulate", "--scenario", path]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error: RuntimeError: detector exploded" in err
+        assert "Traceback" not in err
 
     def test_bad_seed_rejected(self, tmp_path):
         path = write_scenario(tmp_path, FAST_SIM)
@@ -229,6 +247,37 @@ class TestAttackSweepCommand:
         serial_bundle = reporting.make_bundle("attack-sweep", raw, resolved, serial)
         parallel_bundle = reporting.make_bundle("attack-sweep", raw, resolved, parallel)
         assert reporting.data_bytes(serial_bundle) == reporting.data_bytes(parallel_bundle)
+
+    @pytest.mark.parametrize(
+        "workers, cpus, processes",
+        [(64, 8, 3), (2, 8, 2), (64, 2, 2), (64, None, None), (1, 8, None)],
+    )
+    def test_pool_sized_by_grid_and_cpus(self, tmp_path, monkeypatch, workers, cpus, processes):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        path = write_scenario(tmp_path, FAST_SWEEP)  # three grid points
+        raw, resolved = scenario.load(path)
+        serial = reporting.attack_sweep_results(resolved)
+        monkeypatch.setattr(reporting, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(reporting.os, "cpu_count", lambda: cpus)
+        results = reporting.attack_sweep_results(resolved, workers=workers)
+        assert started == ([] if processes is None else [processes])
+        assert reporting.data_bytes(reporting.make_bundle("attack-sweep", raw, resolved, results)) == (
+            reporting.data_bytes(reporting.make_bundle("attack-sweep", raw, resolved, serial))
+        )
 
     def test_bundle_records_stream_layout(self, tmp_path):
         path = write_scenario(tmp_path, FAST_SWEEP)
@@ -344,10 +393,22 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
-        text = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         for section, keys in scenario.SCHEMA.items():
-            for name in keys:
-                assert name in text
+            for name, key in keys.items():
+                path = f"{section}.{name}" if section else name
+                (line,) = [text for text in lines if text.split()[:1] == [path]]
+                # The line states the key's rule: its type and every bound or choice.
+                kind = key.default[0] if isinstance(key.default, list) else key.default
+                assert {int: "an integer", float: "a number"}.get(type(kind), "a string") in line
+                for bound in (key.low, key.high, *(key.choices or ())):
+                    if bound is not None:
+                        assert repr(bound) in line
+        text = "\n".join(lines)
+        assert "a list of one or more entries" in text
+        assert f"in [1, {scenario.MAX_NUM_SLOTS}]" in text
+        assert f"in [2, {scenario.MAX_ATTACK_M_BASES}]" in text
+        assert "at least 16 hex digits (8 bytes)" in text
 
 
 class TestBoundary:
@@ -395,6 +456,66 @@ class TestBoundary:
         assert "scenario error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, doc, argv",
+        [
+            ("simulate", {"simulate": {"modes": []}}, []),
+            ("simulate", {"simulate": {"modes": None}}, []),
+            ("attack-sweep", {"attack_sweep": {"pns_mu": None}}, []),
+            ("attack-sweep", {"attack_sweep": {"pns_thresholds": None}}, []),
+            ("simulate", {"simulate": {"seed_key_hex": "zz"}}, []),
+            ("simulate", {"simulate": {"seed_key_hex": "00"}}, []),
+            ("simulate", {"simulate": {"seed_key_hex": 5}}, []),
+            ("simulate", {"fiber": {"length_m": 1.0}}, []),
+            ("simulate", {"channel": {"m_bases": 256.0}}, []),
+            ("simulate", {"schema_version": True}, []),
+            ("simulate", {"simulate": {"num_slots": 1e14}}, []),
+            ("simulate", {"simulate": {"num_slots": scenario.MAX_NUM_SLOTS + 1}}, []),
+            ("attack-sweep", {"attack_sweep": {"m_bases": 100000}}, []),
+            ("attack-sweep", {"attack_sweep": {"m_bases": scenario.MAX_ATTACK_M_BASES + 1}}, []),
+            ("attack-sweep", {}, ["--workers", "0"]),
+            ("attack-sweep", {}, ["--workers", "-5"]),
+            ("simulate", {}, ["--trials", "5"]),
+            ("simulate", {"channel": {"mu_weak": 1e300}}, []),
+            ("simulate", {"channel": {"alpha_sq_meso": 1e300}}, []),
+            ("attack-sweep", {"attack_sweep": {"alpha_sq_over_m_grid": [1.0, 1e300]}}, []),
+            ("simulate", {"channel": {"length_km": 10**400}}, []),
+        ],
+        ids=[
+            "modes-empty", "modes-null", "pns-mu-null", "pns-thresholds-null", "seed-key-not-hex",
+            "seed-key-short", "seed-key-int", "detuned-default-modes", "m-bases-float",
+            "schema-version-true", "slots-1e14", "slots-above-cap", "sweep-m-100000",
+            "sweep-m-above-cap", "workers-0", "workers-negative", "trials-override-simulate",
+            "mu-weak-huge", "meso-huge", "grid-huge", "int-beyond-float",
+        ],
+    )
+    def test_scenario_contract_violation_is_config_error(self, tmp_path, capsys, command, doc, argv):
+        base = {"simulate": FAST_SIM["simulate"], "attack_sweep": FAST_SWEEP["attack_sweep"]}
+        merged = {"schema_version": 1, **{k: {**v, **doc.get(k, {})} for k, v in base.items()}}
+        merged.update({k: v for k, v in doc.items() if k not in base})
+        path = write_scenario(tmp_path, merged)
+        out = tmp_path / "report.json"
+        assert cli.main([command, "--scenario", path, "--out", str(out), *argv]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"schema_version": 1, "seed": "\xff"}',
+            b'{"schema_version": 1, "seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            b'{"schema_version": 1, "seed": ' + b"1" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "nested-too-deep", "int-too-long"],
+    )
+    def test_unreadable_scenario_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert cli.main(["simulate", "--scenario", str(path)]) == cli.EXIT_CONFIG
+        assert "scenario is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["bundle", "csv"])
     def test_write_failure_is_runtime_error(self, tmp_path, capsys, target):
