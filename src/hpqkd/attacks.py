@@ -8,6 +8,8 @@ monitor that background trips, and photon-number-splitting exploitability.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +104,10 @@ def _hypothesis_tables(angles: np.ndarray, signal_mean: float, dark_mean: float)
 _TRIAL_BLOCK = 1024
 
 #: Layout of the random streams consumed by the brute-force sweep, recorded
-#: in the ``attack-sweep`` bundle.  Layout 2: ``estimate_success`` runs blocks
-#: of up to ``_TRIAL_BLOCK`` trials; per block of n trials it draws the true
+#: in the ``attack-sweep`` bundle.  Layout 2: ``attack_success_curve`` spawns
+#: one child per grid point in grid order (``attack-sweep`` spawns one more
+#: for its PNS table), on which ``estimate_success`` runs blocks of up to
+#: ``_TRIAL_BLOCK`` trials; per block of n trials it draws the true
 #: candidate indices ``integers(0, M, n)``, then ``_identify`` draws the
 #: transmit counts ``poisson`` (n, M), the reflect counts ``poisson`` (n, M),
 #: the tie jitter ``uniform`` (n, M) and the fallback indices
@@ -243,20 +247,27 @@ def attack_success_curve(
     m_bases: int,
     trials: int,
     rng: np.random.Generator,
+    workers: int = 1,
 ) -> list[SweepPoint]:
     """Empirical identification probability across pulse intensities.
 
     Every grid point runs on its own child stream spawned in grid order, so
     the curve is reproducible point by point and may be evaluated in any
-    execution order.
+    execution order: ``workers`` > 1 runs them on min(workers, points, CPUs)
+    processes, with the same result.
     """
     alpha_sq_grid = list(alpha_sq_grid)
     if not alpha_sq_grid:
         raise ValueError("alpha_sq_grid must not be empty")
-    return [
-        estimate_success(alpha_sq, m_bases, trials, point_rng)
-        for alpha_sq, point_rng in zip(alpha_sq_grid, rng.spawn(len(alpha_sq_grid)))
-    ]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    points = len(alpha_sq_grid)
+    args = (alpha_sq_grid, [m_bases] * points, [trials] * points, rng.spawn(points))
+    processes = min(workers, points, os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            return list(pool.map(estimate_success, *args))
+    return list(map(estimate_success, *args))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,11 @@ KEYSTREAM_GENERATOR_ID = "blake2b256-ctr-v1"
 _MIN_SEED_BITS = 64
 _BLOCK_BYTES = 32
 
+#: Largest basis count M: the M angles D*pi/(2M) stay distinct floats below
+#: pi/2.  At 2**53 neighbours collide, from 2**54 the top word rounds onto
+#: pi/2 (the wrong arm), and from 2**64 the int64 basis words wrap.
+MAX_M_BASES = 2**52
+
 
 @dataclass(frozen=True)
 class SeedKey:
@@ -103,8 +108,8 @@ def slot_count(expanded_bits: int, m_bases: int) -> int:
 
 
 def bits_per_slot(m_bases: int) -> int:
-    if m_bases < 2 or m_bases & (m_bases - 1):
-        raise ValueError("m_bases must be a power of two, >= 2")
+    if m_bases < 2 or m_bases & (m_bases - 1) or m_bases > MAX_M_BASES:
+        raise ValueError(f"m_bases must be a power of two in [2, 2**{MAX_M_BASES.bit_length() - 1}]")
     return m_bases.bit_length() - 1
 
 

@@ -94,16 +94,8 @@ class ModulationPlan:
 
     def with_phases(self, phi1_a=None, phi2_a=None, phi1_b=None, phi2_b=None) -> "ModulationPlan":
         """Copy of the plan with some RF phases replaced (sweep helper)."""
-        kwargs = {}
-        if phi1_a is not None:
-            kwargs["phi1_a"] = phi1_a
-        if phi2_a is not None:
-            kwargs["phi2_a"] = phi2_a
-        if phi1_b is not None:
-            kwargs["phi1_b"] = phi1_b
-        if phi2_b is not None:
-            kwargs["phi2_b"] = phi2_b
-        return replace(self, **kwargs)
+        phases = {"phi1_a": phi1_a, "phi2_a": phi2_a, "phi1_b": phi1_b, "phi2_b": phi2_b}
+        return replace(self, **{name: value for name, value in phases.items() if value is not None})
 
     def delta_phi(self, channel: int) -> float:
         """RF phase difference Alice minus Bob for the given channel (1 or 2)."""
@@ -307,7 +299,7 @@ def split_upper_probability(plan: ModulationPlan, fiber: FiberLink, channel: int
 def _common_period(omega1: float, omega2: float, max_denominator: int = 4096):
     """Shortest duration holding an integer number of cycles of both tones."""
     ratio = omega1 / omega2
-    frac = Fraction(ratio).limit_denominator(max_denominator)
+    frac = Fraction(ratio).limit_denominator(max_denominator) if math.isfinite(ratio) else Fraction(0)
     if frac.numerator == 0 or abs(float(frac) - ratio) > 1e-9 * ratio:
         raise ValueError(
             "omega1/omega2 must be rational (within 1e-9) for leak-free "
@@ -336,20 +328,19 @@ def oracle_period(plan: ModulationPlan, num_samples: int) -> float:
 
 
 @lru_cache(maxsize=4)
-def _oracle_grid(omega1, omega2, m3, m4, phi1_b, phi2_b, num_samples, fiber):
-    """Sample times, propagation phasor and Bob's phasor of one oracle grid.
+def _oracle_grid(omega1, omega2, m3, m4, phi1_b, phi2_b, num_samples):
+    """Sample times and Bob's phasor of one oracle grid.
 
-    None of them depends on Alice's settings, which the fringe sweeps vary,
-    so a sweep builds them once.  The arrays are shared and read-only.
+    Neither depends on Alice's settings, which the fringe sweeps vary, nor
+    on the fiber, so a sweep builds them once.  The arrays are shared and
+    read-only.
     """
     period = _common_period(omega1, omega2)
     t = np.arange(num_samples) * (period / num_samples)
-    offsets = 2 * np.pi * np.fft.fftfreq(num_samples, d=period / num_samples)
-    propagation = np.exp(1j * (fiber.refractive_index / SPEED_OF_LIGHT) * offsets * fiber.length_m)
     bob = np.exp(1j * (m3 * np.cos(omega1 * t + phi1_b) + m4 * np.cos(omega2 * t + phi2_b)))
-    for array in (t, propagation, bob):
+    for array in (t, bob):
         array.flags.writeable = False
-    return t, propagation, bob
+    return t, bob
 
 
 def synthesize_bob_field(
@@ -369,31 +360,26 @@ def synthesize_bob_field(
     demodulated fringe by pi/4 and raises its floor, which is exactly the
     deviation the flag exists to expose.
 
-    Propagation applies the per-component relative phase (n/c)*delta*L in
-    the discrete Fourier domain; Bob's exact phase-modulator exponential is
-    applied in the time domain.  Both phasors and the sample times come from
-    a small per-grid cache, since they do not depend on Alice's settings.
+    The dispersionless link advances every spectral component at offset
+    delta by the same delay, i.e. by the phase (n/c)*delta*L, so it arrives
+    as Alice's field with each RF phase advanced by ``fiber.link_phase`` of
+    its tone.  Bob's exact phase-modulator exponential is then applied in
+    the time domain; it and the sample times come from a small per-grid
+    cache, since they do not depend on Alice's settings or the fiber.
 
     Raises ValueError when the grid violates the Nyquist bound for the
     highest tone or the tones share no common period.
     """
     period = oracle_period(plan, num_samples)
-    t, propagation, bob = _oracle_grid(
-        plan.omega1, plan.omega2, plan.m3, plan.m4, plan.phi1_b, plan.phi2_b, num_samples, fiber
-    )
-    drive = plan.m1 * np.cos(plan.omega1 * t + plan.phi1_a) + plan.m2 * np.cos(
-        plan.omega2 * t + plan.phi2_a
-    )
+    t, bob = _oracle_grid(plan.omega1, plan.omega2, plan.m3, plan.m4, plan.phi1_b, plan.phi2_b, num_samples)
+    phase1 = plan.phi1_a + fiber.link_phase(plan.omega1)
+    phase2 = plan.phi2_a + fiber.link_phase(plan.omega2)
+    drive = plan.m1 * np.cos(plan.omega1 * t + phase1) + plan.m2 * np.cos(plan.omega2 * t + phase2)
     if include_chirp:
         field = (plan.e0 / 2) * (1 + np.exp(1j * plan.psi1) * np.exp(1j * drive))
     else:
         field = plan.e0 * np.cos((plan.psi1 + drive) / 2)
-
-    spectrum = np.fft.fft(field)
-    spectrum *= propagation
-    field = np.fft.ifft(spectrum)
-    field *= bob
-    return TimeDomainField(sample_rate=num_samples / period, samples=field)
+    return TimeDomainField(sample_rate=num_samples / period, samples=field * bob)
 
 
 def _tone_powers(field: TimeDomainField, omegas) -> list[float]:

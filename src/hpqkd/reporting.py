@@ -10,13 +10,11 @@ import csv
 import dataclasses
 import datetime
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .attacks import STREAM_LAYOUT, PnsModel, estimate_success, pns_exploitable_fraction
+from .attacks import STREAM_LAYOUT, PnsModel, attack_success_curve, pns_exploitable_fraction
 from .optics import (
     fit_half_angle_fringe,
     is_tuned,
@@ -91,39 +89,24 @@ def _pns_rows(resolved: dict, trials: int, rng: np.random.Generator) -> list[dic
     return rows
 
 
-def _sweep_point_task(args):
-    alpha_sq, m_bases, trials, rng = args
-    point = estimate_success(alpha_sq, m_bases, trials, rng)
-    return {
-        "alpha_sq": point.alpha_sq,
-        "m_bases": m_bases,
-        "success_rate": point.success_rate,
-        "stderr": point.stderr,
-        "trials": point.trials,
-    }
-
-
 def attack_sweep_results(resolved: dict, workers: int = 1) -> dict:
     """Brute-force success curve plus the multi-photon exploitability table.
 
-    Sweep points run on index-derived child streams, so the output is
-    identical for any worker count; rows are ordered by grid index.  The
-    results record the ``stream_layout`` the sweep consumed its streams in.
+    ``attacks.attack_success_curve`` runs the sweep on the seed's generator,
+    on ``workers`` processes at most, and the PNS table takes the next child
+    of that generator, so the output is identical for any worker count; rows
+    are ordered by grid index.  The results record the ``stream_layout`` the
+    sweep consumed its streams in.
     """
     if workers < 1:
         raise ScenarioError(f"workers must be >= 1, got {workers}")
     sweep = resolved["attack_sweep"]
-    m_bases, trials = sweep["m_bases"], sweep["trials"]
+    m_bases = sweep["m_bases"]
     grid = [ratio * m_bases for ratio in sweep["alpha_sq_over_m_grid"]]
     root = np.random.default_rng(np.random.SeedSequence(resolved["seed"]))
-    children = root.spawn(len(grid) + 1)
-    tasks = [(alpha_sq, m_bases, trials, rng) for alpha_sq, rng in zip(grid, children[:-1])]
-    processes = min(workers, len(grid), os.cpu_count() or 1)
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            rows = list(pool.map(_sweep_point_task, tasks))
-    else:
-        rows = [_sweep_point_task(task) for task in tasks]
+    points = attack_success_curve(grid, m_bases, sweep["trials"], root, workers)
+    # Columns: alpha_sq, m_bases, then the rest of the point's fields.
+    rows = [{"alpha_sq": p.alpha_sq, "m_bases": m_bases, **dataclasses.asdict(p)} for p in points]
 
     rates = [row["success_rate"] for row in rows]
     errs = [row["stderr"] for row in rows]
@@ -133,20 +116,19 @@ def attack_sweep_results(resolved: dict, workers: int = 1) -> dict:
     return {
         "brute_force_table": rows,
         "monotone_within_2_stderr": monotone,
-        "pns_table": _pns_rows(resolved, sweep["pns_mc_trials"], children[-1]),
+        "pns_table": _pns_rows(resolved, sweep["pns_mc_trials"], root.spawn(1)[0]),
         "stream_layout": STREAM_LAYOUT,
     }
 
 
 def _fringe_sweep(plan, fiber, channel: int, points: int, num_samples: int) -> dict:
     """Closed-form vs oracle powers over one fringe-phase revolution."""
-    phases = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
+    upper, lower = f"upper{channel}", f"lower{channel}"
     rows = []
-    for phase in phases:
-        swept = plan.with_phases(phi1_a=phase) if channel == 1 else plan.with_phases(phi2_a=phase)
+    for phase in np.linspace(0.0, 2 * np.pi, points, endpoint=False):
+        swept = plan.with_phases(**{f"phi{channel}_a": phase})
         closed = sideband_intensities_closed_form(swept, fiber)
         oracle = sideband_intensities_oracle(swept, fiber, num_samples=num_samples)
-        upper, lower = ("upper1", "lower1") if channel == 1 else ("upper2", "lower2")
         rows.append(
             {
                 "delta_phi": float(phase),
@@ -186,14 +168,8 @@ def _fit_block(rows, upper_kind: str, power_scale: float) -> dict:
         "closed_sum_max_deviation": float(np.max(np.abs(sums_closed - sums_closed.mean()))),
     }
     if block["dark"]:
-        block.update(
-            upper_amplitude=0.0,
-            upper_max_residual=0.0,
-            lower_amplitude=0.0,
-            lower_max_residual=0.0,
-            oracle_sum_relative_spread=0.0,
-            oracle_visibility=0.0,
-        )
+        fitted = ("upper_amplitude", "upper_max_residual", "lower_amplitude", "lower_max_residual")
+        block.update(dict.fromkeys(fitted + ("oracle_sum_relative_spread", "oracle_visibility"), 0.0))
         return block
     a_up, res_up = fit_half_angle_fringe(phases, upper, upper_kind)
     a_lo, res_lo = fit_half_angle_fringe(phases, lower, lower_kind)
@@ -250,8 +226,9 @@ def optics_verify_results(resolved: dict) -> tuple[dict, bool]:
             cross_spread = max(cross_spread, _relative_spread(values))
 
     amplitude = fits["channel1"]["upper_amplitude"]
-    if plan.m1 > 0 and plan.e0 > 0:
-        measured = amplitude / (plan.e0**2 * plan.m1**2)
+    unit = plan.e0**2 * plan.m1**2
+    if unit > 0:  # 0 also when a tiny e0 or m1 underflows
+        measured = amplitude / unit
         deltas = {name: abs(measured - value) for name, value in PREFACTOR_CANDIDATES.items()}
         confirmed = min(deltas, key=deltas.get)
     else:

@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .keystream import MAX_M_BASES
 from .optics import SPEED_OF_LIGHT, FiberLink, ModulationPlan
 from .protocol import MODES, ChannelModel, SessionConfig
 
@@ -27,16 +28,37 @@ class ScenarioError(ValueError):
 
 
 #: Largest accepted ``simulate.num_slots``: all four modes hold about 120 B
-#: per slot (160 MB peak RSS at 1e6 slots), so a run stays near 1.2 GB.
+#: per slot at M = 256 (160 MB peak RSS at 1e6 slots), so a run stays near
+#: 1.2 GB.  The expanded key holds log2(M) bytes per slot and channel, so at
+#: M = ``keystream.MAX_M_BASES`` ``hybrid_parallel`` needs about 2.1 GB.
 MAX_NUM_SLOTS = 10_000_000
 
 #: Largest accepted ``attack_sweep.m_bases``: the hypothesis tables of the
 #: brute-force sweep grow as M^2 (132 MB peak at M = 1024 with 1000 trials).
 MAX_ATTACK_M_BASES = 1024
 
+#: Largest accepted ``attack_sweep.pns_mc_trials``: a PNS row draws 9 B and
+#: ~30 ns per trial, so 90 MB and 0.3 s per row at the cap.
+MAX_PNS_MC_TRIALS = 10_000_000
+
+#: Largest accepted ``optics_verify.num_samples``: a spectrum peaks near 60 B
+#: and takes ~80 ns per sample, and each of up to 4 cached grids holds 24 B
+#: per sample, so 60 MB and 0.1 s per spectrum plus 100 MB of cache.
+MAX_ORACLE_SAMPLES = 2**20
+
+#: Largest accepted ``optics_verify.sweep_points`` and ``cross_sweep_points``:
+#: a point is one spectrum, ~2 ms on the default grid, so ~2 s per sweep.
+MAX_SWEEP_POINTS = 1024
+
 #: Largest accepted mean photon number of a pulse: far above any physical
 #: setting, and far below the ~9.2e18 mean numpy's Poisson sampler refuses.
 _MAX_PHOTONS = 1e6
+
+#: Largest accepted ``plan.e0`` and modulation depth (rad; one turn of drive
+#: phase, 30x the small-signal limit): every power and e0^2*m^2 product of
+#: the optics stays below ~1e18, where e0 or m1 = 1e160 overflowed.
+_MAX_FIELD = 1e6
+_MAX_DEPTH = 2 * math.pi
 
 
 @dataclass(frozen=True)
@@ -80,16 +102,16 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "dark_count_prob": _Key(0.0, "probability/gate", "dark-count probability per detector gate"),
         "mu_weak": _Key(0.5, "photons", "mean photon number of weak pulses", low=0, high=_MAX_PHOTONS),
         "alpha_sq_meso": _Key(25.0, "photons", "mean photon number of mesoscopic pulses", low=0, high=_MAX_PHOTONS),
-        "m_bases": _Key(256, "-", "basis count M (power of two)"),
+        "m_bases": _Key(256, "-", "basis count M (power of two)", low=2, high=MAX_M_BASES),
     },
     "plan": {
-        "e0": _Key(1.0, "field", "carrier field amplitude"),
+        "e0": _Key(1.0, "field", "carrier field amplitude", low=0, high=_MAX_FIELD),
         "omega0": _Key(2 * math.pi * 193.4e12, "rad/s", "optical carrier angular frequency (metadata)"),
         "psi1": _Key(3 * math.pi / 2, "rad", "Mach-Zehnder DC bias phase"),
-        "m1": _Key(0.1, "-", "transmitter modulation depth, channel 1"),
-        "m2": _Key(0.1, "-", "transmitter modulation depth, channel 2"),
-        "m3": _Key(0.05, "-", "receiver modulation depth, channel 1"),
-        "m4": _Key(0.05, "-", "receiver modulation depth, channel 2"),
+        "m1": _Key(0.1, "rad", "transmitter modulation depth, channel 1", low=0, high=_MAX_DEPTH),
+        "m2": _Key(0.1, "rad", "transmitter modulation depth, channel 2", low=0, high=_MAX_DEPTH),
+        "m3": _Key(0.05, "rad", "receiver modulation depth, channel 1", low=0, high=_MAX_DEPTH),
+        "m4": _Key(0.05, "rad", "receiver modulation depth, channel 2", low=0, high=_MAX_DEPTH),
         "omega1": _Key(_DEFAULT_OMEGA1, "rad/s", "RF tone of channel 1"),
         "omega2": _Key(3 * _DEFAULT_OMEGA1, "rad/s", "RF tone of channel 2"),
         "phi1_a": _Key(0.0, "rad", "transmitter RF phase, channel 1"),
@@ -113,12 +135,14 @@ SCHEMA: dict[str, dict[str, _Key]] = {
             [0.05, 0.1, 0.2], "photons", "weak-pulse means for the multi-photon table", low=0, high=_MAX_PHOTONS
         ),
         "pns_thresholds": _Key([2, 3], "photons", "exploitable photon-number thresholds", choices=(2, 3)),
-        "pns_mc_trials": _Key(200000, "-", "Monte Carlo pulses per tail estimate", low=1),
+        "pns_mc_trials": _Key(200000, "-", "Monte Carlo pulses per tail estimate", low=1, high=MAX_PNS_MC_TRIALS),
     },
     "optics_verify": {
-        "sweep_points": _Key(32, "-", "fringe-phase sweep resolution per channel", low=2),
-        "num_samples": _Key(16384, "samples", "time-domain oracle grid size", low=2),
-        "cross_sweep_points": _Key(16, "-", "opposite-channel phase points for the independence probe", low=1),
+        "sweep_points": _Key(32, "-", "fringe-phase sweep resolution per channel", low=2, high=MAX_SWEEP_POINTS),
+        "num_samples": _Key(16384, "samples", "time-domain oracle grid size", low=2, high=MAX_ORACLE_SAMPLES),
+        "cross_sweep_points": _Key(
+            16, "-", "opposite-channel phase points for the independence probe", low=1, high=MAX_SWEEP_POINTS
+        ),
     },
 }
 

@@ -277,6 +277,8 @@ class TestSuccessCurve:
             attack_success_curve([], 4, 200, rng)
         with pytest.raises(ValueError):
             attack_success_curve([1.0], 4, 50, rng)
+        with pytest.raises(ValueError, match="workers"):
+            attack_success_curve([1.0], 4, 200, rng, workers=0)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError, match="alpha_sq"):

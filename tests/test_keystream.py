@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hpqkd.keystream import (
     ExpandedKey,
     KEYSTREAM_GENERATOR_ID,
+    MAX_M_BASES,
     DecodedBits,
     SeedKey,
+    bits_per_slot,
     bob_decode,
     build_basis_schedule,
     expand_key,
@@ -163,6 +165,16 @@ class TestSchedule:
         kprime = expand_key(_fresh_key(), 12)
         with pytest.raises(ValueError):
             build_basis_schedule(kprime, np.zeros(4, dtype=np.uint8), 12)
+
+    @pytest.mark.parametrize("m", [2 * MAX_M_BASES, 2**63, 2**64, 2**65])
+    def test_basis_count_above_cap_rejected(self, m):
+        with pytest.raises(ValueError, match="power of two"):
+            bits_per_slot(m)
+
+    def test_top_words_at_the_cap_keep_distinct_first_quadrant_angles(self):
+        assert bits_per_slot(MAX_M_BASES) == 52
+        angles = first_quadrant_angle(np.arange(MAX_M_BASES - 64, MAX_M_BASES, dtype=np.int64), MAX_M_BASES)
+        assert np.all(np.diff(angles) > 0) and angles[-1] < np.pi / 2
 
     def test_length_mismatch_rejected(self):
         kprime = expand_key(_fresh_key(), 16)

@@ -338,10 +338,32 @@ def _projection_power(field, omega) -> float:
     return float(abs(np.mean(field.samples * np.exp(-2j * np.pi * k * np.arange(n) / n))) ** 2)
 
 
+def reference_field(plan, fiber, num_samples=DEFAULT_ORACLE_SAMPLES, include_chirp=False):
+    """Bob's field with the link applied in the Fourier domain, on a fresh grid.
+
+    Each DFT component at offset delta picks up the phase (n/c)*delta*L
+    between a forward and an inverse FFT: the propagation law written bin by
+    bin, independent of the time shift ``synthesize_bob_field`` applies.
+    """
+    period = optics._common_period(plan.omega1, plan.omega2)
+    t = np.arange(num_samples) * (period / num_samples)
+    drive = plan.m1 * np.cos(plan.omega1 * t + plan.phi1_a) + plan.m2 * np.cos(plan.omega2 * t + plan.phi2_a)
+    if include_chirp:
+        field = (plan.e0 / 2) * (1 + np.exp(1j * plan.psi1) * np.exp(1j * drive))
+    else:
+        field = plan.e0 * np.cos((plan.psi1 + drive) / 2)
+    offsets = 2 * np.pi * np.fft.fftfreq(num_samples, d=period / num_samples)
+    propagation = np.exp(1j * (fiber.refractive_index / SPEED_OF_LIGHT) * offsets * fiber.length_m)
+    field = np.fft.ifft(np.fft.fft(field) * propagation)
+    bob = np.exp(
+        1j * (plan.m3 * np.cos(plan.omega1 * t + plan.phi1_b) + plan.m4 * np.cos(plan.omega2 * t + plan.phi2_b))
+    )
+    return optics.TimeDomainField(sample_rate=num_samples / period, samples=field * bob)
+
+
 def reference_oracle(plan, fiber, num_samples=DEFAULT_ORACLE_SAMPLES, include_chirp=False):
-    """Oracle spectrum on a freshly built grid, read by direct projection."""
-    optics._oracle_grid.cache_clear()
-    field = synthesize_bob_field(plan, fiber, num_samples, include_chirp)
+    """Oracle spectrum of the Fourier-domain reference field, read by direct projection."""
+    field = reference_field(plan, fiber, num_samples, include_chirp)
     return SidebandSpectrum(
         carrier=_projection_power(field, 0.0),
         upper1=_projection_power(field, plan.omega1),
@@ -373,6 +395,17 @@ class TestFftReadout:
         spectrum = sideband_intensities_oracle(plan, fiber, num_samples, include_chirp=chirp)
         assert_spectra_close(spectrum, reference, plan.e0)
 
+    @pytest.mark.parametrize("num_samples", [1024, 4096, 16384])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_field_matches_fourier_domain_propagation(self, case, num_samples):
+        # The time shift and the bin-by-bin phase put the same power in every bin.
+        plan, fiber, chirp = self.CASES[case]
+        field = synthesize_bob_field(plan, fiber, num_samples, include_chirp=chirp)
+        reference = reference_field(plan, fiber, num_samples, chirp)
+        powers = np.abs(np.fft.fft(field.samples) / num_samples) ** 2
+        expected = np.abs(np.fft.fft(reference.samples) / num_samples) ** 2
+        assert np.max(np.abs(powers - expected)) <= 1e-15 * plan.e0**2
+
     def test_tone_power_matches_direct_projection(self):
         field = synthesize_bob_field(plan_with(phi1_a=0.9), FIBER, num_samples=4096)
         for omega in (0.0, PLAN.omega1, -PLAN.omega1, PLAN.omega2, -PLAN.omega2, 2 * PLAN.omega2):
@@ -381,17 +414,18 @@ class TestFftReadout:
 
 class TestOracleGridCache:
     @pytest.mark.parametrize(
-        "variants",
+        "variants, grids",
         [
-            [(PLAN, FIBER), (PLAN, FiberLink(length_m=FIBER.length_m * 1.01))],
-            [(PLAN, FIBER), (PLAN, FiberLink(length_m=FIBER.length_m, refractive_index=1.6))],
-            [(plan_with(phi1_b=0.0), FIBER), (plan_with(phi1_b=0.8), FIBER)],
-            [(plan_with(phi2_b=0.0), FIBER), (plan_with(phi2_b=2.2), FIBER)],
-            [(plan_with(m3=0.05), FIBER), (plan_with(m3=0.02, m4=0.07), FIBER)],
+            ([(PLAN, FIBER), (PLAN, FiberLink(length_m=FIBER.length_m * 1.01))], 1),
+            ([(PLAN, FIBER), (PLAN, FiberLink(length_m=FIBER.length_m, refractive_index=1.6))], 1),
+            ([(plan_with(phi1_b=0.0), FIBER), (plan_with(phi1_b=0.8), FIBER)], 2),
+            ([(plan_with(phi2_b=0.0), FIBER), (plan_with(phi2_b=2.2), FIBER)], 2),
+            ([(plan_with(m3=0.05), FIBER), (plan_with(m3=0.02, m4=0.07), FIBER)], 2),
         ],
         ids=["length", "index", "phi1_b", "phi2_b", "bob-depths"],
     )
-    def test_alternating_settings_never_read_a_stale_grid(self, variants):
+    def test_alternating_settings_never_read_a_stale_grid(self, variants, grids):
+        # The fiber is not part of the grid: two links share one grid.
         references = [reference_oracle(plan, fiber, num_samples=2048) for plan, fiber in variants]
         uncached = []
         for plan, fiber in variants:
@@ -404,7 +438,7 @@ class TestOracleGridCache:
                 spectrum = sideband_intensities_oracle(plan, fiber, num_samples=2048)
                 assert spectrum == fresh
                 assert_spectra_close(spectrum, reference, plan.e0)
-        assert optics._oracle_grid.cache_info().misses == len(variants)
+        assert optics._oracle_grid.cache_info().misses == grids
 
     def test_alice_sweep_reuses_one_grid(self):
         optics._oracle_grid.cache_clear()
@@ -415,9 +449,9 @@ class TestOracleGridCache:
 
     def test_cached_arrays_are_read_only(self):
         arrays = optics._oracle_grid(
-            PLAN.omega1, PLAN.omega2, PLAN.m3, PLAN.m4, PLAN.phi1_b, PLAN.phi2_b, 1024, FIBER
+            PLAN.omega1, PLAN.omega2, PLAN.m3, PLAN.m4, PLAN.phi1_b, PLAN.phi2_b, 1024
         )
-        assert len(arrays) == 3
+        assert len(arrays) == 2
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):

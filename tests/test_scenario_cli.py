@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hpqkd import cli, protocol, reporting, scenario
+from hpqkd import attacks, cli, keystream, protocol, reporting, scenario
 from hpqkd.protocol import MODES, run_session
 
 
@@ -265,14 +265,14 @@ class TestAttackSweepCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         path = write_scenario(tmp_path, FAST_SWEEP)  # three grid points
         raw, resolved = scenario.load(path)
         serial = reporting.attack_sweep_results(resolved)
-        monkeypatch.setattr(reporting, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(reporting.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(attacks, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(attacks.os, "cpu_count", lambda: cpus)
         results = reporting.attack_sweep_results(resolved, workers=workers)
         assert started == ([] if processes is None else [processes])
         assert reporting.data_bytes(reporting.make_bundle("attack-sweep", raw, resolved, results)) == (
@@ -441,11 +441,12 @@ class TestBoundary:
             ("attack-sweep", {"attack_sweep": {"pns_mu": [-0.1]}}),
             ("attack-sweep", {"attack_sweep": {"pns_mu": [1e30]}}),
             ("simulate", {"simulate": {"num_slots": 100.7}}),
+            ("optics-verify", {"plan": {"omega2": 1e-300}}),
         ],
         ids=[
             "nyquist", "samples-0", "samples-fraction", "incommensurate", "sweep-0",
             "sweep-negative", "sweep-1", "cross-0", "pns-trials-0", "pns-threshold-4", "pns-mu-negative",
-            "pns-mu-huge", "slots-fraction",
+            "pns-mu-huge", "slots-fraction", "omega2-tiny",
         ],
     )
     def test_bad_oracle_and_pns_input_is_config_error(self, tmp_path, capsys, command, doc):
@@ -481,13 +482,29 @@ class TestBoundary:
             ("simulate", {"channel": {"alpha_sq_meso": 1e300}}, []),
             ("attack-sweep", {"attack_sweep": {"alpha_sq_over_m_grid": [1.0, 1e300]}}, []),
             ("simulate", {"channel": {"length_km": 10**400}}, []),
+            ("simulate", {"channel": {"m_bases": 2**64}}, []),
+            ("simulate", {"channel": {"m_bases": 2 * keystream.MAX_M_BASES}}, []),
+            ("optics-verify", {"plan": {"e0": 1e160}}, []),
+            ("optics-verify", {"plan": {"e0": 1e300}}, []),
+            ("simulate", {"plan": {"m1": 1e160}}, []),
+            ("optics-verify", {"plan": {"m1": 1e300}}, []),
+            ("simulate", {"plan": {"m2": 1e300}}, []),
+            ("optics-verify", {"plan": {"m3": 1e160}}, []),
+            ("simulate", {"plan": {"m4": 1e300}}, []),
+            ("attack-sweep", {"attack_sweep": {"pns_mc_trials": scenario.MAX_PNS_MC_TRIALS + 1}}, []),
+            ("optics-verify", {"optics_verify": {"num_samples": scenario.MAX_ORACLE_SAMPLES + 1}}, []),
+            ("optics-verify", {"optics_verify": {"sweep_points": scenario.MAX_SWEEP_POINTS + 1}}, []),
+            ("optics-verify", {"optics_verify": {"cross_sweep_points": scenario.MAX_SWEEP_POINTS + 1}}, []),
         ],
         ids=[
             "modes-empty", "modes-null", "pns-mu-null", "pns-thresholds-null", "seed-key-not-hex",
             "seed-key-short", "seed-key-int", "detuned-default-modes", "m-bases-float",
             "schema-version-true", "slots-1e14", "slots-above-cap", "sweep-m-100000",
             "sweep-m-above-cap", "workers-0", "workers-negative", "trials-override-simulate",
-            "mu-weak-huge", "meso-huge", "grid-huge", "int-beyond-float",
+            "mu-weak-huge", "meso-huge", "grid-huge", "int-beyond-float", "m-bases-2**64",
+            "m-bases-above-cap", "e0-1e160", "e0-1e300", "m1-1e160-simulate", "m1-1e300-verify",
+            "m2-1e300", "m3-1e160", "m4-1e300", "pns-trials-above-cap", "samples-above-cap",
+            "sweep-above-cap", "cross-above-cap",
         ],
     )
     def test_scenario_contract_violation_is_config_error(self, tmp_path, capsys, command, doc, argv):
@@ -501,6 +518,25 @@ class TestBoundary:
         assert "scenario error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "plan, code",
+        # A dark link passes; Bob's sidebands alone break the channel-1 fringe law.
+        [({"e0": 1e-300}, cli.EXIT_OK), ({"m1": 1e-300}, cli.EXIT_CHECK_FAILED)],
+        ids=["e0-tiny", "m1-tiny"],
+    )
+    def test_underflowing_prefactor_unit_is_undefined(self, tmp_path, plan, code):
+        # e0^2*m1^2 underflows to 0: the prefactor is undefined, not a division by zero.
+        path = write_scenario(tmp_path, {**FAST_VERIFY, "plan": plan})
+        out = tmp_path / "verify.json"
+        assert cli.main(["optics-verify", "--scenario", path, "--out", str(out)]) == code
+        assert json.loads(out.read_text())["data"]["results"]["prefactor"]["confirmed"] == "undefined"
+
+    def test_session_at_the_basis_count_cap_decodes_cleanly(self):
+        doc = {"schema_version": 1, "simulate": {"num_slots": 2000, "modes": ["hybrid"]}}
+        doc["channel"] = {"m_bases": keystream.MAX_M_BASES}
+        (session,) = reporting.simulate_results(scenario.resolve(doc))["sessions"]
+        assert session["meso_erasures"] == 0 and session["qber"] == 0.0
 
     @pytest.mark.parametrize(
         "content",

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from hpqkd import scenario
+from hpqkd.reporting import optics_verify_results
+
 SCRIPTS = sorted((pathlib.Path(__file__).parent.parent / "scripts").glob("*.py"))
 
 
@@ -18,6 +21,8 @@ def test_script_help_runs(script):
 
 
 def test_fringe_scan_small_run():
+    # The script prints the channel-1 rows and the prefactor of the matching
+    # optics-verify results.
     script = SCRIPTS[[s.name for s in SCRIPTS].index("fringe_scan.py")]
     result = subprocess.run(
         [sys.executable, str(script), "--points", "4"],
@@ -26,7 +31,16 @@ def test_fringe_scan_small_run():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert "fitted A" in result.stdout
+    resolved = scenario.resolve({"schema_version": 1, "optics_verify": {"sweep_points": 4}})
+    results, _ = optics_verify_results(resolved)
+    expected = results["fringe_sweeps"]["channel1"]["rows"]
+    lines = result.stdout.splitlines()
+    printed = [[float(value) for value in line.split()] for line in lines[1 : 1 + len(expected)]]
+    keys = ("delta_phi", "closed_upper", "oracle_upper", "closed_lower", "oracle_lower")
+    assert printed == [pytest.approx([row[key] for key in keys], rel=1e-4, abs=1e-30) for row in expected]
+    prefactor = results["prefactor"]
+    assert f"fitted A = {prefactor['fitted_amplitude']:.6e}" in result.stdout
+    assert lines[-1] == f"confirmed: {prefactor['confirmed']}" == "confirmed: e0^2*m1^2/8"
 
 
 def test_attack_crossover_small_run():
