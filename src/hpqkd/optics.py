@@ -10,8 +10,9 @@ from one discrete Fourier transform of it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,6 +23,12 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 #: Modulation depths above this are outside the small-signal regime; the
 #: closed forms degrade as O(m^2).  A warning, never an error.
 SMALL_SIGNAL_LIMIT = 0.2
+
+#: Largest accepted ``e0`` and modulation depth (rad; one turn of drive
+#: phase, 30x the small-signal limit): every power and e0^2*m^2 product of
+#: the optics stays below ~1e18, where e0 or m1 = 1e160 overflowed.
+MAX_FIELD = 1e6
+MAX_DEPTH = 2 * math.pi
 
 #: Link phases must match pi/2 (channel 1) and 3*pi/2 (channel 2) mod 2*pi
 #: within this tolerance for the cos^2/sin^2 detection law to apply.
@@ -38,12 +45,27 @@ class SmallSignalWarning(UserWarning):
     """A modulation depth exceeds the small-signal validity range."""
 
 
-def _require_finite(config) -> None:
-    """Reject a NaN or infinite value in any field of a dataclass."""
-    for field in fields(config):
-        value = getattr(config, field.name)
-        if not isinstance(value, int) and not math.isfinite(value):  # an int may exceed float range
-            raise ValueError(f"{field.name} must be finite")
+def param(default, unit: str, help: str, low=None, high=None):
+    """A dataclass field of one physical parameter: default, unit, help text and inclusive bounds.
+
+    ``check_params`` enforces the bounds, and the scenario schema and the CLI
+    help text are generated from the same declaration.  ``MISSING`` makes
+    the field required.
+    """
+    return field(default=default, metadata={"unit": unit, "help": help, "low": low, "high": high})
+
+
+def check_params(config) -> None:
+    """Refuse a ``param`` field of a dataclass that is not finite or lies outside its bounds."""
+    for f in fields(config):
+        if not f.metadata:
+            continue
+        value, low, high = getattr(config, f.name), f.metadata["low"], f.metadata["high"]
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, an int too big for a float
+            raise ValueError(f"{f.name} must be finite")
+        if (low is not None and value < low) or (high is not None and value > high):
+            rule = f">= {low!r}" if high is None else f"in [{low!r}, {high!r}]"
+            raise ValueError(f"{f.name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,49 +75,48 @@ class ModulationPlan:
     ``m1``/``m2`` are Alice's amplitude-modulation depths for tones
     ``omega1``/``omega2``; ``m3``/``m4`` are Bob's phase-modulation depths.
     ``psi1`` is the DC bias phase of Alice's Mach-Zehnder.  The RF phases
-    ``phi*_a``/``phi*_b`` carry the protocol information.  All angles in rad,
-    angular frequencies in rad/s, ``e0`` in arbitrary field units.
+    ``phi*_a``/``phi*_b`` carry the protocol information.
     """
 
-    e0: float = 1.0
-    omega0: float = 2 * np.pi * 193.4e12  # 1550 nm carrier, metadata only
-    psi1: float = 3 * np.pi / 2
-    m1: float = 0.1
-    m2: float = 0.1
-    m3: float = 0.05
-    m4: float = 0.05
-    omega1: float = 2 * np.pi * 1.0e9
-    omega2: float = 2 * np.pi * 3.0e9
-    phi1_a: float = 0.0
-    phi2_a: float = 0.0
-    phi1_b: float = 0.0
-    phi2_b: float = 0.0
+    e0: float = param(1.0, "field", "carrier field amplitude", low=0, high=MAX_FIELD)
+    omega0: float = param(2 * np.pi * 193.4e12, "rad/s", "optical carrier angular frequency (metadata)")
+    psi1: float = param(3 * np.pi / 2, "rad", "Mach-Zehnder DC bias phase")
+    m1: float = param(0.1, "rad", "transmitter modulation depth, channel 1", low=0, high=MAX_DEPTH)
+    m2: float = param(0.1, "rad", "transmitter modulation depth, channel 2", low=0, high=MAX_DEPTH)
+    m3: float = param(0.05, "rad", "receiver modulation depth, channel 1", low=0, high=MAX_DEPTH)
+    m4: float = param(0.05, "rad", "receiver modulation depth, channel 2", low=0, high=MAX_DEPTH)
+    omega1: float = param(2 * np.pi * 1.0e9, "rad/s", "RF tone of channel 1 (positive, below omega0/10)")
+    omega2: float = param(2 * np.pi * 3.0e9, "rad/s", "RF tone of channel 2 (positive, below omega0/10, not omega1)")
+    phi1_a: float = param(0.0, "rad", "transmitter RF phase, channel 1")
+    phi2_a: float = param(0.0, "rad", "transmitter RF phase, channel 2")
+    phi1_b: float = param(0.0, "rad", "receiver RF phase, channel 1")
+    phi2_b: float = param(0.0, "rad", "receiver RF phase, channel 2")
 
     def __post_init__(self):
-        _require_finite(self)
-        depths = (self.m1, self.m2, self.m3, self.m4)
-        if any(m < 0 for m in depths):
-            raise ValueError("modulation depths must be >= 0")
-        if self.e0 < 0:
-            raise ValueError("e0 must be >= 0")
+        check_params(self)
         if self.omega1 <= 0 or self.omega2 <= 0:
             raise ValueError("RF frequencies must be positive")
         if self.omega1 == self.omega2:
             raise ValueError("omega1 and omega2 must differ (distinct sidebands)")
         if max(self.omega1, self.omega2) >= self.omega0 / 10:
             raise ValueError("RF tones must sit far below the optical carrier")
-        if any(m > SMALL_SIGNAL_LIMIT for m in depths):
+        if any(m > SMALL_SIGNAL_LIMIT for m in (self.m1, self.m2, self.m3, self.m4)):
             warnings.warn(
                 f"modulation depth > {SMALL_SIGNAL_LIMIT}: outside the "
                 "small-signal regime, closed forms lose accuracy",
                 SmallSignalWarning,
-                stacklevel=2,
+                stacklevel=3,  # the constructor's caller, past the generated __init__
             )
 
     def with_phases(self, phi1_a=None, phi2_a=None, phi1_b=None, phi2_b=None) -> "ModulationPlan":
-        """Copy of the plan with some RF phases replaced (sweep helper)."""
+        """Copy of the plan with some RF phases replaced (sweep helper).
+
+        The copy has this plan's depths, so it repeats no small-signal warning.
+        """
         phases = {"phi1_a": phi1_a, "phi2_a": phi2_a, "phi1_b": phi1_b, "phi2_b": phi2_b}
-        return replace(self, **{name: value for name, value in phases.items() if value is not None})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallSignalWarning)
+            return replace(self, **{name: value for name, value in phases.items() if value is not None})
 
     def delta_phi(self, channel: int) -> float:
         """RF phase difference Alice minus Bob for the given channel (1 or 2)."""
@@ -115,15 +136,11 @@ class FiberLink:
     +-(n/c)*Omega*L once the common carrier phase is removed.
     """
 
-    length_m: float
-    refractive_index: float = 1.5
+    length_m: float = param(MISSING, "m", "interferometric link length", low=0)
+    refractive_index: float = param(1.5, "-", "fiber group index", low=1)
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.length_m < 0:
-            raise ValueError("length_m must be >= 0")
-        if self.refractive_index < 1:
-            raise ValueError("refractive_index must be >= 1")
+        check_params(self)
 
     def link_phase(self, omega: float) -> float:
         """Relative phase (n/c)*omega*L accumulated by a sideband at offset omega."""

@@ -19,7 +19,8 @@ from . import keystream as ks
 from .optics import (
     FiberLink,
     ModulationPlan,
-    _require_finite,
+    check_params,
+    param,
     require_tuned,
     split_upper_probability,
 )
@@ -51,6 +52,11 @@ _ROLES = (
 )
 
 
+#: Largest accepted mean photon number of a pulse: far above any physical
+#: setting, and far below the ~9.2e18 mean numpy's Poisson sampler refuses.
+MAX_PHOTONS = 1e6
+
+
 class SecurityConditionWarning(UserWarning):
     """Mesoscopic intensity is not small against the basis count."""
 
@@ -59,23 +65,20 @@ class SecurityConditionWarning(UserWarning):
 class ChannelModel:
     """Loss, detectors, and pulse intensities of the optical link."""
 
-    length_km: float = 0.0
-    loss_db_per_km: float = 0.2
-    detector_efficiency: float = 1.0
-    dark_count_prob: float = 0.0
-    mu_weak: float = 0.5
-    alpha_sq_meso: float = 25.0
-    m_bases: int = 256
+    length_km: float = param(0.0, "km", "fiber span length", low=0)
+    loss_db_per_km: float = param(0.2, "dB/km", "fiber attenuation", low=0)
+    detector_efficiency: float = param(1.0, "probability", "single-photon detector efficiency", low=0, high=1)
+    dark_count_prob: float = param(
+        0.0, "probability/gate", "dark-count probability per detector gate", low=0, high=1
+    )
+    mu_weak: float = param(0.5, "photons", "mean photon number of weak pulses", low=0, high=MAX_PHOTONS)
+    alpha_sq_meso: float = param(
+        25.0, "photons", "mean photon number of mesoscopic pulses", low=0, high=MAX_PHOTONS
+    )
+    m_bases: int = param(256, "-", "basis count M (power of two)", low=2, high=ks.MAX_M_BASES)
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.length_km < 0 or self.loss_db_per_km < 0:
-            raise ValueError("link length and loss must be >= 0")
-        for name in ("detector_efficiency", "dark_count_prob"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be a probability")
-        if self.mu_weak < 0 or self.alpha_sq_meso < 0:
-            raise ValueError("pulse intensities must be >= 0")
+        check_params(self)
         ks.bits_per_slot(self.m_bases)  # power-of-two check
         if self.alpha_sq_meso >= self.m_bases:
             warnings.warn(
@@ -83,7 +86,7 @@ class ChannelModel:
                 "the polarization channel is exposed to brute-force "
                 "identification (needs |alpha|^2 << M)",
                 SecurityConditionWarning,
-                stacklevel=2,
+                stacklevel=3,  # the constructor's caller, past the generated __init__
             )
 
     @property
@@ -102,18 +105,19 @@ class SessionConfig:
     plan: ModulationPlan
     fiber: FiberLink
     seed: int
-    basis_flip_fault_fraction: float = 0.0
+    basis_flip_fault_fraction: float = param(
+        0.0, "fraction", "receiver-side basis-flip fault injected on this fraction of slots", low=0, high=1
+    )
     seed_key_hex: str | None = None
 
     def __post_init__(self):
+        check_params(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.num_slots < 1:
             raise ValueError("num_slots must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if not 0 <= self.basis_flip_fault_fraction <= 1:
-            raise ValueError("basis_flip_fault_fraction must be in [0, 1]")
         if self.seed_key_hex is not None:
             self.resolved_seed_key()  # must parse as hex and hold >= 64 bits
         if self.mode in ("parallel", "hybrid_parallel"):

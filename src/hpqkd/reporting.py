@@ -24,7 +24,7 @@ from .optics import (
     tuning_offsets,
 )
 from .protocol import run_session
-from .scenario import ScenarioError, build_fiber, build_plan, build_session_configs
+from .scenario import ScenarioError, build, build_session_configs
 
 #: Candidate fringe prefactors in units of e0^2 * m1^2; the oracle decides.
 PREFACTOR_CANDIDATES = {"e0^2*m1^2/8": 1 / 8, "e0^2*m1^2/16": 1 / 16}
@@ -192,8 +192,8 @@ def optics_verify_results(resolved: dict) -> tuple[dict, bool]:
     tolerances are enforced and decide the boolean.  A detuned link reports
     a warning entry (with measured visibility) instead of failing.
     """
-    plan = build_plan(resolved)
-    fiber = build_fiber(resolved)
+    plan = build(resolved, "plan")
+    fiber = build(resolved, "fiber")
     section = resolved["optics_verify"]
     num_samples = section["num_samples"]
     try:

@@ -9,18 +9,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 
-from .keystream import MAX_M_BASES
-from .optics import SPEED_OF_LIGHT, FiberLink, ModulationPlan
-from .protocol import MODES, ChannelModel, SessionConfig
+from .optics import FiberLink, ModulationPlan, tuned_fiber
+from .protocol import MAX_PHOTONS, MODES, ChannelModel, SessionConfig
 
 SCHEMA_VERSION = 1
-
-_DEFAULT_OMEGA1 = 2 * math.pi * 1.0e9
-#: Shortest link length putting the two default tones on the pi/2 and
-#: 3*pi/2 interference condition at index 1.5.
-_DEFAULT_LENGTH_M = (math.pi / 2) * SPEED_OF_LIGHT / (1.5 * _DEFAULT_OMEGA1)
 
 
 class ScenarioError(ValueError):
@@ -37,6 +32,12 @@ MAX_NUM_SLOTS = 10_000_000
 #: brute-force sweep grow as M^2 (132 MB peak at M = 1024 with 1000 trials).
 MAX_ATTACK_M_BASES = 1024
 
+#: Largest accepted ``attack_sweep.trials``: a grid point takes about 15 us
+#: per trial at M = 64 and 470 us at M = ``MAX_ATTACK_M_BASES`` (memory stays
+#: flat, trials run in blocks), so 1.5 s and 47 s per point at the cap, where
+#: a success rate has a standard error of at most 1.6e-3.
+MAX_ATTACK_TRIALS = 100_000
+
 #: Largest accepted ``attack_sweep.pns_mc_trials``: a PNS row draws 9 B and
 #: ~30 ns per trial, so 90 MB and 0.3 s per row at the cap.
 MAX_PNS_MC_TRIALS = 10_000_000
@@ -49,16 +50,6 @@ MAX_ORACLE_SAMPLES = 2**20
 #: Largest accepted ``optics_verify.sweep_points`` and ``cross_sweep_points``:
 #: a point is one spectrum, ~2 ms on the default grid, so ~2 s per sweep.
 MAX_SWEEP_POINTS = 1024
-
-#: Largest accepted mean photon number of a pulse: far above any physical
-#: setting, and far below the ~9.2e18 mean numpy's Poisson sampler refuses.
-_MAX_PHOTONS = 1e6
-
-#: Largest accepted ``plan.e0`` and modulation depth (rad; one turn of drive
-#: phase, 30x the small-signal limit): every power and e0^2*m^2 product of
-#: the optics stays below ~1e18, where e0 or m1 = 1e160 overflowed.
-_MAX_FIELD = 1e6
-_MAX_DEPTH = 2 * math.pi
 
 
 @dataclass(frozen=True)
@@ -78,6 +69,11 @@ class _Key:
     choices: tuple | None = None
 
 
+def _section(cls, **defaults) -> dict[str, _Key]:
+    """One key per ``optics.param`` field of ``cls``; ``defaults`` replaces a field's default."""
+    return {f.name: _Key(defaults.get(f.name, f.default), **f.metadata) for f in fields(cls) if f.metadata}
+
+
 #: Full schema: section -> key -> rule.  The CLI help text is generated from
 #: this table, so the documented contract and the checks cannot drift apart.
 SCHEMA: dict[str, dict[str, _Key]] = {
@@ -88,51 +84,25 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     "simulate": {
         "modes": _Key(list(MODES), "-", "session modes to run, in report order", choices=MODES),
         "num_slots": _Key(10000, "slots", "time slots per session", low=1, high=MAX_NUM_SLOTS),
-        "basis_flip_fault_fraction": _Key(
-            0.0, "fraction", "receiver-side basis-flip fault injected on this fraction of slots"
-        ),
+        **_section(SessionConfig),  # basis_flip_fault_fraction, its one param field
         "seed_key_hex": _Key(
             None, "hex", "pre-shared secret key, at least 16 hex digits (8 bytes); derived from seed when null"
         ),
     },
-    "channel": {
-        "length_km": _Key(0.0, "km", "fiber span length"),
-        "loss_db_per_km": _Key(0.2, "dB/km", "fiber attenuation"),
-        "detector_efficiency": _Key(1.0, "probability", "single-photon detector efficiency"),
-        "dark_count_prob": _Key(0.0, "probability/gate", "dark-count probability per detector gate"),
-        "mu_weak": _Key(0.5, "photons", "mean photon number of weak pulses", low=0, high=_MAX_PHOTONS),
-        "alpha_sq_meso": _Key(25.0, "photons", "mean photon number of mesoscopic pulses", low=0, high=_MAX_PHOTONS),
-        "m_bases": _Key(256, "-", "basis count M (power of two)", low=2, high=MAX_M_BASES),
-    },
-    "plan": {
-        "e0": _Key(1.0, "field", "carrier field amplitude", low=0, high=_MAX_FIELD),
-        "omega0": _Key(2 * math.pi * 193.4e12, "rad/s", "optical carrier angular frequency (metadata)"),
-        "psi1": _Key(3 * math.pi / 2, "rad", "Mach-Zehnder DC bias phase"),
-        "m1": _Key(0.1, "rad", "transmitter modulation depth, channel 1", low=0, high=_MAX_DEPTH),
-        "m2": _Key(0.1, "rad", "transmitter modulation depth, channel 2", low=0, high=_MAX_DEPTH),
-        "m3": _Key(0.05, "rad", "receiver modulation depth, channel 1", low=0, high=_MAX_DEPTH),
-        "m4": _Key(0.05, "rad", "receiver modulation depth, channel 2", low=0, high=_MAX_DEPTH),
-        "omega1": _Key(_DEFAULT_OMEGA1, "rad/s", "RF tone of channel 1"),
-        "omega2": _Key(3 * _DEFAULT_OMEGA1, "rad/s", "RF tone of channel 2"),
-        "phi1_a": _Key(0.0, "rad", "transmitter RF phase, channel 1"),
-        "phi2_a": _Key(0.0, "rad", "transmitter RF phase, channel 2"),
-        "phi1_b": _Key(0.0, "rad", "receiver RF phase, channel 1"),
-        "phi2_b": _Key(0.0, "rad", "receiver RF phase, channel 2"),
-    },
-    "fiber": {
-        "length_m": _Key(_DEFAULT_LENGTH_M, "m", "interferometric link length"),
-        "refractive_index": _Key(1.5, "-", "fiber group index"),
-    },
+    # The physical sections are declared once, on the fields of the objects they build.
+    "channel": _section(ChannelModel),
+    "plan": _section(ModulationPlan),
+    "fiber": _section(FiberLink, length_m=tuned_fiber(ModulationPlan()).length_m),
     "attack_sweep": {
         "m_bases": _Key(
             64, "-", "candidate polarization count M for the brute-force attack", low=2, high=MAX_ATTACK_M_BASES
         ),
         "alpha_sq_over_m_grid": _Key(
-            [2.0**e for e in range(-4, 7)], "-", "pulse intensities as multiples of M", low=0, high=_MAX_PHOTONS
+            [2.0**e for e in range(-4, 7)], "-", "pulse intensities as multiples of M", low=0, high=MAX_PHOTONS
         ),
-        "trials": _Key(1000, "-", "identification trials per grid point", low=100),
+        "trials": _Key(1000, "-", "identification trials per grid point", low=100, high=MAX_ATTACK_TRIALS),
         "pns_mu": _Key(
-            [0.05, 0.1, 0.2], "photons", "weak-pulse means for the multi-photon table", low=0, high=_MAX_PHOTONS
+            [0.05, 0.1, 0.2], "photons", "weak-pulse means for the multi-photon table", low=0, high=MAX_PHOTONS
         ),
         "pns_thresholds": _Key([2, 3], "photons", "exploitable photon-number thresholds", choices=(2, 3)),
         "pns_mc_trials": _Key(200000, "-", "Monte Carlo pulses per tail estimate", low=1, high=MAX_PNS_MC_TRIALS),
@@ -204,7 +174,7 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
 
     ``overrides`` maps a key path such as ``"attack_sweep.trials"`` to a
     value that replaces the scenario's.  All keys are checked, whichever
-    command reads them.
+    command reads them, and so is every ``build`` of the three objects.
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -232,6 +202,12 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
             if not _valid(key, values[name]):
                 path = f"{section}.{name}" if section else name
                 raise ScenarioError(f"scenario key {path} must be {_rule(key)}, got {values[name]!r}")
+    # The rules that span keys (M a power of two, distinct tones below the
+    # carrier) hold for every command; a command warns when it builds an object.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for section in _OBJECTS:
+            build(merged, section)
     return merged
 
 
@@ -261,32 +237,21 @@ def load(path, overrides: dict | None = None) -> tuple[dict, dict]:
     return raw, resolve(raw, overrides)
 
 
-def build_plan(resolved: dict) -> ModulationPlan:
+#: The object each physical section of a scenario builds.
+_OBJECTS = {"channel": ChannelModel, "plan": ModulationPlan, "fiber": FiberLink}
+
+
+def build(resolved: dict, section: str):
+    """The ``channel``, ``plan`` or ``fiber`` object of a resolved scenario; its warnings fire here."""
     try:
-        return ModulationPlan(**resolved["plan"])
+        return _OBJECTS[section](**resolved[section])
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid plan: {exc}") from exc
-
-
-def build_fiber(resolved: dict) -> FiberLink:
-    try:
-        return FiberLink(**resolved["fiber"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid fiber: {exc}") from exc
-
-
-def build_channel(resolved: dict) -> ChannelModel:
-    try:
-        return ChannelModel(**resolved["channel"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid channel: {exc}") from exc
+        raise ScenarioError(f"invalid {section}: {exc}") from exc
 
 
 def build_session_configs(resolved: dict) -> list[SessionConfig]:
     sim = resolved["simulate"]
-    channel = build_channel(resolved)
-    plan = build_plan(resolved)
-    fiber = build_fiber(resolved)
+    channel, plan, fiber = (build(resolved, section) for section in ("channel", "plan", "fiber"))
     configs = []
     for mode in sim["modes"]:
         try:

@@ -51,7 +51,7 @@ VALUES = {
     "channel.m_bases": st.integers(-3, 300) | st.builds(lambda k: 2**k, st.integers(0, 70)),
     "attack_sweep.m_bases": st.integers(-3, 16) | _above(scenario.MAX_ATTACK_M_BASES),
     "attack_sweep.alpha_sq_over_m_grid": st.lists(NUMBER, max_size=6),
-    "attack_sweep.trials": st.integers(-3, 200),
+    "attack_sweep.trials": st.integers(-3, 200) | _above(scenario.MAX_ATTACK_TRIALS),
     "attack_sweep.pns_mu": st.lists(NUMBER, max_size=4),
     "attack_sweep.pns_thresholds": st.lists(st.integers(-1, 5), max_size=4),
     "attack_sweep.pns_mc_trials": st.integers(-3, 1000),
@@ -84,7 +84,10 @@ def documents(draw):
 
 
 def _options(command):
-    options = {"--seed": st.integers(-3, 2**64 + 3), "--trials": st.integers(-3, 200)}
+    options = {
+        "--seed": st.integers(-3, 2**64 + 3),
+        "--trials": st.integers(-3, 200) | _above(scenario.MAX_ATTACK_TRIALS),
+    }
     if command == "attack-sweep":
         options["--workers"] = st.integers(-3, 1)  # never a real pool
     return st.lists(st.sampled_from(sorted(options)), max_size=2, unique=True).flatmap(

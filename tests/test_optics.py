@@ -1,5 +1,6 @@
 """Sideband optics: exact modulator identities, fringe laws, and the oracle."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,29 @@ class TestPlanValidation:
         with pytest.warns(SmallSignalWarning):
             plan = plan_with(m1=0.5)
         assert plan.m1 == 0.5
+
+    def test_small_signal_warning_points_at_the_caller(self):
+        with pytest.warns(SmallSignalWarning) as record:
+            ModulationPlan(m1=0.5)
+        assert record[0].filename == __file__
+
+    def test_phase_copy_repeats_no_warning(self):
+        with pytest.warns(SmallSignalWarning):
+            plan = ModulationPlan(m1=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert plan.with_phases(phi1_a=1.0).m1 == 0.5
+
+    @pytest.mark.parametrize("kwargs", [{"e0": 1e160}, {"m1": 7.0}], ids=["e0-1e160", "m1-7"])
+    def test_values_above_the_caps_rejected(self, kwargs):
+        # A library caller gets the caps the scenario states: no square of the plan overflows.
+        with pytest.raises(ValueError, match="must be in"):
+            ModulationPlan(**kwargs)
+
+    def test_values_at_the_caps_construct(self):
+        with pytest.warns(SmallSignalWarning):
+            plan = ModulationPlan(e0=optics.MAX_FIELD, m1=optics.MAX_DEPTH)
+        assert sideband_intensities_closed_form(plan, FIBER).carrier >= 0
 
     def test_delta_phi(self):
         plan = plan_with(phi1_a=1.0, phi1_b=0.25, phi2_a=0.5, phi2_b=2.0)

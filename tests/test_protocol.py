@@ -2,12 +2,13 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from hpqkd import protocol
-from hpqkd.optics import ModulationPlan, OpticsNotTunedError, split_upper_probability, tuned_fiber
+from hpqkd.optics import FiberLink, ModulationPlan, OpticsNotTunedError, split_upper_probability, tuned_fiber
 from hpqkd.protocol import (
     ChannelModel,
     SecurityConditionWarning,
@@ -56,8 +57,9 @@ class TestChannelModel:
         assert ch.survival_probability == pytest.approx(0.1 * 10 ** (-1.0))
 
     def test_security_condition_warning(self):
-        with pytest.warns(SecurityConditionWarning):
+        with pytest.warns(SecurityConditionWarning) as record:
             ChannelModel(alpha_sq_meso=25.0, m_bases=16)
+        assert record[0].filename == __file__  # the caller, not the generated __init__
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,6 +68,10 @@ class TestChannelModel:
             ChannelModel(mu_weak=-0.1)
         with pytest.raises(ValueError):
             ChannelModel(m_bases=12)
+        with pytest.raises(ValueError, match="mu_weak must be in"):
+            ChannelModel(mu_weak=2e6)
+        with pytest.raises(ValueError, match="length_km must be finite"):
+            ChannelModel(length_km=10**400)  # no float holds it
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
@@ -84,6 +90,30 @@ class TestSessionConfig:
             config(slots=0)
         with pytest.raises(ValueError):
             config(seed=-1)
+        for fraction in (-0.5, 2.0, np.nan):
+            with pytest.raises(ValueError, match="basis_flip_fault_fraction"):
+                config(basis_flip_fault_fraction=fraction)
+
+
+def _bounded_params():
+    for cls in (ChannelModel, ModulationPlan, FiberLink, SessionConfig):
+        for field in dataclasses.fields(cls):
+            for side in ("low", "high"):
+                if field.metadata.get(side) is not None:
+                    bound = field.metadata[side]
+                    outside = bound - 1 if side == "low" else bound * 2
+                    yield pytest.param(cls, field.name, bound, outside, id=f"{cls.__name__}.{field.name}-{side}")
+
+
+@pytest.mark.parametrize("cls, name, bound, outside", list(_bounded_params()))
+def test_every_stated_bound_is_enforced(cls, name, bound, outside):
+    """Each bound a field declares holds at its value and is refused just outside it."""
+    make = {FiberLink: lambda **kw: FiberLink(**{"length_m": 1.0, **kw}), SessionConfig: config}.get(cls, cls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a depth or basis count at its bound warns
+        assert getattr(make(**{name: bound}), name) == bound
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        make(**{name: outside})
 
 
 class TestComputeQber:

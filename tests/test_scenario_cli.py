@@ -1,11 +1,14 @@
 """Scenario parsing, CLI exit codes, bundle determinism, CSV emission."""
+import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 
 from hpqkd import attacks, cli, keystream, protocol, reporting, scenario
-from hpqkd.protocol import MODES, run_session
+from hpqkd.optics import ModulationPlan, SmallSignalWarning, tuned_fiber
+from hpqkd.protocol import MODES, ChannelModel, SecurityConditionWarning, run_session
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -46,6 +49,35 @@ class TestScenarioParsing:
         assert resolved["channel"]["mu_weak"] == 0.5
         assert resolved["plan"]["m1"] == 0.1
         assert resolved["attack_sweep"]["m_bases"] == 64
+
+    def test_physical_defaults_are_the_dataclass_defaults(self):
+        resolved = scenario.resolve(dict(MINIMAL))
+        assert resolved["channel"] == dataclasses.asdict(ChannelModel())
+        assert resolved["plan"] == dataclasses.asdict(ModulationPlan())
+        assert resolved["fiber"] == dataclasses.asdict(tuned_fiber(ModulationPlan()))
+
+    def test_objects_warn_when_built_not_when_resolved(self):
+        doc = {"schema_version": 1, "channel": {"m_bases": 16}, "plan": {"m1": 0.5}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resolved = scenario.resolve(doc)
+        assert caught == []
+        with pytest.warns(SecurityConditionWarning) as record:
+            scenario.build(resolved, "channel")
+        with pytest.warns(SmallSignalWarning) as record_plan:
+            scenario.build(resolved, "plan")
+        assert record[0].filename == record_plan[0].filename == scenario.__file__
+
+    @pytest.mark.parametrize(
+        "command, warned", [("simulate", True), ("attack-sweep", False), ("optics-verify", False)]
+    )
+    def test_security_warning_only_from_the_command_that_uses_the_channel(self, tmp_path, command, warned):
+        doc = {**FAST_SIM, **FAST_SWEEP, **FAST_VERIFY, "channel": {"m_bases": 16}}
+        path = write_scenario(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main([command, "--scenario", path]) == cli.EXIT_OK
+        assert any(issubclass(w.category, SecurityConditionWarning) for w in caught) is warned
 
     def test_missing_schema_version_rejected(self):
         with pytest.raises(scenario.ScenarioError, match="schema_version"):
@@ -408,6 +440,7 @@ class TestHelp:
         assert "a list of one or more entries" in text
         assert f"in [1, {scenario.MAX_NUM_SLOTS}]" in text
         assert f"in [2, {scenario.MAX_ATTACK_M_BASES}]" in text
+        assert f"in [100, {scenario.MAX_ATTACK_TRIALS}]" in text
         assert "at least 16 hex digits (8 bytes)" in text
 
 
@@ -492,6 +525,8 @@ class TestBoundary:
             ("optics-verify", {"plan": {"m3": 1e160}}, []),
             ("simulate", {"plan": {"m4": 1e300}}, []),
             ("attack-sweep", {"attack_sweep": {"pns_mc_trials": scenario.MAX_PNS_MC_TRIALS + 1}}, []),
+            ("attack-sweep", {"attack_sweep": {"trials": scenario.MAX_ATTACK_TRIALS + 1}}, []),
+            ("attack-sweep", {}, ["--trials", str(scenario.MAX_ATTACK_TRIALS + 1)]),
             ("optics-verify", {"optics_verify": {"num_samples": scenario.MAX_ORACLE_SAMPLES + 1}}, []),
             ("optics-verify", {"optics_verify": {"sweep_points": scenario.MAX_SWEEP_POINTS + 1}}, []),
             ("optics-verify", {"optics_verify": {"cross_sweep_points": scenario.MAX_SWEEP_POINTS + 1}}, []),
@@ -503,7 +538,8 @@ class TestBoundary:
             "sweep-m-above-cap", "workers-0", "workers-negative", "trials-override-simulate",
             "mu-weak-huge", "meso-huge", "grid-huge", "int-beyond-float", "m-bases-2**64",
             "m-bases-above-cap", "e0-1e160", "e0-1e300", "m1-1e160-simulate", "m1-1e300-verify",
-            "m2-1e300", "m3-1e160", "m4-1e300", "pns-trials-above-cap", "samples-above-cap",
+            "m2-1e300", "m3-1e160", "m4-1e300", "pns-trials-above-cap", "trials-above-cap",
+            "trials-override-above-cap", "samples-above-cap",
             "sweep-above-cap", "cross-above-cap",
         ],
     )
@@ -514,6 +550,37 @@ class TestBoundary:
         path = write_scenario(tmp_path, merged)
         out = tmp_path / "report.json"
         assert cli.main([command, "--scenario", path, "--out", str(out), *argv]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"channel": {"length_km": -1}},
+            {"channel": {"loss_db_per_km": -1}},
+            {"channel": {"detector_efficiency": 1.5}},
+            {"channel": {"dark_count_prob": -0.1}},
+            {"fiber": {"refractive_index": 0.5}},
+            {"fiber": {"length_m": -1}},
+            {"channel": {"m_bases": 3}},
+            {"plan": {"omega1": -1}},
+            {"plan": {"omega2": 2 * math.pi * 1.0e9}},
+            {"simulate": {"basis_flip_fault_fraction": 2}},
+            {"simulate": {"basis_flip_fault_fraction": -0.5}},
+        ],
+        ids=[
+            "length-km-negative", "loss-negative", "efficiency-1.5", "dark-negative", "index-0.5",
+            "length-m-negative", "m-bases-3", "omega1-negative", "equal-tones", "fault-2", "fault-negative",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "attack-sweep", "optics-verify"])
+    def test_physical_rule_holds_for_every_command(self, tmp_path, capsys, command, doc):
+        # Each rule holds whichever command runs, before any work starts.
+        path = write_scenario(tmp_path, {"schema_version": 1, **doc})
+        out = tmp_path / "report.json"
+        assert cli.main([command, "--scenario", path, "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "scenario error" in err
         assert "Traceback" not in err
