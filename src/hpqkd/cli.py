@@ -115,7 +115,7 @@ def main(argv=None) -> int:
                 if stem.endswith(".json"):
                     stem = stem[: -len(".json")]
                 written = reporting.write_csv_tables(args.command, results, stem)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # an unwritable path, a NaN in the results
             print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         for path in written:

@@ -6,10 +6,14 @@ scenario reproduces the data section byte for byte.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import datetime
+import itertools
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -286,19 +290,95 @@ def make_bundle(command: str, scenario_raw: dict, resolved: dict, results: dict)
     }
 
 
+#: Entries per block of an all-int list: one C-encoder call each (about 60 kB of compact text).
+_INT_BLOCK = 8192
+
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
+_encode_ints = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_pieces(value, indent: str = ""):
+    """Yield ``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` in pieces.
+
+    ``indent`` is the indentation of the line ``value`` starts on.  The
+    stdlib's indented encoder is pure Python; a list of plain ints (no
+    bools) goes through its C encoder instead, one block at a time, and the
+    compact commas become the indented separators.  Keys must be strings.
+    NaN and infinities raise ``ValueError``.
+    """
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        opening = "{\n" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"bundle keys must be strings, not {type(key).__name__}")
+            yield opening + _encode_scalar(key) + ": "
+            yield from _json_pieces(item, inner)
+            opening = separator
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        yield "[\n" + inner
+        if set(map(type, value)) == {int}:
+            for start in range(0, len(value), _INT_BLOCK):
+                if start:
+                    yield separator
+                yield _encode_ints(value[start : start + _INT_BLOCK])[1:-1].replace(",", separator)
+        else:
+            for i, item in enumerate(value):
+                if i:
+                    yield separator
+                yield from _json_pieces(item, inner)
+        yield "\n" + indent + "]"
+    else:
+        yield _encode_scalar(value)
+
+
 def data_bytes(bundle: dict) -> bytes:
     """Canonical encoding of the reproducible part of a bundle.
 
     Strict JSON: any NaN/inf sneaking into results is a bug, so it raises
     here instead of producing a non-interoperable document.
     """
-    return json.dumps(bundle["data"], sort_keys=True, indent=2, allow_nan=False).encode()
+    return "".join(_json_pieces(bundle["data"])).encode()
 
 
 def write_bundle(bundle: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    """Write ``json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False) + "\\n"`` to ``path``.
+
+    The text is streamed, never held whole, into a sibling temporary file
+    that replaces ``path`` (a symlink's target, not the link) once it is
+    complete.  On any failure (a NaN in the results, a full disk) the
+    temporary file is removed and ``path`` is left as it was.  A pipe or
+    device such as ``/dev/stdout`` cannot be replaced, so the text streams
+    straight into it.
+    """
+    text = itertools.chain(_json_pieces(bundle), ["\n"])
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(text)
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 #: Tables extractable as CSV per command: name -> path into the results dict.

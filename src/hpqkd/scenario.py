@@ -42,6 +42,17 @@ MAX_ATTACK_TRIALS = 100_000
 #: ~30 ns per trial, so 90 MB and 0.3 s per row at the cap.
 MAX_PNS_MC_TRIALS = 10_000_000
 
+#: Most entries in ``attack_sweep.alpha_sq_over_m_grid``: each entry is one
+#: sweep point, about 13 ms at the default M = 64 and 1000 trials and up to
+#: 47 s at the M and trials caps, so a full grid takes 0.8 s at the defaults
+#: and at most 50 min (six times the default 11 points).
+MAX_GRID_POINTS = 64
+
+#: Most entries in ``attack_sweep.pns_mu``: each mean gives one PNS row per
+#: threshold, about 5 ms at the default 2e5 trials and 0.23 s at
+#: ``MAX_PNS_MC_TRIALS``, so at most 0.6 s and 30 s for the table.
+MAX_PNS_MU = 64
+
 #: Largest accepted ``optics_verify.num_samples``: a spectrum peaks near 60 B
 #: and takes ~80 ns per sample, and each of up to 4 cached grids holds 24 B
 #: per sample, so 60 MB and 0.1 s per spectrum plus 100 MB of cache.
@@ -58,7 +69,9 @@ class _Key:
 
     A value has the default's type (int means int, not bool or 256.0; float
     any finite number; a list a non-empty list, a null default a string or
-    null), and ``low``/``high`` or ``choices`` bound each entry.
+    null), and ``low``/``high`` or ``choices`` bound each entry.  A list
+    has a length rule: a list of ``choices`` names each at most once, and
+    any other list holds at most ``max_len`` entries.
     """
 
     default: object
@@ -67,6 +80,7 @@ class _Key:
     low: float | None = None
     high: float | None = None
     choices: tuple | None = None
+    max_len: int | None = None
 
 
 def _section(cls, **defaults) -> dict[str, _Key]:
@@ -98,11 +112,21 @@ SCHEMA: dict[str, dict[str, _Key]] = {
             64, "-", "candidate polarization count M for the brute-force attack", low=2, high=MAX_ATTACK_M_BASES
         ),
         "alpha_sq_over_m_grid": _Key(
-            [2.0**e for e in range(-4, 7)], "-", "pulse intensities as multiples of M", low=0, high=MAX_PHOTONS
+            [2.0**e for e in range(-4, 7)],
+            "-",
+            "pulse intensities as multiples of M",
+            low=0,
+            high=MAX_PHOTONS,
+            max_len=MAX_GRID_POINTS,
         ),
         "trials": _Key(1000, "-", "identification trials per grid point", low=100, high=MAX_ATTACK_TRIALS),
         "pns_mu": _Key(
-            [0.05, 0.1, 0.2], "photons", "weak-pulse means for the multi-photon table", low=0, high=MAX_PHOTONS
+            [0.05, 0.1, 0.2],
+            "photons",
+            "weak-pulse means for the multi-photon table",
+            low=0,
+            high=MAX_PHOTONS,
+            max_len=MAX_PNS_MU,
         ),
         "pns_thresholds": _Key([2, 3], "photons", "exploitable photon-number thresholds", choices=(2, 3)),
         "pns_mc_trials": _Key(200000, "-", "Monte Carlo pulses per tail estimate", low=1, high=MAX_PNS_MC_TRIALS),
@@ -127,7 +151,10 @@ def _rule(key: _Key) -> str:
         text += " in {" + ", ".join(map(repr, key.choices)) + "}"
     elif key.low is not None:
         text += f" >= {key.low!r}" if key.high is None else f" in [{key.low!r}, {key.high!r}]"
-    return f"a list of one or more entries, each {text}" if isinstance(key.default, list) else text
+    if not isinstance(key.default, list):
+        return text
+    length = "no entry twice" if key.choices is not None else f"at most {key.max_len}"
+    return f"a list of one or more entries, {length}, each {text}"
 
 
 def _valid_entry(key: _Key, kind: type, value) -> bool:
@@ -145,7 +172,9 @@ def _valid(key: _Key, value) -> bool:
         return value is None or isinstance(value, str)
     if isinstance(key.default, list):
         kind = type(key.default[0])
-        return isinstance(value, list) and bool(value) and all(_valid_entry(key, kind, v) for v in value)
+        if not (isinstance(value, list) and value and all(_valid_entry(key, kind, v) for v in value)):
+            return False
+        return len(set(value)) == len(value) if key.choices is not None else len(value) <= key.max_len
     return _valid_entry(key, type(key.default), value)
 
 

@@ -1,7 +1,8 @@
 """Property test of the CLI's exit-code promise.
 
 Whatever the scenario holds (wrong types, null, negative values, bools,
-empty lists, non-finite or huge numbers, values above the stated caps),
+empty lists, lists past their length rule, non-finite or huge numbers,
+values above the stated caps),
 every command ends with exit 0, 2, 3 or 4, prints no traceback, and any
 bundle it writes is strict JSON.  Valid sizes stay tiny, so no example
 allocates a large session, sweep or oracle grid.
@@ -41,19 +42,30 @@ def _above(cap: int):
     return st.just(cap + 1) | st.integers(cap + 1, 2**80)
 
 
+def _too_long(entries, cap: int):
+    """Lists just past a length cap; they must be refused before any work."""
+    return st.lists(entries, min_size=cap + 1, max_size=cap + 2)
+
+
+def _repeated(choices):
+    """Lists of choices that name one of them twice."""
+    return st.lists(st.sampled_from(choices), min_size=1, max_size=3).map(lambda items: items + items[:1])
+
+
 #: Per key, values around its rule; keys not named here take NUMBER.
 VALUES = {
     "schema_version": st.sampled_from([1, 1.0, 2, "1"]),
     "seed": st.integers(-3, 2**64 + 3),
-    "simulate.modes": st.lists(st.sampled_from(MODES + ("bogus",)), max_size=5),
+    "simulate.modes": st.lists(st.sampled_from(MODES + ("bogus",)), max_size=5) | _repeated(MODES),
     "simulate.num_slots": st.integers(-3, 2000) | _above(scenario.MAX_NUM_SLOTS) | st.just(1e14),
     "simulate.seed_key_hex": st.none() | st.text("0123456789abcdefz ", max_size=40),
     "channel.m_bases": st.integers(-3, 300) | st.builds(lambda k: 2**k, st.integers(0, 70)),
     "attack_sweep.m_bases": st.integers(-3, 16) | _above(scenario.MAX_ATTACK_M_BASES),
-    "attack_sweep.alpha_sq_over_m_grid": st.lists(NUMBER, max_size=6),
+    "attack_sweep.alpha_sq_over_m_grid": st.lists(NUMBER, max_size=6)
+    | _too_long(st.just(0.5), scenario.MAX_GRID_POINTS),
     "attack_sweep.trials": st.integers(-3, 200) | _above(scenario.MAX_ATTACK_TRIALS),
-    "attack_sweep.pns_mu": st.lists(NUMBER, max_size=4),
-    "attack_sweep.pns_thresholds": st.lists(st.integers(-1, 5), max_size=4),
+    "attack_sweep.pns_mu": st.lists(NUMBER, max_size=4) | _too_long(st.just(0.1), scenario.MAX_PNS_MU),
+    "attack_sweep.pns_thresholds": st.lists(st.integers(-1, 5), max_size=4) | _repeated([2, 3]),
     "attack_sweep.pns_mc_trials": st.integers(-3, 1000),
     "optics_verify.sweep_points": st.integers(-3, 6),
     "optics_verify.num_samples": st.integers(-3, 2048),

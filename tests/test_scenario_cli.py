@@ -530,6 +530,10 @@ class TestBoundary:
             ("optics-verify", {"optics_verify": {"num_samples": scenario.MAX_ORACLE_SAMPLES + 1}}, []),
             ("optics-verify", {"optics_verify": {"sweep_points": scenario.MAX_SWEEP_POINTS + 1}}, []),
             ("optics-verify", {"optics_verify": {"cross_sweep_points": scenario.MAX_SWEEP_POINTS + 1}}, []),
+            ("attack-sweep", {"attack_sweep": {"alpha_sq_over_m_grid": [1.0] * (scenario.MAX_GRID_POINTS + 1)}}, []),
+            ("attack-sweep", {"attack_sweep": {"pns_mu": [0.1] * (scenario.MAX_PNS_MU + 1)}}, []),
+            ("simulate", {"simulate": {"modes": ["hybrid", "hybrid", "hybrid"]}}, []),
+            ("attack-sweep", {"attack_sweep": {"pns_thresholds": [2, 3, 2]}}, []),
         ],
         ids=[
             "modes-empty", "modes-null", "pns-mu-null", "pns-thresholds-null", "seed-key-not-hex",
@@ -540,7 +544,8 @@ class TestBoundary:
             "m-bases-above-cap", "e0-1e160", "e0-1e300", "m1-1e160-simulate", "m1-1e300-verify",
             "m2-1e300", "m3-1e160", "m4-1e300", "pns-trials-above-cap", "trials-above-cap",
             "trials-override-above-cap", "samples-above-cap",
-            "sweep-above-cap", "cross-above-cap",
+            "sweep-above-cap", "cross-above-cap", "grid-above-cap", "pns-mu-above-cap",
+            "modes-repeated", "pns-thresholds-repeated",
         ],
     )
     def test_scenario_contract_violation_is_config_error(self, tmp_path, capsys, command, doc, argv):
@@ -554,6 +559,14 @@ class TestBoundary:
         assert "scenario error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_lists_at_their_length_rule_resolve(self):
+        sweep = {"alpha_sq_over_m_grid": [1.0] * scenario.MAX_GRID_POINTS, "pns_mu": [0.1] * scenario.MAX_PNS_MU}
+        sweep["pns_thresholds"] = [3, 2]
+        doc = {"schema_version": 1, "simulate": {"modes": list(reversed(MODES))}, "attack_sweep": sweep}
+        resolved = scenario.resolve(doc)
+        assert resolved["attack_sweep"] == {**resolved["attack_sweep"], **sweep}
+        assert resolved["simulate"]["modes"] == list(reversed(MODES))
 
     @pytest.mark.parametrize(
         "doc",
@@ -632,3 +645,20 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert "runtime error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_unencodable_result_leaves_no_bundle(self, tmp_path, capsys, monkeypatch, existing):
+        # The NaN surfaces halfway through the write; neither a partial bundle
+        # nor the temporary file may remain, and an older bundle stays intact.
+        monkeypatch.setattr(reporting, "simulate_results", lambda resolved: {"a": [1, 2], "z": float("nan")})
+        path = write_scenario(tmp_path, {"schema_version": 1})
+        out = tmp_path / "report.json"
+        if existing:
+            out.write_text("old bundle")
+        assert cli.main(["simulate", "--scenario", path, "--out", str(out)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error: ValueError" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["report.json"] if existing else []) + ["scenario.json"]
+        if existing:
+            assert out.read_text() == "old bundle"
