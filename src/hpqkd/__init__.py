@@ -14,7 +14,6 @@ from .optics import (
     TimeDomainField,
     alice_field_exact,
     alice_intensity_small_signal,
-    propagate,
     sideband_intensities_closed_form,
     sideband_intensities_oracle,
     tuned_fiber,
@@ -66,7 +65,6 @@ __all__ = [
     "TimeDomainField",
     "alice_field_exact",
     "alice_intensity_small_signal",
-    "propagate",
     "sideband_intensities_closed_form",
     "sideband_intensities_oracle",
     "tuned_fiber",

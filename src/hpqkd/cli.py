@@ -108,19 +108,12 @@ def main(argv=None) -> int:
     bundle = reporting.make_bundle(args.command, raw, resolved, results)
     if args.out:
         try:
-            reporting.write_bundle(bundle, args.out)
-            written = []
-            if args.csv:
-                stem = str(args.out)
-                if stem.endswith(".json"):
-                    stem = stem[: -len(".json")]
-                written = reporting.write_csv_tables(args.command, results, stem)
+            written = reporting.write_outputs(bundle, args.out, args.csv)
         except (OSError, ValueError) as exc:  # an unwritable path, a NaN in the results
             print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         for path in written:
             print(f"wrote {path}")
-        print(f"wrote {args.out}")
     print(_summary_line(args.command, results))
 
     if not checks_passed:

@@ -23,7 +23,7 @@ _BLOCK_BYTES = 32
 
 #: Largest basis count M: the M angles D*pi/(2M) stay distinct floats below
 #: pi/2.  At 2**53 neighbours collide, from 2**54 the top word rounds onto
-#: pi/2 (the wrong arm), and from 2**64 the int64 basis words wrap.
+#: pi/2 (the wrong quadrant), and from 2**64 the int64 basis words wrap.
 MAX_M_BASES = 2**52
 
 
@@ -102,11 +102,6 @@ def generate_r(length: int, entropy_source: np.random.Generator) -> np.ndarray:
     return entropy_source.integers(0, 2, length, dtype=np.uint8)
 
 
-def slot_count(expanded_bits: int, m_bases: int) -> int:
-    """Slots obtainable from an expanded key: floor(bits / log2(M))."""
-    return expanded_bits // bits_per_slot(m_bases)
-
-
 def bits_per_slot(m_bases: int) -> int:
     if m_bases < 2 or m_bases & (m_bases - 1) or m_bases > MAX_M_BASES:
         raise ValueError(f"m_bases must be a power of two in [2, 2**{MAX_M_BASES.bit_length() - 1}]")
@@ -115,7 +110,7 @@ def bits_per_slot(m_bases: int) -> int:
 
 @dataclass(frozen=True)
 class BasisSchedule:
-    """Per-slot basis index, transmit angle, and encoded bit.
+    """Per-slot basis index and encoded bit.
 
     ``basis_index`` is the log2(M)-bit word D read big-endian from the
     expanded key; the first-quadrant angle of basis D is D*pi/(2*M) and its
@@ -125,15 +120,16 @@ class BasisSchedule:
 
     m_bases: int
     basis_index: np.ndarray
-    angle: np.ndarray
     bit: np.ndarray
 
     def __len__(self) -> int:
         return len(self.basis_index)
 
-    def analyzer_angles(self) -> np.ndarray:
-        """First-quadrant analyzer setting for each slot (receiver side)."""
-        return first_quadrant_angle(self.basis_index, self.m_bases)
+    @property
+    def angle(self) -> np.ndarray:
+        """Transmit angle of each slot, in the second quadrant when parity(D) XOR bit == 1."""
+        second_quadrant = (self.basis_index % 2).astype(np.uint8) ^ self.bit
+        return first_quadrant_angle(self.basis_index, self.m_bases) + second_quadrant * (np.pi / 2)
 
 
 def first_quadrant_angle(basis_index, m_bases: int) -> np.ndarray:
@@ -152,7 +148,7 @@ def _basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
 
 
 def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> BasisSchedule:
-    """Map key words and data bits to transmit angles via the parity rule.
+    """Pair each key word with a data bit; the parity rule fixes the transmit angle.
 
     Even basis word and bit 0 (or odd word and bit 1) put the polarization in
     the first quadrant; the other two combinations select the orthogonal
@@ -164,9 +160,7 @@ def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> Ba
         raise ValueError(
             f"data length {len(r)} != floor(|K'| / log2(M)) = {len(words)}"
         )
-    second_quadrant = (words % 2).astype(np.uint8) ^ r
-    angle = first_quadrant_angle(words, m_bases) + second_quadrant * (np.pi / 2)
-    return BasisSchedule(m_bases=m_bases, basis_index=words, angle=angle, bit=r)
+    return BasisSchedule(m_bases=m_bases, basis_index=words, bit=r)
 
 
 @dataclass(frozen=True)
@@ -193,12 +187,8 @@ def bob_decode(kprime: ExpandedKey, counts: DetectionCounts, m_bases: int) -> De
     words = _basis_words(kprime, m_bases)
     if len(counts) != len(words):
         raise ValueError(f"got counts for {len(counts)} slots, expected {len(words)}")
-    return _decode_counts(words, counts.counts_transmit, counts.counts_reflect)
-
-
-def _decode_counts(words: np.ndarray, counts_t: np.ndarray, counts_r: np.ndarray) -> DecodedBits:
-    clicked_t = counts_t > 0
-    clicked_r = counts_r > 0
+    clicked_t = counts.counts_transmit > 0
+    clicked_r = counts.counts_reflect > 0
     erasure = ~(clicked_t ^ clicked_r)
     parity = (words % 2).astype(np.uint8)
     bits = np.where(clicked_r, parity ^ 1, parity).astype(np.uint8)
@@ -218,13 +208,13 @@ def simulate_meso_transmission(
     the scheduled angle; ``survival`` thins the Poisson mean (loss and
     detector efficiency) and ``dark_count_prob`` adds a spurious count per
     arm.  The analyzer always sits at the slot's first-quadrant angle, so
-    signal photons land entirely in one arm.
+    signal photons land entirely in one arm, the transmit arm iff parity(D) == bit.
     """
     if alpha_sq < 0 or not 0 <= survival <= 1:
         raise ValueError("alpha_sq must be >= 0 and survival a probability")
     n = len(schedule)
     mean = alpha_sq * survival
-    aligned = schedule.angle < np.pi / 2  # transmit arm iff first quadrant
+    aligned = schedule.basis_index % 2 == schedule.bit
     signal = rng.poisson(mean, n)
     dark_t = rng.random(n) < dark_count_prob
     dark_l = rng.random(n) < dark_count_prob
@@ -232,12 +222,3 @@ def simulate_meso_transmission(
     counts_r = np.where(aligned, 0, signal) + dark_l
     return DetectionCounts(counts_t, counts_r)
 
-
-def schedule_records(schedule: BasisSchedule) -> str:
-    """Columnar text export (slot, basis word, angle, bit) for cross-checks."""
-    lines = ["slot\tbasis_index\tangle_rad\tbit"]
-    for i in range(len(schedule)):
-        lines.append(
-            f"{i}\t{int(schedule.basis_index[i])}\t{float(schedule.angle[i])!r}\t{int(schedule.bit[i])}"
-        )
-    return "\n".join(lines) + "\n"

@@ -207,13 +207,6 @@ class SidebandSpectrum:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} intensity must be >= 0")
 
-    def channel_sum(self, channel: int) -> float:
-        if channel == 1:
-            return self.upper1 + self.lower1
-        if channel == 2:
-            return self.upper2 + self.lower2
-        raise ValueError("channel must be 1 or 2")
-
 
 @dataclass(frozen=True)
 class TimeDomainField:
@@ -225,10 +218,6 @@ class TimeDomainField:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.samples)) / self.sample_rate
 
 
 def alice_field_exact(plan: ModulationPlan, t) -> np.ndarray:
@@ -254,18 +243,6 @@ def alice_intensity_small_signal(plan: ModulationPlan, t) -> np.ndarray:
         - plan.m1 * np.sin(plan.psi1) * np.cos(plan.omega1 * t + plan.phi1_a)
         - plan.m2 * np.sin(plan.psi1) * np.cos(plan.omega2 * t + plan.phi2_a)
     )
-
-
-def propagate(plan: ModulationPlan, fiber: FiberLink) -> dict[str, float]:
-    """Per-sideband phases accumulated over the link, relative to the carrier.
-
-    The common carrier phase is removed; upper sidebands advance by
-    +(n/c)*Omega*L, lower sidebands by the opposite sign.  Chromatic
-    dispersion is not modeled.
-    """
-    chi1 = fiber.link_phase(plan.omega1)
-    chi2 = fiber.link_phase(plan.omega2)
-    return {"upper1": chi1, "lower1": -chi1, "upper2": chi2, "lower2": -chi2}
 
 
 def _channel_terms(plan: ModulationPlan, fiber: FiberLink, channel: int):
@@ -416,16 +393,6 @@ def _tone_powers(field: TimeDomainField, omegas) -> list[float]:
         bins.append(k % n)
     spectrum = np.fft.fft(field.samples)
     return [float(abs(spectrum[k] / n) ** 2) for k in bins]
-
-
-def tone_power(field: TimeDomainField, omega: float) -> float:
-    """Power of the spectral component at baseband offset ``omega``.
-
-    The offset must fall on an exact DFT bin of the sampled duration
-    (integer number of cycles), otherwise the readout would leak.
-    """
-    (power,) = _tone_powers(field, (omega,))
-    return power
 
 
 def sideband_intensities_oracle(

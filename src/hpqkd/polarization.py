@@ -31,17 +31,6 @@ class TwoModeCoherentState:
     def mean_photons(self) -> float:
         return float(abs(self.alpha) ** 2)
 
-    def mode_means(self) -> tuple[float, float]:
-        """Mean photon numbers of the (horizontal, vertical) modes."""
-        n = self.mean_photons
-        return n * np.cos(self.theta) ** 2, n * np.sin(self.theta) ** 2
-
-    def attenuated(self, transmittance: float) -> "TwoModeCoherentState":
-        """State after a beam splitter of the given power transmittance."""
-        if not 0 <= transmittance <= 1:
-            raise ValueError("transmittance must be in [0, 1]")
-        return replace(self, alpha=self.alpha * np.sqrt(transmittance))
-
 
 @dataclass(frozen=True)
 class StokesSummary:
@@ -86,11 +75,6 @@ class DetectionCounts:
 
     def __len__(self) -> int:
         return len(self.counts_transmit)
-
-    @classmethod
-    def from_events(cls, events) -> "DetectionCounts":
-        pairs = np.array([(e.counts_transmit, e.counts_reflect) for e in events], dtype=np.int64)
-        return cls(*pairs.reshape(-1, 2).T)
 
 
 def rotate(state: TwoModeCoherentState, delta: float) -> TwoModeCoherentState:

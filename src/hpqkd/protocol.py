@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,15 +140,10 @@ class ChannelReport:
     basis_agreement: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "channel": self.channel,
-            "raw_detections": self.raw_detections,
-            "sifted_bits": self.sifted_bits,
-            "qber": self.qber,
-            "useful_rate_bits_per_slot": self.useful_rate_bits_per_slot,
-        }
-        if self.basis_agreement is not None:
-            out["basis_agreement"] = self.basis_agreement
+        """The fields by name; ``basis_agreement`` only where the bases were not sifted."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.basis_agreement is None:
+            del out["basis_agreement"]
         return out
 
 
@@ -174,20 +169,10 @@ class SessionReport:
     public_transcript: dict
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "slots": self.slots,
-            "usable_slots": self.usable_slots,
-            "raw_detections": self.raw_detections,
-            "sifted_bits": self.sifted_bits,
-            "double_click_erasures": self.double_click_erasures,
-            "meso_erasures": self.meso_erasures,
-            "qber": self.qber,
-            "useful_rate_bits_per_slot": self.useful_rate_bits_per_slot,
-            "per_channel": [c.to_dict() for c in self.per_channel],
-            "public_transcript": self.public_transcript,
-        }
+        # Not ``dataclasses.asdict``: it would deep-copy the erasure transcript.
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["per_channel"] = [c.to_dict() for c in self.per_channel]
+        return out
 
 
 def compute_qber(alice_bits, bob_bits, matched_slots) -> float:
@@ -255,8 +240,6 @@ def _run_channel(
     conclusive = click_upper ^ click_lower
     bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
     return _ChannelRun(bits, click_upper, click_lower, conclusive, bob_bits)
-
-
 
 
 def _hex_bits(bits: np.ndarray) -> str:

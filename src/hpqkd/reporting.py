@@ -38,6 +38,18 @@ VERIFY_RESIDUAL_TOL = 0.01
 VERIFY_CLOSED_FORM_TOL = 1e-12
 
 
+#: The session fields of a ``rates_table`` row, in CSV column order.
+_RATES_COLUMNS = (
+    "mode",
+    "slots",
+    "usable_slots",
+    "sifted_bits",
+    "qber",
+    "useful_rate_bits_per_slot",
+    "rate_ratio_vs_baseline",
+)
+
+
 def simulate_results(resolved: dict) -> dict:
     """Run every configured mode and tabulate rates against the baseline.
 
@@ -58,18 +70,9 @@ def simulate_results(resolved: dict) -> dict:
             ratio = report.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
         else:
             ratio = None  # multiplier undefined against a dead baseline
-        sessions.append({**report.to_dict(), "rate_ratio_vs_baseline": ratio})
-        rows.append(
-            {
-                "mode": report.mode,
-                "slots": report.slots,
-                "usable_slots": report.usable_slots,
-                "sifted_bits": report.sifted_bits,
-                "qber": report.qber,
-                "useful_rate_bits_per_slot": report.useful_rate_bits_per_slot,
-                "rate_ratio_vs_baseline": ratio,
-            }
-        )
+        session = {**report.to_dict(), "rate_ratio_vs_baseline": ratio}
+        sessions.append(session)
+        rows.append({name: session[name] for name in _RATES_COLUMNS})
     return {"sessions": sessions, "rates_table": rows}
 
 
@@ -349,36 +352,54 @@ def data_bytes(bundle: dict) -> bytes:
     return "".join(_json_pieces(bundle["data"])).encode()
 
 
+@contextlib.contextmanager
+def _replaced_together():
+    """Yield ``stage``; the files it opens replace their paths only once the block completes.
+
+    ``with stage(path) as fh`` writes into a temporary sibling of ``path``
+    (of its target, for a symlink, which stays a link).  On a failure in the
+    block every temporary file is removed and no path is touched.  A pipe or
+    device such as ``/dev/stdout`` cannot be replaced, so ``stage`` opens it
+    for the text to stream straight into.
+    """
+    staged = []
+
+    @contextlib.contextmanager
+    def stage(path):
+        try:
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            regular = True
+        if not regular:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            return
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            staged.append((tmp, target))
+            yield fh
+
+    try:
+        yield stage
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):  # gone once replaced
+                os.remove(tmp)
+
+
 def write_bundle(bundle: dict, path) -> None:
     """Write ``json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False) + "\\n"`` to ``path``.
 
-    The text is streamed, never held whole, into a sibling temporary file
-    that replaces ``path`` (a symlink's target, not the link) once it is
-    complete.  On any failure (a NaN in the results, a full disk) the
-    temporary file is removed and ``path`` is left as it was.  A pipe or
-    device such as ``/dev/stdout`` cannot be replaced, so the text streams
-    straight into it.
+    The text is streamed, never held whole, into a temporary file that
+    replaces ``path`` once it is complete (see ``_replaced_together``).  On
+    any failure (a NaN in the results, a full disk) ``path`` is left as it
+    was.
     """
-    text = itertools.chain(_json_pieces(bundle), ["\n"])
-    try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if not regular:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(text)
-        return
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.writelines(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with _replaced_together() as stage, stage(path) as fh:
+        fh.writelines(itertools.chain(_json_pieces(bundle), ["\n"]))
 
 
 #: Tables extractable as CSV per command: name -> path into the results dict.
@@ -393,18 +414,27 @@ CSV_TABLES = {
 }
 
 
-def write_csv_tables(command: str, results: dict, stem) -> list[str]:
+def write_outputs(bundle: dict, path, with_csv: bool) -> list[str]:
+    """Write the bundle to ``path`` and, with ``with_csv``, its tables as CSV files next to it.
+
+    All or nothing: the CSV files are staged as temporary files, then
+    ``write_bundle`` writes the bundle, and only then do the CSV files
+    replace their paths.  A failure while any file is written (a directory
+    in the way, a NaN in the results, a full disk) leaves no new file and
+    every older one intact.  Returns the paths written, the bundle last.
+    """
+    stem = str(path).removesuffix(".json")
     written = []
-    for name, path in CSV_TABLES[command].items():
-        rows = results
-        for key in path:
-            rows = rows[key]
-        if not rows:
-            continue
-        target = f"{stem}_{name}.csv"
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        written.append(target)
-    return written
+    with _replaced_together() as stage:
+        for name, keys in CSV_TABLES[bundle["meta"]["command"]].items() if with_csv else ():
+            rows = bundle["data"]["results"]
+            for key in keys:
+                rows = rows[key]
+            if rows:
+                written.append(f"{stem}_{name}.csv")
+                with stage(written[-1]) as fh:
+                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+                    writer.writeheader()
+                    writer.writerows(rows)
+        write_bundle(bundle, path)
+    return written + [str(path)]

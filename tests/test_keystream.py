@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpqkd.keystream import (
+    BasisSchedule,
     ExpandedKey,
     KEYSTREAM_GENERATOR_ID,
     MAX_M_BASES,
@@ -16,9 +17,7 @@ from hpqkd.keystream import (
     expand_key,
     first_quadrant_angle,
     generate_r,
-    schedule_records,
     simulate_meso_transmission,
-    slot_count,
 )
 from hpqkd.polarization import DetectionCounts
 
@@ -31,6 +30,11 @@ powers_of_two = st.sampled_from([2, 4, 8, 16, 64, 256, 1024])
 
 def _fresh_key(tag: bytes = b"k") -> SeedKey:
     return SeedKey.from_bytes((tag * 16)[:16])
+
+
+def _analyzer_angles(schedule) -> np.ndarray:
+    """First-quadrant analyzer setting for each slot (receiver side)."""
+    return first_quadrant_angle(schedule.basis_index, schedule.m_bases)
 
 
 class TestSeedKey:
@@ -84,11 +88,6 @@ class TestExpansion:
 
 
 class TestRandomStream:
-    def test_length_formula(self):
-        assert slot_count(128, 16) == 32
-        assert slot_count(130, 16) == 32  # floor
-        assert slot_count(8, 256) == 1
-
     def test_balanced_bits(self):
         bits = generate_r(100_000, np.random.default_rng(1))
         assert abs(np.mean(bits) - 0.5) <= 3 * np.sqrt(0.25 / 100_000)
@@ -173,8 +172,13 @@ class TestSchedule:
 
     def test_top_words_at_the_cap_keep_distinct_first_quadrant_angles(self):
         assert bits_per_slot(MAX_M_BASES) == 52
-        angles = first_quadrant_angle(np.arange(MAX_M_BASES - 64, MAX_M_BASES, dtype=np.int64), MAX_M_BASES)
+        words = np.arange(MAX_M_BASES - 64, MAX_M_BASES, dtype=np.int64)
+        angles = first_quadrant_angle(words, MAX_M_BASES)
         assert np.all(np.diff(angles) > 0) and angles[-1] < np.pi / 2
+        # The transmit arm comes from parity XOR bit; the angle's quadrant agrees with it.
+        for bit in (0, 1):
+            schedule = BasisSchedule(MAX_M_BASES, words, np.full(len(words), bit, dtype=np.uint8))
+            np.testing.assert_array_equal(words % 2 == bit, schedule.angle < np.pi / 2)
 
     def test_length_mismatch_rejected(self):
         kprime = expand_key(_fresh_key(), 16)
@@ -193,7 +197,7 @@ class TestSchedule:
         kprime = expand_key(_fresh_key(), 40)
         r = generate_r(10, np.random.default_rng(9))
         schedule = build_basis_schedule(kprime, r, 16)
-        analyzers = schedule.analyzer_angles()
+        analyzers = _analyzer_angles(schedule)
         assert np.all(analyzers < np.pi / 2)
         np.testing.assert_allclose(
             analyzers, first_quadrant_angle(schedule.basis_index, 16)
@@ -240,24 +244,12 @@ class TestRoundTrip:
             bob_decode(kprime, DetectionCounts([1], [0]), 4)
 
     def test_double_click_is_erasure(self):
-        kprime = expand_key(_fresh_key(), 2)
-        decoded = bob_decode(kprime, DetectionCounts([1], [1]), 4)
+        kprime = expand_key(_fresh_key(), 4)
+        decoded = bob_decode(kprime, DetectionCounts([1, 0], [1, 0]), 4)
         assert isinstance(decoded, DecodedBits)
-        assert decoded.erasure[0]
+        assert decoded.erasure.all()
+        # The protocol feeds these bits to the weak channel on erased slots:
+        # parity^1 on a double click (the reflect arm fired), parity with no click.
+        parity = build_basis_schedule(kprime, np.zeros(2, dtype=np.uint8), 4).basis_index % 2
+        assert decoded.bits.tolist() == [parity[0] ^ 1, parity[1]]
 
-
-class TestExport:
-    def test_columnar_record_roundtrip(self):
-        kprime = expand_key(_fresh_key(), 12)
-        r = np.array([1, 0, 1], dtype=np.uint8)
-        schedule = build_basis_schedule(kprime, r, 16)
-        text = schedule_records(schedule)
-        lines = text.strip().split("\n")
-        assert lines[0] == "slot\tbasis_index\tangle_rad\tbit"
-        assert len(lines) == 4
-        for i, line in enumerate(lines[1:]):
-            slot, word, angle, bit = line.split("\t")
-            assert int(slot) == i
-            assert int(word) == schedule.basis_index[i]
-            assert float(angle) == schedule.angle[i]  # repr round-trips
-            assert int(bit) == r[i]

@@ -20,13 +20,11 @@ from hpqkd.optics import (
     alice_intensity_small_signal,
     fit_half_angle_fringe,
     is_tuned,
-    propagate,
     require_tuned,
     sideband_intensities_closed_form,
     sideband_intensities_oracle,
     split_upper_probability,
     synthesize_bob_field,
-    tone_power,
     tuned_fiber,
     tuning_offsets,
 )
@@ -45,6 +43,17 @@ def plan_with(**kwargs) -> ModulationPlan:
     )
     base.update(kwargs)
     return ModulationPlan(**base)
+
+
+def propagate(plan: ModulationPlan, fiber: FiberLink) -> dict[str, float]:
+    """Per-sideband phases accumulated over the link, relative to the carrier.
+
+    The common carrier phase is removed; upper sidebands advance by
+    +(n/c)*Omega*L, lower sidebands by the opposite sign.
+    """
+    chi1 = fiber.link_phase(plan.omega1)
+    chi2 = fiber.link_phase(plan.omega2)
+    return {"upper1": chi1, "lower1": -chi1, "upper2": chi2, "lower2": -chi2}
 
 
 class TestPlanValidation:
@@ -353,6 +362,12 @@ class TestOracle:
     def test_default_grid_size(self):
         field = synthesize_bob_field(PLAN, FIBER)
         assert len(field.samples) == DEFAULT_ORACLE_SAMPLES
+
+
+def tone_power(field, omega: float) -> float:
+    """Power at one baseband offset, read as the oracle reads it: from one FFT of the field."""
+    (power,) = optics._tone_powers(field, (omega,))
+    return power
 
 
 def _projection_power(field, omega) -> float:

@@ -647,6 +647,29 @@ class TestBoundary:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize(
+        "command, doc, blocked",
+        [("simulate", {"simulate": {"num_slots": 300}}, "rates"), ("attack-sweep", FAST_SWEEP, "pns")],
+        ids=["simulate", "attack-sweep"],
+    )
+    def test_unwritable_csv_leaves_no_output(self, tmp_path, capsys, command, doc, blocked, existing):
+        # A directory in the way of one CSV (for attack-sweep, the second of
+        # two): no bundle and no CSV may appear, and older files stay intact.
+        path = write_scenario(tmp_path, {**doc, "schema_version": 1})
+        out = tmp_path / "report.json"
+        (tmp_path / f"report_{blocked}.csv").mkdir()
+        older = {"report.json": "old bundle", "report_brute_force.csv": "old table"} if existing else {}
+        for name, text in older.items():
+            (tmp_path / name).write_text(text)
+        assert cli.main([command, "--scenario", path, "--out", str(out), "--csv"]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error: IsADirectoryError" in err
+        assert "Traceback" not in err
+        expected = sorted(["scenario.json", f"report_{blocked}.csv", *older])
+        assert sorted(p.name for p in tmp_path.iterdir()) == expected
+        assert {name: (tmp_path / name).read_text() for name in older} == older
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     def test_unencodable_result_leaves_no_bundle(self, tmp_path, capsys, monkeypatch, existing):
         # The NaN surfaces halfway through the write; neither a partial bundle
         # nor the temporary file may remain, and an older bundle stays intact.

@@ -1,0 +1,108 @@
+"""The scenario matrix, pinned: the benchmark's three workloads at a reduced size.
+
+Each workload runs all three commands through ``cli.main``.  The ``data`` of
+the ``simulate`` and ``attack-sweep`` bundles is pinned by its sha256, so a
+refactor that claims "the same numbers" is checked mechanically.  The
+``optics-verify`` floats come from an FFT, whose last ulp moves between
+numpy builds, so they are compared with a committed expected file at a
+relative tolerance instead; its flags are compared exactly.
+
+Run this file as a script to rewrite the expected file, after a change that
+is meant to move the optics numbers.
+"""
+import hashlib
+import json
+import math
+import pathlib
+import sys
+
+import pytest
+
+from hpqkd import cli, reporting
+
+#: The 3-point sweep at 100 trials, and 4 fringe points (2 x 4 + 2 spectra).
+_REDUCED = {
+    "attack_sweep": {"alpha_sq_over_m_grid": [0.0625, 2.0, 64.0], "trials": 100},
+    "optics_verify": {"sweep_points": 4, "cross_sweep_points": 2},
+}
+
+#: The three workloads at seed 1: 2e4 slots on the ideal and the 100 km
+#: link, and the default scenario with its sweep and fringe scan cut down.
+WORKLOADS = {
+    "sim-ideal": {**_REDUCED, "simulate": {"num_slots": 20_000}},
+    "sim-longhaul": {
+        **_REDUCED,
+        "simulate": {"num_slots": 20_000},
+        "channel": {"length_km": 100.0, "dark_count_prob": 1e-5},
+    },
+    "analysis": {"attack_sweep": {"trials": 100}, "optics_verify": _REDUCED["optics_verify"]},
+}
+
+#: sha256 of ``reporting.data_bytes`` per (workload, command).
+DATA_DIGESTS = {
+    ("sim-ideal", "simulate"): "9cb65076cd041545fb572e84c2b554c53340db9bd541a34b26a18e4ba862bb61",
+    ("sim-ideal", "attack-sweep"): "046dc1636077f90b0a9561049fce94088b62a9072aec5459ea30cf17c6d4c690",
+    ("sim-longhaul", "simulate"): "70df5c48722d359a80918d02e649448fe6933225462601f3fb54741bf695a415",
+    ("sim-longhaul", "attack-sweep"): "228fff42d9710f188457a2abb4639d90783c5ba6c7467e2336772196d3dd1bbf",
+    ("analysis", "simulate"): "b4a5ff280984a1644047146cb90c1c51d8063ba8ba8750f18dc97098f467740e",
+    ("analysis", "attack-sweep"): "d8524c6af239e4838a30a56634e717f3111c48e788a3002c6ebd3767be5a7a3a",
+}
+
+EXPECTED_OPTICS = pathlib.Path(__file__).with_name("scenario_matrix_optics.json")
+
+#: Relative tolerance of the optics floats; a power below the dark-channel
+#: floor (1e-24 of e0^2) is spectral noise, compared in absolute terms.
+_REL, _ABS = 1e-12, 1e-24
+
+
+def _bundle(tmp_path, workload: str, command: str) -> dict:
+    path = tmp_path / f"{workload}.json"
+    path.write_text(json.dumps({"schema_version": 1, "seed": 1, **WORKLOADS[workload]}))
+    out = tmp_path / f"{workload}-{command}.json"
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("workload, command", sorted(DATA_DIGESTS))
+def test_data_matches_pinned_digest(tmp_path, workload, command):
+    digest = hashlib.sha256(reporting.data_bytes(_bundle(tmp_path, workload, command))).hexdigest()
+    assert digest == DATA_DIGESTS[(workload, command)], (
+        f"the data of `{command}` on {workload} changed: a change to the numbers must bump a "
+        "stream-layout or transcript-format id and give the reason in CHANGES.md"
+    )
+
+
+def _assert_close(actual, expected, where: str) -> None:
+    if isinstance(expected, dict):
+        assert sorted(actual) == sorted(expected), where
+        for key in expected:
+            _assert_close(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_close(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float) and not isinstance(actual, bool):
+        assert math.isclose(actual, expected, rel_tol=_REL, abs_tol=_ABS), f"{where}: {actual!r} != {expected!r}"
+    else:
+        assert actual == expected and type(actual) is type(expected), f"{where}: {actual!r} != {expected!r}"
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_optics_verify_matches_expected_file(tmp_path, workload):
+    results = _bundle(tmp_path, workload, "optics-verify")["data"]["results"]
+    expected = json.loads(EXPECTED_OPTICS.read_text())[workload]
+    assert results["tuned"] is expected["tuned"] is True
+    assert results["checks_passed"] is expected["checks_passed"] is True
+    assert results["prefactor"]["confirmed"] == expected["prefactor"]["confirmed"]
+    _assert_close(results, expected, workload)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {
+            w: _bundle(pathlib.Path(tmp), w, "optics-verify")["data"]["results"] for w in sorted(WORKLOADS)
+        }
+    EXPECTED_OPTICS.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
+    print(f"wrote {EXPECTED_OPTICS}", file=sys.stderr)
