@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import DetectionCounts
+from .polarization import DetectionCounts, two_arm_clicks
 
 #: Identifier of the key-expansion keystream: 32-byte blocks of
 #: blake2b(key=seed, data=block_index as 8-byte big-endian).
@@ -77,12 +77,13 @@ def expand_key(seed: SeedKey, target_bits: int) -> ExpandedKey:
     """
     if target_bits < 1:
         raise ValueError("target_bits must be >= 1")
-    key = seed.to_bytes()
+    keyed = hashlib.blake2b(key=seed.to_bytes(), digest_size=_BLOCK_BYTES)
     blocks = (target_bits + 8 * _BLOCK_BYTES - 1) // (8 * _BLOCK_BYTES)
-    stream = b"".join(
-        hashlib.blake2b(i.to_bytes(8, "big"), key=key, digest_size=_BLOCK_BYTES).digest()
-        for i in range(blocks)
-    )
+    stream = bytearray()
+    for i in range(blocks):  # a copy of the keyed state, not a fresh keying, per block
+        block = keyed.copy()
+        block.update(i.to_bytes(8, "big"))
+        stream += block.digest()
     bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:target_bits]
     return ExpandedKey(
         bits=bits,
@@ -115,7 +116,8 @@ class BasisSchedule:
     ``basis_index`` is the log2(M)-bit word D read big-endian from the
     expanded key; the first-quadrant angle of basis D is D*pi/(2*M) and its
     orthogonal partner sits a quarter turn away.  The transmitted angle is
-    in the first quadrant exactly when parity(D) XOR bit == 0.
+    in the first quadrant exactly when parity(D) XOR bit == 0.  The words
+    come from K' alone, so the receiver decodes with the same array.
     """
 
     m_bases: int
@@ -125,24 +127,18 @@ class BasisSchedule:
     def __len__(self) -> int:
         return len(self.basis_index)
 
-    @property
-    def angle(self) -> np.ndarray:
-        """Transmit angle of each slot, in the second quadrant when parity(D) XOR bit == 1."""
-        second_quadrant = (self.basis_index % 2).astype(np.uint8) ^ self.bit
-        return first_quadrant_angle(self.basis_index, self.m_bases) + second_quadrant * (np.pi / 2)
-
-
-def first_quadrant_angle(basis_index, m_bases: int) -> np.ndarray:
-    return np.asarray(basis_index) * np.pi / (2 * m_bases)
-
 
 def _basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
     bits_per = bits_per_slot(m_bases)
     slots = len(kprime.bits) // bits_per
-    columns = kprime.bits[: slots * bits_per].reshape(slots, bits_per).T
+    bits = kprime.bits[: slots * bits_per]
+    if bits_per % 8 == 0:  # whole bytes per word: pack the stream, then join the bytes
+        columns, shift = np.packbits(bits).reshape(slots, bits_per // 8).T, 8
+    else:
+        columns, shift = bits.reshape(slots, bits_per).T, 1
     words = np.zeros(slots, dtype=np.int64)
-    for column in columns:  # most significant bit first
-        words <<= 1
+    for column in columns:  # most significant first
+        words <<= shift
         words |= column
     return words
 
@@ -176,22 +172,22 @@ class DecodedBits:
     erasure: np.ndarray
 
 
-def bob_decode(kprime: ExpandedKey, counts: DetectionCounts, m_bases: int) -> DecodedBits:
-    """Decode per-slot detection counts using the shared basis words.
+def bob_decode(basis_words: np.ndarray, counts: DetectionCounts) -> DecodedBits:
+    """Decode per-slot detection counts with the shared basis words.
 
-    The receiver rebuilds each slot's basis word from the expanded key and
-    analyzes at the first-quadrant angle, so a transmit-arm click decodes to
-    the bit that maps to the first quadrant for that word's parity and a
-    reflect-arm click to the other bit.
+    ``basis_words`` are the words D that both parties read from K' (a
+    schedule's ``basis_index``: they do not depend on the data bits, so the
+    session builds them once).  The receiver analyzes at each word's
+    first-quadrant angle, so a transmit-arm click decodes to parity(D), the
+    bit that maps to the first quadrant, and a reflect-arm click to the
+    other bit.
     """
-    words = _basis_words(kprime, m_bases)
+    words = np.asarray(basis_words)
     if len(counts) != len(words):
         raise ValueError(f"got counts for {len(counts)} slots, expected {len(words)}")
-    clicked_t = counts.counts_transmit > 0
     clicked_r = counts.counts_reflect > 0
-    erasure = ~(clicked_t ^ clicked_r)
-    parity = (words % 2).astype(np.uint8)
-    bits = np.where(clicked_r, parity ^ 1, parity).astype(np.uint8)
+    erasure = ~((counts.counts_transmit > 0) ^ clicked_r)
+    bits = (words & 1).astype(np.uint8) ^ clicked_r
     return DecodedBits(bits=bits, erasure=erasure)
 
 
@@ -201,24 +197,24 @@ def simulate_meso_transmission(
     rng: np.random.Generator,
     survival: float = 1.0,
     dark_count_prob: float = 0.0,
+    dark_rngs: tuple[np.random.Generator, np.random.Generator] | None = None,
 ) -> DetectionCounts:
     """Send the schedule as mesoscopic pulses and detect at the shared basis.
 
     Each slot carries a coherent pulse of mean photon number ``alpha_sq`` at
-    the scheduled angle; ``survival`` thins the Poisson mean (loss and
-    detector efficiency) and ``dark_count_prob`` adds a spurious count per
-    arm.  The analyzer always sits at the slot's first-quadrant angle, so
-    signal photons land entirely in one arm, the transmit arm iff parity(D) == bit.
+    the scheduled angle, thinned by ``survival`` (loss and detector
+    efficiency).  Only whether an arm fired is ever read, so the pulse is
+    drawn as a click, ``rng.random(n) < 1 - exp(-alpha_sq * survival)``,
+    which is exactly P(Poisson > 0).  The analyzer always sits at the slot's
+    first-quadrant angle, so the click lands in one arm, the transmit arm
+    iff parity(D) == bit.  Each arm also fires on a dark count with
+    probability ``dark_count_prob``, drawn from ``dark_rngs`` (transmit arm,
+    reflect arm; by default ``rng`` again, after the signal).  Returns the
+    0/1 clicks of each arm.
     """
     if alpha_sq < 0 or not 0 <= survival <= 1:
         raise ValueError("alpha_sq must be >= 0 and survival a probability")
-    n = len(schedule)
-    mean = alpha_sq * survival
-    aligned = schedule.basis_index % 2 == schedule.bit
-    signal = rng.poisson(mean, n)
-    dark_t = rng.random(n) < dark_count_prob
-    dark_l = rng.random(n) < dark_count_prob
-    counts_t = np.where(aligned, signal, 0) + dark_t
-    counts_r = np.where(aligned, 0, signal) + dark_l
-    return DetectionCounts(counts_t, counts_r)
-
+    signal = rng.random(len(schedule)) < -np.expm1(-alpha_sq * survival)
+    aligned = (schedule.basis_index & 1) == schedule.bit
+    click_t, click_r = two_arm_clicks(signal, aligned, dark_count_prob, dark_rngs or (rng, rng))
+    return DetectionCounts(click_t.view(np.uint8), click_r.view(np.uint8))

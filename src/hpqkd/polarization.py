@@ -3,6 +3,7 @@
 Rotations, Stokes statistics, state distinguishability, and photon counting
 through a rotated polarizing beam splitter.  Photon counting is Poissonian
 per mode with independent arms, which is exact for coherent states.
+``two_arm_clicks`` is the threshold detector that both session legs share.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ class DetectionEvent:
 
 @dataclass(frozen=True)
 class DetectionCounts:
-    """Photon counts at the two PBS outputs for a run of slots, one array per arm."""
+    """Photon counts, or 0/1 clicks, at the two PBS outputs for a run of slots, one array per arm."""
 
     counts_transmit: np.ndarray
     counts_reflect: np.ndarray
@@ -75,6 +76,30 @@ class DetectionCounts:
 
     def __len__(self) -> int:
         return len(self.counts_transmit)
+
+
+def two_arm_clicks(
+    signal: np.ndarray,
+    to_first: np.ndarray,
+    dark_count_prob: float,
+    dark_rngs: tuple[np.random.Generator, np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clicks of a two-arm threshold detector, one boolean per slot and arm.
+
+    A signal click lands in the first arm where ``to_first`` holds and in
+    the second arm elsewhere.  Each arm also fires on its own dark count,
+    one ``random(n) < dark_count_prob`` draw from its generator in
+    ``dark_rngs`` (first arm, then second); with no dark counts nothing is
+    drawn.  Exactly one arm firing is conclusive; no click or a double click
+    is an erasure.
+    """
+    first = signal & to_first
+    second = signal & ~to_first
+    if dark_count_prob > 0:
+        rng_first, rng_second = dark_rngs
+        first |= rng_first.random(len(first)) < dark_count_prob
+        second |= rng_second.random(len(second)) < dark_count_prob
+    return first, second
 
 
 def rotate(state: TwoModeCoherentState, delta: float) -> TwoModeCoherentState:

@@ -24,6 +24,7 @@ from .optics import (
     require_tuned,
     split_upper_probability,
 )
+from .polarization import two_arm_clicks
 
 MODES = ("baseline_bb84", "hybrid", "parallel", "hybrid_parallel")
 
@@ -31,7 +32,8 @@ _HALF_PI = np.pi / 2
 
 #: Fixed spawn order of the per-role random streams; slot randomness is
 #: consumed as arrays indexed by slot, so results do not depend on how slot
-#: processing is batched.
+#: processing is batched.  Roles are only ever appended: spawning more
+#: children leaves the streams of the earlier ones unchanged.
 _ROLES = (
     "alice_bits_ch1",
     "alice_bits_ch2",
@@ -49,7 +51,25 @@ _ROLES = (
     "dark_lower_ch2",
     "r_entropy",
     "meso_channel",
+    "meso_dark_transmit",
+    "meso_dark_reflect",
 )
+
+#: Layout of the random streams a session consumes, recorded in the
+#: ``simulate`` results.  Layout 2: each role of ``_ROLES`` is one child of
+#: ``SeedSequence(seed)``, read front to back with one array per role and
+#: session.  A weak channel draws its bits ``integers(0, 2, n)`` (and, in
+#: the sifted modes, both parties' bases the same way), its signal
+#: ``poisson(mu, n) > 0``, its routing ``random(n)``, and one dark
+#: ``random(n)`` per detector.  The assisted modes draw R ``integers(0, 2,
+#: k)`` on ``r_entropy`` (k = n per channel), the meso signal click
+#: ``random(k) < 1 - exp(-alpha_sq * survival)`` on ``meso_channel``, and
+#: one dark ``random(k)`` per arm on ``meso_dark_transmit`` and
+#: ``meso_dark_reflect``.  No dark stream is read on a channel without dark
+#: counts.  Each stream holds one kind of draw in slot order, so a reader
+#: that takes it a chunk at a time can keep this layout.  Layout 1 drew the
+#: meso photon counts ``poisson`` and both dark arms from ``meso_channel``.
+STREAM_LAYOUT = 2
 
 
 #: Largest accepted mean photon number of a pulse: far above any physical
@@ -233,10 +253,8 @@ def _run_channel(
 
     signal = streams[f"photons_ch{channel}"].poisson(mu, n) > 0
     to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
-    dark_u = streams[f"dark_upper_ch{channel}"].random(n) < ch.dark_count_prob
-    dark_l = streams[f"dark_lower_ch{channel}"].random(n) < ch.dark_count_prob
-    click_upper = (signal & to_upper) | dark_u
-    click_lower = (signal & ~to_upper) | dark_l
+    dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
+    click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     conclusive = click_upper ^ click_lower
     bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
     return _ChannelRun(bits, click_upper, click_lower, conclusive, bob_bits)
@@ -259,8 +277,10 @@ def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
         streams["meso_channel"],
         survival=ch.survival_probability,
         dark_count_prob=ch.dark_count_prob,
+        dark_rngs=(streams["meso_dark_transmit"], streams["meso_dark_reflect"]),
     )
-    return ks.bob_decode(kprime, counts, ch.m_bases)
+    # Both parties derive the same words from K'; they are built once.
+    return ks.bob_decode(schedule.basis_index, counts)
 
 
 def run_session(config: SessionConfig) -> SessionReport:

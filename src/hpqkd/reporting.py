@@ -18,7 +18,8 @@ import stat
 import numpy as np
 
 from . import __version__
-from .attacks import STREAM_LAYOUT, PnsModel, attack_success_curve, pns_exploitable_fraction
+from . import attacks, protocol
+from .attacks import PnsModel, attack_success_curve, pns_exploitable_fraction
 from .optics import (
     fit_half_angle_fringe,
     is_tuned,
@@ -56,7 +57,9 @@ def simulate_results(resolved: dict) -> dict:
     ``rate_ratio_vs_baseline`` is a mode's useful rate divided by that of the
     scenario's ``baseline_bb84`` session (same seed, channel and fault
     fraction), or null when the baseline rate is 0.  When ``modes`` omits
-    the baseline it is run once for the ratio and not reported.
+    the baseline it is run once for the ratio and not reported.  The
+    results record the ``stream_layout`` the sessions consumed their random
+    streams in.
     """
     configs = build_session_configs(resolved)
     reports = [run_session(config) for config in configs]
@@ -73,7 +76,7 @@ def simulate_results(resolved: dict) -> dict:
         session = {**report.to_dict(), "rate_ratio_vs_baseline": ratio}
         sessions.append(session)
         rows.append({name: session[name] for name in _RATES_COLUMNS})
-    return {"sessions": sessions, "rates_table": rows}
+    return {"sessions": sessions, "rates_table": rows, "stream_layout": protocol.STREAM_LAYOUT}
 
 
 def _pns_rows(resolved: dict, trials: int, rng: np.random.Generator) -> list[dict]:
@@ -124,7 +127,7 @@ def attack_sweep_results(resolved: dict, workers: int = 1) -> dict:
         "brute_force_table": rows,
         "monotone_within_2_stderr": monotone,
         "pns_table": _pns_rows(resolved, sweep["pns_mc_trials"], root.spawn(1)[0]),
-        "stream_layout": STREAM_LAYOUT,
+        "stream_layout": attacks.STREAM_LAYOUT,
     }
 
 

@@ -22,10 +22,11 @@ class ScenarioError(ValueError):
     """Scenario file could not be parsed or validated."""
 
 
-#: Largest accepted ``simulate.num_slots``: all four modes hold about 120 B
-#: per slot at M = 256 (160 MB peak RSS at 1e6 slots), so a run stays near
-#: 1.2 GB.  The expanded key holds log2(M) bytes per slot and channel, so at
-#: M = ``keystream.MAX_M_BASES`` ``hybrid_parallel`` needs about 2.1 GB.
+#: Largest accepted ``simulate.num_slots``: all four modes hold about 65 B
+#: per slot at M = 256 (99 MB peak RSS at 1e6 slots, 35 MB of it the
+#: imported package), so a run stays near 0.7 GB.  The expanded key holds
+#: log2(M) bytes per slot and channel, so at M = ``keystream.MAX_M_BASES``
+#: a run holds about 155 B per slot, about 1.6 GB.
 MAX_NUM_SLOTS = 10_000_000
 
 #: Largest accepted ``attack_sweep.m_bases``: the hypothesis tables of the

@@ -1,4 +1,6 @@
 """Key expansion, quadrant codification, and the polarization round trip."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from hpqkd.keystream import (
     bob_decode,
     build_basis_schedule,
     expand_key,
-    first_quadrant_angle,
     generate_r,
     simulate_meso_transmission,
 )
@@ -24,12 +25,25 @@ from hpqkd.polarization import DetectionCounts
 #: Frozen interoperability vectors for the blake2b256-ctr-v1 keystream.
 VECTOR_SEED_HEX = "00112233445566778899aabbccddeeff"
 VECTOR_FIRST_256_BITS_HEX = "9f292b30b84b8ee64002f3c4a2e3db87952e6cedfb12cfc190e5b51d9717374d"
+#: sha256 of the packed first 4096 * 256 - 5 bits of the same seed's stream.
+VECTOR_4096_BLOCKS_SHA256 = "60380f4f19f5e3a137758558e0f75be7982c269b1f7eccefd783a75de005a076"
 
 powers_of_two = st.sampled_from([2, 4, 8, 16, 64, 256, 1024])
 
 
 def _fresh_key(tag: bytes = b"k") -> SeedKey:
     return SeedKey.from_bytes((tag * 16)[:16])
+
+
+def first_quadrant_angle(basis_index, m_bases: int) -> np.ndarray:
+    """Reference: the first-quadrant angle D*pi/(2M) of basis word D."""
+    return np.asarray(basis_index) * np.pi / (2 * m_bases)
+
+
+def transmit_angle(schedule) -> np.ndarray:
+    """Reference: each slot's transmit angle, in the second quadrant when parity(D) XOR bit == 1."""
+    second_quadrant = (schedule.basis_index % 2).astype(np.uint8) ^ schedule.bit
+    return first_quadrant_angle(schedule.basis_index, schedule.m_bases) + second_quadrant * (np.pi / 2)
 
 
 def _analyzer_angles(schedule) -> np.ndarray:
@@ -63,6 +77,14 @@ class TestExpansion:
     def test_frozen_test_vector(self):
         expanded = expand_key(SeedKey.from_hex(VECTOR_SEED_HEX), 256)
         assert np.packbits(expanded.bits).tobytes().hex() == VECTOR_FIRST_256_BITS_HEX
+
+    def test_frozen_multi_block_digest(self):
+        # 4096 blocks, the last one cut 5 bits short: pins every block's
+        # counter encoding and keying, not only block 0.
+        expanded = expand_key(SeedKey.from_hex(VECTOR_SEED_HEX), 4096 * 256 - 5)
+        assert len(expanded) == 4096 * 256 - 5
+        digest = hashlib.sha256(np.packbits(expanded.bits).tobytes()).hexdigest()
+        assert digest == VECTOR_4096_BLOCKS_SHA256
 
     def test_avalanche_on_single_seed_bit(self):
         key = _fresh_key()
@@ -108,23 +130,23 @@ class TestSchedule:
 
     def test_even_word_bit_zero_first_quadrant(self):
         schedule = self._schedule_for([0, 0, 0, 0], [0], 16)
-        assert schedule.angle[0] == pytest.approx(0.0)
+        assert transmit_angle(schedule)[0] == pytest.approx(0.0)
 
     def test_odd_word_bit_zero_second_quadrant(self):
         m = 16
         schedule = self._schedule_for([0, 0, 0, 1], [0], m)
-        assert schedule.angle[0] == pytest.approx(np.pi / (2 * m) + np.pi / 2)
+        assert transmit_angle(schedule)[0] == pytest.approx(np.pi / (2 * m) + np.pi / 2)
 
     def test_odd_word_bit_one_first_quadrant(self):
         m = 16
         schedule = self._schedule_for([0, 0, 0, 1], [1], m)
-        assert schedule.angle[0] == pytest.approx(np.pi / (2 * m))
+        assert transmit_angle(schedule)[0] == pytest.approx(np.pi / (2 * m))
 
     def test_even_word_bit_one_second_quadrant(self):
         schedule = self._schedule_for([0, 0, 1, 0], [1], 16)
-        assert schedule.angle[0] == pytest.approx(2 * np.pi / 32 + np.pi / 2)
+        assert transmit_angle(schedule)[0] == pytest.approx(2 * np.pi / 32 + np.pi / 2)
 
-    @pytest.mark.parametrize("m", [2, 4, 64, 256, 1024])
+    @pytest.mark.parametrize("m", [2, 4, 64, 256, 1024, 2**16, 2**48])
     def test_basis_words_are_big_endian(self, m):
         bits_per = int(np.log2(m))
         kprime = expand_key(_fresh_key(), 50 * bits_per + bits_per - 1)  # trailing bits unused
@@ -144,11 +166,12 @@ class TestSchedule:
         r = generate_r(slots, rng)
         schedule = build_basis_schedule(kprime, r, m)
         parity = schedule.basis_index % 2
-        in_first = schedule.angle < np.pi / 2
+        angle = transmit_angle(schedule)
+        in_first = angle < np.pi / 2
         np.testing.assert_array_equal(in_first, (parity ^ schedule.bit) == 0)
         # The in-quadrant offset always matches the word's canonical angle.
         base = first_quadrant_angle(schedule.basis_index, m)
-        np.testing.assert_allclose(np.where(in_first, schedule.angle, schedule.angle - np.pi / 2), base)
+        np.testing.assert_allclose(np.where(in_first, angle, angle - np.pi / 2), base)
 
     @given(kbits=st.integers(8, 512), m=st.sampled_from([4, 16, 64]))
     @settings(max_examples=40, deadline=None)
@@ -178,7 +201,7 @@ class TestSchedule:
         # The transmit arm comes from parity XOR bit; the angle's quadrant agrees with it.
         for bit in (0, 1):
             schedule = BasisSchedule(MAX_M_BASES, words, np.full(len(words), bit, dtype=np.uint8))
-            np.testing.assert_array_equal(words % 2 == bit, schedule.angle < np.pi / 2)
+            np.testing.assert_array_equal(words % 2 == bit, transmit_angle(schedule) < np.pi / 2)
 
     def test_length_mismatch_rejected(self):
         kprime = expand_key(_fresh_key(), 16)
@@ -213,7 +236,7 @@ class TestRoundTrip:
         r = generate_r(slots, rng)
         schedule = build_basis_schedule(kprime, r, m)
         events = simulate_meso_transmission(schedule, alpha_sq=25.0, rng=rng)
-        decoded = bob_decode(kprime, events, m)
+        decoded = bob_decode(schedule.basis_index, events)
         assert decoded.erasure.mean() < 1e-3
         ok = ~decoded.erasure
         assert np.mean(decoded.bits[ok] != r[ok]) < 1e-3
@@ -224,7 +247,16 @@ class TestRoundTrip:
         r = generate_r(10, np.random.default_rng(2))
         schedule = build_basis_schedule(kprime, r, m)
         events = simulate_meso_transmission(schedule, alpha_sq=0.0, rng=np.random.default_rng(3))
-        decoded = bob_decode(kprime, events, m)
+        decoded = bob_decode(schedule.basis_index, events)
+        assert decoded.erasure.all()
+
+    def test_dark_clicks_in_both_arms_erase(self):
+        m = 16
+        kprime = expand_key(_fresh_key(), 40)
+        schedule = build_basis_schedule(kprime, generate_r(10, np.random.default_rng(4)), m)
+        counts = simulate_meso_transmission(schedule, 0.0, np.random.default_rng(5), dark_count_prob=1.0)
+        assert counts.counts_transmit.tolist() == counts.counts_reflect.tolist() == [1] * 10
+        decoded = bob_decode(schedule.basis_index, counts)
         assert decoded.erasure.all()
 
     def test_single_aligned_slot_decodes_exactly(self):
@@ -232,24 +264,26 @@ class TestRoundTrip:
         kprime = expand_key(_fresh_key(), 4)
         schedule = build_basis_schedule(kprime, np.array([0], dtype=np.uint8), m)
         word = int(schedule.basis_index[0])
-        transmit_first = schedule.angle[0] < np.pi / 2
+        transmit_first = transmit_angle(schedule)[0] < np.pi / 2
         counts = DetectionCounts([5], [0]) if transmit_first else DetectionCounts([0], [5])
-        decoded = bob_decode(kprime, counts, m)
+        decoded = bob_decode(schedule.basis_index, counts)
         assert not decoded.erasure[0]
         assert decoded.bits[0] == 0
 
     def test_event_count_mismatch_rejected(self):
         kprime = expand_key(_fresh_key(), 8)
+        words = build_basis_schedule(kprime, np.zeros(4, dtype=np.uint8), 4).basis_index
         with pytest.raises(ValueError):
-            bob_decode(kprime, DetectionCounts([1], [0]), 4)
+            bob_decode(words, DetectionCounts([1], [0]))
 
     def test_double_click_is_erasure(self):
         kprime = expand_key(_fresh_key(), 4)
-        decoded = bob_decode(kprime, DetectionCounts([1, 0], [1, 0]), 4)
+        words = build_basis_schedule(kprime, np.zeros(2, dtype=np.uint8), 4).basis_index
+        decoded = bob_decode(words, DetectionCounts([1, 0], [1, 0]))
         assert isinstance(decoded, DecodedBits)
         assert decoded.erasure.all()
         # The protocol feeds these bits to the weak channel on erased slots:
         # parity^1 on a double click (the reflect arm fired), parity with no click.
-        parity = build_basis_schedule(kprime, np.zeros(2, dtype=np.uint8), 4).basis_index % 2
+        parity = words % 2
         assert decoded.bits.tolist() == [parity[0] ^ 1, parity[1]]
 

@@ -14,6 +14,7 @@ from hpqkd.polarization import (
     rotate,
     stokes_monte_carlo,
     stokes_summary,
+    two_arm_clicks,
 )
 
 amplitude = st.floats(0.0, 6.0)
@@ -52,6 +53,37 @@ class TestState:
         assert len(counts) == 2
         assert counts.counts_transmit.tolist() == [3, 0]
         assert counts.counts_reflect.tolist() == [0, 1]
+
+
+class TestTwoArmClicks:
+    SIGNAL = np.array([True, True, False, False])
+    TO_FIRST = np.array([True, False, True, False])
+
+    def test_signal_routes_to_one_arm(self):
+        rngs = (np.random.default_rng(1), np.random.default_rng(2))
+        first, second = two_arm_clicks(self.SIGNAL, self.TO_FIRST, 0.0, rngs)
+        assert first.tolist() == [True, False, False, False]
+        assert second.tolist() == [False, True, False, False]
+
+    def test_no_dark_counts_draw_nothing(self):
+        rngs = (np.random.default_rng(1), np.random.default_rng(2))
+        before = [rng.bit_generator.state for rng in rngs]
+        two_arm_clicks(self.SIGNAL, self.TO_FIRST, 0.0, rngs)
+        assert [rng.bit_generator.state for rng in rngs] == before
+
+    def test_each_arm_reads_its_own_dark_stream_once(self):
+        signal, to_first = np.tile(self.SIGNAL, 16), np.tile(self.TO_FIRST, 16)
+        rngs = (np.random.default_rng(1), np.random.default_rng(2))
+        first, second = two_arm_clicks(signal, to_first, 0.5, rngs)
+        dark_first = np.random.default_rng(1).random(64) < 0.5
+        dark_second = np.random.default_rng(2).random(64) < 0.5
+        np.testing.assert_array_equal(first, (signal & to_first) | dark_first)
+        np.testing.assert_array_equal(second, (signal & ~to_first) | dark_second)
+        # One draw of 64 from each stream, and nothing more.
+        for rng, seed in zip(rngs, (1, 2)):
+            reference = np.random.default_rng(seed)
+            reference.random(64)
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestRotate:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hpqkd import keystream as ks
 from hpqkd import protocol
 from hpqkd.optics import FiberLink, ModulationPlan, OpticsNotTunedError, split_upper_probability, tuned_fiber
 from hpqkd.protocol import (
@@ -16,6 +17,7 @@ from hpqkd.protocol import (
     compute_qber,
     run_session,
 )
+from hpqkd.polarization import DetectionCounts
 
 PLAN = ModulationPlan()
 FIBER = tuned_fiber(PLAN)
@@ -330,9 +332,104 @@ class TestOrderingAndDeterminism:
         assert a.sifted_bits != b.sifted_bits or a.qber != b.qber or a.to_dict() != b.to_dict()
 
 
+def _layout1_meso_counts(schedule, channel: ChannelModel, rng) -> DetectionCounts:
+    """Reference: the stream layout 1 meso detector.
+
+    Poisson photon counts of mean alpha_sq * survival in the scheduled arm,
+    then a dark count in the transmit arm and one in the reflect arm, all
+    drawn from one generator.
+    """
+    n = len(schedule)
+    aligned = schedule.basis_index % 2 == schedule.bit
+    signal = rng.poisson(channel.alpha_sq_meso * channel.survival_probability, n)
+    dark_t = rng.random(n) < channel.dark_count_prob
+    dark_r = rng.random(n) < channel.dark_count_prob
+    return DetectionCounts(np.where(aligned, signal, 0) + dark_t, np.where(aligned, 0, signal) + dark_r)
+
+
+def _meso_law(channel: ChannelModel) -> tuple[float, float]:
+    """Closed-form meso erasure fraction and decode error over usable slots.
+
+    The pulse reaches its arm with p = 1 - exp(-alpha_sq * eta); that arm
+    fires with P_A = 1 - (1 - p)(1 - d), the other arm only on a dark count
+    d.  A slot is usable when exactly one arm fires, and wrong when that is
+    the other arm.
+    """
+    p = -np.expm1(-channel.alpha_sq_meso * channel.survival_probability)
+    d = channel.dark_count_prob
+    p_aligned = 1 - (1 - p) * (1 - d)
+    wrong = (1 - p_aligned) * d
+    usable = p_aligned * (1 - d) + wrong
+    return 1 - usable, wrong / usable
+
+
+def _z_law(hits: int, trials: int, p0: float) -> float:
+    if p0 == 0:
+        return 0.0 if hits == 0 else np.inf
+    return (hits / trials - p0) / np.sqrt(p0 * (1 - p0) / trials)
+
+
+def _z_two_sample(hits_a: int, n_a: int, hits_b: int, n_b: int) -> float:
+    pooled = (hits_a + hits_b) / (n_a + n_b)
+    if pooled == 0:
+        return 0.0
+    return (hits_a / n_a - hits_b / n_b) / np.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
+
+
+#: Lossy and dark-count channels with erasure fractions from 0.37 to 0.75.
+MESO_CHANNELS = {
+    "lossy-70km": ChannelModel(length_km=70),
+    "dark-70km": ChannelModel(length_km=70, dark_count_prob=0.05),
+    "dark-100km": ChannelModel(length_km=100, dark_count_prob=0.02),
+}
+MESO_SEEDS = range(8)
+MESO_SLOTS = 25_000
+
+
+def _meso_pool(channel: ChannelModel, layout: int) -> tuple[int, int, int]:
+    """(erased, wrong, slots) summed over the seed pool, for stream layout 2 or 1."""
+    erased = wrong = 0
+    for seed in MESO_SEEDS:
+        cfg = config(mode="hybrid", slots=MESO_SLOTS, seed=seed, channel=channel)
+        streams = protocol._streams(seed)
+        r = ks.generate_r(MESO_SLOTS, streams["r_entropy"])
+        if layout == 2:
+            decoded = protocol._meso_leg(cfg, streams, r)
+        else:
+            kprime = ks.expand_key(cfg.resolved_seed_key(), MESO_SLOTS * ks.bits_per_slot(channel.m_bases))
+            schedule = ks.build_basis_schedule(kprime, r, channel.m_bases)
+            counts = _layout1_meso_counts(schedule, channel, np.random.default_rng([1, seed]))
+            decoded = ks.bob_decode(schedule.basis_index, counts)
+        keep = ~decoded.erasure
+        erased += int(decoded.erasure.sum())
+        wrong += int((decoded.bits[keep] != r[keep]).sum())
+    return erased, wrong, len(MESO_SEEDS) * MESO_SLOTS
+
+
+@pytest.mark.parametrize("name", sorted(MESO_CHANNELS))
+def test_meso_layout2_agrees_with_law_and_layout1(name):
+    """Layout 2 draws clicks where layout 1 drew Poisson counts: same statistics."""
+    channel = MESO_CHANNELS[name]
+    erasure_law, error_law = _meso_law(channel)
+    erased, wrong, slots = _meso_pool(channel, layout=2)
+    erased_1, wrong_1, slots_1 = _meso_pool(channel, layout=1)
+    usable, usable_1 = slots - erased, slots_1 - erased_1
+    assert 0.3 < erasure_law < 0.8
+    z = {
+        "erasure vs law": _z_law(erased, slots, erasure_law),
+        "error vs law": _z_law(wrong, usable, error_law),
+        "erasure vs layout 1": _z_two_sample(erased, slots, erased_1, slots_1),
+        "error vs layout 1": _z_two_sample(wrong, usable, wrong_1, usable_1),
+        "layout 1 erasure vs law": _z_law(erased_1, slots_1, erasure_law),
+    }
+    assert all(abs(v) < 3 for v in z.values()), z
+
+
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
 #: 2000 slots.  A change that alters any of these changes the numbers a
-#: scenario produces, and must say so and bump a stream-layout id.
+#: scenario produces, and must say so and bump a stream-layout id.  Stream
+#: layout 2 moved only the long-haul assisted digests: the lossless meso leg
+#: has no dark stream to read, and a pulse of 25 photons clicks in both layouts.
 GOLDEN_DIGESTS = {
     "default": {
         "baseline_bb84": "b510b2ed414483f398882b1ee782c86c05db2972a4db5fae91e7a6eb68a0868d",
@@ -342,9 +439,9 @@ GOLDEN_DIGESTS = {
     },
     "longhaul": {
         "baseline_bb84": "5dd774df98cf6402f95c7c31c17736a3c872fc2cc4fcef21e7c6112c7b3b4241",
-        "hybrid": "4628dba3965fa319be9f4a3d2f91e58f0115409a586dae33fe2504c7d84232f3",
+        "hybrid": "ce0a684797c001be43df5f969daa9dae1f9b35c3b3127a14fc62106f88803888",
         "parallel": "fff93b98a96d0e81186f4798d0beec36e75619f3cabbcfa1fb48f459ba3bf1de",
-        "hybrid_parallel": "556a1e2541d85d111499705f139876f728663eec9e6e31d2af681de4483a821f",
+        "hybrid_parallel": "de9804d2c3e02c942e6d76b1c5be92845b6d790f5e83593f8feb2f7241d53d56",
     },
 }
 GOLDEN_CHANNELS = {"default": IDEAL, "longhaul": ChannelModel(length_km=100, dark_count_prob=1e-5)}

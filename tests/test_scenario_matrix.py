@@ -40,11 +40,11 @@ WORKLOADS = {
 
 #: sha256 of ``reporting.data_bytes`` per (workload, command).
 DATA_DIGESTS = {
-    ("sim-ideal", "simulate"): "9cb65076cd041545fb572e84c2b554c53340db9bd541a34b26a18e4ba862bb61",
+    ("sim-ideal", "simulate"): "d52f7646e04e8688c4847f064d0f932cf5969bdcf7cc45b25b0edfedbb9bdadb",
     ("sim-ideal", "attack-sweep"): "046dc1636077f90b0a9561049fce94088b62a9072aec5459ea30cf17c6d4c690",
-    ("sim-longhaul", "simulate"): "70df5c48722d359a80918d02e649448fe6933225462601f3fb54741bf695a415",
+    ("sim-longhaul", "simulate"): "5e190edc56a391bbe24111d2441fe114f6f6caec10f53f3041d374d3539cd5ae",
     ("sim-longhaul", "attack-sweep"): "228fff42d9710f188457a2abb4639d90783c5ba6c7467e2336772196d3dd1bbf",
-    ("analysis", "simulate"): "b4a5ff280984a1644047146cb90c1c51d8063ba8ba8750f18dc97098f467740e",
+    ("analysis", "simulate"): "4d931055e93f2cebceedc8d8e8b17464d7cffdc2259b759d6d1ef06a483a9f34",
     ("analysis", "attack-sweep"): "d8524c6af239e4838a30a56634e717f3111c48e788a3002c6ebd3767be5a7a3a",
 }
 
