@@ -19,6 +19,8 @@ from .polarization import DetectionCounts, two_arm_clicks
 KEYSTREAM_GENERATOR_ID = "blake2b256-ctr-v1"
 
 _MIN_SEED_BITS = 64
+#: blake2b, which keys the expansion, takes a key of at most 64 bytes.
+_MAX_SEED_BITS = 512
 _BLOCK_BYTES = 32
 
 #: Largest basis count M: the M angles D*pi/(2M) stay distinct floats below
@@ -29,7 +31,7 @@ MAX_M_BASES = 2**52
 
 @dataclass(frozen=True)
 class SeedKey:
-    """Pre-shared secret key of at least 64 bits."""
+    """Pre-shared secret key of 64 to 512 bits."""
 
     bits: np.ndarray
 
@@ -39,6 +41,8 @@ class SeedKey:
             raise ValueError("bits must be a flat 0/1 sequence")
         if len(bits) < _MIN_SEED_BITS:
             raise ValueError(f"seed key must hold at least {_MIN_SEED_BITS} bits")
+        if len(bits) > _MAX_SEED_BITS:
+            raise ValueError(f"seed key must hold at most {_MAX_SEED_BITS} bits, the largest blake2b key")
         object.__setattr__(self, "bits", bits)
 
     @classmethod

@@ -139,7 +139,7 @@ class SessionConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if self.seed_key_hex is not None:
-            self.resolved_seed_key()  # must parse as hex and hold >= 64 bits
+            self.resolved_seed_key()  # must parse as hex and hold 64 to 512 bits
         if self.mode in ("parallel", "hybrid_parallel"):
             require_tuned(self.plan, self.fiber)  # both channels need the tuned split
 
@@ -189,7 +189,6 @@ class SessionReport:
     public_transcript: dict
 
     def to_dict(self) -> dict:
-        # Not ``dataclasses.asdict``: it would deep-copy the erasure transcript.
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["per_channel"] = [c.to_dict() for c in self.per_channel]
         return out
@@ -261,7 +260,8 @@ def _run_channel(
 
 
 def _hex_bits(bits: np.ndarray) -> str:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
+    """The bits packed big-endian, zero-padded to a whole byte, as hex."""
+    return np.packbits(bits).tobytes().hex()
 
 
 def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
@@ -302,9 +302,10 @@ def run_session(config: SessionConfig) -> SessionReport:
     it as the basis sequence, consumed interleaved (channel 1 then channel 2
     within each slot), so bases always agree and every conclusive slot yields
     a key bit.  Slots whose mesoscopic decode was an erasure are reconciled
-    publicly by index into the interleaved sequence, which keeps the list
-    unambiguous across channels, and excluded from rate accounting on both
-    sides.  The final key is the channel-1 key followed by the channel-2 key.
+    publicly by a bitmask over the interleaved sequence, which keeps the
+    announcement unambiguous across channels, and excluded from rate
+    accounting on both sides.  The final key is the channel-1 key followed
+    by the channel-2 key.
     """
     channels = (1, 2) if config.mode in ("parallel", "hybrid_parallel") else (1,)
     assisted = config.mode in ("hybrid", "hybrid_parallel")
@@ -351,10 +352,10 @@ def run_session(config: SessionConfig) -> SessionReport:
         double_clicks += int((run.click_upper & run.click_lower).sum())
 
     if assisted:
-        transcript = {"erasure_slots": np.flatnonzero(decoded.erasure).tolist()}
+        transcript = {"erasure_mask_hex": _hex_bits(decoded.erasure)}
         meso_erasures = int(decoded.erasure.sum())
     else:
-        transcript = {"erasure_slots": [], "announced_bases": announced}
+        transcript = {"announced_bases": announced}
         meso_erasures = 0
     sifted = sum(c.sifted_bits for c in reports)
     errors = sum(c.qber * c.sifted_bits for c in reports)

@@ -10,7 +10,6 @@ import contextlib
 import csv
 import dataclasses
 import datetime
-import itertools
 import json
 import os
 import stat
@@ -296,63 +295,13 @@ def make_bundle(command: str, scenario_raw: dict, resolved: dict, results: dict)
     }
 
 
-#: Entries per block of an all-int list: one C-encoder call each (about 60 kB of compact text).
-_INT_BLOCK = 8192
-
-_encode_scalar = json.JSONEncoder(allow_nan=False).encode
-_encode_ints = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _json_pieces(value, indent: str = ""):
-    """Yield ``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` in pieces.
-
-    ``indent`` is the indentation of the line ``value`` starts on.  The
-    stdlib's indented encoder is pure Python; a list of plain ints (no
-    bools) goes through its C encoder instead, one block at a time, and the
-    compact commas become the indented separators.  Keys must be strings.
-    NaN and infinities raise ``ValueError``.
-    """
-    inner = indent + "  "
-    separator = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        opening = "{\n" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"bundle keys must be strings, not {type(key).__name__}")
-            yield opening + _encode_scalar(key) + ": "
-            yield from _json_pieces(item, inner)
-            opening = separator
-        yield "\n" + indent + "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        yield "[\n" + inner
-        if set(map(type, value)) == {int}:
-            for start in range(0, len(value), _INT_BLOCK):
-                if start:
-                    yield separator
-                yield _encode_ints(value[start : start + _INT_BLOCK])[1:-1].replace(",", separator)
-        else:
-            for i, item in enumerate(value):
-                if i:
-                    yield separator
-                yield from _json_pieces(item, inner)
-        yield "\n" + indent + "]"
-    else:
-        yield _encode_scalar(value)
-
-
 def data_bytes(bundle: dict) -> bytes:
     """Canonical encoding of the reproducible part of a bundle.
 
     Strict JSON: any NaN/inf sneaking into results is a bug, so it raises
     here instead of producing a non-interoperable document.
     """
-    return "".join(_json_pieces(bundle["data"])).encode()
+    return json.dumps(bundle["data"], sort_keys=True, indent=2, allow_nan=False).encode()
 
 
 @contextlib.contextmanager
@@ -396,13 +345,14 @@ def _replaced_together():
 def write_bundle(bundle: dict, path) -> None:
     """Write ``json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False) + "\\n"`` to ``path``.
 
-    The text is streamed, never held whole, into a temporary file that
-    replaces ``path`` once it is complete (see ``_replaced_together``).  On
-    any failure (a NaN in the results, a full disk) ``path`` is left as it
-    was.
+    ``json.dump`` streams the text, never held whole, into a temporary file
+    that replaces ``path`` once it is complete (see ``_replaced_together``).
+    On any failure (a NaN in the results, a full disk) ``path`` is left as
+    it was.
     """
     with _replaced_together() as stage, stage(path) as fh:
-        fh.writelines(itertools.chain(_json_pieces(bundle), ["\n"]))
+        json.dump(bundle, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 #: Tables extractable as CSV per command: name -> path into the results dict.

@@ -23,7 +23,8 @@ class ScenarioError(ValueError):
 
 
 #: Largest accepted ``simulate.num_slots``: all four modes hold about 65 B
-#: per slot at M = 256 (99 MB peak RSS at 1e6 slots, 35 MB of it the
+#: per slot at M = 256 on any link (101 MB peak RSS at 1e6 slots on both the
+#: lossless and the 100-km, 1e-5-dark link, 163 MB at 2e6; 35 MB of it the
 #: imported package), so a run stays near 0.7 GB.  The expanded key holds
 #: log2(M) bytes per slot and channel, so at M = ``keystream.MAX_M_BASES``
 #: a run holds about 155 B per slot, about 1.6 GB.
@@ -101,7 +102,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "num_slots": _Key(10000, "slots", "time slots per session", low=1, high=MAX_NUM_SLOTS),
         **_section(SessionConfig),  # basis_flip_fault_fraction, its one param field
         "seed_key_hex": _Key(
-            None, "hex", "pre-shared secret key, at least 16 hex digits (8 bytes); derived from seed when null"
+            None, "hex", "pre-shared secret key, 16 to 128 hex digits (8 to 64 bytes); derived from seed when null"
         ),
     },
     # The physical sections are declared once, on the fields of the objects they build.

@@ -58,7 +58,9 @@ VALUES = {
     "seed": st.integers(-3, 2**64 + 3),
     "simulate.modes": st.lists(st.sampled_from(MODES + ("bogus",)), max_size=5) | _repeated(MODES),
     "simulate.num_slots": st.integers(-3, 2000) | _above(scenario.MAX_NUM_SLOTS) | st.just(1e14),
-    "simulate.seed_key_hex": st.none() | st.text("0123456789abcdefz ", max_size=40),
+    "simulate.seed_key_hex": st.none()
+    | st.text("0123456789abcdefz ", max_size=40)
+    | st.text("0123456789abcdef", min_size=124, max_size=132),
     "channel.m_bases": st.integers(-3, 300) | st.builds(lambda k: 2**k, st.integers(0, 70)),
     "attack_sweep.m_bases": st.integers(-3, 16) | _above(scenario.MAX_ATTACK_M_BASES),
     "attack_sweep.alpha_sq_over_m_grid": st.lists(NUMBER, max_size=6)

@@ -223,7 +223,7 @@ class TestBaseline:
 
     def test_transcript_announces_bases(self):
         report = run_session(config(seed=11, slots=64))
-        assert "announced_bases" in report.public_transcript
+        assert set(report.public_transcript) == {"announced_bases"}
         assert "alice_ch1" in report.public_transcript["announced_bases"]
 
     def test_basis_flip_fault_raises_qber_by_half_fraction(self):
@@ -253,7 +253,7 @@ class TestHybrid:
     def test_transcript_hides_bases(self):
         report = run_session(config(mode="hybrid", seed=16, slots=256))
         assert "announced_bases" not in report.public_transcript
-        assert set(report.public_transcript) == {"erasure_slots"}
+        assert set(report.public_transcript) == {"erasure_mask_hex"}
 
 
 class TestParallel:
@@ -305,6 +305,7 @@ class TestHybridParallel:
     def test_transcript_hides_bases(self):
         report = run_session(config(mode="hybrid_parallel", seed=23, slots=256))
         assert "announced_bases" not in report.public_transcript
+        assert set(report.public_transcript) == {"erasure_mask_hex"}
 
 
 class TestOrderingAndDeterminism:
@@ -430,18 +431,20 @@ def test_meso_layout2_agrees_with_law_and_layout1(name):
 #: scenario produces, and must say so and bump a stream-layout id.  Stream
 #: layout 2 moved only the long-haul assisted digests: the lossless meso leg
 #: has no dark stream to read, and a pulse of 25 photons clicks in both layouts.
+#: All eight moved when ``public_transcript`` became the erasure bitmask; with
+#: the transcript popped they hash as before.
 GOLDEN_DIGESTS = {
     "default": {
-        "baseline_bb84": "b510b2ed414483f398882b1ee782c86c05db2972a4db5fae91e7a6eb68a0868d",
-        "hybrid": "f853cb3b8a7190e7e93389b42dc2b4d06a8c6c8be9fa96f5c131590babe0a1c4",
-        "parallel": "09c66fdd5c10e36ee92aca199a765e7beb41dbbb4cb0de374c5fd14b19c4a3ec",
-        "hybrid_parallel": "28cd8ba3b3e463434ea01b0db278c5c07a5cffe56a68ac682d7a93d661242b12",
+        "baseline_bb84": "ebbfbe0d45a4a8317ba72b515e930e7c50308a898ed4dd6698ad8dc9c464c435",
+        "hybrid": "8baab2be57d7247d889b55911cd95213c3ea70bc468333c0f53b6f26e8592901",
+        "parallel": "7ad7f93e3f89d46ff31bd9220653814462badc84dd128aa13a9557f2565a75af",
+        "hybrid_parallel": "6c84cca6edebb593da7dac671b95fd98cefc64cf6034ee05572b7e896f6977ad",
     },
     "longhaul": {
-        "baseline_bb84": "5dd774df98cf6402f95c7c31c17736a3c872fc2cc4fcef21e7c6112c7b3b4241",
-        "hybrid": "ce0a684797c001be43df5f969daa9dae1f9b35c3b3127a14fc62106f88803888",
-        "parallel": "fff93b98a96d0e81186f4798d0beec36e75619f3cabbcfa1fb48f459ba3bf1de",
-        "hybrid_parallel": "de9804d2c3e02c942e6d76b1c5be92845b6d790f5e83593f8feb2f7241d53d56",
+        "baseline_bb84": "9f88ccd867f3ab978f831b93eb6a00f8df1f21b9bfb1e56dd659fcaa7f2c8041",
+        "hybrid": "32eab8a3310eaa0102f5920949bc7808936bda2bbbd1ee609216ed950b36e404",
+        "parallel": "44c0f5e443827be923cc2165449ea42a2864d1929cdfcd9adbeb705b91cc6530",
+        "hybrid_parallel": "2e3626bc3a87e49de15aa63c00b91761b7056c8fd3107e877f73de7fbd340fcf",
     },
 }
 GOLDEN_CHANNELS = {"default": IDEAL, "longhaul": ChannelModel(length_km=100, dark_count_prob=1e-5)}
@@ -453,3 +456,40 @@ def test_report_matches_golden_digest(mode, channel):
     report = run_session(config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel]))
     digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[channel][mode]
+
+
+def _mask_bits(report) -> tuple[np.ndarray, int]:
+    """The published erasure mask unpacked, and its length in interleaved slots (0 in the sifted modes)."""
+    mask = report.public_transcript.get("erasure_mask_hex", "")
+    length = report.slots * len(report.per_channel) if mask else 0
+    return np.unpackbits(np.frombuffer(bytes.fromhex(mask), dtype=np.uint8)), length
+
+
+#: (erasure count, sha256 of ``json.dumps`` of the index list) that the
+#: long-haul golden sessions published as ``erasure_slots`` before the
+#: transcript became a bitmask, at seed 7; 2001 slots leave 6 padding bits.
+ERASURE_LISTS = {
+    ("hybrid", 2000): (1587, "b49195ecad029b2c1c6dd291c5c8f6e76f8d328783aa7cfb2901d39554393a2e"),
+    ("hybrid_parallel", 2000): (3155, "1226c799ab9624d3d4b766ce98e24ff1c47ee74d228c067d45d9f3bdf3b74fa4"),
+    ("hybrid_parallel", 2001): (3157, "ca98518c9222983cf9713d48463af9495b6f3a44bea0d1d75403726736165610"),
+}
+
+
+@pytest.mark.parametrize("mode, slots", sorted(ERASURE_LISTS))
+def test_erasure_mask_decodes_to_the_index_list(mode, slots):
+    report = run_session(config(mode=mode, seed=7, slots=slots, channel=GOLDEN_CHANNELS["longhaul"]))
+    bits, length = _mask_bits(report)
+    indices = np.flatnonzero(bits[:length]).tolist()
+    count, digest = ERASURE_LISTS[(mode, slots)]
+    assert len(indices) == count
+    assert hashlib.sha256(json.dumps(indices).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("channel", sorted(GOLDEN_CHANNELS))
+@pytest.mark.parametrize("mode", protocol.MODES)
+def test_erasure_mask_counts_the_meso_erasures(mode, channel):
+    report = run_session(config(mode=mode, seed=7, slots=2001, channel=GOLDEN_CHANNELS[channel]))
+    bits, length = _mask_bits(report)
+    assert len(bits) == -(-length // 8) * 8
+    assert int(bits.sum()) == report.meso_erasures
+    assert not bits[length:].any()

@@ -442,7 +442,7 @@ class TestHelp:
         assert f"in [1, {scenario.MAX_NUM_SLOTS}]" in text
         assert f"in [2, {scenario.MAX_ATTACK_M_BASES}]" in text
         assert f"in [100, {scenario.MAX_ATTACK_TRIALS}]" in text
-        assert "at least 16 hex digits (8 bytes)" in text
+        assert "16 to 128 hex digits (8 to 64 bytes)" in text
 
 
 class TestBoundary:
@@ -502,6 +502,7 @@ class TestBoundary:
             ("simulate", {"simulate": {"seed_key_hex": "zz"}}, []),
             ("simulate", {"simulate": {"seed_key_hex": "00"}}, []),
             ("simulate", {"simulate": {"seed_key_hex": 5}}, []),
+            ("simulate", {"simulate": {"seed_key_hex": "ab" * 65}}, []),
             ("simulate", {"fiber": {"length_m": 1.0}}, []),
             ("simulate", {"channel": {"m_bases": 256.0}}, []),
             ("simulate", {"schema_version": True}, []),
@@ -538,7 +539,7 @@ class TestBoundary:
         ],
         ids=[
             "modes-empty", "modes-null", "pns-mu-null", "pns-thresholds-null", "seed-key-not-hex",
-            "seed-key-short", "seed-key-int", "detuned-default-modes", "m-bases-float",
+            "seed-key-short", "seed-key-int", "seed-key-long", "detuned-default-modes", "m-bases-float",
             "schema-version-true", "slots-1e14", "slots-above-cap", "sweep-m-100000",
             "sweep-m-above-cap", "workers-0", "workers-negative", "trials-override-simulate",
             "mu-weak-huge", "meso-huge", "grid-huge", "int-beyond-float", "m-bases-2**64",
@@ -560,6 +561,14 @@ class TestBoundary:
         assert "scenario error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_seed_key_at_its_length_rule_runs(self, tmp_path):
+        # 128 hex digits are 64 bytes, the largest key blake2b takes.
+        sim = {**FAST_SIM["simulate"], "seed_key_hex": "ab" * 64}
+        path = write_scenario(tmp_path, {**FAST_SIM, "simulate": sim})
+        out = tmp_path / "report.json"
+        assert cli.main(["simulate", "--scenario", path, "--out", str(out)]) == cli.EXIT_OK
+        assert out.exists()
 
     def test_lists_at_their_length_rule_resolve(self):
         sweep = {"alpha_sq_over_m_grid": [1.0] * scenario.MAX_GRID_POINTS, "pns_mu": [0.1] * scenario.MAX_PNS_MU}
