@@ -30,6 +30,10 @@ MODES = ("baseline_bb84", "hybrid", "parallel", "hybrid_parallel")
 
 _HALF_PI = np.pi / 2
 
+#: (Alice basis, bit, Bob basis) of each entry of a channel's split table,
+#: entry ``(a << 2) | (b << 1) | c``, as uint8 like the per-slot values.
+_COMBOS = np.array([(i >> 2, i >> 1 & 1, i & 1) for i in range(8)], dtype=np.uint8).T
+
 #: Fixed spawn order of the per-role random streams; slot randomness is
 #: consumed as arrays indexed by slot, so results do not depend on how slot
 #: processing is batched.  Roles are only ever appended: spawning more
@@ -195,7 +199,12 @@ class SessionReport:
 
 
 def compute_qber(alice_bits, bob_bits, matched_slots) -> float:
-    """Fraction of matched slots whose bits disagree."""
+    """Fraction of matched slots whose bits disagree.
+
+    It counts: the disagreeing matched slots over the matched slots, two
+    exact integers divided once, so the value is the mean disagreement over
+    the matched slots to the last bit.
+    """
     alice_bits = np.asarray(alice_bits)
     bob_bits = np.asarray(bob_bits)
     matched = np.asarray(matched_slots, dtype=bool)
@@ -203,9 +212,10 @@ def compute_qber(alice_bits, bob_bits, matched_slots) -> float:
         raise ValueError("empty bit sequences")
     if not (len(alice_bits) == len(bob_bits) == len(matched)):
         raise ValueError("aligned sequences must share one length")
-    if not matched.any():
+    total = int(np.count_nonzero(matched))
+    if not total:
         raise ValueError("no matched slots to compare")
-    return float(np.mean(alice_bits[matched] != bob_bits[matched]))
+    return int(np.count_nonzero((alice_bits != bob_bits) & matched)) / total
 
 
 def _streams(seed: int) -> dict[str, np.random.Generator]:
@@ -213,9 +223,14 @@ def _streams(seed: int) -> dict[str, np.random.Generator]:
     return {role: np.random.default_rng(c) for role, c in zip(_ROLES, children)}
 
 
-def _flip_mask(config: SessionConfig) -> np.ndarray:
+def _measured_bases(config: SessionConfig, bob_basis: np.ndarray) -> np.ndarray:
+    """Bob's bases as his receiver sets them: the fault flips the first slots."""
     flipped = round(config.basis_flip_fault_fraction * config.num_slots)
-    return np.arange(config.num_slots) < flipped
+    if not flipped:
+        return bob_basis
+    out = bob_basis.copy()
+    out[:flipped] ^= 1
+    return out
 
 
 @dataclass
@@ -234,28 +249,37 @@ def _run_channel(
     alice_basis: np.ndarray,
     bob_basis_actual: np.ndarray,
 ) -> _ChannelRun:
-    """Detection pass of one sideband channel for the given basis choices."""
+    """Detection pass of one sideband channel for the given basis choices.
+
+    The fringe phase of a slot, and with it the split law, depends only on
+    (Alice basis, bit, Bob basis), so the law is read from an 8-entry table
+    keyed by ``(alice_basis << 2) | (bit << 1) | bob_basis``.  Its entries
+    come from the per-slot phase expression on those 8 combinations, so each
+    slot gets the very float the per-slot law gives it; no float phase is
+    held per slot.
+    """
     n = config.num_slots
     ch = config.channel
     bits = streams[f"alice_bits_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
-    delta_phi = (alice_basis * _HALF_PI + bits * np.pi) - bob_basis_actual * _HALF_PI
-
-    p_upper = split_upper_probability(config.plan, config.fiber, channel, delta_phi)
-    if p_upper is None:
+    a, b, c = _COMBOS
+    table = split_upper_probability(
+        config.plan, config.fiber, channel, (a * _HALF_PI + b * np.pi) - c * _HALF_PI
+    )
+    if table is None:
         mu = 0.0
-        p_upper = np.full(n, 0.5)
+        table = np.full(len(a), 0.5)
         upper_bit = 0
     else:
         mu = ch.mu_weak * ch.survival_probability
-        at_zero = split_upper_probability(config.plan, config.fiber, channel, 0.0)
-        upper_bit = 0 if at_zero >= 0.5 else 1
+        upper_bit = 0 if table[0] >= 0.5 else 1  # combination 0 sits at phase 0.0
+    key = (alice_basis << 2) | (bits << 1) | bob_basis_actual
 
     signal = streams[f"photons_ch{channel}"].poisson(mu, n) > 0
-    to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
+    to_upper = streams[f"routing_ch{channel}"].random(n) < table[key]
     dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
     click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     conclusive = click_upper ^ click_lower
-    bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
+    bob_bits = click_upper.view(np.uint8) ^ np.uint8(1 - upper_bit)
     return _ChannelRun(bits, click_upper, click_lower, conclusive, bob_bits)
 
 
@@ -267,10 +291,13 @@ def _hex_bits(bits: np.ndarray) -> str:
 def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
     """Distribute the basis stream over the mesoscopic polarization channel."""
     ch = config.channel
-    kprime = ks.expand_key(
-        config.resolved_seed_key(), len(r_bits) * ks.bits_per_slot(ch.m_bases)
+    # K' holds one byte per key bit; no name keeps it past the schedule, so
+    # it is freed before the meso draws allocate theirs.
+    schedule = ks.build_basis_schedule(
+        ks.expand_key(config.resolved_seed_key(), len(r_bits) * ks.bits_per_slot(ch.m_bases)),
+        r_bits,
+        ch.m_bases,
     )
-    schedule = ks.build_basis_schedule(kprime, r_bits, ch.m_bases)
     counts = ks.simulate_meso_transmission(
         schedule,
         ch.alpha_sq_meso,
@@ -311,7 +338,6 @@ def run_session(config: SessionConfig) -> SessionReport:
     assisted = config.mode in ("hybrid", "hybrid_parallel")
     streams = _streams(config.seed)
     n = config.num_slots
-    flip = _flip_mask(config)
     if assisted:
         r_bits = ks.generate_r(len(channels) * n, streams["r_entropy"])
         decoded = _meso_leg(config, streams, r_bits)
@@ -325,8 +351,8 @@ def run_session(config: SessionConfig) -> SessionReport:
             sel = slice(channel - 1, None, len(channels))
             alice_basis, bob_basis = r_bits[sel], decoded.bits[sel]
             keep = ~decoded.erasure[sel]
-            usable = int(keep.sum())
-            agreement = float(np.mean(bob_basis[keep] == alice_basis[keep])) if usable else 0.0
+            usable = int(np.count_nonzero(keep))
+            agreement = int(np.count_nonzero((bob_basis == alice_basis) & keep)) / usable if usable else 0.0
         else:
             alice_basis = streams[f"alice_bases_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
             bob_basis = streams[f"bob_bases_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
@@ -335,13 +361,13 @@ def run_session(config: SessionConfig) -> SessionReport:
             agreement = None
             announced[f"alice_ch{channel}"] = _hex_bits(alice_basis)
             announced[f"bob_ch{channel}"] = _hex_bits(bob_basis)
-        run = _run_channel(config, streams, channel, alice_basis, bob_basis ^ flip)
+        run = _run_channel(config, streams, channel, alice_basis, _measured_bases(config, bob_basis))
         kept = keep & run.conclusive
-        sifted = int(kept.sum())
+        sifted = int(np.count_nonzero(kept))
         reports.append(
             ChannelReport(
                 channel=channel,
-                raw_detections=int(run.conclusive.sum()),
+                raw_detections=int(np.count_nonzero(run.conclusive)),
                 sifted_bits=sifted,
                 qber=compute_qber(run.alice_bits, run.bob_bits, kept) if sifted else 0.0,
                 useful_rate_bits_per_slot=sifted / usable if usable else 0.0,
@@ -349,11 +375,11 @@ def run_session(config: SessionConfig) -> SessionReport:
             )
         )
         usable_counts.append(usable)
-        double_clicks += int((run.click_upper & run.click_lower).sum())
+        double_clicks += int(np.count_nonzero(run.click_upper & run.click_lower))
 
     if assisted:
         transcript = {"erasure_mask_hex": _hex_bits(decoded.erasure)}
-        meso_erasures = int(decoded.erasure.sum())
+        meso_erasures = int(np.count_nonzero(decoded.erasure))
     else:
         transcript = {"announced_bases": announced}
         meso_erasures = 0

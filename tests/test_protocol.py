@@ -1,4 +1,5 @@
 """Session engine: detection law, sifting, rate multipliers, determinism."""
+import copy
 import dataclasses
 import hashlib
 import json
@@ -17,7 +18,7 @@ from hpqkd.protocol import (
     compute_qber,
     run_session,
 )
-from hpqkd.polarization import DetectionCounts
+from hpqkd.polarization import DetectionCounts, two_arm_clicks
 
 PLAN = ModulationPlan()
 FIBER = tuned_fiber(PLAN)
@@ -45,6 +46,34 @@ def detection_split(delta_phi, channel, plan, fiber, channel_model, rng) -> str:
     if lower:
         return "lower"
     return "none"
+
+
+def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual) -> protocol._ChannelRun:
+    """Per-slot reference for ``protocol._run_channel``.
+
+    The detection pass written slot by slot: a float fringe phase per slot,
+    the split law evaluated on every one of them, and Bob's bit chosen with
+    ``np.where``.  It draws from the streams in the engine's order, so on
+    equal streams the two must agree bit for bit.
+    """
+    n = config.num_slots
+    ch = config.channel
+    bits = streams[f"alice_bits_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
+    delta_phi = (alice_basis * (np.pi / 2) + bits * np.pi) - bob_basis_actual * (np.pi / 2)
+    p_upper = split_upper_probability(config.plan, config.fiber, channel, delta_phi)
+    if p_upper is None:
+        mu = 0.0
+        p_upper = np.full(n, 0.5)
+        upper_bit = 0
+    else:
+        mu = ch.mu_weak * ch.survival_probability
+        upper_bit = 0 if split_upper_probability(config.plan, config.fiber, channel, 0.0) >= 0.5 else 1
+    signal = streams[f"photons_ch{channel}"].poisson(mu, n) > 0
+    to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
+    dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
+    click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
+    bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
+    return protocol._ChannelRun(bits, click_upper, click_lower, click_upper ^ click_lower, bob_bits)
 
 
 def config(mode="baseline_bb84", slots=10_000, seed=42, channel=IDEAL, plan=PLAN, fiber=FIBER, **kw):
@@ -139,6 +168,22 @@ class TestComputeQber:
             compute_qber([0, 1], [0], [True, True])
         with pytest.raises(ValueError):
             compute_qber([0, 1], [0, 1], [False, False])
+
+    @pytest.mark.parametrize("matched", ("random", "all", "single"))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_count_equals_mean_of_gathered_slots(self, seed, matched):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 50_000))
+        a = rng.integers(0, 2, n, dtype=np.uint8)
+        b = a ^ (rng.random(n) < rng.random()).astype(np.uint8)
+        mask = {
+            "random": rng.random(n) < rng.random(),
+            "all": np.ones(n, dtype=bool),
+            "single": np.arange(n) == rng.integers(0, n),
+        }[matched]
+        if not mask.any():
+            mask[0] = True
+        assert compute_qber(a, b, mask) == float(np.mean(a[mask] != b[mask]))
 
 
 class TestDetectionSplit:
@@ -331,6 +376,53 @@ class TestOrderingAndDeterminism:
         a = run_session(config(seed=26, slots=2000))
         b = run_session(config(seed=27, slots=2000))
         assert a.sifted_bits != b.sifted_bits or a.qber != b.qber or a.to_dict() != b.to_dict()
+
+
+#: Channel settings the split-table pass is checked on, as (channel,
+#: ChannelModel, plan, fiber, fault fraction).
+SPLIT_TABLE_CASES = {
+    "ch1": (1, IDEAL, PLAN, FIBER, 0.0),
+    "ch2": (2, IDEAL, PLAN, FIBER, 0.0),
+    "ch1-dark-counts": (1, ChannelModel(mu_weak=1.0, dark_count_prob=0.2), PLAN, FIBER, 0.0),
+    "ch2-dark-counts": (2, ChannelModel(mu_weak=1.0, dark_count_prob=0.2), PLAN, FIBER, 0.0),
+    "dark-channel": (1, ChannelModel(dark_count_prob=0.2), dataclasses.replace(PLAN, m1=0.0, m3=0.0), FIBER, 0.0),
+    "ch1-detuned": (1, IDEAL, PLAN, FiberLink(length_m=FIBER.length_m + 0.0123), 0.0),
+    "ch2-fault": (2, ChannelModel(dark_count_prob=0.2), PLAN, FIBER, 0.3),
+}
+
+
+class TestSplitTable:
+    @pytest.mark.parametrize("name", sorted(SPLIT_TABLE_CASES))
+    def test_table_pass_equals_per_slot_law(self, name):
+        channel, ch, plan, fiber, fault = SPLIT_TABLE_CASES[name]
+        slots = 20_001
+        cfg = config(slots=slots, channel=ch, plan=plan, fiber=fiber, basis_flip_fault_fraction=fault)
+        rng = np.random.default_rng(17)
+        alice_basis = rng.integers(0, 2, slots, dtype=np.uint8)
+        bob_basis = rng.integers(0, 2, slots, dtype=np.uint8)
+        flipped = np.arange(slots) < round(fault * slots)
+        streams = protocol._streams(9)
+        engine_streams, reference_streams = copy.deepcopy(streams), copy.deepcopy(streams)
+        measured = protocol._measured_bases(cfg, bob_basis)
+        run = protocol._run_channel(cfg, engine_streams, channel, alice_basis, measured)
+        reference = reference_channel_run(cfg, reference_streams, channel, alice_basis, bob_basis ^ flipped)
+        for field in dataclasses.fields(protocol._ChannelRun):
+            got, want = getattr(run, field.name), getattr(reference, field.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+        for role in streams:
+            assert engine_streams[role].bit_generator.state == reference_streams[role].bit_generator.state, role
+
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_split_law_sees_at_most_eight_phases(self, mode, monkeypatch):
+        seen = []
+
+        def recording(plan, fiber, channel, delta_phi):
+            seen.append(np.size(delta_phi))
+            return split_upper_probability(plan, fiber, channel, delta_phi)
+
+        monkeypatch.setattr(protocol, "split_upper_probability", recording)
+        run_session(config(mode=mode, slots=5000))
+        assert 1 <= len(seen) <= 2 and all(size <= 8 for size in seen), seen
 
 
 def _layout1_meso_counts(schedule, channel: ChannelModel, rng) -> DetectionCounts:
