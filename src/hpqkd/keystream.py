@@ -14,14 +14,17 @@ import numpy as np
 
 from .polarization import DetectionCounts, two_arm_clicks
 
-#: Identifier of the key-expansion keystream: 32-byte blocks of
-#: blake2b(key=seed, data=block_index as 8-byte big-endian).
-KEYSTREAM_GENERATOR_ID = "blake2b256-ctr-v1"
+#: Identifier of the key-expansion keystream: block i is the first
+#: 65 536 bytes of SHAKE256(domain || len(seed) as one byte || seed || i as
+#: 8-byte big-endian), the last block cut to the bytes needed.
+KEYSTREAM_GENERATOR_ID = "shake256-ctr64k-v2"
+_DOMAIN = b"hpqkd-keystream-v2"
+_BLOCK_BYTES = 65_536
 
 _MIN_SEED_BITS = 64
-#: blake2b, which keys the expansion, takes a key of at most 64 bytes.
+#: 512 bits is twice SHAKE256's 256-bit security strength, so a longer key
+#: adds no strength to the expansion (and its length still fits one byte).
 _MAX_SEED_BITS = 512
-_BLOCK_BYTES = 32
 
 #: Largest basis count M: the M angles D*pi/(2M) stay distinct floats below
 #: pi/2.  At 2**53 neighbours collide, from 2**54 the top word rounds onto
@@ -42,7 +45,10 @@ class SeedKey:
         if len(bits) < _MIN_SEED_BITS:
             raise ValueError(f"seed key must hold at least {_MIN_SEED_BITS} bits")
         if len(bits) > _MAX_SEED_BITS:
-            raise ValueError(f"seed key must hold at most {_MAX_SEED_BITS} bits, the largest blake2b key")
+            raise ValueError(
+                f"seed key must hold at most {_MAX_SEED_BITS} bits; "
+                "a longer key adds no strength to the SHAKE256 keystream"
+            )
         object.__setattr__(self, "bits", bits)
 
     @classmethod
@@ -62,38 +68,55 @@ class SeedKey:
 
 @dataclass(frozen=True)
 class ExpandedKey:
-    """Deterministic keystream expansion of a SeedKey."""
+    """Deterministic keystream expansion of a SeedKey.
 
-    bits: np.ndarray
+    ``packed`` holds the keystream bits packed big-endian, eight to a uint8
+    (``np.packbits`` order), with the unused low bits of the last byte zero;
+    ``len()`` is the number of bits.
+    """
+
+    packed: np.ndarray
+    num_bits: int
     generator_id: str
     seed_fingerprint: str
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.num_bits
 
 
 def expand_key(seed: SeedKey, target_bits: int) -> ExpandedKey:
     """Expand the seed into ``target_bits`` keystream bits.
 
-    Counter-mode construction over the blake2b keyed permutation: block i is
-    blake2b(key=seed_bytes, data=big_endian_64(i)).  Identical inputs always
-    yield identical bits, so transmitter and receiver derive the same stream.
+    Counter mode over SHAKE256: block i is the first 65 536 bytes of
+    SHAKE256(domain || len(seed) || seed || big_endian_64(i)), so any block
+    can be computed on its own.  Identical inputs always yield identical
+    bits, so transmitter and receiver derive the same stream.
     """
     if target_bits < 1:
         raise ValueError("target_bits must be >= 1")
-    keyed = hashlib.blake2b(key=seed.to_bytes(), digest_size=_BLOCK_BYTES)
-    blocks = (target_bits + 8 * _BLOCK_BYTES - 1) // (8 * _BLOCK_BYTES)
-    stream = bytearray()
-    for i in range(blocks):  # a copy of the keyed state, not a fresh keying, per block
-        block = keyed.copy()
-        block.update(i.to_bytes(8, "big"))
-        stream += block.digest()
-    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:target_bits]
+    raw = seed.to_bytes()
+    prefix = _DOMAIN + bytes([len(raw)]) + raw
+    stream = bytearray((target_bits + 7) // 8)
+    for i, start in enumerate(range(0, len(stream), _BLOCK_BYTES)):
+        size = min(_BLOCK_BYTES, len(stream) - start)
+        stream[start : start + size] = hashlib.shake_256(prefix + i.to_bytes(8, "big")).digest(size)
+    stream[-1] &= 0xFF << (8 * len(stream) - target_bits) & 0xFF
     return ExpandedKey(
-        bits=bits,
+        packed=np.frombuffer(stream, dtype=np.uint8),
+        num_bits=target_bits,
         generator_id=KEYSTREAM_GENERATOR_ID,
         seed_fingerprint=seed.fingerprint(),
     )
+
+
+def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform 0/1 values as uint8: ``ceil(n / 8)`` random bytes, unpacked.
+
+    Drawn in pieces of a multiple of 4 bytes (32 bits), the bytes equal one
+    draw of the whole, so a reader that takes 32·k bits at a time sees the
+    same bits.
+    """
+    return np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8), count=n)
 
 
 def generate_r(length: int, entropy_source: np.random.Generator) -> np.ndarray:
@@ -104,7 +127,7 @@ def generate_r(length: int, entropy_source: np.random.Generator) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return entropy_source.integers(0, 2, length, dtype=np.uint8)
+    return random_bits(entropy_source, length)
 
 
 def bits_per_slot(m_bases: int) -> int:
@@ -134,14 +157,13 @@ class BasisSchedule:
 
 def _basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
     bits_per = bits_per_slot(m_bases)
-    slots = len(kprime.bits) // bits_per
-    bits = kprime.bits[: slots * bits_per]
-    if bits_per % 8 == 0:  # whole bytes per word: pack the stream, then join the bytes
-        columns, shift = np.packbits(bits).reshape(slots, bits_per // 8).T, 8
+    slots = len(kprime) // bits_per
+    if bits_per % 8 == 0:  # whole bytes per word: join the key's bytes
+        columns, shift = kprime.packed[: slots * bits_per // 8].reshape(slots, bits_per // 8).T, 8
     else:
-        columns, shift = bits.reshape(slots, bits_per).T, 1
-    words = np.zeros(slots, dtype=np.int64)
-    for column in columns:  # most significant first
+        columns, shift = np.unpackbits(kprime.packed, count=slots * bits_per).reshape(slots, bits_per).T, 1
+    words = columns[0].astype(np.int64)
+    for column in columns[1:]:  # most significant first
         words <<= shift
         words |= column
     return words

@@ -37,7 +37,9 @@ _COMBOS = np.array([(i >> 2, i >> 1 & 1, i & 1) for i in range(8)], dtype=np.uin
 #: Fixed spawn order of the per-role random streams; slot randomness is
 #: consumed as arrays indexed by slot, so results do not depend on how slot
 #: processing is batched.  Roles are only ever appended: spawning more
-#: children leaves the streams of the earlier ones unchanged.
+#: children leaves the streams of the earlier ones unchanged.  Layout 3
+#: reads no ``routing_ch*`` stream; the roles keep their places so the later
+#: streams stay as they are.
 _ROLES = (
     "alice_bits_ch1",
     "alice_bits_ch2",
@@ -60,20 +62,27 @@ _ROLES = (
 )
 
 #: Layout of the random streams a session consumes, recorded in the
-#: ``simulate`` results.  Layout 2: each role of ``_ROLES`` is one child of
+#: ``simulate`` results.  Layout 3: each role of ``_ROLES`` is one child of
 #: ``SeedSequence(seed)``, read front to back with one array per role and
-#: session.  A weak channel draws its bits ``integers(0, 2, n)`` (and, in
-#: the sifted modes, both parties' bases the same way), its signal
-#: ``poisson(mu, n) > 0``, its routing ``random(n)``, and one dark
-#: ``random(n)`` per detector.  The assisted modes draw R ``integers(0, 2,
-#: k)`` on ``r_entropy`` (k = n per channel), the meso signal click
-#: ``random(k) < 1 - exp(-alpha_sq * survival)`` on ``meso_channel``, and
-#: one dark ``random(k)`` per arm on ``meso_dark_transmit`` and
-#: ``meso_dark_reflect``.  No dark stream is read on a channel without dark
-#: counts.  Each stream holds one kind of draw in slot order, so a reader
-#: that takes it a chunk at a time can keep this layout.  Layout 1 drew the
-#: meso photon counts ``poisson`` and both dark arms from ``meso_channel``.
-STREAM_LAYOUT = 2
+#: session.  Every 0/1 array is ``keystream.random_bits``: ``ceil(n / 8)``
+#: bytes ``integers(0, 256, uint8)``, unpacked big-endian.  A weak channel
+#: draws its bits that way (and, in the sifted modes, both parties' bases),
+#: one uniform ``u = random(n)`` per slot on ``photons_ch*``, and one dark
+#: ``random(n)`` per detector.  With p = 1 - exp(-mu) and t the slot's split
+#: law, the signal clicks where ``u < p`` and goes to the upper detector
+#: where ``u < p * t``.  The assisted modes draw R (k = n per channel bits)
+#: on ``r_entropy``, the meso signal click ``random(k) < 1 - exp(-alpha_sq *
+#: survival)`` on ``meso_channel``, and one dark ``random(k)`` per arm on
+#: ``meso_dark_transmit`` and ``meso_dark_reflect``.  No dark stream is
+#: read on a channel without dark counts, and ``routing_ch*`` is never
+#: read.  Each stream holds one kind of draw in slot order, so a reader
+#: that takes it a chunk at a time (32 slots at a time, for the bytes) can
+#: keep this layout.  K' is ``keystream.KEYSTREAM_GENERATOR_ID``.
+#: Layout 2 drew ``integers(0, 2, n)`` bits and bases, the weak signal
+#: ``poisson(mu, n) > 0`` and its routing ``random(n)`` on ``routing_ch*``,
+#: with K' from ``blake2b256-ctr-v1``; layout 1 also drew the meso photon
+#: counts ``poisson`` and both meso dark arms from ``meso_channel``.
+STREAM_LAYOUT = 3
 
 
 #: Largest accepted mean photon number of a pulse: far above any physical
@@ -260,7 +269,7 @@ def _run_channel(
     """
     n = config.num_slots
     ch = config.channel
-    bits = streams[f"alice_bits_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
+    bits = ks.random_bits(streams[f"alice_bits_ch{channel}"], n)
     a, b, c = _COMBOS
     table = split_upper_probability(
         config.plan, config.fiber, channel, (a * _HALF_PI + b * np.pi) - c * _HALF_PI
@@ -274,8 +283,12 @@ def _run_channel(
         upper_bit = 0 if table[0] >= 0.5 else 1  # combination 0 sits at phase 0.0
     key = (alice_basis << 2) | (bits << 1) | bob_basis_actual
 
-    signal = streams[f"photons_ch{channel}"].poisson(mu, n) > 0
-    to_upper = streams[f"routing_ch{channel}"].random(n) < table[key]
+    # One uniform per slot: a signal click below p, routed upper below p * t.
+    p_click = -np.expm1(-mu)
+    upper_table = p_click * table
+    u = streams[f"photons_ch{channel}"].random(n)
+    signal = u < p_click
+    to_upper = u < upper_table[key]
     dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
     click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     conclusive = click_upper ^ click_lower
@@ -291,8 +304,8 @@ def _hex_bits(bits: np.ndarray) -> str:
 def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
     """Distribute the basis stream over the mesoscopic polarization channel."""
     ch = config.channel
-    # K' holds one byte per key bit; no name keeps it past the schedule, so
-    # it is freed before the meso draws allocate theirs.
+    # No name keeps K' past the schedule, so it is freed before the meso
+    # draws allocate theirs.
     schedule = ks.build_basis_schedule(
         ks.expand_key(config.resolved_seed_key(), len(r_bits) * ks.bits_per_slot(ch.m_bases)),
         r_bits,
@@ -354,8 +367,8 @@ def run_session(config: SessionConfig) -> SessionReport:
             usable = int(np.count_nonzero(keep))
             agreement = int(np.count_nonzero((bob_basis == alice_basis) & keep)) / usable if usable else 0.0
         else:
-            alice_basis = streams[f"alice_bases_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
-            bob_basis = streams[f"bob_bases_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
+            alice_basis = ks.random_bits(streams[f"alice_bases_ch{channel}"], n)
+            bob_basis = ks.random_bits(streams[f"bob_bases_ch{channel}"], n)
             keep = alice_basis == bob_basis
             usable = n
             agreement = None

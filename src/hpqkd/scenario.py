@@ -22,12 +22,13 @@ class ScenarioError(ValueError):
     """Scenario file could not be parsed or validated."""
 
 
-#: Largest accepted ``simulate.num_slots``: all four modes hold about 65 B
-#: per slot at M = 256 on any link (101 MB peak RSS at 1e6 slots on both the
-#: lossless and the 100-km, 1e-5-dark link, 163 MB at 2e6; 35 MB of it the
-#: imported package), so a run stays near 0.7 GB.  The expanded key holds
-#: log2(M) bytes per slot and channel, so at M = ``keystream.MAX_M_BASES``
-#: a run holds about 155 B per slot, about 1.6 GB.
+#: Largest accepted ``simulate.num_slots``: all four modes hold about 51 B
+#: per slot at M = 256 on any link (89 MB peak RSS at 1e6 slots on both the
+#: lossless and the 100-km, 1e-5-dark link, 140 MB at 2e6; 35 MB of it the
+#: imported package), so a run stays near 0.55 GB.  K' is held packed, but
+#: basis words that are not whole bytes are unpacked to one byte per key
+#: bit, so at M = ``keystream.MAX_M_BASES`` a run holds about 134 B per slot
+#: (172 MB at 1e6 slots, 306 MB at 2e6), about 1.4 GB.
 MAX_NUM_SLOTS = 10_000_000
 
 #: Largest accepted ``attack_sweep.m_bases``: the hypothesis tables of the

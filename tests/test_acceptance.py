@@ -304,7 +304,8 @@ def test_criterion_10_key_pipeline_round_trip():
             word_bits = [(word >> (bits_per - 1 - i)) & 1 for i in range(bits_per)]
             for bit in (0, 1):
                 kp = ExpandedKey(
-                    bits=np.array(word_bits, dtype=np.uint8),
+                    packed=np.packbits(np.array(word_bits, dtype=np.uint8)),
+                    num_bits=bits_per,
                     generator_id=KEYSTREAM_GENERATOR_ID,
                     seed_fingerprint="case",
                 )

@@ -18,21 +18,48 @@ from hpqkd.keystream import (
     build_basis_schedule,
     expand_key,
     generate_r,
+    random_bits,
     simulate_meso_transmission,
 )
 from hpqkd.polarization import DetectionCounts
 
-#: Frozen interoperability vectors for the blake2b256-ctr-v1 keystream.
+#: Frozen interoperability vectors for the shake256-ctr64k-v2 keystream.
 VECTOR_SEED_HEX = "00112233445566778899aabbccddeeff"
-VECTOR_FIRST_256_BITS_HEX = "9f292b30b84b8ee64002f3c4a2e3db87952e6cedfb12cfc190e5b51d9717374d"
-#: sha256 of the packed first 4096 * 256 - 5 bits of the same seed's stream.
-VECTOR_4096_BLOCKS_SHA256 = "60380f4f19f5e3a137758558e0f75be7982c269b1f7eccefd783a75de005a076"
+VECTOR_FIRST_256_BITS_HEX = "083f95075b63cdfd9cb85945fea03b85b69a412cb6fe3c18796858d74f5f32de"
+#: sha256 of the packed first 3 * 65536 * 8 - 5 bits of the same seed's
+#: stream: two block boundaries, and a last byte with its 5 low bits zero.
+VECTOR_THREE_BLOCKS_SHA256 = "55a1bf5d952b1f2b7c6df9c710fd601dc617221b6dfa50e35a92a77ca986f757"
+BLOCK_BITS = 65536 * 8
 
 powers_of_two = st.sampled_from([2, 4, 8, 16, 64, 256, 1024])
 
 
 def _fresh_key(tag: bytes = b"k") -> SeedKey:
     return SeedKey.from_bytes((tag * 16)[:16])
+
+
+def key_bits(kprime: ExpandedKey) -> np.ndarray:
+    """The expanded key as one uint8 per bit."""
+    return np.unpackbits(kprime.packed, count=len(kprime))
+
+
+def packed_key(bits) -> ExpandedKey:
+    """An ExpandedKey holding the given 0/1 bits."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return ExpandedKey(
+        packed=np.packbits(bits), num_bits=len(bits), generator_id=KEYSTREAM_GENERATOR_ID, seed_fingerprint="test"
+    )
+
+
+def shake256_keystream(seed: bytes, target_bits: int) -> bytes:
+    """Reference: the shake256-ctr64k-v2 keystream built from ``hashlib`` directly."""
+    nbytes = (target_bits + 7) // 8
+    blocks = [
+        hashlib.shake_256(b"hpqkd-keystream-v2" + bytes([len(seed)]) + seed + i.to_bytes(8, "big")).digest(65536)
+        for i in range((nbytes + 65535) // 65536)
+    ]
+    bits = np.unpackbits(np.frombuffer(b"".join(blocks), dtype=np.uint8), count=target_bits)
+    return np.packbits(bits).tobytes()
 
 
 def first_quadrant_angle(basis_index, m_bases: int) -> np.ndarray:
@@ -70,21 +97,43 @@ class TestExpansion:
         key = _fresh_key()
         a = expand_key(key, 1000)
         b = expand_key(key, 1000)
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a.packed, b.packed)
         assert a.generator_id == KEYSTREAM_GENERATOR_ID
         assert a.seed_fingerprint == key.fingerprint()
 
     def test_frozen_test_vector(self):
         expanded = expand_key(SeedKey.from_hex(VECTOR_SEED_HEX), 256)
-        assert np.packbits(expanded.bits).tobytes().hex() == VECTOR_FIRST_256_BITS_HEX
+        assert expanded.packed.tobytes().hex() == VECTOR_FIRST_256_BITS_HEX
 
     def test_frozen_multi_block_digest(self):
-        # 4096 blocks, the last one cut 5 bits short: pins every block's
+        # Three blocks, the last one cut 5 bits short: pins every block's
         # counter encoding and keying, not only block 0.
-        expanded = expand_key(SeedKey.from_hex(VECTOR_SEED_HEX), 4096 * 256 - 5)
-        assert len(expanded) == 4096 * 256 - 5
-        digest = hashlib.sha256(np.packbits(expanded.bits).tobytes()).hexdigest()
-        assert digest == VECTOR_4096_BLOCKS_SHA256
+        expanded = expand_key(SeedKey.from_hex(VECTOR_SEED_HEX), 3 * BLOCK_BITS - 5)
+        assert len(expanded) == 3 * BLOCK_BITS - 5
+        assert hashlib.sha256(expanded.packed.tobytes()).hexdigest() == VECTOR_THREE_BLOCKS_SHA256
+
+    @pytest.mark.parametrize("seed_bytes", [8, 16, 64])
+    @pytest.mark.parametrize("target_bits", [1, 8, 13, BLOCK_BITS - 3, BLOCK_BITS, BLOCK_BITS + 1, 2 * BLOCK_BITS + 77])
+    def test_equals_the_hashlib_oracle(self, seed_bytes, target_bits):
+        raw = bytes(range(7, 7 + seed_bytes))
+        expanded = expand_key(SeedKey.from_bytes(raw), target_bits)
+        assert expanded.packed.dtype == np.uint8
+        assert expanded.packed.tobytes() == shake256_keystream(raw, target_bits)
+        assert len(expanded) == target_bits
+
+    def test_one_hash_per_block(self, monkeypatch):
+        calls = []
+        shake_256 = hashlib.shake_256
+
+        def counting(data):
+            calls.append(len(data))
+            return shake_256(data)
+
+        monkeypatch.setattr("hpqkd.keystream.hashlib.shake_256", counting)
+        for target_bits, blocks in [(1, 1), (BLOCK_BITS, 1), (BLOCK_BITS + 1, 2), (5 * BLOCK_BITS - 8, 5)]:
+            calls.clear()
+            expand_key(_fresh_key(), target_bits)
+            assert len(calls) == blocks, target_bits
 
     def test_avalanche_on_single_seed_bit(self):
         key = _fresh_key()
@@ -92,8 +141,8 @@ class TestExpansion:
         flipped_bits[0] ^= 1
         flipped = SeedKey(bits=flipped_bits)
         n = 10_000
-        a = expand_key(key, n).bits
-        b = expand_key(flipped, n).bits
+        a = key_bits(expand_key(key, n))
+        b = key_bits(expand_key(flipped, n))
         differing = np.mean(a != b)
         assert abs(differing - 0.5) <= 3 * np.sqrt(0.25 / n)
 
@@ -104,12 +153,47 @@ class TestExpansion:
     def test_prefix_stability(self):
         # Extending the stream never rewrites earlier bits.
         key = _fresh_key()
-        short = expand_key(key, 100).bits
-        long = expand_key(key, 700).bits
+        short = key_bits(expand_key(key, 100))
+        long = key_bits(expand_key(key, 700))
         assert np.array_equal(long[:100], short)
+
+    def test_prefix_stability_across_a_block_boundary(self):
+        key = _fresh_key()
+        short = key_bits(expand_key(key, BLOCK_BITS - 3))
+        long = key_bits(expand_key(key, BLOCK_BITS + 29))
+        assert np.array_equal(long[: BLOCK_BITS - 3], short)
 
 
 class TestRandomStream:
+    def test_bits_are_the_unpacked_bytes(self):
+        bits = random_bits(np.random.default_rng(3), 37)
+        raw = np.random.default_rng(3).integers(0, 256, 5, dtype=np.uint8)
+        assert bits.dtype == np.uint8 and len(bits) == 37
+        assert np.array_equal(bits, np.unpackbits(raw)[:37])
+
+    @pytest.mark.parametrize("piece", [4, 8, 12, 4096])
+    def test_byte_draws_in_pieces_of_four_equal_one_draw(self, piece):
+        # A chunked reader can take 32-slot multiples of random_bits and keep
+        # the stream: numpy fills uint8 draws from 32-bit words.
+        total = 3 * 4096 + 7
+        whole = np.random.default_rng(8).integers(0, 256, total, dtype=np.uint8)
+        rng = np.random.default_rng(8)
+        pieces = [rng.integers(0, 256, min(piece, total - i), dtype=np.uint8) for i in range(0, total, piece)]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        rng = np.random.default_rng(8)
+        bits = [random_bits(rng, min(8 * piece, 8 * total - i)) for i in range(0, 8 * total, 8 * piece)]
+        assert np.array_equal(np.concatenate(bits), np.unpackbits(whole))
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 5])
+    def test_byte_draws_in_other_pieces_differ(self, piece):
+        # Pinned because it is a numpy implementation detail (numpy 2.4):
+        # each draw starts on a fresh 32-bit word, so chunks of a size that
+        # is not a multiple of 4 bytes would change the stream.
+        whole = np.random.default_rng(8).integers(0, 256, 64, dtype=np.uint8)
+        rng = np.random.default_rng(8)
+        pieces = [rng.integers(0, 256, piece, dtype=np.uint8) for _ in range(0, 64, piece)]
+        assert not np.array_equal(np.concatenate(pieces)[:64], whole)
+
     def test_balanced_bits(self):
         bits = generate_r(100_000, np.random.default_rng(1))
         assert abs(np.mean(bits) - 0.5) <= 3 * np.sqrt(0.25 / 100_000)
@@ -121,12 +205,7 @@ class TestRandomStream:
 
 class TestSchedule:
     def _schedule_for(self, words_bits, r, m):
-        kprime = ExpandedKey(
-            bits=np.asarray(words_bits, dtype=np.uint8),
-            generator_id=KEYSTREAM_GENERATOR_ID,
-            seed_fingerprint="test",
-        )
-        return build_basis_schedule(kprime, np.asarray(r, dtype=np.uint8), m)
+        return build_basis_schedule(packed_key(words_bits), np.asarray(r, dtype=np.uint8), m)
 
     def test_even_word_bit_zero_first_quadrant(self):
         schedule = self._schedule_for([0, 0, 0, 0], [0], 16)
@@ -152,7 +231,7 @@ class TestSchedule:
         kprime = expand_key(_fresh_key(), 50 * bits_per + bits_per - 1)  # trailing bits unused
         schedule = build_basis_schedule(kprime, np.zeros(50, dtype=np.uint8), m)
         expected = [
-            int("".join(str(b) for b in kprime.bits[i * bits_per : (i + 1) * bits_per]), 2)
+            int("".join(str(b) for b in key_bits(kprime)[i * bits_per : (i + 1) * bits_per]), 2)
             for i in range(50)
         ]
         assert schedule.basis_index.dtype == np.int64

@@ -1,7 +1,9 @@
 """Session engine: detection law, sifting, rate multipliers, determinism."""
 import copy
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import warnings
 
@@ -48,17 +50,26 @@ def detection_split(delta_phi, channel, plan, fiber, channel_model, rng) -> str:
     return "none"
 
 
-def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual) -> protocol._ChannelRun:
-    """Per-slot reference for ``protocol._run_channel``.
+def reference_bits(rng, n) -> np.ndarray:
+    """Reference: ``n`` 0/1 values drawn as layout 3 draws them, from ``ceil(n / 8)`` bytes."""
+    return np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8))[:n]
+
+
+def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=3) -> protocol._ChannelRun:
+    """Per-slot reference for ``protocol._run_channel``, in stream layout 3 or 2.
 
     The detection pass written slot by slot: a float fringe phase per slot,
     the split law evaluated on every one of them, and Bob's bit chosen with
-    ``np.where``.  It draws from the streams in the engine's order, so on
-    equal streams the two must agree bit for bit.
+    ``np.where``.  Layout 3 draws one uniform per slot, a signal below
+    p = 1 - exp(-mu) and the upper detector below p * t; layout 2 draws
+    ``integers(0, 2)`` bits, ``poisson(mu) > 0`` signals and a separate
+    routing uniform.  It draws from the streams in the engine's order, so on
+    equal streams the layout-3 pass and the engine must agree bit for bit.
     """
     n = config.num_slots
     ch = config.channel
-    bits = streams[f"alice_bits_ch{channel}"].integers(0, 2, n, dtype=np.uint8)
+    bits_rng = streams[f"alice_bits_ch{channel}"]
+    bits = reference_bits(bits_rng, n) if layout == 3 else bits_rng.integers(0, 2, n, dtype=np.uint8)
     delta_phi = (alice_basis * (np.pi / 2) + bits * np.pi) - bob_basis_actual * (np.pi / 2)
     p_upper = split_upper_probability(config.plan, config.fiber, channel, delta_phi)
     if p_upper is None:
@@ -68,8 +79,14 @@ def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actua
     else:
         mu = ch.mu_weak * ch.survival_probability
         upper_bit = 0 if split_upper_probability(config.plan, config.fiber, channel, 0.0) >= 0.5 else 1
-    signal = streams[f"photons_ch{channel}"].poisson(mu, n) > 0
-    to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
+    if layout == 3:
+        p_click = -np.expm1(-mu)
+        u = streams[f"photons_ch{channel}"].random(n)
+        signal = u < p_click
+        to_upper = u < p_click * p_upper
+    else:
+        signal = streams[f"photons_ch{channel}"].poisson(mu, n) > 0
+        to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
     dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
     click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
@@ -411,6 +428,8 @@ class TestSplitTable:
             assert got.dtype == want.dtype and np.array_equal(got, want), field.name
         for role in streams:
             assert engine_streams[role].bit_generator.state == reference_streams[role].bit_generator.state, role
+            if role.startswith("routing_ch"):  # layout 3 never reads them
+                assert engine_streams[role].bit_generator.state == streams[role].bit_generator.state, role
 
     @pytest.mark.parametrize("mode", protocol.MODES)
     def test_split_law_sees_at_most_eight_phases(self, mode, monkeypatch):
@@ -518,25 +537,172 @@ def test_meso_layout2_agrees_with_law_and_layout1(name):
     assert all(abs(v) < 3 for v in z.values()), z
 
 
+def _weak_law(channel: ChannelModel, mode: str) -> tuple[float, float, float]:
+    """Closed-form weak-channel fractions of a session: (conclusive, sifted, error).
+
+    Conclusive is over sent slots, sifted over usable slots and error over
+    sifted bits, averaged over the mode's channels.  A slot of split law t
+    sends its signal, present with p = 1 - exp(-mu * eta), to the upper
+    detector with probability t; with dark probability d per detector the
+    upper one alone fires with (1 - d)(p t + (1 - p) d), the lower one alone
+    with the same at 1 - t.  The sifted modes keep the matched-basis slots.
+    The assisted modes keep the usable meso slots, on which Bob's basis is
+    Alice's unless the meso decode was wrong (``_meso_law``); on an erased
+    slot it matches half the time.
+    """
+    p = -np.expm1(-channel.mu_weak * channel.survival_probability)
+    d = channel.dark_count_prob
+    channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
+    assisted = mode in ("hybrid", "hybrid_parallel")
+    erasure, wrong = _meso_law(channel) if assisted else (0.0, 0.0)
+    conclusive = kept = errors = 0.0
+    for ch, (a, b, c) in itertools.product(channels, itertools.product((0, 1), repeat=3)):
+        t = float(split_upper_probability(PLAN, FIBER, ch, a * np.pi / 2 + b * np.pi - c * np.pi / 2))
+        upper_bit = 0 if split_upper_probability(PLAN, FIBER, ch, 0.0) >= 0.5 else 1
+        upper_only = (1 - d) * (p * t + (1 - p) * d)
+        lower_only = (1 - d) * (p * (1 - t) + (1 - p) * d)
+        wrong_only = lower_only if b == upper_bit else upper_only
+        if assisted:  # (a, b) uniform; c given a follows the meso decode
+            on_usable = 1 - wrong if c == a else wrong
+            conclusive += ((1 - erasure) * on_usable + erasure / 2) * (upper_only + lower_only) / 4
+            kept += on_usable * (upper_only + lower_only) / 4
+            errors += on_usable * wrong_only / 4
+        else:  # (a, b, c) uniform; matched bases are kept
+            conclusive += (upper_only + lower_only) / 8
+            if c == a:
+                kept += (upper_only + lower_only) / 8
+                errors += wrong_only / 8
+    return conclusive / len(channels), kept / len(channels), errors / kept
+
+
+def _layout2_bits(rng, n) -> np.ndarray:
+    return rng.integers(0, 2, n, dtype=np.uint8)
+
+
+def _weak_pool(channel: ChannelModel, mode: str, layout: int) -> np.ndarray:
+    """(conclusive, slots, sifted, usable, errors) summed over the seed pool and channels.
+
+    Layout 2 is the session engine with its weak channels, bits, bases and R
+    drawn as stream layout 2 drew them (``reference_channel_run`` and
+    ``integers(0, 2)``); K' is the current generator, which only moves the
+    meso leg's basis words.
+    """
+    totals = np.zeros(5, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        if layout == 2:
+            mp.setattr(ks, "random_bits", _layout2_bits)
+            mp.setattr(protocol, "_run_channel", functools.partial(reference_channel_run, layout=2))
+        for seed in WEAK_SEEDS:
+            report = run_session(config(mode=mode, slots=WEAK_SLOTS, seed=seed, channel=channel))
+            slots = report.slots * len(report.per_channel)
+            errors = sum(round(c.qber * c.sifted_bits) for c in report.per_channel)
+            totals += (report.raw_detections, slots, report.sifted_bits, slots - report.meso_erasures, errors)
+    return totals
+
+
+#: Lossless, lossy and dark-count links at both weak intensities.
+WEAK_CHANNELS = {
+    "lossless": IDEAL,
+    "lossless-dark": ChannelModel(mu_weak=1.3, dark_count_prob=0.02),
+    "lossy-70km": ChannelModel(length_km=70, mu_weak=1.3),
+    "dark-70km": ChannelModel(length_km=70, dark_count_prob=0.05),
+}
+WEAK_SEEDS = range(8)
+WEAK_SLOTS = 20_000
+
+#: Digests of the sifted golden sessions under stream layout 2 (they use no
+#: K'), which the layout-2 reference must reproduce.
+LAYOUT2_SIFTED_DIGESTS = {
+    ("default", "baseline_bb84"): "ebbfbe0d45a4a8317ba72b515e930e7c50308a898ed4dd6698ad8dc9c464c435",
+    ("default", "parallel"): "7ad7f93e3f89d46ff31bd9220653814462badc84dd128aa13a9557f2565a75af",
+    ("longhaul", "baseline_bb84"): "9f88ccd867f3ab978f831b93eb6a00f8df1f21b9bfb1e56dd659fcaa7f2c8041",
+    ("longhaul", "parallel"): "44c0f5e443827be923cc2165449ea42a2864d1929cdfcd9adbeb705b91cc6530",
+}
+
+
+@pytest.mark.parametrize("channel, mode", sorted(LAYOUT2_SIFTED_DIGESTS))
+def test_layout2_reference_reproduces_layout2_sessions(channel, mode, monkeypatch):
+    monkeypatch.setattr(ks, "random_bits", _layout2_bits)
+    monkeypatch.setattr(protocol, "_run_channel", functools.partial(reference_channel_run, layout=2))
+    report = run_session(config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel]))
+    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == LAYOUT2_SIFTED_DIGESTS[(channel, mode)]
+
+
+@pytest.mark.parametrize("mode", ("parallel", "hybrid_parallel"))
+@pytest.mark.parametrize("name", sorted(WEAK_CHANNELS))
+def test_weak_layout3_agrees_with_law_and_layout2(name, mode):
+    """Layout 3 draws one uniform per weak slot where layout 2 drew a Poisson count and a routing uniform."""
+    law = _weak_law(WEAK_CHANNELS[name], mode)
+    pools = {layout: _weak_pool(WEAK_CHANNELS[name], mode, layout) for layout in (3, 2)}
+    z = {}
+    for layout, (conclusive, slots, kept, usable, errors) in pools.items():
+        z[f"conclusive, layout {layout} vs law"] = _z_law(conclusive, slots, law[0])
+        z[f"sifted, layout {layout} vs law"] = _z_law(kept, usable, law[1])
+        z[f"error, layout {layout} vs law"] = _z_law(errors, kept, law[2])
+    (c3, n3, k3, u3, e3), (c2, n2, k2, u2, e2) = pools[3], pools[2]
+    z["conclusive vs layout 2"] = _z_two_sample(c3, n3, c2, n2)
+    z["sifted vs layout 2"] = _z_two_sample(k3, u3, k2, u2)
+    z["error vs layout 2"] = _z_two_sample(e3, k3, e2, k2)
+    assert 0 < law[0] < 1 and 0 < law[1] < 1
+    assert all(abs(v) < 3 for v in z.values()), z
+
+
+class _RecordingRng:
+    """A generator that records each draw as (role, method, positional args)."""
+
+    def __init__(self, role, rng, calls):
+        self._role, self._rng, self._calls = role, rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            self._calls.append((self._role, name, args))
+            return method(*args, **kwargs)
+
+        return record
+
+
+@pytest.mark.parametrize("mode", protocol.MODES)
+def test_session_draws_follow_layout3(mode, monkeypatch):
+    calls = []
+    streams = protocol._streams
+    monkeypatch.setattr(
+        protocol,
+        "_streams",
+        lambda seed: {role: _RecordingRng(role, rng, calls) for role, rng in streams(seed).items()},
+    )
+    run_session(config(mode=mode, slots=1001, channel=ChannelModel(length_km=50, dark_count_prob=0.01)))
+    roles = [role for role, _, _ in calls]
+    assert protocol.STREAM_LAYOUT == 3
+    assert len(roles) == len(set(roles)), roles  # one array per role and session
+    assert not [role for role in roles if role.startswith("routing_ch")]
+    assert {name for _, name, _ in calls} == {"random", "integers"}
+    assert all(args[:2] == (0, 256) for _, name, args in calls if name == "integers")
+
+
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
 #: 2000 slots.  A change that alters any of these changes the numbers a
 #: scenario produces, and must say so and bump a stream-layout id.  Stream
 #: layout 2 moved only the long-haul assisted digests: the lossless meso leg
 #: has no dark stream to read, and a pulse of 25 photons clicks in both layouts.
 #: All eight moved when ``public_transcript`` became the erasure bitmask; with
-#: the transcript popped they hash as before.
+#: the transcript popped they hash as before.  All eight moved again with
+#: layout 3 (other weak-channel draws, bits and bases, and a new K'); the
+#: four sifted ones hashed under layout 2 are ``LAYOUT2_SIFTED_DIGESTS``.
 GOLDEN_DIGESTS = {
     "default": {
-        "baseline_bb84": "ebbfbe0d45a4a8317ba72b515e930e7c50308a898ed4dd6698ad8dc9c464c435",
-        "hybrid": "8baab2be57d7247d889b55911cd95213c3ea70bc468333c0f53b6f26e8592901",
-        "parallel": "7ad7f93e3f89d46ff31bd9220653814462badc84dd128aa13a9557f2565a75af",
-        "hybrid_parallel": "6c84cca6edebb593da7dac671b95fd98cefc64cf6034ee05572b7e896f6977ad",
+        "baseline_bb84": "95d5ec9418929d44443f81218733d08730128c6a333467d2c2c0684f2d3a6927",
+        "hybrid": "50adf381c83a182b3f93c6297521787a9291d00f3a4ddc205becf8177eb58b3a",
+        "parallel": "3c4b882c7c9d88a3b18f04e28f3dccbeb298c04803cc253a3dea5b770a9d5c7d",
+        "hybrid_parallel": "066afe2a1846d3b48b24a361575ae8f53c45eabffcc382591b8d5435d5839308",
     },
     "longhaul": {
-        "baseline_bb84": "9f88ccd867f3ab978f831b93eb6a00f8df1f21b9bfb1e56dd659fcaa7f2c8041",
-        "hybrid": "32eab8a3310eaa0102f5920949bc7808936bda2bbbd1ee609216ed950b36e404",
-        "parallel": "44c0f5e443827be923cc2165449ea42a2864d1929cdfcd9adbeb705b91cc6530",
-        "hybrid_parallel": "2e3626bc3a87e49de15aa63c00b91761b7056c8fd3107e877f73de7fbd340fcf",
+        "baseline_bb84": "f21ca1a7aee4a80f9b4217190ccdc006dca33b2a39c879c38c9ddb1096a57b19",
+        "hybrid": "84ce4ae10bed1a9209daef451c9ad1b471cc65ae546b8892da3020da9fb46357",
+        "parallel": "c18f5d302e494578fbbb80e0e83cddb2b0645a708df3b6022c8faf7f81820b58",
+        "hybrid_parallel": "37f4f2e03096aa7a6fb0eb39173277116f23eed77b3023f8885ff2d8629f07c9",
     },
 }
 GOLDEN_CHANNELS = {"default": IDEAL, "longhaul": ChannelModel(length_km=100, dark_count_prob=1e-5)}

@@ -144,7 +144,7 @@ class TestSimulateCommand:
         assert by_mode["baseline_bb84"]["rate_ratio_vs_baseline"] == 1.0
         assert by_mode["hybrid_parallel"]["rate_ratio_vs_baseline"] == pytest.approx(4.0, abs=0.8)
         assert bundle["data"]["scenario"] == FAST_SIM
-        assert bundle["data"]["results"]["stream_layout"] == 2
+        assert bundle["data"]["results"]["stream_layout"] == 3
         summary = capsys.readouterr().out
         assert "hybrid_parallel" in summary
 
@@ -563,7 +563,8 @@ class TestBoundary:
         assert not out.exists()
 
     def test_seed_key_at_its_length_rule_runs(self, tmp_path):
-        # 128 hex digits are 64 bytes, the largest key blake2b takes.
+        # 128 hex digits are 64 bytes: 512 bits, the longest seed key, twice
+        # the 256-bit security strength of the SHAKE256 keystream.
         sim = {**FAST_SIM["simulate"], "seed_key_hex": "ab" * 64}
         path = write_scenario(tmp_path, {**FAST_SIM, "simulate": sim})
         out = tmp_path / "report.json"

@@ -40,13 +40,14 @@ WORKLOADS = {
 
 #: sha256 of ``reporting.data_bytes`` per (workload, command).  The
 #: ``simulate`` digests moved when ``public_transcript`` became the erasure
-#: bitmask; with the transcripts popped the data hash as before.
+#: bitmask (with the transcripts popped the data hashed as before), and again
+#: with session stream layout 3 (``protocol.STREAM_LAYOUT``).
 DATA_DIGESTS = {
-    ("sim-ideal", "simulate"): "5e9fb64b7c6c13cbc40729a5e59126d6f6b1ca813fc7615ae5910a720cffe9a2",
+    ("sim-ideal", "simulate"): "694812fde31835c6c8ddea3fa25ca75034871f1219a67230988b998ffff6dd7d",
     ("sim-ideal", "attack-sweep"): "046dc1636077f90b0a9561049fce94088b62a9072aec5459ea30cf17c6d4c690",
-    ("sim-longhaul", "simulate"): "7688879abc4d2f52c22b48ce6d949e5e285962ad22e9d0acbbbc20a7df80e755",
+    ("sim-longhaul", "simulate"): "931abcd779e2eaa6be737d779f42c59963717a40162d1f45131a80e5d3ccd932",
     ("sim-longhaul", "attack-sweep"): "228fff42d9710f188457a2abb4639d90783c5ba6c7467e2336772196d3dd1bbf",
-    ("analysis", "simulate"): "11cd46f20ef46b64697e8fa2eb49ee15552c5595cc97dc95133f403143933eed",
+    ("analysis", "simulate"): "4d20b89c44e130721752e3b3f92dd5ef85fb198d79eac1f74fe455b96a338a38",
     ("analysis", "attack-sweep"): "d8524c6af239e4838a30a56634e717f3111c48e788a3002c6ebd3767be5a7a3a",
 }
 
