@@ -234,9 +234,10 @@ def simulate_meso_transmission(
     which is exactly P(Poisson > 0).  The analyzer always sits at the slot's
     first-quadrant angle, so the click lands in one arm, the transmit arm
     iff parity(D) == bit.  Each arm also fires on a dark count with
-    probability ``dark_count_prob``, drawn from ``dark_rngs`` (transmit arm,
-    reflect arm; by default ``rng`` again, after the signal).  Returns the
-    0/1 clicks of each arm.
+    probability ``dark_count_prob``, drawn by ``two_arm_clicks`` from
+    ``dark_rngs`` (transmit arm, reflect arm).  By default both arms draw
+    from ``rng`` again, after the signal: the transmit arm's count and
+    slots, then the reflect arm's.  Returns the 0/1 clicks of each arm.
     """
     if alpha_sq < 0 or not 0 <= survival <= 1:
         raise ValueError("alpha_sq must be >= 0 and survival a probability")

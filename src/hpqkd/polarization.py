@@ -87,18 +87,21 @@ def two_arm_clicks(
     """Clicks of a two-arm threshold detector, one boolean per slot and arm.
 
     A signal click lands in the first arm where ``to_first`` holds and in
-    the second arm elsewhere.  Each arm also fires on its own dark count,
-    one ``random(n) < dark_count_prob`` draw from its generator in
-    ``dark_rngs`` (first arm, then second); with no dark counts nothing is
-    drawn.  Exactly one arm firing is conclusive; no click or a double click
-    is an erasure.
+    the second arm elsewhere.  Each arm also fires on its own i.i.d. dark
+    counts: from its generator in ``dark_rngs`` (first arm, then second) it
+    draws ``k = binomial(n, dark_count_prob)`` and then the k slots,
+    ``choice(n, k, replace=False, shuffle=False)``; with no dark counts
+    nothing is drawn.  Exactly one arm firing is conclusive; no click or a
+    double click is an erasure.
     """
+    if not 0 <= dark_count_prob <= 1:
+        raise ValueError(f"dark_count_prob must be in [0, 1], got {dark_count_prob!r}")
     first = signal & to_first
     second = signal & ~to_first
     if dark_count_prob > 0:
-        rng_first, rng_second = dark_rngs
-        first |= rng_first.random(len(first)) < dark_count_prob
-        second |= rng_second.random(len(second)) < dark_count_prob
+        n = len(signal)
+        for arm, rng in zip((first, second), dark_rngs, strict=True):
+            arm[rng.choice(n, rng.binomial(n, dark_count_prob), replace=False, shuffle=False)] = True
     return first, second
 
 

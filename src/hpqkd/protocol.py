@@ -62,27 +62,33 @@ _ROLES = (
 )
 
 #: Layout of the random streams a session consumes, recorded in the
-#: ``simulate`` results.  Layout 3: each role of ``_ROLES`` is one child of
+#: ``simulate`` results.  Layout 4: each role of ``_ROLES`` is one child of
 #: ``SeedSequence(seed)``, read front to back with one array per role and
 #: session.  Every 0/1 array is ``keystream.random_bits``: ``ceil(n / 8)``
 #: bytes ``integers(0, 256, uint8)``, unpacked big-endian.  A weak channel
 #: draws its bits that way (and, in the sifted modes, both parties' bases),
-#: one uniform ``u = random(n)`` per slot on ``photons_ch*``, and one dark
-#: ``random(n)`` per detector.  With p = 1 - exp(-mu) and t the slot's split
-#: law, the signal clicks where ``u < p`` and goes to the upper detector
-#: where ``u < p * t``.  The assisted modes draw R (k = n per channel bits)
-#: on ``r_entropy``, the meso signal click ``random(k) < 1 - exp(-alpha_sq *
-#: survival)`` on ``meso_channel``, and one dark ``random(k)`` per arm on
-#: ``meso_dark_transmit`` and ``meso_dark_reflect``.  No dark stream is
-#: read on a channel without dark counts, and ``routing_ch*`` is never
-#: read.  Each stream holds one kind of draw in slot order, so a reader
-#: that takes it a chunk at a time (32 slots at a time, for the bytes) can
-#: keep this layout.  K' is ``keystream.KEYSTREAM_GENERATOR_ID``.
+#: and one uniform ``u = random(n)`` per slot on ``photons_ch*``.  With
+#: p = 1 - exp(-mu) and t the slot's split law, the signal clicks where
+#: ``u < p`` and goes to the upper detector where ``u < p * t``.  The
+#: assisted modes draw R (k = n per channel bits) on ``r_entropy``, and the
+#: meso signal click ``random(k) < 1 - exp(-alpha_sq * survival)`` on
+#: ``meso_channel``.  Each detector's dark stream (``dark_*_ch*``,
+#: ``meso_dark_transmit`` and ``meso_dark_reflect``) holds one ``binomial``
+#: count and one ``choice`` of that many slots per session
+#: (``polarization.two_arm_clicks``).  No dark stream is read on a channel
+#: without dark counts, and ``routing_ch*`` is never read.  Each other
+#: stream holds one kind of draw in slot order, so a reader that takes it a
+#: chunk at a time (32 slots at a time, for the bytes) can keep this
+#: layout.  K' is ``keystream.KEYSTREAM_GENERATOR_ID``.
+#: Layout 3 drew one dark ``random(n) < d`` per detector and otherwise
+#: matches layout 4.  Both give i.i.d. Bernoulli(d) dark clicks: a
+#: Binomial(n, d) count followed by a uniform k-subset gives each pattern
+#: with k ones the probability d**k (1 - d)**(n - k).
 #: Layout 2 drew ``integers(0, 2, n)`` bits and bases, the weak signal
 #: ``poisson(mu, n) > 0`` and its routing ``random(n)`` on ``routing_ch*``,
 #: with K' from ``blake2b256-ctr-v1``; layout 1 also drew the meso photon
 #: counts ``poisson`` and both meso dark arms from ``meso_channel``.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 
 #: Largest accepted mean photon number of a pulse: far above any physical

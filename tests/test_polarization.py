@@ -73,17 +73,116 @@ class TestTwoArmClicks:
 
     def test_each_arm_reads_its_own_dark_stream_once(self):
         signal, to_first = np.tile(self.SIGNAL, 16), np.tile(self.TO_FIRST, 16)
-        rngs = (np.random.default_rng(1), np.random.default_rng(2))
+        rngs = (_RecordingRng(np.random.default_rng(1)), _RecordingRng(np.random.default_rng(2)))
         first, second = two_arm_clicks(signal, to_first, 0.5, rngs)
-        dark_first = np.random.default_rng(1).random(64) < 0.5
-        dark_second = np.random.default_rng(2).random(64) < 0.5
-        np.testing.assert_array_equal(first, (signal & to_first) | dark_first)
-        np.testing.assert_array_equal(second, (signal & ~to_first) | dark_second)
-        # One draw of 64 from each stream, and nothing more.
+        darks = []
         for rng, seed in zip(rngs, (1, 2)):
+            # One count, then that many slots, from each stream, and nothing more.
+            assert rng.calls == ["binomial", "choice"]
             reference = np.random.default_rng(seed)
-            reference.random(64)
+            dark = np.zeros(64, dtype=bool)
+            dark[reference.choice(64, reference.binomial(64, 0.5), replace=False, shuffle=False)] = True
             assert rng.bit_generator.state == reference.bit_generator.state
+            darks.append(dark)
+        np.testing.assert_array_equal(first, (signal & to_first) | darks[0])
+        np.testing.assert_array_equal(second, (signal & ~to_first) | darks[1])
+
+    @pytest.mark.parametrize("n", (1, 63, 20_001))
+    def test_certain_dark_counts_fire_every_slot(self, n):
+        rngs = (np.random.default_rng(1), np.random.default_rng(2))
+        first, second = two_arm_clicks(np.zeros(n, bool), np.ones(n, bool), 1.0, rngs)
+        assert first.all() and second.all() and len(first) == len(second) == n
+
+    @pytest.mark.parametrize("d", (0.0, 1e-4, 0.5))
+    def test_one_slot(self, d):
+        rngs = (np.random.default_rng(1), np.random.default_rng(2))
+        first, second = two_arm_clicks(np.ones(1, bool), np.ones(1, bool), d, rngs)
+        assert first.tolist() == [True] and second.shape == (1,)
+
+    @pytest.mark.parametrize("d", (-0.1, 1.5, float("nan")))
+    def test_dark_count_prob_outside_the_unit_interval_raises(self, d):
+        rngs = (np.random.default_rng(1), np.random.default_rng(2))
+        with pytest.raises(ValueError, match="dark_count_prob"):
+            two_arm_clicks(self.SIGNAL, self.TO_FIRST, d, rngs)
+
+
+class _RecordingRng:
+    """A generator that records the name of each method called on it."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def record(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        return record
+
+
+def _z_count(hits: int, trials: int, p: float) -> float:
+    """z of a Binomial(trials, p) count, continuity-corrected so that one
+    hit where far less than one is expected does not read as 3 sigma."""
+    mean, sd = trials * p, np.sqrt(trials * p * (1 - p))
+    return float(np.sign(hits - mean) * max(abs(hits - mean) - 0.5, 0) / sd)
+
+
+def _z_two_sample(hits_a: int, n_a: int, hits_b: int, n_b: int) -> float:
+    pooled = (hits_a + hits_b) / (n_a + n_b)
+    if pooled in (0, 1):
+        return 0.0
+    return (hits_a / n_a - hits_b / n_b) / np.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
+
+
+def _layout4_dark(n: int, d: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    no_signal = np.zeros(n, dtype=bool)
+    return two_arm_clicks(no_signal, no_signal, d, rngs)
+
+
+def _layout3_dark(n: int, d: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the stream layout 3 draw, one ``random(n) < d`` per arm."""
+    return rngs[0].random(n) < d, rngs[1].random(n) < d
+
+
+DARK_PROBS = (1e-4, 0.02, 0.5)
+DARK_LENGTHS = (63, 10_001, 200_000)
+#: Slots pooled over calls per (d, n): 50 dark counts per arm at d = 1e-4.
+DARK_POOL_SLOTS = 500_000
+
+
+def _dark_pool(n: int, d: float, draw, seed: int) -> tuple[np.ndarray, int]:
+    """Dark counts pooled over calls, (first arm, second arm, both arms, either arm's first half), and the slots."""
+    rngs = (np.random.default_rng([seed, 1]), np.random.default_rng([seed, 2]))
+    calls = -(-DARK_POOL_SLOTS // n)
+    totals = np.zeros(4, dtype=np.int64)
+    for _ in range(calls):
+        first, second = draw(n, d, rngs)
+        totals += (first.sum(), second.sum(), (first & second).sum(), first[: n // 2].sum() + second[: n // 2].sum())
+    return totals, calls * n
+
+
+@pytest.mark.parametrize("n", DARK_LENGTHS)
+@pytest.mark.parametrize("d", DARK_PROBS)
+def test_dark_counts_follow_bernoulli_law_and_layout3(d, n):
+    """A binomial count and a random subset of slots give each arm i.i.d. Bernoulli(d) dark clicks."""
+    (first, second, both, front), slots = _dark_pool(n, d, _layout4_dark, seed=4)
+    (first_3, second_3, both_3, _), slots_3 = _dark_pool(n, d, _layout3_dark, seed=3)
+    calls, half = slots // n, n // 2
+    z = {
+        "first arm vs n d": _z_count(first, slots, d),
+        "second arm vs n d": _z_count(second, slots, d),
+        "double dark vs n d^2": _z_count(both, slots, d * d),
+        "first half vs second half": _z_two_sample(
+            front, 2 * calls * half, first + second - front, 2 * calls * (n - half)
+        ),
+        "dark vs layout 3": _z_two_sample(first + second, 2 * slots, first_3 + second_3, 2 * slots_3),
+        "double dark vs layout 3": _z_two_sample(both, slots, both_3, slots_3),
+    }
+    assert all(abs(v) < 3 for v in z.values()), z
 
 
 class TestRotate:

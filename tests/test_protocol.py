@@ -666,6 +666,7 @@ class _RecordingRng:
 
 @pytest.mark.parametrize("mode", protocol.MODES)
 def test_session_draws_follow_layout3(mode, monkeypatch):
+    """Layout 4 keeps layout 3's draws, one array per role, except that each dark stream draws a count and then its slots."""
     calls = []
     streams = protocol._streams
     monkeypatch.setattr(
@@ -674,12 +675,21 @@ def test_session_draws_follow_layout3(mode, monkeypatch):
         lambda seed: {role: _RecordingRng(role, rng, calls) for role, rng in streams(seed).items()},
     )
     run_session(config(mode=mode, slots=1001, channel=ChannelModel(length_km=50, dark_count_prob=0.01)))
-    roles = [role for role, _, _ in calls]
-    assert protocol.STREAM_LAYOUT == 3
-    assert len(roles) == len(set(roles)), roles  # one array per role and session
-    assert not [role for role in roles if role.startswith("routing_ch")]
-    assert {name for _, name, _ in calls} == {"random", "integers"}
-    assert all(args[:2] == (0, 256) for _, name, args in calls if name == "integers")
+    assert protocol.STREAM_LAYOUT == 4
+    draws = {}
+    for role, name, args in calls:
+        draws.setdefault(role, []).append((name, args))
+    dark = {role: [name for name, _ in role_draws] for role, role_draws in draws.items() if "dark" in role}
+    channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
+    expected_dark = {f"dark_{arm}_ch{ch}" for arm in ("upper", "lower") for ch in channels}
+    if mode in ("hybrid", "hybrid_parallel"):
+        expected_dark |= {"meso_dark_transmit", "meso_dark_reflect"}
+    assert dark == {role: ["binomial", "choice"] for role in expected_dark}, dark
+    other = {role: role_draws for role, role_draws in draws.items() if "dark" not in role}
+    assert all(len(role_draws) == 1 for role_draws in other.values()), other  # one array per role and session
+    assert not [role for role in other if role.startswith("routing_ch")]
+    assert {name for ((name, _),) in other.values()} == {"random", "integers"}
+    assert all(args[:2] == (0, 256) for ((name, args),) in other.values() if name == "integers")
 
 
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
@@ -691,6 +701,9 @@ def test_session_draws_follow_layout3(mode, monkeypatch):
 #: the transcript popped they hash as before.  All eight moved again with
 #: layout 3 (other weak-channel draws, bits and bases, and a new K'); the
 #: four sifted ones hashed under layout 2 are ``LAYOUT2_SIFTED_DIGESTS``.
+#: Layout 4 moved none of them: at 2000 slots and d = 1e-5 no detector
+#: draws a dark click in either layout.  The ``dark`` channel (d = 0.02)
+#: pins layout 4's dark draws, 40 to 80 per detector.
 GOLDEN_DIGESTS = {
     "default": {
         "baseline_bb84": "95d5ec9418929d44443f81218733d08730128c6a333467d2c2c0684f2d3a6927",
@@ -704,8 +717,18 @@ GOLDEN_DIGESTS = {
         "parallel": "c18f5d302e494578fbbb80e0e83cddb2b0645a708df3b6022c8faf7f81820b58",
         "hybrid_parallel": "37f4f2e03096aa7a6fb0eb39173277116f23eed77b3023f8885ff2d8629f07c9",
     },
+    "dark": {
+        "baseline_bb84": "c2ad78f5926781be3145374ef553ece889c8af1316c84548f59cf3b1d82ac2ab",
+        "hybrid": "0c83f0e63389367c69805cb59846a90f5dad391b58b4aa8b4f828c69e00b4961",
+        "parallel": "d30a2f4a9ef0b8c84fbc397701edae8eaa0616bacba58d310cdb12c3cecc6e84",
+        "hybrid_parallel": "72837023b0e09adcba8b8f12f3a2a3bf686318f622c994a7bcbc27e0f3659bfe",
+    },
 }
-GOLDEN_CHANNELS = {"default": IDEAL, "longhaul": ChannelModel(length_km=100, dark_count_prob=1e-5)}
+GOLDEN_CHANNELS = {
+    "default": IDEAL,
+    "longhaul": ChannelModel(length_km=100, dark_count_prob=1e-5),
+    "dark": ChannelModel(length_km=20, dark_count_prob=0.02),
+}
 
 
 @pytest.mark.parametrize("channel", sorted(GOLDEN_DIGESTS))

@@ -40,15 +40,25 @@ WORKLOADS = {
 
 #: sha256 of ``reporting.data_bytes`` per (workload, command).  The
 #: ``simulate`` digests moved when ``public_transcript`` became the erasure
-#: bitmask (with the transcripts popped the data hashed as before), and again
-#: with session stream layout 3 (``protocol.STREAM_LAYOUT``).
+#: bitmask (with the transcripts popped the data hashed as before), again
+#: with session stream layout 3 (``protocol.STREAM_LAYOUT``), and with layout
+#: 4, whose dark draws move only ``sim-longhaul``; the other two record the
+#: new layout id (``LAYOUT3_SIMULATE_DIGESTS``).
 DATA_DIGESTS = {
-    ("sim-ideal", "simulate"): "694812fde31835c6c8ddea3fa25ca75034871f1219a67230988b998ffff6dd7d",
+    ("sim-ideal", "simulate"): "54a9cb8b1c17d291168b8a5665d5d63ac3b32b0a3aa23d8dc1eecc08e12ed642",
     ("sim-ideal", "attack-sweep"): "046dc1636077f90b0a9561049fce94088b62a9072aec5459ea30cf17c6d4c690",
-    ("sim-longhaul", "simulate"): "931abcd779e2eaa6be737d779f42c59963717a40162d1f45131a80e5d3ccd932",
+    ("sim-longhaul", "simulate"): "8082fc8ee70c248e83558510dd5246bf08601b8b86ef35727fad0d02629a4edb",
     ("sim-longhaul", "attack-sweep"): "228fff42d9710f188457a2abb4639d90783c5ba6c7467e2336772196d3dd1bbf",
-    ("analysis", "simulate"): "4d20b89c44e130721752e3b3f92dd5ef85fb198d79eac1f74fe455b96a338a38",
+    ("analysis", "simulate"): "4d392354f2c650fe2b0c4d469feab262c1dfcf8499030a7d2665de0fc7a7a816",
     ("analysis", "attack-sweep"): "d8524c6af239e4838a30a56634e717f3111c48e788a3002c6ebd3767be5a7a3a",
+}
+
+#: ``simulate`` digests of the lossless workloads under layout 3.  They read
+#: no dark stream, so with ``stream_layout`` put back to 3 their layout-4
+#: data must hash the same.
+LAYOUT3_SIMULATE_DIGESTS = {
+    "sim-ideal": "694812fde31835c6c8ddea3fa25ca75034871f1219a67230988b998ffff6dd7d",
+    "analysis": "4d20b89c44e130721752e3b3f92dd5ef85fb198d79eac1f74fe455b96a338a38",
 }
 
 EXPECTED_OPTICS = pathlib.Path(__file__).with_name("scenario_matrix_optics.json")
@@ -73,6 +83,14 @@ def test_data_matches_pinned_digest(tmp_path, workload, command):
         f"the data of `{command}` on {workload} changed: a change to the numbers must bump a "
         "stream-layout id, or rename the changed field, and give the reason in CHANGES.md"
     )
+
+
+@pytest.mark.parametrize("workload", sorted(LAYOUT3_SIMULATE_DIGESTS))
+def test_lossless_data_moved_only_by_the_layout_id(tmp_path, workload):
+    bundle = _bundle(tmp_path, workload, "simulate")
+    assert bundle["data"]["results"]["stream_layout"] == 4
+    bundle["data"]["results"]["stream_layout"] = 3
+    assert hashlib.sha256(reporting.data_bytes(bundle)).hexdigest() == LAYOUT3_SIMULATE_DIGESTS[workload]
 
 
 def _assert_close(actual, expected, where: str) -> None:
