@@ -31,13 +31,11 @@ from .polarization import (
     stokes_summary,
 )
 from .attacks import (
-    AttackOutcome,
     BruteForceConfig,
     PnsModel,
     amplifier_attack,
     attack_success_curve,
     bob_anomaly_monitor,
-    brute_force_identify,
     pns_exploitable_fraction,
 )
 from .keystream import (
@@ -78,13 +76,11 @@ __all__ = [
     "rotate",
     "stokes_monte_carlo",
     "stokes_summary",
-    "AttackOutcome",
     "BruteForceConfig",
     "PnsModel",
     "amplifier_attack",
     "attack_success_curve",
     "bob_anomaly_monitor",
-    "brute_force_identify",
     "pns_exploitable_fraction",
     "BasisSchedule",
     "ExpandedKey",

@@ -10,93 +10,62 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from .optics import check_params, param
 from .polarization import DetectionCounts, DetectionEvent, TwoModeCoherentState
 
 #: Ties between candidate scores are broken uniformly at random by adding a
 #: jitter far below any physical log-likelihood gap.
 _TIE_JITTER = 1e-9
 
-
-def default_candidate_angles(m_bases: int) -> np.ndarray:
-    """M equally spaced polarization candidates i*pi/M covering [0, pi)."""
-    return np.arange(m_bases) * np.pi / m_bases
+#: Largest accepted ``m_bases``.  The sweep's log-mean table grows as M^2: at
+#: this M a point of 1000 trials peaks at 92 MiB traced (132 MB RSS) and
+#: takes 250-360 us per trial, against 9-17 us at M = 64 (one BLAS thread,
+#: 2-core VM).  Up to this M the only arm a candidate on the grid k*pi/M
+#: predicts dark is its own reflect arm, which ``_identify``'s veto count
+#: relies on.
+MAX_ATTACK_M_BASES = 1024
 
 
 @dataclass(frozen=True)
 class BruteForceConfig:
-    """Candidate set and detectors for the pulse-splitting identification attack.
+    """Candidate count and detectors for the pulse-splitting identification attack.
 
-    One sub-pulse is spent per candidate angle; an analyzer at angle phi
-    resolves phi against its orthogonal partner phi + pi/2.  The attacker's
-    detectors are perfect by default; ``detector_efficiency`` thins the
-    Poisson counts and ``dark_count_mean`` adds spurious counts per arm.
+    The M candidates are the even grid k*pi/M, k = 0..M-1, one sub-pulse
+    each; an analyzer at angle phi resolves phi against its orthogonal
+    partner phi + pi/2.  The attacker's detectors are perfect by default;
+    ``detector_efficiency`` thins the Poisson counts and ``dark_count_mean``
+    adds spurious counts per arm.
     """
 
-    m_bases: int
-    candidate_angles: np.ndarray | None = None
-    detector_efficiency: float = 1.0
-    dark_count_mean: float = 0.0
+    m_bases: int = param(
+        MISSING, "-", "candidate polarization count M for the brute-force attack", low=2, high=MAX_ATTACK_M_BASES
+    )
+    detector_efficiency: float = param(1.0, "probability", "attacker detector efficiency", low=0, high=1)
+    dark_count_mean: float = param(0.0, "counts", "mean attacker dark counts per detector arm", low=0)
 
     def __post_init__(self):
-        if self.m_bases < 1:
-            raise ValueError("m_bases must be positive")
-        for name in ("detector_efficiency", "dark_count_mean"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not 0 <= self.detector_efficiency <= 1:
-            raise ValueError("detector_efficiency must be a probability")
-        if self.dark_count_mean < 0:
-            raise ValueError("dark_count_mean must be >= 0")
-        angles = (
-            default_candidate_angles(self.m_bases)
-            if self.candidate_angles is None
-            else np.asarray(self.candidate_angles, dtype=float)
-        )
-        if len(angles) != self.m_bases:
-            raise ValueError("need exactly m_bases candidate angles")
-        if not np.all((angles >= 0) & (angles < np.pi)):  # NaN fails too
-            raise ValueError("candidate angles must lie in [0, pi)")
-        if np.any(np.diff(angles) <= 0):
-            raise ValueError("candidate angles must be distinct and sorted")
-        object.__setattr__(self, "candidate_angles", angles)
+        check_params(self)
+
+    @property
+    def candidate_angles(self) -> np.ndarray:
+        """The M candidate polarizations k*pi/M, tiling [0, pi)."""
+        return np.arange(self.m_bases) * np.pi / self.m_bases
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
-    """Result of one brute-force identification run.
-
-    ``case_both``/``case_none``/``case_one`` tally the sub-pulses with clicks
-    in both detectors, neither, or exactly one; they always partition the M
-    sub-pulses.  ``success`` means the estimate matches the transmitted
-    polarization.
-    """
-
-    estimated_angle: float
-    case_both: int
-    case_none: int
-    case_one: int
-    success: bool
-
-
-def _hypothesis_tables(angles: np.ndarray, signal_mean: float, dark_mean: float):
-    """Per-arm count means under every (candidate, analyzer) pair, as M x 2M
-    tables over the transmit then reflect arms of every analyzer.
-
-    Returns the log-means, 0 where a mean is exactly 0, and the indicator of
-    those dark arms: one photon observed where a hypothesis predicts a dark
-    arm vetoes that hypothesis.  Counting vetoes apart from the likelihood
-    keeps both exact, so ties break on the jitter and not on rounding.
+def _hypothesis_tables(angles: np.ndarray, signal_mean: float, dark_mean: float) -> np.ndarray:
+    """Log of the per-arm count means under every (candidate, analyzer) pair,
+    as an M x 2M table over the transmit then reflect arms of every analyzer;
+    0 where a mean is exactly 0.
     """
     cos2 = np.cos(angles[:, None] - angles[None, :]) ** 2
     means = np.concatenate(
         [signal_mean * cos2 + dark_mean, signal_mean * (1 - cos2) + dark_mean], axis=1
     )
-    zero = means == 0
-    return np.log(np.where(zero, 1.0, means)), zero.astype(float)
+    return np.log(np.where(means == 0, 1.0, means))
 
 
 #: Trials scored per batched draw in ``estimate_success``.  Part of the
@@ -135,13 +104,16 @@ def _identify(
     """Run ``len(theta)`` identification trials at once.
 
     Trial i splits a pulse of polarization ``theta[i]`` and mean photon
-    number ``signal_mean`` into M sub-pulses and scores every candidate with
-    matrix products against the trial-invariant hypothesis tables.
-    Draw order as documented at ``STREAM_LAYOUT``.
+    number ``signal_mean`` into M equal sub-pulses and analyzes sub-pulse k
+    at candidate angle k*pi/M.  Double clicks eliminate a candidate, silent
+    sub-pulses carry no information, and single-detector clicks mark it as
+    consistent.  Among consistent candidates the estimate has the fewest
+    vetoing photons (a photon where the candidate predicts a dark arm), then
+    the highest log-Poisson likelihood of every count, ties uniform at
+    random; with no consistent candidate it falls back to a uniform random
+    pick.  Draw order as documented at ``STREAM_LAYOUT``.
     """
     m = config.m_bases
-    if m < 2:
-        raise ValueError("brute force needs at least 2 candidates")
     angles = config.candidate_angles
     n = len(theta)
     detected_mean = signal_mean / m * config.detector_efficiency
@@ -165,45 +137,19 @@ def _identify(
     none = ~(clicks_t | clicks_r)
     one = clicks_t ^ clicks_r
 
-    # Fewest vetoing photons first, then the highest log-likelihood.
-    log_means, dark_arms = _hypothesis_tables(angles, detected_mean, dark)
-    vetoes = counts @ dark_arms.T
-    vetoes[~one] = np.inf
-    scores = counts @ log_means.T
+    scores = counts @ _hypothesis_tables(angles, detected_mean, dark).T
     scores += jitter
+    # On this grid the one arm a candidate predicts dark is its own reflect
+    # arm, and only without dark counts.  Vetoes and log-likelihoods are
+    # both exact, so ties break on the jitter and not on rounding.
+    vetoes = counts[:, m:] * (dark == 0)
+    vetoes[~one] = np.inf
     scores[vetoes > vetoes.min(axis=1, keepdims=True)] = -np.inf
     index = np.where(one.any(axis=1), np.argmax(scores, axis=1), fallback)
     estimated = angles[index]
 
     success = np.abs((estimated - theta + np.pi / 2) % np.pi - np.pi / 2) < 1e-9
     return _Batch(estimated, both.sum(axis=1), none.sum(axis=1), one.sum(axis=1), success)
-
-
-def brute_force_identify(
-    pulse: TwoModeCoherentState,
-    config: BruteForceConfig,
-    rng: np.random.Generator,
-) -> AttackOutcome:
-    """Split the pulse across all candidates, measure, and pick the best one.
-
-    The pulse is divided into M equal sub-pulses of mean photon number
-    |alpha|^2 / M with unchanged polarization; sub-pulse i is analyzed at
-    candidate angle phi_i.  Double clicks eliminate a candidate, silent
-    sub-pulses carry no information, and single-detector clicks mark a
-    candidate as consistent.  Among consistent candidates the estimate
-    maximizes the log-Poisson likelihood of every observed count under that
-    candidate's angle (ties uniform at random); with no consistent candidate
-    the estimate falls back to a uniform random pick.  This is one trial of
-    the batched kernel ``estimate_success`` runs.
-    """
-    batch = _identify(np.array([pulse.theta]), config, pulse.mean_photons, rng)
-    return AttackOutcome(
-        estimated_angle=float(batch.estimated_angle[0]),
-        case_both=int(batch.case_both[0]),
-        case_none=int(batch.case_none[0]),
-        case_one=int(batch.case_one[0]),
-        success=bool(batch.success[0]),
-    )
 
 
 @dataclass(frozen=True)
@@ -356,12 +302,11 @@ class PnsModel:
     announced, as in the hybrid protocol.
     """
 
-    mu: float
+    mu: float = param(MISSING, "photons", "mean photon number of the weak pulses", low=0)
     min_exploitable: int = 2
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        check_params(self)
         if self.min_exploitable not in (2, 3):
             raise ValueError("min_exploitable must be 2 or 3")
 

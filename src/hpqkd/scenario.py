@@ -12,6 +12,7 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 
+from .attacks import MAX_ATTACK_M_BASES, BruteForceConfig
 from .optics import FiberLink, ModulationPlan, tuned_fiber
 from .protocol import MAX_PHOTONS, MODES, ChannelModel, SessionConfig
 
@@ -31,14 +32,11 @@ class ScenarioError(ValueError):
 #: (172 MB at 1e6 slots, 306 MB at 2e6), about 1.4 GB.
 MAX_NUM_SLOTS = 10_000_000
 
-#: Largest accepted ``attack_sweep.m_bases``: the hypothesis tables of the
-#: brute-force sweep grow as M^2 (132 MB peak at M = 1024 with 1000 trials).
-MAX_ATTACK_M_BASES = 1024
-
-#: Largest accepted ``attack_sweep.trials``: a grid point takes about 15 us
-#: per trial at M = 64 and 470 us at M = ``MAX_ATTACK_M_BASES`` (memory stays
-#: flat, trials run in blocks), so 1.5 s and 47 s per point at the cap, where
-#: a success rate has a standard error of at most 1.6e-3.
+#: Largest accepted ``attack_sweep.trials``: a grid point takes 9-17 us per
+#: trial at M = 64 and 250-360 us at M = ``MAX_ATTACK_M_BASES`` (one BLAS
+#: thread, 2-core VM; memory stays flat, trials run in blocks), so up to 1.7 s
+#: and 36 s per point at the cap, where a success rate has a standard error
+#: of at most 1.6e-3.
 MAX_ATTACK_TRIALS = 100_000
 
 #: Largest accepted ``attack_sweep.pns_mc_trials``: a PNS row draws 9 B and
@@ -47,8 +45,8 @@ MAX_PNS_MC_TRIALS = 10_000_000
 
 #: Most entries in ``attack_sweep.alpha_sq_over_m_grid``: each entry is one
 #: sweep point, about 13 ms at the default M = 64 and 1000 trials and up to
-#: 47 s at the M and trials caps, so a full grid takes 0.8 s at the defaults
-#: and at most 50 min (six times the default 11 points).
+#: 36 s at the M and trials caps, so a full grid takes 0.8 s at the defaults
+#: and at most 40 min (six times the default 11 points).
 MAX_GRID_POINTS = 64
 
 #: Most entries in ``attack_sweep.pns_mu``: each mean gives one PNS row per
@@ -111,9 +109,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     "plan": _section(ModulationPlan),
     "fiber": _section(FiberLink, length_m=tuned_fiber(ModulationPlan()).length_m),
     "attack_sweep": {
-        "m_bases": _Key(
-            64, "-", "candidate polarization count M for the brute-force attack", low=2, high=MAX_ATTACK_M_BASES
-        ),
+        "m_bases": _section(BruteForceConfig, m_bases=64)["m_bases"],
         "alpha_sq_over_m_grid": _Key(
             [2.0**e for e in range(-4, 7)],
             "-",

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hpqkd.attacks import (
     _TIE_JITTER,
     _TRIAL_BLOCK,
+    MAX_ATTACK_M_BASES,
     STREAM_LAYOUT,
     AnomalyVerdict,
     BruteForceConfig,
@@ -19,8 +21,6 @@ from hpqkd.attacks import (
     amplifier_attack,
     attack_success_curve,
     bob_anomaly_monitor,
-    brute_force_identify,
-    default_candidate_angles,
     estimate_success,
     pns_exploitable_fraction,
     _identify,
@@ -28,33 +28,26 @@ from hpqkd.attacks import (
 from hpqkd.polarization import DetectionCounts, TwoModeCoherentState
 
 
+def brute_force_identify(pulse: TwoModeCoherentState, config: BruteForceConfig, rng) -> SimpleNamespace:
+    """One trial of the batched kernel on ``pulse``, its outcome fields as scalars."""
+    batch = _identify(np.array([pulse.theta]), config, pulse.mean_photons, rng)
+    return SimpleNamespace(**{f.name: getattr(batch, f.name)[0] for f in dataclasses.fields(batch)})
+
+
 class TestConfig:
     def test_default_angles_tile_half_turn(self):
-        angles = default_candidate_angles(8)
+        angles = BruteForceConfig(8).candidate_angles
         assert angles[0] == 0.0
         assert np.allclose(np.diff(angles), np.pi / 8)
         assert angles[-1] < np.pi
 
-    def test_custom_angles_validated(self):
-        with pytest.raises(ValueError):
-            BruteForceConfig(3, candidate_angles=[0.0, 0.5])  # wrong count
-        with pytest.raises(ValueError):
-            BruteForceConfig(2, candidate_angles=[0.5, 0.5])  # not distinct
-        with pytest.raises(ValueError):
-            BruteForceConfig(2, candidate_angles=[0.0, np.pi])  # out of range
-        with pytest.raises(ValueError):
-            BruteForceConfig(2, candidate_angles=[0.7, 0.2])  # unsorted
-
-    def test_first_quadrant_variant_constructible(self):
-        config = BruteForceConfig(4, candidate_angles=np.arange(4) * np.pi / 8)
-        assert config.candidate_angles[-1] == pytest.approx(3 * np.pi / 8)
-
 
 class TestBruteForce:
     def test_requires_two_candidates(self):
-        pulse = TwoModeCoherentState(alpha=1.0, theta=0.0)
-        with pytest.raises(ValueError):
-            brute_force_identify(pulse, BruteForceConfig(1), np.random.default_rng(0))
+        for m in (1, MAX_ATTACK_M_BASES + 1):
+            with pytest.raises(ValueError, match="m_bases must be in"):
+                BruteForceConfig(m)
+        assert BruteForceConfig(MAX_ATTACK_M_BASES).candidate_angles.size == MAX_ATTACK_M_BASES
 
     @given(m=st.integers(2, 24), a_sq=st.floats(0.0, 64.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -162,10 +155,6 @@ class TestBruteForce:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             BruteForceConfig(4, **{name: value})
 
-    def test_non_finite_candidate_angle_rejected(self):
-        with pytest.raises(ValueError):
-            BruteForceConfig(2, candidate_angles=[0.0, np.nan])
-
 
 def _reference_identify(theta, config, signal_mean, rng):
     """Scalar reference for ``_identify``.
@@ -192,6 +181,7 @@ def _reference_identify(theta, config, signal_mean, rng):
     mean_r = detected_mean * (1 - cos2) + dark
     log_t = np.log(np.where(mean_t > 0, mean_t, 1.0))
     log_r = np.log(np.where(mean_r > 0, mean_r, 1.0))
+    dark_t, dark_r = (mean_t == 0).astype(float), (mean_r == 0).astype(float)
     estimates = []
     for i in range(n):
         both = (counts_t[i] > 0) & (counts_r[i] > 0)
@@ -200,21 +190,37 @@ def _reference_identify(theta, config, signal_mean, rng):
         if not one.any():
             estimates.append(angles[fallback[i]])
             continue
-        vetoes = (mean_t == 0) @ counts_t[i] + (mean_r == 0) @ counts_r[i]
+        vetoes = dark_t @ counts_t[i] + dark_r @ counts_r[i]
         scores = log_t @ counts_t[i] + log_r @ counts_r[i] + jitter[i]
         scores = np.where(one & (vetoes == vetoes[one].min()), scores, -np.inf)
         estimates.append(angles[int(np.argmax(scores))])
     return np.array(estimates)
 
 
+@pytest.mark.parametrize(
+    "m", list(range(2, 65)) + [2**k for k in range(7, MAX_ATTACK_M_BASES.bit_length())]
+)
+def test_only_dark_arm_is_each_candidates_own_reflect_arm(m):
+    """Without dark counts, the arms a candidate on the grid k*pi/M predicts
+    dark are exactly its own reflect arm, which is all ``_identify`` counts
+    as vetoes.  The means are those of ``_reference_identify``.
+    """
+    angles = BruteForceConfig(m).candidate_angles
+    cos2 = np.cos(angles[:, None] - angles[None, :]) ** 2
+    for signal_mean in (1.0, 1e-3, 1e-12):
+        assert not (signal_mean * cos2 == 0).any()
+        np.testing.assert_array_equal(signal_mean * (1 - cos2) == 0, np.eye(m, dtype=bool))
+
+
 class TestStreamLayout:
     @pytest.mark.parametrize("dark", [0.0, 0.05])
-    @pytest.mark.parametrize("m", [2, 8, 64])
+    @pytest.mark.parametrize("m", [2, 3, 8, 64, MAX_ATTACK_M_BASES])
     def test_batched_kernel_matches_scalar_reference(self, m, dark):
         config = BruteForceConfig(m, dark_count_mean=dark)
         rng = np.random.default_rng([m, int(dark > 0)])
+        trials = 300 if m <= 64 else 50  # the scalar reference costs O(M^2) per trial
         for ratio in (0.0, 1 / 16, 1.0, 4.0, 64.0):
-            theta = config.candidate_angles[rng.integers(0, m, 300)]
+            theta = config.candidate_angles[rng.integers(0, m, trials)]
             replay = copy.deepcopy(rng)
             batch = _identify(theta, config, ratio * m, rng)
             expected = _reference_identify(theta, config, ratio * m, replay)
@@ -420,5 +426,8 @@ class TestPns:
     def test_validation(self):
         with pytest.raises(ValueError):
             PnsModel(mu=-0.1)
+        for mu in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                PnsModel(mu=mu)
         with pytest.raises(ValueError):
             PnsModel(mu=0.1, min_exploitable=4)

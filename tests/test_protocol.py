@@ -60,11 +60,14 @@ def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actua
 
     The detection pass written slot by slot: a float fringe phase per slot,
     the split law evaluated on every one of them, and Bob's bit chosen with
-    ``np.where``.  Layout 3 draws one uniform per slot, a signal below
-    p = 1 - exp(-mu) and the upper detector below p * t; layout 2 draws
-    ``integers(0, 2)`` bits, ``poisson(mu) > 0`` signals and a separate
-    routing uniform.  It draws from the streams in the engine's order, so on
-    equal streams the layout-3 pass and the engine must agree bit for bit.
+    ``np.where``.  ``layout=3`` draws the layout-3 weak channel, one uniform
+    per slot, a signal below p = 1 - exp(-mu) and the upper detector below
+    p * t, with the engine's layout-4 dark clicks (``two_arm_clicks``).
+    ``layout=2`` draws ``integers(0, 2)`` bits, ``poisson(mu) > 0`` signals,
+    a separate routing uniform and one ``random(n) < d`` dark draw per arm,
+    upper stream first, none at d = 0.  It draws from the streams in the
+    engine's order, so on equal streams the layout-3 pass and the engine
+    must agree bit for bit.
     """
     n = config.num_slots
     ch = config.channel
@@ -88,7 +91,13 @@ def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actua
         signal = streams[f"photons_ch{channel}"].poisson(mu, n) > 0
         to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
     dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
-    click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
+    if layout == 3:
+        click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
+    else:
+        click_upper, click_lower = signal & to_upper, signal & ~to_upper
+        if ch.dark_count_prob > 0:
+            click_upper |= dark_rngs[0].random(n) < ch.dark_count_prob
+            click_lower |= dark_rngs[1].random(n) < ch.dark_count_prob
     bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
     return protocol._ChannelRun(bits, click_upper, click_lower, click_upper ^ click_lower, bob_bits)
 
