@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass
 
 import numpy as np
@@ -211,6 +210,9 @@ def attack_success_curve(
     args = (alpha_sq_grid, [m_bases] * points, [trials] * points, rng.spawn(points))
     processes = min(workers, points, os.cpu_count() or 1)
     if processes > 1:
+        # Imported here: the process machinery costs every other command about 15 ms of start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             return list(pool.map(estimate_success, *args))
     return list(map(estimate_success, *args))

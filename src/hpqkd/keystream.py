@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import DetectionCounts, two_arm_clicks
+from .polarization import DetectionCounts, add_clicks, two_arm_clicks
 
 #: Identifier of the key-expansion keystream: block i is the first
 #: 65 536 bytes of SHAKE256(domain || len(seed) as one byte || seed || i as
@@ -27,8 +27,8 @@ _MIN_SEED_BITS = 64
 _MAX_SEED_BITS = 512
 
 #: Largest basis count M: the M angles D*pi/(2M) stay distinct floats below
-#: pi/2.  At 2**53 neighbours collide, from 2**54 the top word rounds onto
-#: pi/2 (the wrong quadrant), and from 2**64 the int64 basis words wrap.
+#: pi/2.  At 2**53 neighbours collide, and from 2**54 the top word rounds
+#: onto pi/2 (the wrong quadrant).
 MAX_M_BASES = 2**52
 
 
@@ -138,35 +138,45 @@ def bits_per_slot(m_bases: int) -> int:
 
 @dataclass(frozen=True)
 class BasisSchedule:
-    """Per-slot basis index and encoded bit.
+    """Per-slot basis parity and encoded bit.
 
-    ``basis_index`` is the log2(M)-bit word D read big-endian from the
-    expanded key; the first-quadrant angle of basis D is D*pi/(2*M) and its
-    orthogonal partner sits a quarter turn away.  The transmitted angle is
-    in the first quadrant exactly when parity(D) XOR bit == 0.  The words
-    come from K' alone, so the receiver decodes with the same array.
+    Slot i's basis is the log2(M)-bit word D read big-endian from bits
+    [i log2(M), (i + 1) log2(M)) of the expanded key; its first-quadrant
+    angle is D*pi/(2*M) and its orthogonal partner sits a quarter turn
+    away.  The transmitted angle is in the first quadrant exactly when
+    parity(D) XOR bit == 0, and nothing else of D is ever read, so the
+    schedule holds ``parity``, the word's last bit, as uint8.  It comes
+    from K' alone, so the receiver decodes with the same array.
     """
 
     m_bases: int
-    basis_index: np.ndarray
+    parity: np.ndarray
     bit: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.basis_index)
+        return len(self.parity)
 
 
-def _basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
+def _parities(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
+    """parity(D) of each whole log2(M)-bit word of K', read from the packed bytes.
+
+    A whole-byte word's parity is the low bit of its last byte.  Otherwise
+    eight words fill log2(M) bytes, so the words at one position of such a
+    group sit ``log2(M)`` bytes apart, their last bit always at the same
+    place in the byte: one strided column per position.
+    """
     bits_per = bits_per_slot(m_bases)
     slots = len(kprime) // bits_per
-    if bits_per % 8 == 0:  # whole bytes per word: join the key's bytes
-        columns, shift = kprime.packed[: slots * bits_per // 8].reshape(slots, bits_per // 8).T, 8
-    else:
-        columns, shift = np.unpackbits(kprime.packed, count=slots * bits_per).reshape(slots, bits_per).T, 1
-    words = columns[0].astype(np.int64)
-    for column in columns[1:]:  # most significant first
-        words <<= shift
-        words |= column
-    return words
+    if bits_per % 8 == 0:
+        step = bits_per // 8
+        return kprime.packed[step - 1 :: step][:slots] & 1
+    parity = np.empty(slots, dtype=np.uint8)
+    for position in range(min(8, slots)):
+        last = (position + 1) * bits_per - 1  # the word's last bit, counted from its group's start
+        column = parity[position::8]
+        np.right_shift(kprime.packed[last >> 3 :: bits_per][: len(column)], 7 - (last & 7), out=column)
+        column &= 1
+    return parity
 
 
 def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> BasisSchedule:
@@ -177,12 +187,12 @@ def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> Ba
     partner in the second quadrant.
     """
     r = np.asarray(r, dtype=np.uint8)
-    words = _basis_words(kprime, m_bases)
-    if len(r) != len(words):
+    parity = _parities(kprime, m_bases)
+    if len(r) != len(parity):
         raise ValueError(
-            f"data length {len(r)} != floor(|K'| / log2(M)) = {len(words)}"
+            f"data length {len(r)} != floor(|K'| / log2(M)) = {len(parity)}"
         )
-    return BasisSchedule(m_bases=m_bases, basis_index=words, bit=r)
+    return BasisSchedule(m_bases=m_bases, parity=parity, bit=r)
 
 
 @dataclass(frozen=True)
@@ -198,22 +208,22 @@ class DecodedBits:
     erasure: np.ndarray
 
 
-def bob_decode(basis_words: np.ndarray, counts: DetectionCounts) -> DecodedBits:
-    """Decode per-slot detection counts with the shared basis words.
+def bob_decode(parity: np.ndarray, counts: DetectionCounts) -> DecodedBits:
+    """Decode per-slot detection counts with the shared basis parities.
 
-    ``basis_words`` are the words D that both parties read from K' (a
-    schedule's ``basis_index``: they do not depend on the data bits, so the
-    session builds them once).  The receiver analyzes at each word's
+    ``parity`` holds parity(D) of the words D that both parties read from
+    K' (a schedule's ``parity``: it does not depend on the data bits, so the
+    session builds it once).  The receiver analyzes at each word's
     first-quadrant angle, so a transmit-arm click decodes to parity(D), the
     bit that maps to the first quadrant, and a reflect-arm click to the
     other bit.
     """
-    words = np.asarray(basis_words)
-    if len(counts) != len(words):
-        raise ValueError(f"got counts for {len(counts)} slots, expected {len(words)}")
+    parity = np.asarray(parity, dtype=np.uint8)
+    if len(counts) != len(parity):
+        raise ValueError(f"got counts for {len(counts)} slots, expected {len(parity)}")
     clicked_r = counts.counts_reflect > 0
     erasure = ~((counts.counts_transmit > 0) ^ clicked_r)
-    bits = (words & 1).astype(np.uint8) ^ clicked_r
+    bits = parity ^ clicked_r
     return DecodedBits(bits=bits, erasure=erasure)
 
 
@@ -230,18 +240,21 @@ def simulate_meso_transmission(
     Each slot carries a coherent pulse of mean photon number ``alpha_sq`` at
     the scheduled angle, thinned by ``survival`` (loss and detector
     efficiency).  Only whether an arm fired is ever read, so the pulse is
-    drawn as a click, ``rng.random(n) < 1 - exp(-alpha_sq * survival)``,
-    which is exactly P(Poisson > 0).  The analyzer always sits at the slot's
-    first-quadrant angle, so the click lands in one arm, the transmit arm
-    iff parity(D) == bit.  Each arm also fires on a dark count with
-    probability ``dark_count_prob``, drawn by ``two_arm_clicks`` from
-    ``dark_rngs`` (transmit arm, reflect arm).  By default both arms draw
-    from ``rng`` again, after the signal: the transmit arm's count and
-    slots, then the reflect arm's.  Returns the 0/1 clicks of each arm.
+    drawn as a click with p = 1 - exp(-alpha_sq * survival), which is
+    exactly P(Poisson > 0): one ``polarization.add_clicks`` field from
+    ``rng``.  The analyzer always sits at the slot's first-quadrant angle,
+    so the click lands in one arm, the transmit arm iff parity(D) == bit.
+    Each arm also fires on a dark count with probability
+    ``dark_count_prob``, drawn by ``two_arm_clicks`` from ``dark_rngs``
+    (transmit arm, reflect arm).  By default both arms draw from ``rng``
+    again, after the signal: the transmit arm's field, then the reflect
+    arm's.  NaN or a negative ``alpha_sq`` raises ``ValueError``.  Returns
+    the 0/1 clicks of each arm.
     """
-    if alpha_sq < 0 or not 0 <= survival <= 1:
-        raise ValueError("alpha_sq must be >= 0 and survival a probability")
-    signal = rng.random(len(schedule)) < -np.expm1(-alpha_sq * survival)
-    aligned = (schedule.basis_index & 1) == schedule.bit
+    if not alpha_sq >= 0 or not 0 <= survival <= 1:  # NaN fails both
+        raise ValueError(f"alpha_sq must be >= 0 and survival a probability, got {alpha_sq!r} and {survival!r}")
+    signal = np.zeros(len(schedule), dtype=bool)
+    add_clicks(signal, -np.expm1(-alpha_sq * survival), rng)
+    aligned = schedule.parity == schedule.bit
     click_t, click_r = two_arm_clicks(signal, aligned, dark_count_prob, dark_rngs or (rng, rng))
     return DetectionCounts(click_t.view(np.uint8), click_r.view(np.uint8))

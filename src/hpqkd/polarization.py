@@ -78,6 +78,62 @@ class DetectionCounts:
         return len(self.counts_transmit)
 
 
+#: Click fields with p <= SPARSE_CLICK_PROB are drawn as a count and a subset
+#: of slots, and those with p >= 1 - SPARSE_CLICK_PROB as a count and a
+#: subset of quiet slots; see ``add_clicks``.
+SPARSE_CLICK_PROB = 1 / 16
+
+#: Uniforms drawn at a time (128 KiB of float64) where a field is dense.
+CLICK_BLOCK = 2**14
+
+
+def uniform_blocks(rng: np.random.Generator, n: int):
+    """``rng.random(n)`` in blocks of ``CLICK_BLOCK``: yields (slot slice, uniforms).
+
+    Consecutive ``random`` draws concatenate to one draw of their total
+    length, so the values equal those of one ``random(n)``; only one block
+    is held at a time.
+    """
+    for start in range(0, n, CLICK_BLOCK):
+        stop = min(start + CLICK_BLOCK, n)
+        yield slice(start, stop), rng.random(stop - start)
+
+
+def sparse_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The slots of an i.i.d. Bernoulli(p) field over n slots that hold a one.
+
+    ``k = binomial(n, p)``, then ``choice(n, k, replace=False, shuffle=False)``:
+    a Binomial(n, p) count followed by a uniform k-subset gives each pattern
+    with k ones the probability p**k (1 - p)**(n - k).
+    """
+    return rng.choice(n, rng.binomial(n, p), replace=False, shuffle=False)
+
+
+def add_clicks(field: np.ndarray, p: float, rng: np.random.Generator) -> None:
+    """OR an i.i.d. Bernoulli(p) click field into the boolean ``field``, in place.
+
+    The draw depends on p.  Up to ``SPARSE_CLICK_PROB`` it draws the click
+    slots (``sparse_slots``), nothing at p = 0.  From 1 - ``SPARSE_CLICK_PROB``
+    on it draws the quiet slots with 1 - p, which is exact there (Sterbenz),
+    so the law is that of ``random(n) < p``; at p = 1 the draw is empty.  In
+    between it draws ``random(n) < p`` in blocks (``uniform_blocks``).
+    """
+    if not 0 <= p <= 1:
+        raise ValueError(f"click probability must be in [0, 1], got {p!r}")
+    n = len(field)
+    if p <= SPARSE_CLICK_PROB:
+        if p > 0:
+            field[sparse_slots(n, p, rng)] = True
+    elif p >= 1 - SPARSE_CLICK_PROB:
+        quiet = sparse_slots(n, 1 - p, rng)
+        kept = field[quiet]
+        field.fill(True)
+        field[quiet] = kept
+    else:
+        for block, u in uniform_blocks(rng, n):
+            field[block] |= u < p
+
+
 def two_arm_clicks(
     signal: np.ndarray,
     to_first: np.ndarray,
@@ -88,20 +144,17 @@ def two_arm_clicks(
 
     A signal click lands in the first arm where ``to_first`` holds and in
     the second arm elsewhere.  Each arm also fires on its own i.i.d. dark
-    counts: from its generator in ``dark_rngs`` (first arm, then second) it
-    draws ``k = binomial(n, dark_count_prob)`` and then the k slots,
-    ``choice(n, k, replace=False, shuffle=False)``; with no dark counts
-    nothing is drawn.  Exactly one arm firing is conclusive; no click or a
-    double click is an erasure.
+    counts, drawn by ``add_clicks`` from its generator in ``dark_rngs``
+    (first arm, then second); with no dark counts nothing is drawn.  Exactly
+    one arm firing is conclusive; no click or a double click is an erasure.
     """
     if not 0 <= dark_count_prob <= 1:
         raise ValueError(f"dark_count_prob must be in [0, 1], got {dark_count_prob!r}")
     first = signal & to_first
     second = signal & ~to_first
     if dark_count_prob > 0:
-        n = len(signal)
         for arm, rng in zip((first, second), dark_rngs, strict=True):
-            arm[rng.choice(n, rng.binomial(n, dark_count_prob), replace=False, shuffle=False)] = True
+            add_clicks(arm, dark_count_prob, rng)
     return first, second
 
 

@@ -24,7 +24,7 @@ from .optics import (
     require_tuned,
     split_upper_probability,
 )
-from .polarization import two_arm_clicks
+from .polarization import SPARSE_CLICK_PROB, sparse_slots, two_arm_clicks, uniform_blocks
 
 MODES = ("baseline_bb84", "hybrid", "parallel", "hybrid_parallel")
 
@@ -62,24 +62,40 @@ _ROLES = (
 )
 
 #: Layout of the random streams a session consumes, recorded in the
-#: ``simulate`` results.  Layout 4: each role of ``_ROLES`` is one child of
-#: ``SeedSequence(seed)``, read front to back with one array per role and
-#: session.  Every 0/1 array is ``keystream.random_bits``: ``ceil(n / 8)``
-#: bytes ``integers(0, 256, uint8)``, unpacked big-endian.  A weak channel
-#: draws its bits that way (and, in the sifted modes, both parties' bases),
-#: and one uniform ``u = random(n)`` per slot on ``photons_ch*``.  With
-#: p = 1 - exp(-mu) and t the slot's split law, the signal clicks where
-#: ``u < p`` and goes to the upper detector where ``u < p * t``.  The
-#: assisted modes draw R (k = n per channel bits) on ``r_entropy``, and the
-#: meso signal click ``random(k) < 1 - exp(-alpha_sq * survival)`` on
-#: ``meso_channel``.  Each detector's dark stream (``dark_*_ch*``,
-#: ``meso_dark_transmit`` and ``meso_dark_reflect``) holds one ``binomial``
-#: count and one ``choice`` of that many slots per session
-#: (``polarization.two_arm_clicks``).  No dark stream is read on a channel
-#: without dark counts, and ``routing_ch*`` is never read.  Each other
-#: stream holds one kind of draw in slot order, so a reader that takes it a
-#: chunk at a time (32 slots at a time, for the bytes) can keep this
-#: layout.  K' is ``keystream.KEYSTREAM_GENERATOR_ID``.
+#: ``simulate`` results.  Layout 5: each role of ``_ROLES`` is one child of
+#: ``SeedSequence(seed)``, read front to back, once per session.  Every 0/1
+#: array is ``keystream.random_bits``: ``ceil(n / 8)`` bytes
+#: ``integers(0, 256, uint8)``, unpacked big-endian.  A weak channel draws
+#: its bits that way (and, in the sifted modes, both parties' bases), and
+#: the assisted modes draw R (k = n per channel bits) on ``r_entropy``.
+#: Every i.i.d. Bernoulli(p) click field over n slots is one
+#: ``polarization.add_clicks`` draw, in one of three regimes cut at
+#: p = 1/16 and p = 15/16 (``polarization.SPARSE_CLICK_PROB``):
+#:
+#: - p <= 1/16: ``k = binomial(n, p)``, then ``choice(n, k, replace=False,
+#:   shuffle=False)`` gives the click slots; nothing is drawn at p = 0.
+#: - p >= 15/16: the same draw with 1 - p gives the quiet slots.  1 - p is
+#:   exact there (Sterbenz), so the law is that of ``random(n) < p``.
+#: - in between: ``random(n) < p``, drawn in blocks of 2**14 uniforms
+#:   (``polarization.CLICK_BLOCK``), which concatenate to one ``random(n)``.
+#:
+#: Each detector's dark stream (``dark_*_ch*``, ``meso_dark_transmit`` and
+#: ``meso_dark_reflect``) holds one such field with p = d, and
+#: ``meso_channel`` one with p = 1 - exp(-alpha_sq * survival), the meso
+#: signal click.  On ``photons_ch*`` a weak channel with p = 1 - exp(-mu)
+#: and split law t draws, when p <= 1/16, the click slots as above and then
+#: one ``random(k)`` routing uniform per click slot, in the order ``choice``
+#: returned them, upper where u < t; otherwise one uniform u per slot, in
+#: blocks, with a click where u < p, upper where u < p * t.  Either way
+#: P(upper) = p t and P(lower) = p (1 - t).  ``routing_ch*`` is never read.
+#: The byte streams and the block-drawn uniforms hold one kind of draw in
+#: slot order, so a reader that takes them a chunk at a time (32 slots at a
+#: time, for the bytes) can keep this layout; a count-and-subset field is
+#: drawn once per session.  K' is ``keystream.KEYSTREAM_GENERATOR_ID``, and
+#: only the parity of each basis word is read from it.
+#: Layout 4 drew every weak channel and meso signal click as one
+#: ``random(n)`` and every dark field as a count and subset, at any p.  Its
+#: middle-regime fields are layout 5's byte for byte.
 #: Layout 3 drew one dark ``random(n) < d`` per detector and otherwise
 #: matches layout 4.  Both give i.i.d. Bernoulli(d) dark clicks: a
 #: Binomial(n, d) count followed by a uniform k-subset gives each pattern
@@ -88,7 +104,7 @@ _ROLES = (
 #: ``poisson(mu, n) > 0`` and its routing ``random(n)`` on ``routing_ch*``,
 #: with K' from ``blake2b256-ctr-v1``; layout 1 also drew the meso photon
 #: counts ``poisson`` and both meso dark arms from ``meso_channel``.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 
 #: Largest accepted mean photon number of a pulse: far above any physical
@@ -280,21 +296,31 @@ def _run_channel(
     table = split_upper_probability(
         config.plan, config.fiber, channel, (a * _HALF_PI + b * np.pi) - c * _HALF_PI
     )
-    if table is None:
+    if table is None:  # no signal, so nothing reads the table
         mu = 0.0
-        table = np.full(len(a), 0.5)
         upper_bit = 0
     else:
         mu = ch.mu_weak * ch.survival_probability
         upper_bit = 0 if table[0] >= 0.5 else 1  # combination 0 sits at phase 0.0
     key = (alice_basis << 2) | (bits << 1) | bob_basis_actual
 
-    # One uniform per slot: a signal click below p, routed upper below p * t.
+    # A signal click with p, routed upper with the slot's t: p * t in all.
     p_click = -np.expm1(-mu)
-    upper_table = p_click * table
-    u = streams[f"photons_ch{channel}"].random(n)
-    signal = u < p_click
-    to_upper = u < upper_table[key]
+    rng = streams[f"photons_ch{channel}"]
+    if p_click <= SPARSE_CLICK_PROB:  # the click slots, then one routing uniform each
+        signal = np.zeros(n, dtype=bool)
+        to_upper = np.zeros(n, dtype=bool)
+        if p_click > 0:
+            slots = sparse_slots(n, p_click, rng)
+            signal[slots] = True
+            to_upper[slots[rng.random(len(slots)) < table[key[slots]]]] = True
+    else:  # one uniform per slot: a click below p, routed upper below p * t
+        signal = np.empty(n, dtype=bool)
+        to_upper = np.empty(n, dtype=bool)
+        upper_table = p_click * table
+        for block, u in uniform_blocks(rng, n):
+            np.less(u, p_click, out=signal[block])
+            np.less(u, upper_table[key[block]], out=to_upper[block])
     dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
     click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     conclusive = click_upper ^ click_lower
@@ -325,8 +351,8 @@ def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
         dark_count_prob=ch.dark_count_prob,
         dark_rngs=(streams["meso_dark_transmit"], streams["meso_dark_reflect"]),
     )
-    # Both parties derive the same words from K'; they are built once.
-    return ks.bob_decode(schedule.basis_index, counts)
+    # Both parties derive the same parities from K'; they are built once.
+    return ks.bob_decode(schedule.parity, counts)
 
 
 def run_session(config: SessionConfig) -> SessionReport:

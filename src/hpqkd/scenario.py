@@ -23,13 +23,12 @@ class ScenarioError(ValueError):
     """Scenario file could not be parsed or validated."""
 
 
-#: Largest accepted ``simulate.num_slots``: all four modes hold about 51 B
-#: per slot at M = 256 on any link (89 MB peak RSS at 1e6 slots on both the
-#: lossless and the 100-km, 1e-5-dark link, 140 MB at 2e6; 35 MB of it the
-#: imported package), so a run stays near 0.55 GB.  K' is held packed, but
-#: basis words that are not whole bytes are unpacked to one byte per key
-#: bit, so at M = ``keystream.MAX_M_BASES`` a run holds about 134 B per slot
-#: (172 MB at 1e6 slots, 306 MB at 2e6), about 1.4 GB.
+#: Largest accepted ``simulate.num_slots``: all four modes hold about 25 B
+#: per slot on any link and at any M (61 MB peak RSS at 1e6 slots on the
+#: lossless and the 100-km, 1e-5-dark link, 86 MB at 2e6, at M = 256 and at
+#: M = ``keystream.MAX_M_BASES``; 33 MB of it the imported package), so a
+#: run at this cap peaks near 0.28 GB (280 MB measured at M = 256, 271 MB
+#: at 2**52).  Past memory, the cap bounds time: about 1.5 to 2.5 s a run.
 MAX_NUM_SLOTS = 10_000_000
 
 #: Largest accepted ``attack_sweep.trials``: a grid point takes 9-17 us per

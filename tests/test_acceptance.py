@@ -275,10 +275,10 @@ def test_criterion_09_distinguishability():
     )
 
 
-def _transmit_angle(schedule) -> np.ndarray:
-    """Reference: the angle D*pi/(2M), a quarter turn further when parity(D) XOR bit == 1."""
-    second_quadrant = (schedule.basis_index % 2).astype(np.uint8) ^ schedule.bit
-    return schedule.basis_index * np.pi / (2 * schedule.m_bases) + second_quadrant * (np.pi / 2)
+def _transmit_angle(word: int, schedule) -> np.ndarray:
+    """Reference: the angle D*pi/(2M) of word D, a quarter turn further when the schedule's parity(D) XOR bit == 1."""
+    second_quadrant = schedule.parity ^ schedule.bit
+    return word * np.pi / (2 * schedule.m_bases) + second_quadrant * (np.pi / 2)
 
 
 def test_criterion_10_key_pipeline_round_trip():
@@ -291,7 +291,7 @@ def test_criterion_10_key_pipeline_round_trip():
     r = generate_r(slots, rng)
     schedule = build_basis_schedule(kprime, r, m)
     events = simulate_meso_transmission(schedule, alpha_sq=25.0, rng=rng)
-    decoded = bob_decode(schedule.basis_index, events)
+    decoded = bob_decode(schedule.parity, events)
     erasure_rate = float(decoded.erasure.mean())
     valid = ~decoded.erasure
     error_rate = float(np.mean(decoded.bits[valid] != r[valid]))
@@ -310,7 +310,7 @@ def test_criterion_10_key_pipeline_round_trip():
                     seed_fingerprint="case",
                 )
                 sched = build_basis_schedule(kp, np.array([bit], dtype=np.uint8), m_cases)
-                angle = _transmit_angle(sched)[0]
+                angle = _transmit_angle(word, sched)[0]
                 in_first = angle < np.pi / 2
                 quadrant_ok = quadrant_ok and (in_first == ((word % 2) ^ bit == 0))
                 base = word * np.pi / (2 * m_cases)

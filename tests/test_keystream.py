@@ -62,20 +62,39 @@ def shake256_keystream(seed: bytes, target_bits: int) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def first_quadrant_angle(basis_index, m_bases: int) -> np.ndarray:
+def basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
+    """Reference: the whole log2(M)-bit words D of K', read big-endian, as int64.
+
+    Whole-byte words join the key's bytes; other widths join its unpacked
+    bits.  The schedule holds only parity(D), which must equal ``D & 1``.
+    """
+    bits_per = bits_per_slot(m_bases)
+    slots = len(kprime) // bits_per
+    if bits_per % 8 == 0:
+        columns, shift = kprime.packed[: slots * bits_per // 8].reshape(slots, bits_per // 8).T, 8
+    else:
+        columns, shift = np.unpackbits(kprime.packed, count=slots * bits_per).reshape(slots, bits_per).T, 1
+    words = columns[0].astype(np.int64)
+    for column in columns[1:]:  # most significant first
+        words <<= shift
+        words |= column
+    return words
+
+
+def first_quadrant_angle(words, m_bases: int) -> np.ndarray:
     """Reference: the first-quadrant angle D*pi/(2M) of basis word D."""
-    return np.asarray(basis_index) * np.pi / (2 * m_bases)
+    return np.asarray(words) * np.pi / (2 * m_bases)
 
 
-def transmit_angle(schedule) -> np.ndarray:
+def transmit_angle(words, schedule) -> np.ndarray:
     """Reference: each slot's transmit angle, in the second quadrant when parity(D) XOR bit == 1."""
-    second_quadrant = (schedule.basis_index % 2).astype(np.uint8) ^ schedule.bit
-    return first_quadrant_angle(schedule.basis_index, schedule.m_bases) + second_quadrant * (np.pi / 2)
+    second_quadrant = schedule.parity ^ schedule.bit
+    return first_quadrant_angle(words, schedule.m_bases) + second_quadrant * (np.pi / 2)
 
 
-def _analyzer_angles(schedule) -> np.ndarray:
+def _analyzer_angles(words, m_bases: int) -> np.ndarray:
     """First-quadrant analyzer setting for each slot (receiver side)."""
-    return first_quadrant_angle(schedule.basis_index, schedule.m_bases)
+    return first_quadrant_angle(words, m_bases)
 
 
 class TestSeedKey:
@@ -204,26 +223,23 @@ class TestRandomStream:
 
 
 class TestSchedule:
-    def _schedule_for(self, words_bits, r, m):
-        return build_basis_schedule(packed_key(words_bits), np.asarray(r, dtype=np.uint8), m)
+    def _angle_for(self, words_bits, r, m):
+        kprime = packed_key(words_bits)
+        return transmit_angle(basis_words(kprime, m), build_basis_schedule(kprime, np.asarray(r, dtype=np.uint8), m))
 
     def test_even_word_bit_zero_first_quadrant(self):
-        schedule = self._schedule_for([0, 0, 0, 0], [0], 16)
-        assert transmit_angle(schedule)[0] == pytest.approx(0.0)
+        assert self._angle_for([0, 0, 0, 0], [0], 16)[0] == pytest.approx(0.0)
 
     def test_odd_word_bit_zero_second_quadrant(self):
         m = 16
-        schedule = self._schedule_for([0, 0, 0, 1], [0], m)
-        assert transmit_angle(schedule)[0] == pytest.approx(np.pi / (2 * m) + np.pi / 2)
+        assert self._angle_for([0, 0, 0, 1], [0], m)[0] == pytest.approx(np.pi / (2 * m) + np.pi / 2)
 
     def test_odd_word_bit_one_first_quadrant(self):
         m = 16
-        schedule = self._schedule_for([0, 0, 0, 1], [1], m)
-        assert transmit_angle(schedule)[0] == pytest.approx(np.pi / (2 * m))
+        assert self._angle_for([0, 0, 0, 1], [1], m)[0] == pytest.approx(np.pi / (2 * m))
 
     def test_even_word_bit_one_second_quadrant(self):
-        schedule = self._schedule_for([0, 0, 1, 0], [1], 16)
-        assert transmit_angle(schedule)[0] == pytest.approx(2 * np.pi / 32 + np.pi / 2)
+        assert self._angle_for([0, 0, 1, 0], [1], 16)[0] == pytest.approx(2 * np.pi / 32 + np.pi / 2)
 
     @pytest.mark.parametrize("m", [2, 4, 64, 256, 1024, 2**16, 2**48])
     def test_basis_words_are_big_endian(self, m):
@@ -234,8 +250,18 @@ class TestSchedule:
             int("".join(str(b) for b in key_bits(kprime)[i * bits_per : (i + 1) * bits_per]), 2)
             for i in range(50)
         ]
-        assert schedule.basis_index.dtype == np.int64
-        assert schedule.basis_index.tolist() == expected
+        assert basis_words(kprime, m).tolist() == expected
+        assert schedule.parity.dtype == np.uint8
+        assert schedule.parity.tolist() == [word & 1 for word in expected]
+
+    @pytest.mark.parametrize("slots", [1, 7, 8, 9, 63, 4097])
+    def test_parity_is_the_last_bit_of_each_word(self, slots):
+        key = _fresh_key(b"p")
+        for log_m in range(1, 53):
+            m = 2**log_m
+            kprime = expand_key(key, slots * log_m + log_m - 1)  # trailing bits unused
+            schedule = build_basis_schedule(kprime, np.zeros(slots, dtype=np.uint8), m)
+            np.testing.assert_array_equal(schedule.parity, basis_words(kprime, m) & 1, err_msg=f"M = 2**{log_m}")
 
     @given(m=powers_of_two, seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
@@ -244,12 +270,13 @@ class TestSchedule:
         kprime = expand_key(_fresh_key(), slots * int(np.log2(m)))
         r = generate_r(slots, rng)
         schedule = build_basis_schedule(kprime, r, m)
-        parity = schedule.basis_index % 2
-        angle = transmit_angle(schedule)
+        words = basis_words(kprime, m)
+        parity = words % 2
+        angle = transmit_angle(words, schedule)
         in_first = angle < np.pi / 2
         np.testing.assert_array_equal(in_first, (parity ^ schedule.bit) == 0)
         # The in-quadrant offset always matches the word's canonical angle.
-        base = first_quadrant_angle(schedule.basis_index, m)
+        base = first_quadrant_angle(words, m)
         np.testing.assert_allclose(np.where(in_first, angle, angle - np.pi / 2), base)
 
     @given(kbits=st.integers(8, 512), m=st.sampled_from([4, 16, 64]))
@@ -279,8 +306,9 @@ class TestSchedule:
         assert np.all(np.diff(angles) > 0) and angles[-1] < np.pi / 2
         # The transmit arm comes from parity XOR bit; the angle's quadrant agrees with it.
         for bit in (0, 1):
-            schedule = BasisSchedule(MAX_M_BASES, words, np.full(len(words), bit, dtype=np.uint8))
-            np.testing.assert_array_equal(words % 2 == bit, transmit_angle(schedule) < np.pi / 2)
+            bits = np.full(len(words), bit, dtype=np.uint8)
+            schedule = BasisSchedule(MAX_M_BASES, (words & 1).astype(np.uint8), bits)
+            np.testing.assert_array_equal(words % 2 == bit, transmit_angle(words, schedule) < np.pi / 2)
 
     def test_length_mismatch_rejected(self):
         kprime = expand_key(_fresh_key(), 16)
@@ -293,16 +321,19 @@ class TestSchedule:
         r = np.zeros(16, dtype=np.uint8)
         a = build_basis_schedule(kprime_alice, r, 16)
         b = build_basis_schedule(kprime_bob, r, 16)
-        np.testing.assert_array_equal(a.basis_index, b.basis_index)
+        np.testing.assert_array_equal(a.parity, b.parity)
+        np.testing.assert_array_equal(basis_words(kprime_alice, 16), basis_words(kprime_bob, 16))
 
     def test_analyzer_angles_are_first_quadrant_canonical(self):
         kprime = expand_key(_fresh_key(), 40)
         r = generate_r(10, np.random.default_rng(9))
         schedule = build_basis_schedule(kprime, r, 16)
-        analyzers = _analyzer_angles(schedule)
+        words = basis_words(kprime, 16)
+        assert len(words) == len(schedule)
+        analyzers = _analyzer_angles(words, 16)
         assert np.all(analyzers < np.pi / 2)
         np.testing.assert_allclose(
-            analyzers, first_quadrant_angle(schedule.basis_index, 16)
+            analyzers, first_quadrant_angle(words, 16)
         )
 
 
@@ -315,7 +346,7 @@ class TestRoundTrip:
         r = generate_r(slots, rng)
         schedule = build_basis_schedule(kprime, r, m)
         events = simulate_meso_transmission(schedule, alpha_sq=25.0, rng=rng)
-        decoded = bob_decode(schedule.basis_index, events)
+        decoded = bob_decode(schedule.parity, events)
         assert decoded.erasure.mean() < 1e-3
         ok = ~decoded.erasure
         assert np.mean(decoded.bits[ok] != r[ok]) < 1e-3
@@ -326,7 +357,7 @@ class TestRoundTrip:
         r = generate_r(10, np.random.default_rng(2))
         schedule = build_basis_schedule(kprime, r, m)
         events = simulate_meso_transmission(schedule, alpha_sq=0.0, rng=np.random.default_rng(3))
-        decoded = bob_decode(schedule.basis_index, events)
+        decoded = bob_decode(schedule.parity, events)
         assert decoded.erasure.all()
 
     def test_dark_clicks_in_both_arms_erase(self):
@@ -335,34 +366,43 @@ class TestRoundTrip:
         schedule = build_basis_schedule(kprime, generate_r(10, np.random.default_rng(4)), m)
         counts = simulate_meso_transmission(schedule, 0.0, np.random.default_rng(5), dark_count_prob=1.0)
         assert counts.counts_transmit.tolist() == counts.counts_reflect.tolist() == [1] * 10
-        decoded = bob_decode(schedule.basis_index, counts)
+        decoded = bob_decode(schedule.parity, counts)
         assert decoded.erasure.all()
+
+    @pytest.mark.parametrize(
+        "alpha_sq, survival", [(float("nan"), 1.0), (-1.0, 1.0), (25.0, float("nan")), (25.0, 1.5)]
+    )
+    def test_invalid_intensity_or_survival_raises(self, alpha_sq, survival):
+        kprime = expand_key(_fresh_key(), 40)
+        schedule = build_basis_schedule(kprime, generate_r(10, np.random.default_rng(4)), 16)
+        with pytest.raises(ValueError, match="alpha_sq"):
+            simulate_meso_transmission(schedule, alpha_sq, np.random.default_rng(5), survival=survival)
 
     def test_single_aligned_slot_decodes_exactly(self):
         m = 16
         kprime = expand_key(_fresh_key(), 4)
         schedule = build_basis_schedule(kprime, np.array([0], dtype=np.uint8), m)
-        word = int(schedule.basis_index[0])
-        transmit_first = transmit_angle(schedule)[0] < np.pi / 2
+        transmit_first = transmit_angle(basis_words(kprime, m), schedule)[0] < np.pi / 2
         counts = DetectionCounts([5], [0]) if transmit_first else DetectionCounts([0], [5])
-        decoded = bob_decode(schedule.basis_index, counts)
+        decoded = bob_decode(schedule.parity, counts)
         assert not decoded.erasure[0]
         assert decoded.bits[0] == 0
 
     def test_event_count_mismatch_rejected(self):
         kprime = expand_key(_fresh_key(), 8)
-        words = build_basis_schedule(kprime, np.zeros(4, dtype=np.uint8), 4).basis_index
+        parity = build_basis_schedule(kprime, np.zeros(4, dtype=np.uint8), 4).parity
         with pytest.raises(ValueError):
-            bob_decode(words, DetectionCounts([1], [0]))
+            bob_decode(parity, DetectionCounts([1], [0]))
 
     def test_double_click_is_erasure(self):
         kprime = expand_key(_fresh_key(), 4)
-        words = build_basis_schedule(kprime, np.zeros(2, dtype=np.uint8), 4).basis_index
-        decoded = bob_decode(words, DetectionCounts([1, 0], [1, 0]))
+        parity = build_basis_schedule(kprime, np.zeros(2, dtype=np.uint8), 4).parity
+        decoded = bob_decode(parity, DetectionCounts([1, 0], [1, 0]))
         assert isinstance(decoded, DecodedBits)
         assert decoded.erasure.all()
         # The protocol feeds these bits to the weak channel on erased slots:
         # parity^1 on a double click (the reflect arm fired), parity with no click.
-        parity = words % 2
-        assert decoded.bits.tolist() == [parity[0] ^ 1, parity[1]]
+        words = basis_words(kprime, 4)
+        assert parity.tolist() == (words % 2).tolist()
+        assert decoded.bits.tolist() == [words[0] % 2 ^ 1, words[1] % 2]
 

@@ -5,9 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hpqkd.polarization import (
+    CLICK_BLOCK,
+    SPARSE_CLICK_PROB,
     DetectionCounts,
     DetectionEvent,
     TwoModeCoherentState,
+    add_clicks,
     overlap_exact,
     overlap_small_angle,
     pbs_measure,
@@ -77,11 +80,10 @@ class TestTwoArmClicks:
         first, second = two_arm_clicks(signal, to_first, 0.5, rngs)
         darks = []
         for rng, seed in zip(rngs, (1, 2)):
-            # One count, then that many slots, from each stream, and nothing more.
-            assert rng.calls == ["binomial", "choice"]
+            # One block of uniforms from each stream at d = 0.5, and nothing more.
+            assert rng.calls == ["random"]
             reference = np.random.default_rng(seed)
-            dark = np.zeros(64, dtype=bool)
-            dark[reference.choice(64, reference.binomial(64, 0.5), replace=False, shuffle=False)] = True
+            dark = reference.random(64) < 0.5
             assert rng.bit_generator.state == reference.bit_generator.state
             darks.append(dark)
         np.testing.assert_array_equal(first, (signal & to_first) | darks[0])
@@ -104,6 +106,69 @@ class TestTwoArmClicks:
         rngs = (np.random.default_rng(1), np.random.default_rng(2))
         with pytest.raises(ValueError, match="dark_count_prob"):
             two_arm_clicks(self.SIGNAL, self.TO_FIRST, d, rngs)
+
+
+def _reference_field(prior: np.ndarray, p: float, rng) -> np.ndarray:
+    """Reference: ``prior`` OR a Bernoulli(p) field, by the calls of p's regime (one ``random(n)`` in the middle)."""
+    n = len(prior)
+    if SPARSE_CLICK_PROB < p < 1 - SPARSE_CLICK_PROB:
+        return prior | (rng.random(n) < p)
+    if p == 0:
+        return prior.copy()
+    sparse = p <= SPARSE_CLICK_PROB
+    slots = rng.choice(n, rng.binomial(n, p if sparse else 1 - p), replace=False, shuffle=False)
+    field = np.zeros(n, dtype=bool) if sparse else np.ones(n, dtype=bool)
+    field[slots] = sparse
+    return prior | field
+
+
+def _blocks(n: int) -> list[str]:
+    return ["random"] * -(-n // CLICK_BLOCK)
+
+
+def _count_and_subset(n: int) -> list[str]:
+    return ["binomial", "choice"]
+
+
+#: p on each side of both cuts, with the calls each makes on an n-slot field.
+FIELD_CASES = {
+    "zero": (0.0, lambda n: []),
+    "subset-at-cut": (SPARSE_CLICK_PROB, _count_and_subset),
+    "blocks-above-subset-cut": (np.nextafter(SPARSE_CLICK_PROB, 1), _blocks),
+    "blocks-below-complement-cut": (np.nextafter(1 - SPARSE_CLICK_PROB, 0), _blocks),
+    "complement-at-cut": (1 - SPARSE_CLICK_PROB, _count_and_subset),
+    "one": (1.0, _count_and_subset),
+}
+
+
+class TestClickField:
+    @pytest.mark.parametrize("n", (1, 64, 2 * CLICK_BLOCK + 5))
+    @pytest.mark.parametrize("name", FIELD_CASES)
+    def test_regimes_make_their_calls(self, name, n):
+        p, calls = FIELD_CASES[name]
+        prior = np.random.default_rng(n).random(n) < 0.3
+        field, rng, reference = prior.copy(), _RecordingRng(np.random.default_rng(5)), np.random.default_rng(5)
+        add_clicks(field, p, rng)
+        assert rng.calls == calls(n)
+        np.testing.assert_array_equal(field, _reference_field(prior, p, reference))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        if p in (0.0, 1.0):  # nothing drawn
+            assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+            assert field.all() if p else np.array_equal(field, prior)
+
+    def test_blocks_equal_one_draw(self):
+        n = 3 * CLICK_BLOCK + 17
+        field = np.zeros(n, dtype=bool)
+        add_clicks(field, 0.5, np.random.default_rng(8))
+        np.testing.assert_array_equal(field, np.random.default_rng(8).random(n) < 0.5)
+
+    @pytest.mark.parametrize("p", (-0.1, 1.5, float("nan"), -np.inf))
+    def test_probability_outside_the_unit_interval_raises(self, p):
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="click probability"):
+            add_clicks(np.zeros(4, dtype=bool), p, rng)
+        assert rng.bit_generator.state == before
 
 
 class _RecordingRng:
@@ -138,7 +203,7 @@ def _z_two_sample(hits_a: int, n_a: int, hits_b: int, n_b: int) -> float:
     return (hits_a / n_a - hits_b / n_b) / np.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
 
 
-def _layout4_dark(n: int, d: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+def _engine_dark(n: int, d: float, rngs) -> tuple[np.ndarray, np.ndarray]:
     no_signal = np.zeros(n, dtype=bool)
     return two_arm_clicks(no_signal, no_signal, d, rngs)
 
@@ -148,7 +213,10 @@ def _layout3_dark(n: int, d: float, rngs) -> tuple[np.ndarray, np.ndarray]:
     return rngs[0].random(n) < d, rngs[1].random(n) < d
 
 
-DARK_PROBS = (1e-4, 0.02, 0.5)
+#: Both sparse regimes and the blocks: a count and a subset of slots at 1e-4
+#: and 0.02, blocks of uniforms at 0.5, and a count and a subset of quiet
+#: slots at 0.98.
+DARK_PROBS = (1e-4, 0.02, 0.5, 0.98)
 DARK_LENGTHS = (63, 10_001, 200_000)
 #: Slots pooled over calls per (d, n): 50 dark counts per arm at d = 1e-4.
 DARK_POOL_SLOTS = 500_000
@@ -168,8 +236,8 @@ def _dark_pool(n: int, d: float, draw, seed: int) -> tuple[np.ndarray, int]:
 @pytest.mark.parametrize("n", DARK_LENGTHS)
 @pytest.mark.parametrize("d", DARK_PROBS)
 def test_dark_counts_follow_bernoulli_law_and_layout3(d, n):
-    """A binomial count and a random subset of slots give each arm i.i.d. Bernoulli(d) dark clicks."""
-    (first, second, both, front), slots = _dark_pool(n, d, _layout4_dark, seed=4)
+    """Each regime of the click field gives each arm i.i.d. Bernoulli(d) dark clicks, as layout 3's dense draw does."""
+    (first, second, both, front), slots = _dark_pool(n, d, _engine_dark, seed=4)
     (first_3, second_3, both_3, _), slots_3 = _dark_pool(n, d, _layout3_dark, seed=3)
     calls, half = slots // n, n // 2
     z = {

@@ -20,7 +20,7 @@ from hpqkd.protocol import (
     compute_qber,
     run_session,
 )
-from hpqkd.polarization import DetectionCounts, two_arm_clicks
+from hpqkd.polarization import CLICK_BLOCK, SPARSE_CLICK_PROB, DetectionCounts, two_arm_clicks
 
 PLAN = ModulationPlan()
 FIBER = tuned_fiber(PLAN)
@@ -55,24 +55,26 @@ def reference_bits(rng, n) -> np.ndarray:
     return np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8))[:n]
 
 
-def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=3) -> protocol._ChannelRun:
-    """Per-slot reference for ``protocol._run_channel``, in stream layout 3 or 2.
+def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=5) -> protocol._ChannelRun:
+    """Per-slot reference for ``protocol._run_channel``, in stream layout 5 or 2.
 
     The detection pass written slot by slot: a float fringe phase per slot,
     the split law evaluated on every one of them, and Bob's bit chosen with
-    ``np.where``.  ``layout=3`` draws the layout-3 weak channel, one uniform
-    per slot, a signal below p = 1 - exp(-mu) and the upper detector below
-    p * t, with the engine's layout-4 dark clicks (``two_arm_clicks``).
-    ``layout=2`` draws ``integers(0, 2)`` bits, ``poisson(mu) > 0`` signals,
-    a separate routing uniform and one ``random(n) < d`` dark draw per arm,
-    upper stream first, none at d = 0.  It draws from the streams in the
-    engine's order, so on equal streams the layout-3 pass and the engine
-    must agree bit for bit.
+    ``np.where``.  ``layout=5`` draws the layout-5 weak channel with
+    p = 1 - exp(-mu): for p <= 1/16 a count and that many click slots, then
+    one routing uniform per click slot, upper below t (nothing at p = 0);
+    above 1/16 one ``random(n)``, a signal below p and the upper detector
+    below p * t, as layout 3 drew it.  Its dark clicks are the engine's
+    (``two_arm_clicks``).  ``layout=2`` draws ``integers(0, 2)`` bits,
+    ``poisson(mu) > 0`` signals, a separate routing uniform and one
+    ``random(n) < d`` dark draw per arm, upper stream first, none at d = 0.
+    It draws from the streams in the engine's order, so on equal streams the
+    layout-5 pass and the engine must agree bit for bit.
     """
     n = config.num_slots
     ch = config.channel
     bits_rng = streams[f"alice_bits_ch{channel}"]
-    bits = reference_bits(bits_rng, n) if layout == 3 else bits_rng.integers(0, 2, n, dtype=np.uint8)
+    bits = reference_bits(bits_rng, n) if layout == 5 else bits_rng.integers(0, 2, n, dtype=np.uint8)
     delta_phi = (alice_basis * (np.pi / 2) + bits * np.pi) - bob_basis_actual * (np.pi / 2)
     p_upper = split_upper_probability(config.plan, config.fiber, channel, delta_phi)
     if p_upper is None:
@@ -82,16 +84,23 @@ def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actua
     else:
         mu = ch.mu_weak * ch.survival_probability
         upper_bit = 0 if split_upper_probability(config.plan, config.fiber, channel, 0.0) >= 0.5 else 1
-    if layout == 3:
-        p_click = -np.expm1(-mu)
-        u = streams[f"photons_ch{channel}"].random(n)
+    p_click = -np.expm1(-mu)
+    rng = streams[f"photons_ch{channel}"]
+    if layout == 5 and p_click <= 1 / 16:
+        signal, to_upper = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        if p_click > 0:
+            slots = rng.choice(n, rng.binomial(n, p_click), replace=False, shuffle=False)
+            signal[slots] = True
+            to_upper[slots] = rng.random(len(slots)) < p_upper[slots]
+    elif layout == 5:
+        u = rng.random(n)
         signal = u < p_click
         to_upper = u < p_click * p_upper
     else:
-        signal = streams[f"photons_ch{channel}"].poisson(mu, n) > 0
+        signal = rng.poisson(mu, n) > 0
         to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
     dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
-    if layout == 3:
+    if layout == 5:
         click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     else:
         click_upper, click_lower = signal & to_upper, signal & ~to_upper
@@ -405,7 +414,10 @@ class TestOrderingAndDeterminism:
 
 
 #: Channel settings the split-table pass is checked on, as (channel,
-#: ChannelModel, plan, fiber, fault fraction).
+#: ChannelModel, plan, fiber, fault fraction).  The weak channel draws one
+#: uniform per slot on each but ``dark-channel`` (p = 0, nothing drawn) and
+#: the 100-km links (p = 0.005, a count, its click slots and a routing
+#: uniform each).
 SPLIT_TABLE_CASES = {
     "ch1": (1, IDEAL, PLAN, FIBER, 0.0),
     "ch2": (2, IDEAL, PLAN, FIBER, 0.0),
@@ -414,6 +426,8 @@ SPLIT_TABLE_CASES = {
     "dark-channel": (1, ChannelModel(dark_count_prob=0.2), dataclasses.replace(PLAN, m1=0.0, m3=0.0), FIBER, 0.0),
     "ch1-detuned": (1, IDEAL, PLAN, FiberLink(length_m=FIBER.length_m + 0.0123), 0.0),
     "ch2-fault": (2, ChannelModel(dark_count_prob=0.2), PLAN, FIBER, 0.3),
+    "ch1-100km": (1, ChannelModel(length_km=100, dark_count_prob=0.01), PLAN, FIBER, 0.0),
+    "ch2-100km-fault": (2, ChannelModel(length_km=100, dark_count_prob=0.01), PLAN, FIBER, 0.3),
 }
 
 
@@ -437,7 +451,8 @@ class TestSplitTable:
             assert got.dtype == want.dtype and np.array_equal(got, want), field.name
         for role in streams:
             assert engine_streams[role].bit_generator.state == reference_streams[role].bit_generator.state, role
-            if role.startswith("routing_ch"):  # layout 3 never reads them
+            untouched = role.startswith("routing_ch") or (name == "dark-channel" and role.startswith("photons_ch"))
+            if untouched:  # routing is never read, and a channel with p = 0 draws no click field
                 assert engine_streams[role].bit_generator.state == streams[role].bit_generator.state, role
 
     @pytest.mark.parametrize("mode", protocol.MODES)
@@ -461,7 +476,7 @@ def _layout1_meso_counts(schedule, channel: ChannelModel, rng) -> DetectionCount
     drawn from one generator.
     """
     n = len(schedule)
-    aligned = schedule.basis_index % 2 == schedule.bit
+    aligned = schedule.parity == schedule.bit
     signal = rng.poisson(channel.alpha_sq_meso * channel.survival_probability, n)
     dark_t = rng.random(n) < channel.dark_count_prob
     dark_r = rng.random(n) < channel.dark_count_prob
@@ -520,7 +535,7 @@ def _meso_pool(channel: ChannelModel, layout: int) -> tuple[int, int, int]:
             kprime = ks.expand_key(cfg.resolved_seed_key(), MESO_SLOTS * ks.bits_per_slot(channel.m_bases))
             schedule = ks.build_basis_schedule(kprime, r, channel.m_bases)
             counts = _layout1_meso_counts(schedule, channel, np.random.default_rng([1, seed]))
-            decoded = ks.bob_decode(schedule.basis_index, counts)
+            decoded = ks.bob_decode(schedule.parity, counts)
         keep = ~decoded.erasure
         erased += int(decoded.erasure.sum())
         wrong += int((decoded.bits[keep] != r[keep]).sum())
@@ -536,6 +551,36 @@ def test_meso_layout2_agrees_with_law_and_layout1(name):
     erased_1, wrong_1, slots_1 = _meso_pool(channel, layout=1)
     usable, usable_1 = slots - erased, slots_1 - erased_1
     assert 0.3 < erasure_law < 0.8
+    z = {
+        "erasure vs law": _z_law(erased, slots, erasure_law),
+        "error vs law": _z_law(wrong, usable, error_law),
+        "erasure vs layout 1": _z_two_sample(erased, slots, erased_1, slots_1),
+        "error vs layout 1": _z_two_sample(wrong, usable, wrong_1, usable_1),
+        "layout 1 erasure vs law": _z_law(erased_1, slots_1, erasure_law),
+    }
+    assert all(abs(v) < 3 for v in z.values()), z
+
+
+#: Links whose meso signal click takes the two count-and-subset regimes of
+#: layout 5: the quiet slots at 40 km (p = 0.981) and the click slots at
+#: 130 km (p = 0.061).  Their dark fields are count and subset too.
+MESO_SPARSE_CHANNELS = {
+    "complement-40km": ChannelModel(length_km=40, dark_count_prob=0.05),
+    "subset-130km": ChannelModel(length_km=130, dark_count_prob=0.01),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESO_SPARSE_CHANNELS))
+def test_meso_sparse_fields_agree_with_law_and_layout1(name):
+    """Layout 5 draws a sparse meso click field as a count and a subset of slots: same statistics."""
+    channel = MESO_SPARSE_CHANNELS[name]
+    p = -np.expm1(-channel.alpha_sq_meso * channel.survival_probability)
+    erasure_law, error_law = _meso_law(channel)
+    erased, wrong, slots = _meso_pool(channel, layout=2)
+    erased_1, wrong_1, slots_1 = _meso_pool(channel, layout=1)
+    usable, usable_1 = slots - erased, slots_1 - erased_1
+    assert not SPARSE_CLICK_PROB < p < 1 - SPARSE_CLICK_PROB
+    assert min(erasure_law * slots, error_law * (1 - erasure_law) * slots) > 100  # events enough for a z
     z = {
         "erasure vs law": _z_law(erased, slots, erasure_law),
         "error vs law": _z_law(wrong, usable, error_law),
@@ -609,12 +654,15 @@ def _weak_pool(channel: ChannelModel, mode: str, layout: int) -> np.ndarray:
     return totals
 
 
-#: Lossless, lossy and dark-count links at both weak intensities.
+#: Lossless, lossy and dark-count links at both weak intensities.  The
+#: 70-km and 100-km links (p = 0.05 and 0.005) draw their weak clicks as a
+#: count and a subset of slots, the others one uniform per slot.
 WEAK_CHANNELS = {
     "lossless": IDEAL,
     "lossless-dark": ChannelModel(mu_weak=1.3, dark_count_prob=0.02),
     "lossy-70km": ChannelModel(length_km=70, mu_weak=1.3),
     "dark-70km": ChannelModel(length_km=70, dark_count_prob=0.05),
+    "longhaul-100km": ChannelModel(length_km=100, dark_count_prob=1e-5),
 }
 WEAK_SEEDS = range(8)
 WEAK_SLOTS = 20_000
@@ -673,32 +721,64 @@ class _RecordingRng:
         return record
 
 
+def _field_calls(p: float, slots: int) -> list[str]:
+    """The calls of one layout-5 click field over ``slots`` slots with probability p."""
+    if p == 0:
+        return []
+    if SPARSE_CLICK_PROB < p < 1 - SPARSE_CLICK_PROB:
+        return ["random"] * -(-slots // CLICK_BLOCK)
+    return ["binomial", "choice"]
+
+
+#: Links that put the weak, meso and dark fields in each regime: weak
+#: (p = 0.049) and dark count-and-subset with meso blocks at 50 km; weak
+#: and dark blocks with the meso quiet slots on the lossless link; and weak
+#: blocks with dark quiet slots at d = 0.95.
+DRAW_CHANNELS = (
+    ChannelModel(length_km=50, dark_count_prob=0.01),
+    ChannelModel(mu_weak=1.3, dark_count_prob=0.5),
+    ChannelModel(length_km=20, dark_count_prob=0.95),
+)
+
+
 @pytest.mark.parametrize("mode", protocol.MODES)
 def test_session_draws_follow_layout3(mode, monkeypatch):
-    """Layout 4 keeps layout 3's draws, one array per role, except that each dark stream draws a count and then its slots."""
-    calls = []
+    """Layout 5: one array per byte role, and on each click role the calls of its field's regime."""
+    assert protocol.STREAM_LAYOUT == 5
+    slots = 2 * CLICK_BLOCK + 1001  # three blocks
     streams = protocol._streams
-    monkeypatch.setattr(
-        protocol,
-        "_streams",
-        lambda seed: {role: _RecordingRng(role, rng, calls) for role, rng in streams(seed).items()},
-    )
-    run_session(config(mode=mode, slots=1001, channel=ChannelModel(length_km=50, dark_count_prob=0.01)))
-    assert protocol.STREAM_LAYOUT == 4
-    draws = {}
-    for role, name, args in calls:
-        draws.setdefault(role, []).append((name, args))
-    dark = {role: [name for name, _ in role_draws] for role, role_draws in draws.items() if "dark" in role}
     channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
-    expected_dark = {f"dark_{arm}_ch{ch}" for arm in ("upper", "lower") for ch in channels}
-    if mode in ("hybrid", "hybrid_parallel"):
-        expected_dark |= {"meso_dark_transmit", "meso_dark_reflect"}
-    assert dark == {role: ["binomial", "choice"] for role in expected_dark}, dark
-    other = {role: role_draws for role, role_draws in draws.items() if "dark" not in role}
-    assert all(len(role_draws) == 1 for role_draws in other.values()), other  # one array per role and session
-    assert not [role for role in other if role.startswith("routing_ch")]
-    assert {name for ((name, _),) in other.values()} == {"random", "integers"}
-    assert all(args[:2] == (0, 256) for ((name, args),) in other.values() if name == "integers")
+    assisted = mode in ("hybrid", "hybrid_parallel")
+    for channel in DRAW_CHANNELS:
+        calls = []
+        monkeypatch.setattr(
+            protocol,
+            "_streams",
+            lambda seed: {role: _RecordingRng(role, rng, calls) for role, rng in streams(seed).items()},
+        )
+        run_session(config(mode=mode, slots=slots, channel=channel))
+        draws = {}
+        for role, name, args in calls:
+            draws.setdefault(role, []).append((name, args))
+        names = {role: [name for name, _ in role_draws] for role, role_draws in draws.items()}
+        p_weak = -np.expm1(-channel.mu_weak * channel.survival_probability)
+        weak = _field_calls(p_weak, slots) + (["random"] if p_weak <= SPARSE_CLICK_PROB else [])
+        dark = _field_calls(channel.dark_count_prob, slots)
+        expected = {f"photons_ch{ch}": weak for ch in channels}
+        expected |= {f"dark_{arm}_ch{ch}": dark for arm in ("upper", "lower") for ch in channels}
+        if assisted:
+            meso_slots = len(channels) * slots
+            p_meso = -np.expm1(-channel.alpha_sq_meso * channel.survival_probability)
+            expected["meso_channel"] = _field_calls(p_meso, meso_slots)
+            meso_dark = _field_calls(channel.dark_count_prob, meso_slots)
+            expected |= {"meso_dark_transmit": meso_dark, "meso_dark_reflect": meso_dark}
+        clicks = {role: names.get(role, []) for role in expected}
+        assert clicks == expected, (channel, clicks)
+        other = {role: role_draws for role, role_draws in draws.items() if role not in expected}
+        assert all(len(role_draws) == 1 for role_draws in other.values()), other  # one array per role and session
+        assert not [role for role in draws if role.startswith("routing_ch")]
+        assert {name for ((name, args),) in other.values()} == {"integers"}
+        assert all(args[:2] == (0, 256) for ((name, args),) in other.values())
 
 
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
@@ -712,7 +792,12 @@ def test_session_draws_follow_layout3(mode, monkeypatch):
 #: four sifted ones hashed under layout 2 are ``LAYOUT2_SIFTED_DIGESTS``.
 #: Layout 4 moved none of them: at 2000 slots and d = 1e-5 no detector
 #: draws a dark click in either layout.  The ``dark`` channel (d = 0.02)
-#: pins layout 4's dark draws, 40 to 80 per detector.
+#: pins the count-and-subset dark draws, 40 to 80 per detector.  Layout 5
+#: moved the four ``longhaul`` ones, whose weak channels (p = 0.005) draw
+#: their click slots and a routing uniform each, and ``dark``'s two
+#: assisted ones, whose meso click (p = 0.99995) draws its quiet slots: one
+#: fewer meso erasure in each.  The lossless meso click takes that path
+#: too, but no slot is quiet at p = 1 - 1.4e-11 in either layout.
 GOLDEN_DIGESTS = {
     "default": {
         "baseline_bb84": "95d5ec9418929d44443f81218733d08730128c6a333467d2c2c0684f2d3a6927",
@@ -721,16 +806,16 @@ GOLDEN_DIGESTS = {
         "hybrid_parallel": "066afe2a1846d3b48b24a361575ae8f53c45eabffcc382591b8d5435d5839308",
     },
     "longhaul": {
-        "baseline_bb84": "f21ca1a7aee4a80f9b4217190ccdc006dca33b2a39c879c38c9ddb1096a57b19",
-        "hybrid": "84ce4ae10bed1a9209daef451c9ad1b471cc65ae546b8892da3020da9fb46357",
-        "parallel": "c18f5d302e494578fbbb80e0e83cddb2b0645a708df3b6022c8faf7f81820b58",
-        "hybrid_parallel": "37f4f2e03096aa7a6fb0eb39173277116f23eed77b3023f8885ff2d8629f07c9",
+        "baseline_bb84": "07e49b6f8c3a92f49ab4a786c67cf494c5d290544fa68e5d1db5d3b19cb97475",
+        "hybrid": "c3b2d948e4fa4807ed077634ddd6e68d9fb782f20108bc050452391fe9e6f293",
+        "parallel": "d200473fb758fb62e534aa913ab7599f792704d15ba71624e6687c60b36fde25",
+        "hybrid_parallel": "7ab6716d3ea8b184d7ae4e540219c380e8331bf171c50cf713c759c8a6c55047",
     },
     "dark": {
         "baseline_bb84": "c2ad78f5926781be3145374ef553ece889c8af1316c84548f59cf3b1d82ac2ab",
-        "hybrid": "0c83f0e63389367c69805cb59846a90f5dad391b58b4aa8b4f828c69e00b4961",
+        "hybrid": "e9304a7716cdb8c467718709937c67bcb57f0c52de4483116b605eb07f71ba13",
         "parallel": "d30a2f4a9ef0b8c84fbc397701edae8eaa0616bacba58d310cdb12c3cecc6e84",
-        "hybrid_parallel": "72837023b0e09adcba8b8f12f3a2a3bf686318f622c994a7bcbc27e0f3659bfe",
+        "hybrid_parallel": "36d587a27948f459621477f6cd6ec56b518d1815bb098ff6dae525b4911ef27a",
     },
 }
 GOLDEN_CHANNELS = {

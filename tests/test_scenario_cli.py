@@ -1,7 +1,12 @@
 """Scenario parsing, CLI exit codes, bundle determinism, CSV emission."""
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -144,7 +149,7 @@ class TestSimulateCommand:
         assert by_mode["baseline_bb84"]["rate_ratio_vs_baseline"] == 1.0
         assert by_mode["hybrid_parallel"]["rate_ratio_vs_baseline"] == pytest.approx(4.0, abs=0.8)
         assert bundle["data"]["scenario"] == FAST_SIM
-        assert bundle["data"]["results"]["stream_layout"] == 4
+        assert bundle["data"]["results"]["stream_layout"] == 5
         summary = capsys.readouterr().out
         assert "hybrid_parallel" in summary
 
@@ -304,13 +309,21 @@ class TestAttackSweepCommand:
         path = write_scenario(tmp_path, FAST_SWEEP)  # three grid points
         raw, resolved = scenario.load(path)
         serial = reporting.attack_sweep_results(resolved)
-        monkeypatch.setattr(attacks, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(attacks.os, "cpu_count", lambda: cpus)
         results = reporting.attack_sweep_results(resolved, workers=workers)
         assert started == ([] if processes is None else [processes])
         assert reporting.data_bytes(reporting.make_bundle("attack-sweep", raw, resolved, results)) == (
             reporting.data_bytes(reporting.make_bundle("attack-sweep", raw, resolved, serial))
         )
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        src = pathlib.Path(cli.__file__).resolve().parent.parent
+        code = "import sys, hpqkd.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_bundle_records_stream_layout(self, tmp_path):
         path = write_scenario(tmp_path, FAST_SWEEP)
