@@ -31,7 +31,6 @@ from .polarization import (
     stokes_summary,
 )
 from .attacks import (
-    BruteForceConfig,
     PnsModel,
     amplifier_attack,
     attack_success_curve,
@@ -76,7 +75,6 @@ __all__ = [
     "rotate",
     "stokes_monte_carlo",
     "stokes_summary",
-    "BruteForceConfig",
     "PnsModel",
     "amplifier_attack",
     "attack_success_curve",

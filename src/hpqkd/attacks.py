@@ -23,47 +23,19 @@ _TIE_JITTER = 1e-9
 #: Largest accepted ``m_bases``.  The sweep's log-mean table grows as M^2: at
 #: this M a point of 1000 trials peaks at 92 MiB traced (132 MB RSS) and
 #: takes 250-360 us per trial, against 9-17 us at M = 64 (one BLAS thread,
-#: 2-core VM).  Up to this M the only arm a candidate on the grid k*pi/M
-#: predicts dark is its own reflect arm, which ``_identify``'s veto count
-#: relies on.
+#: 2-core VM).  Up to this M the only arm an ideal attacker's candidate on
+#: the grid k*pi/M predicts dark is its own reflect arm, which
+#: ``_identify``'s veto count relies on.
 MAX_ATTACK_M_BASES = 1024
 
 
-@dataclass(frozen=True)
-class BruteForceConfig:
-    """Candidate count and detectors for the pulse-splitting identification attack.
-
-    The M candidates are the even grid k*pi/M, k = 0..M-1, one sub-pulse
-    each; an analyzer at angle phi resolves phi against its orthogonal
-    partner phi + pi/2.  The attacker's detectors are perfect by default;
-    ``detector_efficiency`` thins the Poisson counts and ``dark_count_mean``
-    adds spurious counts per arm.
-    """
-
-    m_bases: int = param(
-        MISSING, "-", "candidate polarization count M for the brute-force attack", low=2, high=MAX_ATTACK_M_BASES
-    )
-    detector_efficiency: float = param(1.0, "probability", "attacker detector efficiency", low=0, high=1)
-    dark_count_mean: float = param(0.0, "counts", "mean attacker dark counts per detector arm", low=0)
-
-    def __post_init__(self):
-        check_params(self)
-
-    @property
-    def candidate_angles(self) -> np.ndarray:
-        """The M candidate polarizations k*pi/M, tiling [0, pi)."""
-        return np.arange(self.m_bases) * np.pi / self.m_bases
-
-
-def _hypothesis_tables(angles: np.ndarray, signal_mean: float, dark_mean: float) -> np.ndarray:
+def _hypothesis_tables(angles: np.ndarray, signal_mean: float) -> np.ndarray:
     """Log of the per-arm count means under every (candidate, analyzer) pair,
     as an M x 2M table over the transmit then reflect arms of every analyzer;
     0 where a mean is exactly 0.
     """
     cos2 = np.cos(angles[:, None] - angles[None, :]) ** 2
-    means = np.concatenate(
-        [signal_mean * cos2 + dark_mean, signal_mean * (1 - cos2) + dark_mean], axis=1
-    )
+    means = np.concatenate([signal_mean * cos2, signal_mean * (1 - cos2)], axis=1)
     return np.log(np.where(means == 0, 1.0, means))
 
 
@@ -94,37 +66,28 @@ class _Batch:
     success: np.ndarray
 
 
-def _identify(
-    theta: np.ndarray,
-    config: BruteForceConfig,
-    signal_mean: float,
-    rng: np.random.Generator,
-) -> _Batch:
-    """Run ``len(theta)`` identification trials at once.
+def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random.Generator) -> _Batch:
+    """Run ``len(true_index)`` identification trials at once.
 
-    Trial i splits a pulse of polarization ``theta[i]`` and mean photon
-    number ``signal_mean`` into M equal sub-pulses and analyzes sub-pulse k
-    at candidate angle k*pi/M.  Double clicks eliminate a candidate, silent
-    sub-pulses carry no information, and single-detector clicks mark it as
-    consistent.  Among consistent candidates the estimate has the fewest
-    vetoing photons (a photon where the candidate predicts a dark arm), then
-    the highest log-Poisson likelihood of every count, ties uniform at
-    random; with no consistent candidate it falls back to a uniform random
-    pick.  Draw order as documented at ``STREAM_LAYOUT``.
+    Trial i splits a pulse of mean photon number ``signal_mean`` polarized
+    at candidate ``true_index[i]`` of the grid k*pi/M into M equal
+    sub-pulses and analyzes sub-pulse k at candidate angle k*pi/M, with
+    ideal detectors (no loss, no dark counts).  Double clicks eliminate a
+    candidate, silent sub-pulses carry no information, and single-detector
+    clicks mark it as consistent.  Among consistent candidates the estimate
+    has the fewest vetoing photons (a photon where the candidate predicts a
+    dark arm), then the highest log-Poisson likelihood of every count, ties
+    uniform at random; with no consistent candidate it falls back to a
+    uniform random pick.  Draw order as documented at ``STREAM_LAYOUT``.
     """
-    m = config.m_bases
-    angles = config.candidate_angles
-    n = len(theta)
-    detected_mean = signal_mean / m * config.detector_efficiency
-    dark = config.dark_count_mean
+    angles = np.arange(m) * np.pi / m
+    n = len(true_index)
+    sub_mean = signal_mean / m
 
-    delta = theta[:, None] - angles
+    delta = angles[true_index][:, None] - angles
     # Transmit then reflect arm of every analyzer, as in the hypothesis tables.
     counts = np.concatenate(
-        [
-            rng.poisson(detected_mean * np.cos(delta) ** 2 + dark),
-            rng.poisson(detected_mean * np.sin(delta) ** 2 + dark),
-        ],
+        [rng.poisson(sub_mean * np.cos(delta) ** 2), rng.poisson(sub_mean * np.sin(delta) ** 2)],
         axis=1,
         dtype=float,
     )
@@ -136,19 +99,15 @@ def _identify(
     none = ~(clicks_t | clicks_r)
     one = clicks_t ^ clicks_r
 
-    scores = counts @ _hypothesis_tables(angles, detected_mean, dark).T
+    scores = counts @ _hypothesis_tables(angles, sub_mean).T
     scores += jitter
     # On this grid the one arm a candidate predicts dark is its own reflect
-    # arm, and only without dark counts.  Vetoes and log-likelihoods are
-    # both exact, so ties break on the jitter and not on rounding.
-    vetoes = counts[:, m:] * (dark == 0)
-    vetoes[~one] = np.inf
+    # arm (``MAX_ATTACK_M_BASES``).  Vetoes and log-likelihoods are both
+    # exact, so ties break on the jitter and not on rounding.
+    vetoes = np.where(one, counts[:, m:], np.inf)
     scores[vetoes > vetoes.min(axis=1, keepdims=True)] = -np.inf
     index = np.where(one.any(axis=1), np.argmax(scores, axis=1), fallback)
-    estimated = angles[index]
-
-    success = np.abs((estimated - theta + np.pi / 2) % np.pi - np.pi / 2) < 1e-9
-    return _Batch(estimated, both.sum(axis=1), none.sum(axis=1), one.sum(axis=1), success)
+    return _Batch(angles[index], both.sum(axis=1), none.sum(axis=1), one.sum(axis=1), index == true_index)
 
 
 @dataclass(frozen=True)
@@ -176,12 +135,12 @@ def estimate_success(
         raise ValueError("need at least 100 trials per grid point")
     if not alpha_sq >= 0:
         raise ValueError("alpha_sq must be >= 0")
-    config = BruteForceConfig(m_bases)
+    if not 2 <= m_bases <= MAX_ATTACK_M_BASES:
+        raise ValueError(f"m_bases must be in [2, {MAX_ATTACK_M_BASES}], got {m_bases!r}")
     hits = 0
     for start in range(0, trials, _TRIAL_BLOCK):
         n = min(_TRIAL_BLOCK, trials - start)
-        theta = config.candidate_angles[rng.integers(0, m_bases, n)]
-        hits += int(_identify(theta, config, alpha_sq, rng).success.sum())
+        hits += int(_identify(rng.integers(0, m_bases, n), m_bases, alpha_sq, rng).success.sum())
     rate = hits / trials
     stderr = math.sqrt(rate * (1 - rate) / trials)
     return SweepPoint(alpha_sq=float(alpha_sq), success_rate=rate, stderr=stderr, trials=trials)

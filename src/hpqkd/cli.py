@@ -82,6 +82,8 @@ def _summary_line(command: str, results: dict) -> str:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.csv and not args.out:
+        parser.error("--csv needs --out: the CSV files are written next to the bundle")
 
     try:
         overrides = {"seed": args.seed, "attack_sweep.trials": args.trials}

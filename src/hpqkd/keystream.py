@@ -231,9 +231,9 @@ def simulate_meso_transmission(
     schedule: BasisSchedule,
     alpha_sq: float,
     rng: np.random.Generator,
-    survival: float = 1.0,
-    dark_count_prob: float = 0.0,
-    dark_rngs: tuple[np.random.Generator, np.random.Generator] | None = None,
+    survival: float,
+    dark_count_prob: float,
+    dark_rngs: tuple[np.random.Generator, np.random.Generator],
 ) -> DetectionCounts:
     """Send the schedule as mesoscopic pulses and detect at the shared basis.
 
@@ -246,15 +246,13 @@ def simulate_meso_transmission(
     so the click lands in one arm, the transmit arm iff parity(D) == bit.
     Each arm also fires on a dark count with probability
     ``dark_count_prob``, drawn by ``two_arm_clicks`` from ``dark_rngs``
-    (transmit arm, reflect arm).  By default both arms draw from ``rng``
-    again, after the signal: the transmit arm's field, then the reflect
-    arm's.  NaN or a negative ``alpha_sq`` raises ``ValueError``.  Returns
-    the 0/1 clicks of each arm.
+    (transmit arm, reflect arm).  NaN or a negative ``alpha_sq`` raises
+    ``ValueError``.  Returns the 0/1 clicks of each arm.
     """
     if not alpha_sq >= 0 or not 0 <= survival <= 1:  # NaN fails both
         raise ValueError(f"alpha_sq must be >= 0 and survival a probability, got {alpha_sq!r} and {survival!r}")
     signal = np.zeros(len(schedule), dtype=bool)
     add_clicks(signal, -np.expm1(-alpha_sq * survival), rng)
     aligned = schedule.parity == schedule.bit
-    click_t, click_r = two_arm_clicks(signal, aligned, dark_count_prob, dark_rngs or (rng, rng))
+    click_t, click_r = two_arm_clicks(signal, aligned, dark_count_prob, dark_rngs)
     return DetectionCounts(click_t.view(np.uint8), click_r.view(np.uint8))

@@ -108,12 +108,12 @@ class ModulationPlan:
                 stacklevel=3,  # the constructor's caller, past the generated __init__
             )
 
-    def with_phases(self, phi1_a=None, phi2_a=None, phi1_b=None, phi2_b=None) -> "ModulationPlan":
-        """Copy of the plan with some RF phases replaced (sweep helper).
+    def with_phases(self, phi1_a=None, phi2_a=None) -> "ModulationPlan":
+        """Copy of the plan with some of Alice's RF phases replaced (sweep helper).
 
         The copy has this plan's depths, so it repeats no small-signal warning.
         """
-        phases = {"phi1_a": phi1_a, "phi2_a": phi2_a, "phi1_b": phi1_b, "phi2_b": phi2_b}
+        phases = {"phi1_a": phi1_a, "phi2_a": phi2_a}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSignalWarning)
             return replace(self, **{name: value for name, value in phases.items() if value is not None})
@@ -175,9 +175,9 @@ def tuning_offsets(plan: ModulationPlan, fiber: FiberLink) -> tuple[float, float
     )
 
 
-def is_tuned(plan: ModulationPlan, fiber: FiberLink, tol: float = TUNING_TOLERANCE) -> bool:
+def is_tuned(plan: ModulationPlan, fiber: FiberLink) -> bool:
     off1, off2 = tuning_offsets(plan, fiber)
-    return off1 <= tol and off2 <= tol
+    return off1 <= TUNING_TOLERANCE and off2 <= TUNING_TOLERANCE
 
 
 def require_tuned(plan: ModulationPlan, fiber: FiberLink) -> None:
@@ -338,21 +338,14 @@ def _oracle_grid(omega1, omega2, m3, m4, phi1_b, phi2_b, num_samples):
 
 
 def synthesize_bob_field(
-    plan: ModulationPlan,
-    fiber: FiberLink,
-    num_samples: int = DEFAULT_ORACLE_SAMPLES,
-    include_chirp: bool = False,
+    plan: ModulationPlan, fiber: FiberLink, num_samples: int = DEFAULT_ORACLE_SAMPLES
 ) -> TimeDomainField:
     """Exact field at Bob's output, sampled over one common tone period.
 
     Alice's modulator is taken in balanced push-pull drive: the output
     envelope e0*cos((psi1 + drive(t))/2) carries the exact interferometric
     intensity law (e0^2/2)*(1 + cos(psi1 + drive)) with no residual phase
-    modulation, and contains every harmonic order of the drive.  With
-    ``include_chirp=True`` the single-arm transfer (e0/2)*(1 + e^{j psi1}
-    e^{j drive}) is used instead; its quadrature chirp rotates the
-    demodulated fringe by pi/4 and raises its floor, which is exactly the
-    deviation the flag exists to expose.
+    modulation, and contains every harmonic order of the drive.
 
     The dispersionless link advances every spectral component at offset
     delta by the same delay, i.e. by the phase (n/c)*delta*L, so it arrives
@@ -369,10 +362,7 @@ def synthesize_bob_field(
     phase1 = plan.phi1_a + fiber.link_phase(plan.omega1)
     phase2 = plan.phi2_a + fiber.link_phase(plan.omega2)
     drive = plan.m1 * np.cos(plan.omega1 * t + phase1) + plan.m2 * np.cos(plan.omega2 * t + phase2)
-    if include_chirp:
-        field = (plan.e0 / 2) * (1 + np.exp(1j * plan.psi1) * np.exp(1j * drive))
-    else:
-        field = plan.e0 * np.cos((plan.psi1 + drive) / 2)
+    field = plan.e0 * np.cos((plan.psi1 + drive) / 2)
     return TimeDomainField(sample_rate=num_samples / period, samples=field * bob)
 
 
@@ -396,10 +386,7 @@ def _tone_powers(field: TimeDomainField, omegas) -> list[float]:
 
 
 def sideband_intensities_oracle(
-    plan: ModulationPlan,
-    fiber: FiberLink,
-    num_samples: int = DEFAULT_ORACLE_SAMPLES,
-    include_chirp: bool = False,
+    plan: ModulationPlan, fiber: FiberLink, num_samples: int = DEFAULT_ORACLE_SAMPLES
 ) -> SidebandSpectrum:
     """Ground-truth sideband powers from the exact synthesized field.
 
@@ -407,7 +394,7 @@ def sideband_intensities_oracle(
     phase exponential are evaluated exactly and the five tone powers read
     from one discrete Fourier transform on a leak-free grid.
     """
-    field = synthesize_bob_field(plan, fiber, num_samples, include_chirp)
+    field = synthesize_bob_field(plan, fiber, num_samples)
     offsets = (0.0, plan.omega1, -plan.omega1, plan.omega2, -plan.omega2)  # field order
     return SidebandSpectrum(*_tone_powers(field, offsets))
 

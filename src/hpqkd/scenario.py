@@ -12,7 +12,7 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 
-from .attacks import MAX_ATTACK_M_BASES, BruteForceConfig
+from .attacks import MAX_ATTACK_M_BASES
 from .optics import FiberLink, ModulationPlan, tuned_fiber
 from .protocol import MAX_PHOTONS, MODES, ChannelModel, SessionConfig
 
@@ -108,7 +108,9 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     "plan": _section(ModulationPlan),
     "fiber": _section(FiberLink, length_m=tuned_fiber(ModulationPlan()).length_m),
     "attack_sweep": {
-        "m_bases": _section(BruteForceConfig, m_bases=64)["m_bases"],
+        "m_bases": _Key(
+            64, "-", "candidate polarization count M for the brute-force attack", low=2, high=MAX_ATTACK_M_BASES
+        ),
         "alpha_sq_over_m_grid": _Key(
             [2.0**e for e in range(-4, 7)],
             "-",

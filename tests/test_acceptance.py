@@ -290,7 +290,7 @@ def test_criterion_10_key_pipeline_round_trip():
     kprime = expand_key(seed_key, slots * 8)
     r = generate_r(slots, rng)
     schedule = build_basis_schedule(kprime, r, m)
-    events = simulate_meso_transmission(schedule, alpha_sq=25.0, rng=rng)
+    events = simulate_meso_transmission(schedule, 25.0, rng, 1.0, 0.0, (rng, rng))
     decoded = bob_decode(schedule.parity, events)
     erasure_rate = float(decoded.erasure.mean())
     valid = ~decoded.erasure

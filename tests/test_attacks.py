@@ -16,7 +16,6 @@ from hpqkd.attacks import (
     MAX_ATTACK_M_BASES,
     STREAM_LAYOUT,
     AnomalyVerdict,
-    BruteForceConfig,
     PnsModel,
     amplifier_attack,
     attack_success_curve,
@@ -28,15 +27,23 @@ from hpqkd.attacks import (
 from hpqkd.polarization import DetectionCounts, TwoModeCoherentState
 
 
-def brute_force_identify(pulse: TwoModeCoherentState, config: BruteForceConfig, rng) -> SimpleNamespace:
-    """One trial of the batched kernel on ``pulse``, its outcome fields as scalars."""
-    batch = _identify(np.array([pulse.theta]), config, pulse.mean_photons, rng)
+def _grid(m: int) -> np.ndarray:
+    """The M candidate polarizations k*pi/M, tiling [0, pi)."""
+    return np.arange(m) * np.pi / m
+
+
+def brute_force_identify(index: int, m: int, signal_mean: float, rng) -> SimpleNamespace:
+    """One trial of the batched kernel on candidate ``index``, its outcome fields as scalars."""
+    batch = _identify(np.array([index]), m, signal_mean, rng)
     return SimpleNamespace(**{f.name: getattr(batch, f.name)[0] for f in dataclasses.fields(batch)})
 
 
 class TestConfig:
     def test_default_angles_tile_half_turn(self):
-        angles = BruteForceConfig(8).candidate_angles
+        # A bright pulse at every candidate is identified, so the estimates are the grid itself.
+        batch = _identify(np.arange(8), 8, 1e4, np.random.default_rng(9))
+        assert batch.success.all()
+        angles = batch.estimated_angle
         assert angles[0] == 0.0
         assert np.allclose(np.diff(angles), np.pi / 8)
         assert angles[-1] < np.pi
@@ -46,61 +53,41 @@ class TestBruteForce:
     def test_requires_two_candidates(self):
         for m in (1, MAX_ATTACK_M_BASES + 1):
             with pytest.raises(ValueError, match="m_bases must be in"):
-                BruteForceConfig(m)
-        assert BruteForceConfig(MAX_ATTACK_M_BASES).candidate_angles.size == MAX_ATTACK_M_BASES
+                estimate_success(1.0, m, 100, np.random.default_rng(0))
 
     @given(m=st.integers(2, 24), a_sq=st.floats(0.0, 64.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_cases_partition_the_subpulses(self, m, a_sq, seed):
-        config = BruteForceConfig(m)
-        pulse = TwoModeCoherentState(alpha=np.sqrt(a_sq), theta=0.4)
-        outcome = brute_force_identify(pulse, config, np.random.default_rng(seed))
+        outcome = brute_force_identify(seed % m, m, a_sq, np.random.default_rng(seed))
         assert outcome.case_both + outcome.case_none + outcome.case_one == m
 
     def test_vacuum_gives_no_information(self):
         m = 8
-        config = BruteForceConfig(m)
         rng = np.random.default_rng(3)
-        outcomes = [
-            brute_force_identify(TwoModeCoherentState(0.0, config.candidate_angles[2]), config, rng)
-            for _ in range(3000)
-        ]
+        outcomes = [brute_force_identify(2, m, 0.0, rng) for _ in range(3000)]
         assert all(o.case_none == m for o in outcomes)
         rate = np.mean([o.success for o in outcomes])
         assert abs(rate - 1 / m) <= 3 * np.sqrt((1 / m) * (1 - 1 / m) / 3000)
-        assert all(o.estimated_angle in config.candidate_angles for o in outcomes)
+        assert all(o.estimated_angle in _grid(m) for o in outcomes)
 
     def test_subpulse_energy_accounting(self):
         # Equal splitting puts exactly |alpha|^2 / M photons in each sub-pulse,
         # so the silent-sub-pulse fraction must match exp(-|alpha|^2 / M).
         m = 8
-        config = BruteForceConfig(m)
         rng = np.random.default_rng(4)
         alpha_sq = 4.0
         trials = 3000
-        silent = np.mean(
-            [
-                brute_force_identify(
-                    TwoModeCoherentState(np.sqrt(alpha_sq), config.candidate_angles[3]),
-                    config,
-                    rng,
-                ).case_none
-                for _ in range(trials)
-            ]
-        ) / m
+        silent = np.mean([brute_force_identify(3, m, alpha_sq, rng).case_none for _ in range(trials)]) / m
         expected = np.exp(-alpha_sq / m)
         assert abs(silent - expected) <= 3 * np.sqrt(expected * (1 - expected) / (trials * m))
 
     def test_rich_pulse_identified_reliably(self):
         m = 16
-        config = BruteForceConfig(m)
         rng = np.random.default_rng(5)
         hits = 0
         trials = 300
         for _ in range(trials):
-            angle = config.candidate_angles[rng.integers(0, m)]
-            pulse = TwoModeCoherentState(np.sqrt(64.0 * m), angle)
-            hits += brute_force_identify(pulse, config, rng).success
+            hits += brute_force_identify(rng.integers(0, m), m, 64.0 * m, rng).success
         assert hits / trials >= 0.99
 
     def test_starved_pulse_defeats_identification(self):
@@ -111,52 +98,12 @@ class TestBruteForce:
         assert point.success_rate <= 2 / m + 5 * point.stderr
 
     def test_success_compares_exact_state(self):
-        config = BruteForceConfig(4)
-        pulse = TwoModeCoherentState(np.sqrt(1e4), config.candidate_angles[1])
-        outcome = brute_force_identify(pulse, config, np.random.default_rng(9))
+        outcome = brute_force_identify(1, 4, 1e4, np.random.default_rng(9))
         assert outcome.success
-        assert outcome.estimated_angle == pytest.approx(config.candidate_angles[1])
-
-    def test_detector_inefficiency_starves_the_attack(self):
-        m = 16
-        rng = np.random.default_rng(31)
-        trials = 200
-        hits = {}
-        for efficiency in (1.0, 0.02):
-            config = BruteForceConfig(m, detector_efficiency=efficiency)
-            hits[efficiency] = sum(
-                brute_force_identify(
-                    TwoModeCoherentState(np.sqrt(64.0 * m), config.candidate_angles[5]),
-                    config,
-                    rng,
-                ).success
-                for _ in range(trials)
-            )
-        assert hits[1.0] / trials >= 0.99
-        assert hits[0.02] < hits[1.0] * 0.8
-
-    def test_dark_counts_can_eliminate_everything(self):
-        # Heavy dark counts click both arms and swamp the three-case logic.
-        config = BruteForceConfig(8, dark_count_mean=8.0)
-        pulse = TwoModeCoherentState(0.0, config.candidate_angles[0])
-        outcome = brute_force_identify(pulse, config, np.random.default_rng(32))
-        assert outcome.case_both > 0
-        assert outcome.case_both + outcome.case_none + outcome.case_one == 8
-
-    def test_detector_knob_validation(self):
-        with pytest.raises(ValueError):
-            BruteForceConfig(4, detector_efficiency=1.2)
-        with pytest.raises(ValueError):
-            BruteForceConfig(4, dark_count_mean=-1.0)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["detector_efficiency", "dark_count_mean"])
-    def test_non_finite_knobs_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            BruteForceConfig(4, **{name: value})
+        assert outcome.estimated_angle == pytest.approx(np.pi / 4)
 
 
-def _reference_identify(theta, config, signal_mean, rng):
+def _reference_identify(theta, m, signal_mean, rng):
     """Scalar reference for ``_identify``.
 
     Replays the layout-2 draws by hand (transmit counts, reflect counts,
@@ -165,20 +112,18 @@ def _reference_identify(theta, config, signal_mean, rng):
     first (a photon where the hypothesis predicts a dark arm), then the
     highest log-likelihood plus jitter; no single click means the fallback.
     """
-    m = config.m_bases
-    angles = config.candidate_angles
+    angles = _grid(m)
     n = len(theta)
-    detected_mean = signal_mean / m * config.detector_efficiency
-    dark = config.dark_count_mean
+    sub_mean = signal_mean / m
     delta = theta[:, None] - angles
-    counts_t = rng.poisson(detected_mean * np.cos(delta) ** 2 + dark)
-    counts_r = rng.poisson(detected_mean * np.sin(delta) ** 2 + dark)
+    counts_t = rng.poisson(sub_mean * np.cos(delta) ** 2)
+    counts_r = rng.poisson(sub_mean * np.sin(delta) ** 2)
     jitter = rng.uniform(0.0, _TIE_JITTER, (n, m))
     fallback = rng.integers(0, m, n)
 
     cos2 = np.cos(angles[:, None] - angles[None, :]) ** 2
-    mean_t = detected_mean * cos2 + dark
-    mean_r = detected_mean * (1 - cos2) + dark
+    mean_t = sub_mean * cos2
+    mean_r = sub_mean * (1 - cos2)
     log_t = np.log(np.where(mean_t > 0, mean_t, 1.0))
     log_r = np.log(np.where(mean_r > 0, mean_r, 1.0))
     dark_t, dark_r = (mean_t == 0).astype(float), (mean_r == 0).astype(float)
@@ -205,7 +150,7 @@ def test_only_dark_arm_is_each_candidates_own_reflect_arm(m):
     dark are exactly its own reflect arm, which is all ``_identify`` counts
     as vetoes.  The means are those of ``_reference_identify``.
     """
-    angles = BruteForceConfig(m).candidate_angles
+    angles = _grid(m)
     cos2 = np.cos(angles[:, None] - angles[None, :]) ** 2
     for signal_mean in (1.0, 1e-3, 1e-12):
         assert not (signal_mean * cos2 == 0).any()
@@ -213,17 +158,17 @@ def test_only_dark_arm_is_each_candidates_own_reflect_arm(m):
 
 
 class TestStreamLayout:
-    @pytest.mark.parametrize("dark", [0.0, 0.05])
-    @pytest.mark.parametrize("m", [2, 3, 8, 64, MAX_ATTACK_M_BASES])
-    def test_batched_kernel_matches_scalar_reference(self, m, dark):
-        config = BruteForceConfig(m, dark_count_mean=dark)
-        rng = np.random.default_rng([m, int(dark > 0)])
+    # Each id ends in the attacker's dark-count mean, which is always 0.0.
+    @pytest.mark.parametrize("m", [2, 3, 8, 64, MAX_ATTACK_M_BASES], ids="{}-0.0".format)
+    def test_batched_kernel_matches_scalar_reference(self, m):
+        rng = np.random.default_rng([m, 0])
         trials = 300 if m <= 64 else 50  # the scalar reference costs O(M^2) per trial
         for ratio in (0.0, 1 / 16, 1.0, 4.0, 64.0):
-            theta = config.candidate_angles[rng.integers(0, m, trials)]
+            index = rng.integers(0, m, trials)
+            theta = _grid(m)[index]
             replay = copy.deepcopy(rng)
-            batch = _identify(theta, config, ratio * m, rng)
-            expected = _reference_identify(theta, config, ratio * m, replay)
+            batch = _identify(index, m, ratio * m, rng)
+            expected = _reference_identify(theta, m, ratio * m, replay)
             np.testing.assert_array_equal(batch.estimated_angle, expected)
             np.testing.assert_array_equal(batch.success, expected == theta)
             np.testing.assert_array_equal(batch.case_both + batch.case_none + batch.case_one, m)
@@ -235,11 +180,10 @@ class TestStreamLayout:
         rng = np.random.default_rng(11)
         replay = copy.deepcopy(rng)
         point = estimate_success(alpha_sq, m, trials, rng)
-        config = BruteForceConfig(m)
         hits = 0
         for start in range(0, trials, _TRIAL_BLOCK):
-            theta = config.candidate_angles[replay.integers(0, m, min(_TRIAL_BLOCK, trials - start))]
-            hits += int(np.sum(_reference_identify(theta, config, alpha_sq, replay) == theta))
+            theta = _grid(m)[replay.integers(0, m, min(_TRIAL_BLOCK, trials - start))]
+            hits += int(np.sum(_reference_identify(theta, m, alpha_sq, replay) == theta))
         assert point.success_rate == hits / trials
         assert rng.bit_generator.state == replay.bit_generator.state
 

@@ -345,7 +345,7 @@ class TestRoundTrip:
         kprime = expand_key(_fresh_key(), slots * 8)
         r = generate_r(slots, rng)
         schedule = build_basis_schedule(kprime, r, m)
-        events = simulate_meso_transmission(schedule, alpha_sq=25.0, rng=rng)
+        events = simulate_meso_transmission(schedule, 25.0, rng, 1.0, 0.0, (rng, rng))
         decoded = bob_decode(schedule.parity, events)
         assert decoded.erasure.mean() < 1e-3
         ok = ~decoded.erasure
@@ -356,7 +356,8 @@ class TestRoundTrip:
         kprime = expand_key(_fresh_key(), 20)
         r = generate_r(10, np.random.default_rng(2))
         schedule = build_basis_schedule(kprime, r, m)
-        events = simulate_meso_transmission(schedule, alpha_sq=0.0, rng=np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        events = simulate_meso_transmission(schedule, 0.0, rng, 1.0, 0.0, (rng, rng))
         decoded = bob_decode(schedule.parity, events)
         assert decoded.erasure.all()
 
@@ -364,7 +365,8 @@ class TestRoundTrip:
         m = 16
         kprime = expand_key(_fresh_key(), 40)
         schedule = build_basis_schedule(kprime, generate_r(10, np.random.default_rng(4)), m)
-        counts = simulate_meso_transmission(schedule, 0.0, np.random.default_rng(5), dark_count_prob=1.0)
+        rng = np.random.default_rng(5)
+        counts = simulate_meso_transmission(schedule, 0.0, rng, 1.0, 1.0, (rng, rng))
         assert counts.counts_transmit.tolist() == counts.counts_reflect.tolist() == [1] * 10
         decoded = bob_decode(schedule.parity, counts)
         assert decoded.erasure.all()
@@ -375,8 +377,9 @@ class TestRoundTrip:
     def test_invalid_intensity_or_survival_raises(self, alpha_sq, survival):
         kprime = expand_key(_fresh_key(), 40)
         schedule = build_basis_schedule(kprime, generate_r(10, np.random.default_rng(4)), 16)
+        rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="alpha_sq"):
-            simulate_meso_transmission(schedule, alpha_sq, np.random.default_rng(5), survival=survival)
+            simulate_meso_transmission(schedule, alpha_sq, rng, survival, 0.0, (rng, rng))
 
     def test_single_aligned_slot_decodes_exactly(self):
         m = 16

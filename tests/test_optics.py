@@ -324,13 +324,12 @@ class TestOracle:
             assert (values.max() - values.min()) / values.mean() <= 0.01
 
     def test_single_drive_chirp_breaks_the_fringe_law(self):
-        # The chirped single-arm transfer is exposed deliberately: its fringe
-        # is shifted and lifted, so the half-angle fit degrades badly.
+        # The single-arm transfer, which only the reference field models (the
+        # oracle uses push-pull drive): its chirp shifts and lifts the fringe,
+        # so the half-angle fit degrades badly.
         phases = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         upper = [
-            sideband_intensities_oracle(
-                PLAN.with_phases(phi1_a=p), FIBER, num_samples=4096, include_chirp=True
-            ).upper1
+            reference_oracle(PLAN.with_phases(phi1_a=p), FIBER, num_samples=4096, include_chirp=True).upper1
             for p in phases
         ]
         _, residual = fit_half_angle_fringe(phases, upper, "cos2")
@@ -419,28 +418,27 @@ def assert_spectra_close(spectrum, reference, e0):
 
 class TestFftReadout:
     CASES = {
-        "default": (PLAN, FIBER, False),
-        "chirp": (PLAN, FIBER, True),
-        "detuned": (PLAN, FiberLink(length_m=FIBER.length_m * 1.01), False),
-        "dark-channel1": (plan_with(m1=0.0, m3=0.0, phi2_a=0.7), FIBER, False),
-        "swept": (plan_with(phi1_a=1.3, phi2_a=2.9, phi1_b=0.4, phi2_b=5.1), FIBER, False),
+        "default": (PLAN, FIBER),
+        "detuned": (PLAN, FiberLink(length_m=FIBER.length_m * 1.01)),
+        "dark-channel1": (plan_with(m1=0.0, m3=0.0, phi2_a=0.7), FIBER),
+        "swept": (plan_with(phi1_a=1.3, phi2_a=2.9, phi1_b=0.4, phi2_b=5.1), FIBER),
     }
 
     @pytest.mark.parametrize("num_samples", [1024, 4096, 16384])
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_direct_projection(self, case, num_samples):
-        plan, fiber, chirp = self.CASES[case]
-        reference = reference_oracle(plan, fiber, num_samples, chirp)
-        spectrum = sideband_intensities_oracle(plan, fiber, num_samples, include_chirp=chirp)
+        plan, fiber = self.CASES[case]
+        reference = reference_oracle(plan, fiber, num_samples)
+        spectrum = sideband_intensities_oracle(plan, fiber, num_samples)
         assert_spectra_close(spectrum, reference, plan.e0)
 
     @pytest.mark.parametrize("num_samples", [1024, 4096, 16384])
     @pytest.mark.parametrize("case", list(CASES))
     def test_field_matches_fourier_domain_propagation(self, case, num_samples):
         # The time shift and the bin-by-bin phase put the same power in every bin.
-        plan, fiber, chirp = self.CASES[case]
-        field = synthesize_bob_field(plan, fiber, num_samples, include_chirp=chirp)
-        reference = reference_field(plan, fiber, num_samples, chirp)
+        plan, fiber = self.CASES[case]
+        field = synthesize_bob_field(plan, fiber, num_samples)
+        reference = reference_field(plan, fiber, num_samples)
         powers = np.abs(np.fft.fft(field.samples) / num_samples) ** 2
         expected = np.abs(np.fft.fft(reference.samples) / num_samples) ** 2
         assert np.max(np.abs(powers - expected)) <= 1e-15 * plan.e0**2

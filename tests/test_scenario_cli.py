@@ -1,6 +1,7 @@
 """Scenario parsing, CLI exit codes, bundle determinism, CSV emission."""
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -457,6 +458,15 @@ class TestHelp:
         assert f"in [100, {scenario.MAX_ATTACK_TRIALS}]" in text
         assert "16 to 128 hex digits (8 to 64 bytes)" in text
 
+    def test_key_table_is_pinned(self):
+        # The key table is the whole per-key contract.  A change to any key
+        # (name, unit, help, rule or default) re-pins this digest and says so
+        # in CHANGES.md.
+        table = scenario.describe_keys()
+        assert len(table.splitlines()) == 37
+        digest = hashlib.sha256(table.encode()).hexdigest()
+        assert digest == "5a4db2b6bcdbe8797d286bb42338785e0c7eac78769f3d8bdbe4f09540058fbe"
+
 
 class TestBoundary:
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -669,6 +679,20 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert "runtime error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "attack-sweep", "optics-verify"])
+    def test_csv_without_out_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        # The CSV files are written next to the bundle, so --csv alone has nowhere to go.
+        monkeypatch.chdir(tmp_path)
+        path = write_scenario(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--scenario", path, "--csv"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "--csv needs --out" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     @pytest.mark.parametrize(
