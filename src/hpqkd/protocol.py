@@ -34,12 +34,11 @@ _HALF_PI = np.pi / 2
 #: entry ``(a << 2) | (b << 1) | c``, as uint8 like the per-slot values.
 _COMBOS = np.array([(i >> 2, i >> 1 & 1, i & 1) for i in range(8)], dtype=np.uint8).T
 
-#: Fixed spawn order of the per-role random streams; slot randomness is
-#: consumed as arrays indexed by slot, so results do not depend on how slot
-#: processing is batched.  Roles are only ever appended: spawning more
-#: children leaves the streams of the earlier ones unchanged.  Layout 3
-#: reads no ``routing_ch*`` stream; the roles keep their places so the later
-#: streams stay as they are.
+#: The per-role random streams, by spawn key: ``_stream(seed, role)`` is
+#: child ``_ROLES.index(role)`` of ``SeedSequence(seed)``.  Slot randomness
+#: is consumed as arrays indexed by slot, so results do not depend on how
+#: slot processing is batched.  Roles are only ever appended, so each keeps
+#: its stream; ``routing_ch*`` keeps its index although nothing reads it.
 _ROLES = (
     "alice_bits_ch1",
     "alice_bits_ch2",
@@ -62,9 +61,9 @@ _ROLES = (
 )
 
 #: Layout of the random streams a session consumes, recorded in the
-#: ``simulate`` results.  Layout 5: each role of ``_ROLES`` is one child of
-#: ``SeedSequence(seed)``, read front to back, once per session.  Every 0/1
-#: array is ``keystream.random_bits``: ``ceil(n / 8)`` bytes
+#: ``simulate`` results.  Layout 5: each role of ``_ROLES`` is built by
+#: ``_stream`` where it is read, and read front to back, once per session.
+#: Every 0/1 array is ``keystream.random_bits``: ``ceil(n / 8)`` bytes
 #: ``integers(0, 256, uint8)``, unpacked big-endian.  A weak channel draws
 #: its bits that way (and, in the sifted modes, both parties' bases), and
 #: the assisted modes draw R (k = n per channel bits) on ``r_entropy``.
@@ -73,7 +72,10 @@ _ROLES = (
 #: p = 1/16 and p = 15/16 (``polarization.SPARSE_CLICK_PROB``):
 #:
 #: - p <= 1/16: ``k = binomial(n, p)``, then ``choice(n, k, replace=False,
-#:   shuffle=False)`` gives the click slots; nothing is drawn at p = 0.
+#:   shuffle=False)`` gives the click slots; nothing is drawn at p = 0.  A
+#:   Binomial(n, p) count followed by a uniform k-subset gives each pattern
+#:   with k ones the probability p**k (1 - p)**(n - k), the law of
+#:   ``random(n) < p``.
 #: - p >= 15/16: the same draw with 1 - p gives the quiet slots.  1 - p is
 #:   exact there (Sterbenz), so the law is that of ``random(n) < p``.
 #: - in between: ``random(n) < p``, drawn in blocks of 2**14 uniforms
@@ -93,17 +95,6 @@ _ROLES = (
 #: time, for the bytes) can keep this layout; a count-and-subset field is
 #: drawn once per session.  K' is ``keystream.KEYSTREAM_GENERATOR_ID``, and
 #: only the parity of each basis word is read from it.
-#: Layout 4 drew every weak channel and meso signal click as one
-#: ``random(n)`` and every dark field as a count and subset, at any p.  Its
-#: middle-regime fields are layout 5's byte for byte.
-#: Layout 3 drew one dark ``random(n) < d`` per detector and otherwise
-#: matches layout 4.  Both give i.i.d. Bernoulli(d) dark clicks: a
-#: Binomial(n, d) count followed by a uniform k-subset gives each pattern
-#: with k ones the probability d**k (1 - d)**(n - k).
-#: Layout 2 drew ``integers(0, 2, n)`` bits and bases, the weak signal
-#: ``poisson(mu, n) > 0`` and its routing ``random(n)`` on ``routing_ch*``,
-#: with K' from ``blake2b256-ctr-v1``; layout 1 also drew the meso photon
-#: counts ``poisson`` and both meso dark arms from ``meso_channel``.
 STREAM_LAYOUT = 5
 
 
@@ -249,9 +240,12 @@ def compute_qber(alice_bits, bob_bits, matched_slots) -> float:
     return int(np.count_nonzero((alice_bits != bob_bits) & matched)) / total
 
 
-def _streams(seed: int) -> dict[str, np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(len(_ROLES))
-    return {role: np.random.default_rng(c) for role, c in zip(_ROLES, children)}
+def _stream(seed: int, role: str) -> np.random.Generator:
+    """A new generator for ``role``: child ``_ROLES.index(role)`` of ``SeedSequence(seed)``.
+
+    A session builds each role it reads once, where it reads it.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ROLES.index(role),)))
 
 
 def _measured_bases(config: SessionConfig, bob_basis: np.ndarray) -> np.ndarray:
@@ -275,7 +269,6 @@ class _ChannelRun:
 
 def _run_channel(
     config: SessionConfig,
-    streams: dict,
     channel: int,
     alice_basis: np.ndarray,
     bob_basis_actual: np.ndarray,
@@ -291,7 +284,7 @@ def _run_channel(
     """
     n = config.num_slots
     ch = config.channel
-    bits = ks.random_bits(streams[f"alice_bits_ch{channel}"], n)
+    bits = ks.random_bits(_stream(config.seed, f"alice_bits_ch{channel}"), n)
     a, b, c = _COMBOS
     table = split_upper_probability(
         config.plan, config.fiber, channel, (a * _HALF_PI + b * np.pi) - c * _HALF_PI
@@ -306,7 +299,7 @@ def _run_channel(
 
     # A signal click with p, routed upper with the slot's t: p * t in all.
     p_click = -np.expm1(-mu)
-    rng = streams[f"photons_ch{channel}"]
+    rng = _stream(config.seed, f"photons_ch{channel}")
     if p_click <= SPARSE_CLICK_PROB:  # the click slots, then one routing uniform each
         signal = np.zeros(n, dtype=bool)
         to_upper = np.zeros(n, dtype=bool)
@@ -321,7 +314,7 @@ def _run_channel(
         for block, u in uniform_blocks(rng, n):
             np.less(u, p_click, out=signal[block])
             np.less(u, upper_table[key[block]], out=to_upper[block])
-    dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
+    dark_rngs = tuple(_stream(config.seed, f"dark_{arm}_ch{channel}") for arm in ("upper", "lower"))
     click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     conclusive = click_upper ^ click_lower
     bob_bits = click_upper.view(np.uint8) ^ np.uint8(1 - upper_bit)
@@ -333,7 +326,7 @@ def _hex_bits(bits: np.ndarray) -> str:
     return np.packbits(bits).tobytes().hex()
 
 
-def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
+def _meso_leg(config: SessionConfig, r_bits: np.ndarray):
     """Distribute the basis stream over the mesoscopic polarization channel."""
     ch = config.channel
     # No name keeps K' past the schedule, so it is freed before the meso
@@ -346,10 +339,10 @@ def _meso_leg(config: SessionConfig, streams, r_bits: np.ndarray):
     counts = ks.simulate_meso_transmission(
         schedule,
         ch.alpha_sq_meso,
-        streams["meso_channel"],
+        _stream(config.seed, "meso_channel"),
         survival=ch.survival_probability,
         dark_count_prob=ch.dark_count_prob,
-        dark_rngs=(streams["meso_dark_transmit"], streams["meso_dark_reflect"]),
+        dark_rngs=(_stream(config.seed, "meso_dark_transmit"), _stream(config.seed, "meso_dark_reflect")),
     )
     # Both parties derive the same parities from K'; they are built once.
     return ks.bob_decode(schedule.parity, counts)
@@ -381,11 +374,10 @@ def run_session(config: SessionConfig) -> SessionReport:
     """
     channels = (1, 2) if config.mode in ("parallel", "hybrid_parallel") else (1,)
     assisted = config.mode in ("hybrid", "hybrid_parallel")
-    streams = _streams(config.seed)
     n = config.num_slots
     if assisted:
-        r_bits = ks.generate_r(len(channels) * n, streams["r_entropy"])
-        decoded = _meso_leg(config, streams, r_bits)
+        r_bits = ks.generate_r(len(channels) * n, _stream(config.seed, "r_entropy"))
+        decoded = _meso_leg(config, r_bits)
 
     reports = []
     usable_counts = []
@@ -399,14 +391,14 @@ def run_session(config: SessionConfig) -> SessionReport:
             usable = int(np.count_nonzero(keep))
             agreement = int(np.count_nonzero((bob_basis == alice_basis) & keep)) / usable if usable else 0.0
         else:
-            alice_basis = ks.random_bits(streams[f"alice_bases_ch{channel}"], n)
-            bob_basis = ks.random_bits(streams[f"bob_bases_ch{channel}"], n)
+            alice_basis = ks.random_bits(_stream(config.seed, f"alice_bases_ch{channel}"), n)
+            bob_basis = ks.random_bits(_stream(config.seed, f"bob_bases_ch{channel}"), n)
             keep = alice_basis == bob_basis
             usable = n
             agreement = None
             announced[f"alice_ch{channel}"] = _hex_bits(alice_basis)
             announced[f"bob_ch{channel}"] = _hex_bits(bob_basis)
-        run = _run_channel(config, streams, channel, alice_basis, _measured_bases(config, bob_basis))
+        run = _run_channel(config, channel, alice_basis, _measured_bases(config, bob_basis))
         kept = keep & run.conclusive
         sifted = int(np.count_nonzero(kept))
         reports.append(

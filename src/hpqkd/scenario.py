@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 from .attacks import MAX_ATTACK_M_BASES
+from .keystream import SeedKey
 from .optics import FiberLink, ModulationPlan, tuned_fiber
 from .protocol import MAX_PHOTONS, MODES, ChannelModel, SessionConfig
 
@@ -231,6 +232,11 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
             if not _valid(key, values[name]):
                 path = f"{section}.{name}" if section else name
                 raise ScenarioError(f"scenario key {path} must be {_rule(key)}, got {values[name]!r}")
+    if merged["simulate"]["seed_key_hex"] is not None:
+        try:
+            SeedKey.from_hex(merged["simulate"]["seed_key_hex"])
+        except ValueError as exc:
+            raise ScenarioError(f"scenario key simulate.seed_key_hex is not a seed key: {exc}") from exc
     # The rules that span keys (M a power of two, distinct tones below the
     # carrier) hold for every command; a command warns when it builds an object.
     with warnings.catch_warnings():

@@ -1,7 +1,6 @@
 """Session engine: detection law, sifting, rate multipliers, determinism."""
 import copy
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -109,6 +108,17 @@ def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actua
             click_lower |= dark_rngs[1].random(n) < ch.dark_count_prob
     bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
     return protocol._ChannelRun(bits, click_upper, click_lower, click_upper ^ click_lower, bob_bits)
+
+
+def session_streams(seed) -> dict:
+    """Every role's generator for ``seed``, each built as the engine builds it."""
+    return {role: protocol._stream(seed, role) for role in protocol._ROLES}
+
+
+def layout2_run_channel(config, channel, alice_basis, bob_basis_actual) -> protocol._ChannelRun:
+    """``reference_channel_run`` in layout 2 on the session's streams: a drop-in for ``protocol._run_channel``."""
+    streams = session_streams(config.seed)
+    return reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=2)
 
 
 def config(mode="baseline_bb84", slots=10_000, seed=42, channel=IDEAL, plan=PLAN, fiber=FIBER, **kw):
@@ -257,8 +267,7 @@ class TestDetectionSplit:
         ch = ChannelModel(mu_weak=1.0, dark_count_prob=0.2)
         slots = 40_000
         run = protocol._run_channel(
-            config(slots=slots, channel=ch),
-            protocol._streams(31),
+            config(slots=slots, seed=31, channel=ch),
             channel,
             np.full(slots, alice_basis, dtype=np.uint8),
             np.zeros(slots, dtype=np.uint8),
@@ -433,18 +442,19 @@ SPLIT_TABLE_CASES = {
 
 class TestSplitTable:
     @pytest.mark.parametrize("name", sorted(SPLIT_TABLE_CASES))
-    def test_table_pass_equals_per_slot_law(self, name):
+    def test_table_pass_equals_per_slot_law(self, name, monkeypatch):
         channel, ch, plan, fiber, fault = SPLIT_TABLE_CASES[name]
         slots = 20_001
-        cfg = config(slots=slots, channel=ch, plan=plan, fiber=fiber, basis_flip_fault_fraction=fault)
+        cfg = config(slots=slots, seed=9, channel=ch, plan=plan, fiber=fiber, basis_flip_fault_fraction=fault)
         rng = np.random.default_rng(17)
         alice_basis = rng.integers(0, 2, slots, dtype=np.uint8)
         bob_basis = rng.integers(0, 2, slots, dtype=np.uint8)
         flipped = np.arange(slots) < round(fault * slots)
-        streams = protocol._streams(9)
+        streams = session_streams(9)
         engine_streams, reference_streams = copy.deepcopy(streams), copy.deepcopy(streams)
+        monkeypatch.setattr(protocol, "_stream", lambda seed, role: engine_streams[role])
         measured = protocol._measured_bases(cfg, bob_basis)
-        run = protocol._run_channel(cfg, engine_streams, channel, alice_basis, measured)
+        run = protocol._run_channel(cfg, channel, alice_basis, measured)
         reference = reference_channel_run(cfg, reference_streams, channel, alice_basis, bob_basis ^ flipped)
         for field in dataclasses.fields(protocol._ChannelRun):
             got, want = getattr(run, field.name), getattr(reference, field.name)
@@ -527,10 +537,9 @@ def _meso_pool(channel: ChannelModel, layout: int) -> tuple[int, int, int]:
     erased = wrong = 0
     for seed in MESO_SEEDS:
         cfg = config(mode="hybrid", slots=MESO_SLOTS, seed=seed, channel=channel)
-        streams = protocol._streams(seed)
-        r = ks.generate_r(MESO_SLOTS, streams["r_entropy"])
+        r = ks.generate_r(MESO_SLOTS, protocol._stream(seed, "r_entropy"))
         if layout == 2:
-            decoded = protocol._meso_leg(cfg, streams, r)
+            decoded = protocol._meso_leg(cfg, r)
         else:
             kprime = ks.expand_key(cfg.resolved_seed_key(), MESO_SLOTS * ks.bits_per_slot(channel.m_bases))
             schedule = ks.build_basis_schedule(kprime, r, channel.m_bases)
@@ -645,7 +654,7 @@ def _weak_pool(channel: ChannelModel, mode: str, layout: int) -> np.ndarray:
     with pytest.MonkeyPatch.context() as mp:
         if layout == 2:
             mp.setattr(ks, "random_bits", _layout2_bits)
-            mp.setattr(protocol, "_run_channel", functools.partial(reference_channel_run, layout=2))
+            mp.setattr(protocol, "_run_channel", layout2_run_channel)
         for seed in WEAK_SEEDS:
             report = run_session(config(mode=mode, slots=WEAK_SLOTS, seed=seed, channel=channel))
             slots = report.slots * len(report.per_channel)
@@ -680,7 +689,7 @@ LAYOUT2_SIFTED_DIGESTS = {
 @pytest.mark.parametrize("channel, mode", sorted(LAYOUT2_SIFTED_DIGESTS))
 def test_layout2_reference_reproduces_layout2_sessions(channel, mode, monkeypatch):
     monkeypatch.setattr(ks, "random_bits", _layout2_bits)
-    monkeypatch.setattr(protocol, "_run_channel", functools.partial(reference_channel_run, layout=2))
+    monkeypatch.setattr(protocol, "_run_channel", layout2_run_channel)
     report = run_session(config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel]))
     digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == LAYOUT2_SIFTED_DIGESTS[(channel, mode)]
@@ -741,25 +750,44 @@ DRAW_CHANNELS = (
 )
 
 
+def _mode_roles(mode: str) -> list[str]:
+    """The roles a session of ``mode`` reads: each channel's bits, clicks and bases, or R and the meso leg."""
+    channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
+    roles = [f"{kind}_ch{ch}" for ch in channels for kind in ("alice_bits", "photons", "dark_upper", "dark_lower")]
+    if mode in ("hybrid", "hybrid_parallel"):
+        return roles + ["r_entropy", "meso_channel", "meso_dark_transmit", "meso_dark_reflect"]
+    return roles + [f"{party}_bases_ch{ch}" for ch in channels for party in ("alice", "bob")]
+
+
 @pytest.mark.parametrize("mode", protocol.MODES)
 def test_session_draws_follow_layout3(mode, monkeypatch):
-    """Layout 5: one array per byte role, and on each click role the calls of its field's regime."""
+    """Layout 5: one array per byte role, and on each click role the calls of its field's regime.
+
+    Each role the mode reads is built once, where it is read: a second
+    build would restart its stream and repeat its draws.
+    """
     assert protocol.STREAM_LAYOUT == 5
     slots = 2 * CLICK_BLOCK + 1001  # three blocks
-    streams = protocol._streams
+    stream = protocol._stream
     channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
     assisted = mode in ("hybrid", "hybrid_parallel")
     for channel in DRAW_CHANNELS:
-        calls = []
-        monkeypatch.setattr(
-            protocol,
-            "_streams",
-            lambda seed: {role: _RecordingRng(role, rng, calls) for role, rng in streams(seed).items()},
-        )
+        calls, built = [], []
+
+        def recording(seed, role):
+            built.append(role)
+            return _RecordingRng(role, stream(seed, role), calls)
+
+        monkeypatch.setattr(protocol, "_stream", recording)
         run_session(config(mode=mode, slots=slots, channel=channel))
+        assert sorted(built) == sorted(_mode_roles(mode)), (channel, built)
+        if mode == "baseline_bb84":  # no r_entropy, meso_* or *_ch2
+            kinds = ("alice_bases", "alice_bits", "bob_bases", "dark_lower", "dark_upper", "photons")
+            assert sorted(built) == [f"{kind}_ch1" for kind in kinds]
         draws = {}
         for role, name, args in calls:
             draws.setdefault(role, []).append((name, args))
+        assert set(draws) == set(built), (channel, draws.keys())
         names = {role: [name for name, _ in role_draws] for role, role_draws in draws.items()}
         p_weak = -np.expm1(-channel.mu_weak * channel.survival_probability)
         weak = _field_calls(p_weak, slots) + (["random"] if p_weak <= SPARSE_CLICK_PROB else [])
@@ -779,6 +807,17 @@ def test_session_draws_follow_layout3(mode, monkeypatch):
         assert not [role for role in draws if role.startswith("routing_ch")]
         assert {name for ((name, args),) in other.values()} == {"integers"}
         assert all(args[:2] == (0, 256) for ((name, args),) in other.values())
+
+
+@pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
+def test_stream_is_its_roles_spawned_child(seed):
+    """Layout 5: ``_stream(seed, role)`` draws as child i of ``SeedSequence(seed).spawn(len(_ROLES))``."""
+    children = np.random.SeedSequence(seed).spawn(len(protocol._ROLES))
+    for role, child in zip(protocol._ROLES, children, strict=True):
+        got, want = protocol._stream(seed, role), np.random.default_rng(child)
+        assert got.bit_generator.state == want.bit_generator.state, role
+        for draw in (lambda rng: rng.integers(0, 256, 64, dtype=np.uint8), lambda rng: rng.random(16)):
+            assert np.array_equal(draw(got), draw(want)), role
 
 
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and

@@ -526,6 +526,12 @@ class TestBoundary:
             ("simulate", {"simulate": {"seed_key_hex": "00"}}, []),
             ("simulate", {"simulate": {"seed_key_hex": 5}}, []),
             ("simulate", {"simulate": {"seed_key_hex": "ab" * 65}}, []),
+            ("attack-sweep", {"simulate": {"seed_key_hex": "zz"}}, []),
+            ("attack-sweep", {"simulate": {"seed_key_hex": "00"}}, []),
+            ("attack-sweep", {"simulate": {"seed_key_hex": "ab" * 65}}, []),
+            ("optics-verify", {"simulate": {"seed_key_hex": "zz"}}, []),
+            ("optics-verify", {"simulate": {"seed_key_hex": "00"}}, []),
+            ("optics-verify", {"simulate": {"seed_key_hex": "ab" * 65}}, []),
             ("simulate", {"fiber": {"length_m": 1.0}}, []),
             ("simulate", {"channel": {"m_bases": 256.0}}, []),
             ("simulate", {"schema_version": True}, []),
@@ -562,7 +568,9 @@ class TestBoundary:
         ],
         ids=[
             "modes-empty", "modes-null", "pns-mu-null", "pns-thresholds-null", "seed-key-not-hex",
-            "seed-key-short", "seed-key-int", "seed-key-long", "detuned-default-modes", "m-bases-float",
+            "seed-key-short", "seed-key-int", "seed-key-long", "sweep-seed-key-not-hex", "sweep-seed-key-short",
+            "sweep-seed-key-long", "verify-seed-key-not-hex", "verify-seed-key-short", "verify-seed-key-long",
+            "detuned-default-modes", "m-bases-float",
             "schema-version-true", "slots-1e14", "slots-above-cap", "sweep-m-100000",
             "sweep-m-above-cap", "workers-0", "workers-negative", "trials-override-simulate",
             "mu-weak-huge", "meso-huge", "grid-huge", "int-beyond-float", "m-bases-2**64",
