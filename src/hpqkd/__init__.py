@@ -12,8 +12,6 @@ from .optics import (
     ModulationPlan,
     SidebandSpectrum,
     TimeDomainField,
-    alice_field_exact,
-    alice_intensity_small_signal,
     sideband_intensities_closed_form,
     sideband_intensities_oracle,
     tuned_fiber,
@@ -21,14 +19,9 @@ from .optics import (
 from .polarization import (
     DetectionCounts,
     DetectionEvent,
-    StokesSummary,
     TwoModeCoherentState,
     overlap_exact,
-    overlap_small_angle,
     pbs_measure,
-    rotate,
-    stokes_monte_carlo,
-    stokes_summary,
 )
 from .attacks import (
     PnsModel,
@@ -44,13 +37,11 @@ from .keystream import (
     bob_decode,
     build_basis_schedule,
     expand_key,
-    generate_r,
 )
 from .protocol import (
     ChannelModel,
     SessionConfig,
     SessionReport,
-    compute_qber,
     run_session,
 )
 
@@ -60,21 +51,14 @@ __all__ = [
     "ModulationPlan",
     "SidebandSpectrum",
     "TimeDomainField",
-    "alice_field_exact",
-    "alice_intensity_small_signal",
     "sideband_intensities_closed_form",
     "sideband_intensities_oracle",
     "tuned_fiber",
     "DetectionCounts",
     "DetectionEvent",
-    "StokesSummary",
     "TwoModeCoherentState",
     "overlap_exact",
-    "overlap_small_angle",
     "pbs_measure",
-    "rotate",
-    "stokes_monte_carlo",
-    "stokes_summary",
     "PnsModel",
     "amplifier_attack",
     "attack_success_curve",
@@ -86,10 +70,8 @@ __all__ = [
     "bob_decode",
     "build_basis_schedule",
     "expand_key",
-    "generate_r",
     "ChannelModel",
     "SessionConfig",
     "SessionReport",
-    "compute_qber",
     "run_session",
 ]

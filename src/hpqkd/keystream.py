@@ -8,16 +8,13 @@ the parity rule, encoding one bit in each transmitted polarization.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polarization import DetectionCounts, add_clicks, two_arm_clicks
 
-#: Identifier of the key-expansion keystream: block i is the first
-#: 65 536 bytes of SHAKE256(domain || len(seed) as one byte || seed || i as
-#: 8-byte big-endian), the last block cut to the bytes needed.
-KEYSTREAM_GENERATOR_ID = "shake256-ctr64k-v2"
 _DOMAIN = b"hpqkd-keystream-v2"
 _BLOCK_BYTES = 65_536
 
@@ -34,7 +31,7 @@ MAX_M_BASES = 2**52
 
 @dataclass(frozen=True)
 class SeedKey:
-    """Pre-shared secret key of 64 to 512 bits."""
+    """Pre-shared secret key of 64 to 512 bits, a whole number of bytes."""
 
     bits: np.ndarray
 
@@ -49,6 +46,9 @@ class SeedKey:
                 f"seed key must hold at most {_MAX_SEED_BITS} bits; "
                 "a longer key adds no strength to the SHAKE256 keystream"
             )
+        if len(bits) % 8:
+            # Packed to bytes, a key and its zero-padded extension would be one key.
+            raise ValueError("seed key must hold a whole number of bytes")
         object.__setattr__(self, "bits", bits)
 
     @classmethod
@@ -62,9 +62,6 @@ class SeedKey:
     def to_bytes(self) -> bytes:
         return np.packbits(self.bits).tobytes()
 
-    def fingerprint(self) -> str:
-        return hashlib.blake2b(self.to_bytes(), digest_size=8).hexdigest()
-
 
 @dataclass(frozen=True)
 class ExpandedKey:
@@ -77,20 +74,19 @@ class ExpandedKey:
 
     packed: np.ndarray
     num_bits: int
-    generator_id: str
-    seed_fingerprint: str
 
     def __len__(self) -> int:
         return self.num_bits
 
 
 def expand_key(seed: SeedKey, target_bits: int) -> ExpandedKey:
-    """Expand the seed into ``target_bits`` keystream bits.
+    """Expand the seed into ``target_bits`` keystream bits (``shake256-ctr64k-v2``).
 
     Counter mode over SHAKE256: block i is the first 65 536 bytes of
-    SHAKE256(domain || len(seed) || seed || big_endian_64(i)), so any block
-    can be computed on its own.  Identical inputs always yield identical
-    bits, so transmitter and receiver derive the same stream.
+    SHAKE256(domain || len(seed) as one byte || seed || big_endian_64(i)),
+    the last block cut to the bytes needed, so any block can be computed on
+    its own.  Identical inputs always yield identical bits, so transmitter
+    and receiver derive the same stream.
     """
     if target_bits < 1:
         raise ValueError("target_bits must be >= 1")
@@ -101,12 +97,7 @@ def expand_key(seed: SeedKey, target_bits: int) -> ExpandedKey:
         size = min(_BLOCK_BYTES, len(stream) - start)
         stream[start : start + size] = hashlib.shake_256(prefix + i.to_bytes(8, "big")).digest(size)
     stream[-1] &= 0xFF << (8 * len(stream) - target_bits) & 0xFF
-    return ExpandedKey(
-        packed=np.frombuffer(stream, dtype=np.uint8),
-        num_bits=target_bits,
-        generator_id=KEYSTREAM_GENERATOR_ID,
-        seed_fingerprint=seed.fingerprint(),
-    )
+    return ExpandedKey(packed=np.frombuffer(stream, dtype=np.uint8), num_bits=target_bits)
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -117,17 +108,6 @@ def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     same bits.
     """
     return np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8), count=n)
-
-
-def generate_r(length: int, entropy_source: np.random.Generator) -> np.ndarray:
-    """Data bits carried by the polarization channel.
-
-    Stands in for a true-random source; inject a dedicated generator,
-    distinct from the keystream, so simulations stay reproducible.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return random_bits(entropy_source, length)
 
 
 def bits_per_slot(m_bases: int) -> int:
@@ -149,7 +129,6 @@ class BasisSchedule:
     from K' alone, so the receiver decodes with the same array.
     """
 
-    m_bases: int
     parity: np.ndarray
     bit: np.ndarray
 
@@ -192,7 +171,7 @@ def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> Ba
         raise ValueError(
             f"data length {len(r)} != floor(|K'| / log2(M)) = {len(parity)}"
         )
-    return BasisSchedule(m_bases=m_bases, parity=parity, bit=r)
+    return BasisSchedule(parity=parity, bit=r)
 
 
 @dataclass(frozen=True)
@@ -233,7 +212,7 @@ def simulate_meso_transmission(
     rng: np.random.Generator,
     survival: float,
     dark_count_prob: float,
-    dark_rngs: tuple[np.random.Generator, np.random.Generator],
+    dark_rngs: Iterable[np.random.Generator],
 ) -> DetectionCounts:
     """Send the schedule as mesoscopic pulses and detect at the shared basis.
 

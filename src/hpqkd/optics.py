@@ -220,31 +220,6 @@ class TimeDomainField:
         return len(self.samples) / self.sample_rate
 
 
-def alice_field_exact(plan: ModulationPlan, t) -> np.ndarray:
-    """Exact baseband field at the Mach-Zehnder output, no small-depth expansion.
-
-    Returns (e0/2) * (1 + exp(j*psi1) * exp(j*[m1*cos(omega1*t + phi1_a)
-    + m2*cos(omega2*t + phi2_a)])); the optical-carrier factor is omitted
-    throughout (baseband convention).
-    """
-    t = np.asarray(t, dtype=float)
-    drive = plan.m1 * np.cos(plan.omega1 * t + plan.phi1_a) + plan.m2 * np.cos(
-        plan.omega2 * t + plan.phi2_a
-    )
-    return (plan.e0 / 2) * (1 + np.exp(1j * plan.psi1) * np.exp(1j * drive))
-
-
-def alice_intensity_small_signal(plan: ModulationPlan, t) -> np.ndarray:
-    """First-order modulator intensity: the small-signal expansion of |field|^2."""
-    t = np.asarray(t, dtype=float)
-    return (plan.e0**2 / 2) * (
-        1
-        + np.cos(plan.psi1)
-        - plan.m1 * np.sin(plan.psi1) * np.cos(plan.omega1 * t + plan.phi1_a)
-        - plan.m2 * np.sin(plan.psi1) * np.cos(plan.omega2 * t + plan.phi2_a)
-    )
-
-
 def _channel_terms(plan: ModulationPlan, fiber: FiberLink, channel: int):
     """(sum term, interference amplitude, link phase) of the fringe law."""
     if channel == 1:

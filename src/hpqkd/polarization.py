@@ -1,13 +1,14 @@
 """Two-mode coherent states with linear polarization.
 
-Rotations, Stokes statistics, state distinguishability, and photon counting
+The exact distinguishability of two such states, and photon counting
 through a rotated polarizing beam splitter.  Photon counting is Poissonian
 per mode with independent arms, which is exact for coherent states.
 ``two_arm_clicks`` is the threshold detector that both session legs share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +32,6 @@ class TwoModeCoherentState:
     @property
     def mean_photons(self) -> float:
         return float(abs(self.alpha) ** 2)
-
-
-@dataclass(frozen=True)
-class StokesSummary:
-    """Means (photons) and variances (photons^2) of the three Stokes parameters."""
-
-    s1_mean: float
-    s2_mean: float
-    s3_mean: float
-    s1_var: float
-    s2_var: float
-    s3_var: float
 
 
 @dataclass(frozen=True)
@@ -138,15 +127,17 @@ def two_arm_clicks(
     signal: np.ndarray,
     to_first: np.ndarray,
     dark_count_prob: float,
-    dark_rngs: tuple[np.random.Generator, np.random.Generator],
+    dark_rngs: Iterable[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clicks of a two-arm threshold detector, one boolean per slot and arm.
 
     A signal click lands in the first arm where ``to_first`` holds and in
     the second arm elsewhere.  Each arm also fires on its own i.i.d. dark
     counts, drawn by ``add_clicks`` from its generator in ``dark_rngs``
-    (first arm, then second); with no dark counts nothing is drawn.  Exactly
-    one arm firing is conclusive; no click or a double click is an erasure.
+    (first arm, then second); with no dark counts nothing is drawn and
+    ``dark_rngs`` is not iterated, so a lazy iterable builds no generator.
+    Exactly one arm firing is conclusive; no click or a double click is an
+    erasure.
     """
     if not 0 <= dark_count_prob <= 1:
         raise ValueError(f"dark_count_prob must be in [0, 1], got {dark_count_prob!r}")
@@ -156,71 +147,6 @@ def two_arm_clicks(
         for arm, rng in zip((first, second), dark_rngs, strict=True):
             add_clicks(arm, dark_count_prob, rng)
     return first, second
-
-
-def rotate(state: TwoModeCoherentState, delta: float) -> TwoModeCoherentState:
-    """Polarization rotation by ``delta``; energy and amplitude are invariant."""
-    return replace(state, theta=(state.theta + delta) % np.pi)
-
-
-def stokes_summary(state: TwoModeCoherentState) -> StokesSummary:
-    """Stokes means and variances of the linearly polarized coherent state.
-
-    <S1> = n*cos(2*theta), <S2> = n*sin(2*theta), <S3> = 0 with n = |alpha|^2;
-    every variance equals n, so polarization uncertainty scales with intensity.
-    """
-    n = state.mean_photons
-    return StokesSummary(
-        s1_mean=n * np.cos(2 * state.theta),
-        s2_mean=n * np.sin(2 * state.theta),
-        s3_mean=0.0,
-        s1_var=n,
-        s2_var=n,
-        s3_var=n,
-    )
-
-
-def stokes_monte_carlo(
-    state: TwoModeCoherentState,
-    parameter_index: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Sampled mean and variance of one Stokes parameter.
-
-    Simulates the photon-number-difference measurement: S1 uses the H/V
-    basis, S2 the +-45 degree basis, and S3 the circular basis, where a
-    linear input feeds both arms with independent Poisson counts of mean
-    |alpha|^2 / 2.  Returns (sample mean, sample variance).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = state.mean_photons
-    if parameter_index == 1:
-        mean_a = n * np.cos(state.theta) ** 2
-        mean_b = n * np.sin(state.theta) ** 2
-    elif parameter_index == 2:
-        mean_a = n * np.cos(state.theta - np.pi / 4) ** 2
-        mean_b = n * np.sin(state.theta - np.pi / 4) ** 2
-    elif parameter_index == 3:
-        mean_a = mean_b = n / 2
-    else:
-        raise ValueError("parameter_index must be 1, 2 or 3")
-    diff = rng.poisson(mean_a, trials).astype(float) - rng.poisson(mean_b, trials)
-    variance = float(np.var(diff, ddof=1)) if trials > 1 else 0.0
-    return float(np.mean(diff)), variance
-
-
-def overlap_small_angle(alpha_sq: float, theta: float) -> float:
-    """Squared inner product exp(-2*|alpha|^2*sin^2(theta)).
-
-    Small-angle form of the distinguishability between a horizontal state
-    and one rotated by theta; see ``overlap_exact`` for the exact law (the
-    two differ by a factor 2 in the exponent even to leading order).
-    """
-    if alpha_sq < 0:
-        raise ValueError("alpha_sq must be >= 0")
-    return float(np.exp(-2 * alpha_sq * np.sin(theta) ** 2))
 
 
 def overlap_exact(alpha: complex, theta: float) -> float:

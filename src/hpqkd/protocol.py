@@ -93,8 +93,9 @@ _ROLES = (
 #: The byte streams and the block-drawn uniforms hold one kind of draw in
 #: slot order, so a reader that takes them a chunk at a time (32 slots at a
 #: time, for the bytes) can keep this layout; a count-and-subset field is
-#: drawn once per session.  K' is ``keystream.KEYSTREAM_GENERATOR_ID``, and
-#: only the parity of each basis word is read from it.
+#: drawn once per session.  K' is the ``shake256-ctr64k-v2`` keystream of
+#: ``keystream.expand_key``, and only the parity of each basis word is read
+#: from it.
 STREAM_LAYOUT = 5
 
 
@@ -220,26 +221,6 @@ class SessionReport:
         return out
 
 
-def compute_qber(alice_bits, bob_bits, matched_slots) -> float:
-    """Fraction of matched slots whose bits disagree.
-
-    It counts: the disagreeing matched slots over the matched slots, two
-    exact integers divided once, so the value is the mean disagreement over
-    the matched slots to the last bit.
-    """
-    alice_bits = np.asarray(alice_bits)
-    bob_bits = np.asarray(bob_bits)
-    matched = np.asarray(matched_slots, dtype=bool)
-    if len(alice_bits) == 0:
-        raise ValueError("empty bit sequences")
-    if not (len(alice_bits) == len(bob_bits) == len(matched)):
-        raise ValueError("aligned sequences must share one length")
-    total = int(np.count_nonzero(matched))
-    if not total:
-        raise ValueError("no matched slots to compare")
-    return int(np.count_nonzero((alice_bits != bob_bits) & matched)) / total
-
-
 def _stream(seed: int, role: str) -> np.random.Generator:
     """A new generator for ``role``: child ``_ROLES.index(role)`` of ``SeedSequence(seed)``.
 
@@ -314,7 +295,8 @@ def _run_channel(
         for block, u in uniform_blocks(rng, n):
             np.less(u, p_click, out=signal[block])
             np.less(u, upper_table[key[block]], out=to_upper[block])
-    dark_rngs = tuple(_stream(config.seed, f"dark_{arm}_ch{channel}") for arm in ("upper", "lower"))
+    # Built only where two_arm_clicks draws dark clicks: at d > 0.
+    dark_rngs = (_stream(config.seed, f"dark_{arm}_ch{channel}") for arm in ("upper", "lower"))
     click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     conclusive = click_upper ^ click_lower
     bob_bits = click_upper.view(np.uint8) ^ np.uint8(1 - upper_bit)
@@ -342,7 +324,7 @@ def _meso_leg(config: SessionConfig, r_bits: np.ndarray):
         _stream(config.seed, "meso_channel"),
         survival=ch.survival_probability,
         dark_count_prob=ch.dark_count_prob,
-        dark_rngs=(_stream(config.seed, "meso_dark_transmit"), _stream(config.seed, "meso_dark_reflect")),
+        dark_rngs=(_stream(config.seed, f"meso_dark_{arm}") for arm in ("transmit", "reflect")),
     )
     # Both parties derive the same parities from K'; they are built once.
     return ks.bob_decode(schedule.parity, counts)
@@ -376,12 +358,13 @@ def run_session(config: SessionConfig) -> SessionReport:
     assisted = config.mode in ("hybrid", "hybrid_parallel")
     n = config.num_slots
     if assisted:
-        r_bits = ks.generate_r(len(channels) * n, _stream(config.seed, "r_entropy"))
+        r_bits = ks.random_bits(_stream(config.seed, "r_entropy"), len(channels) * n)
         decoded = _meso_leg(config, r_bits)
 
     reports = []
     usable_counts = []
     double_clicks = 0
+    errors = 0
     announced = {}
     for channel in channels:
         if assisted:
@@ -401,18 +384,20 @@ def run_session(config: SessionConfig) -> SessionReport:
         run = _run_channel(config, channel, alice_basis, _measured_bases(config, bob_basis))
         kept = keep & run.conclusive
         sifted = int(np.count_nonzero(kept))
+        wrong = int(np.count_nonzero((run.alice_bits != run.bob_bits) & kept))
         reports.append(
             ChannelReport(
                 channel=channel,
                 raw_detections=int(np.count_nonzero(run.conclusive)),
                 sifted_bits=sifted,
-                qber=compute_qber(run.alice_bits, run.bob_bits, kept) if sifted else 0.0,
+                qber=wrong / sifted if sifted else 0.0,
                 useful_rate_bits_per_slot=sifted / usable if usable else 0.0,
                 basis_agreement=agreement,
             )
         )
         usable_counts.append(usable)
         double_clicks += int(np.count_nonzero(run.click_upper & run.click_lower))
+        errors += wrong
 
     if assisted:
         transcript = {"erasure_mask_hex": _hex_bits(decoded.erasure)}
@@ -421,7 +406,6 @@ def run_session(config: SessionConfig) -> SessionReport:
         transcript = {"announced_bases": announced}
         meso_erasures = 0
     sifted = sum(c.sifted_bits for c in reports)
-    errors = sum(c.qber * c.sifted_bits for c in reports)
     return SessionReport(
         mode=config.mode,
         seed=config.seed,

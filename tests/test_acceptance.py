@@ -13,11 +13,10 @@ from hpqkd import cli, reporting, scenario
 from hpqkd.attacks import PnsModel, estimate_success, pns_exploitable_fraction
 from hpqkd.keystream import (
     ExpandedKey,
-    KEYSTREAM_GENERATOR_ID,
     bob_decode,
     build_basis_schedule,
     expand_key,
-    generate_r,
+    random_bits,
     simulate_meso_transmission,
     SeedKey,
 )
@@ -28,8 +27,9 @@ from hpqkd.optics import (
     sideband_intensities_oracle,
     tuned_fiber,
 )
-from hpqkd.polarization import TwoModeCoherentState, overlap_exact, overlap_small_angle, stokes_monte_carlo
+from hpqkd.polarization import TwoModeCoherentState, overlap_exact
 from hpqkd.protocol import ChannelModel, SessionConfig, run_session
+from physics_reference import overlap_small_angle, stokes_monte_carlo
 
 PLAN = ModulationPlan()  # m1 = 2*m3 = 0.1, tones 1 and 3 GHz, quadrature bias
 FIBER = tuned_fiber(PLAN)
@@ -275,10 +275,10 @@ def test_criterion_09_distinguishability():
     )
 
 
-def _transmit_angle(word: int, schedule) -> np.ndarray:
+def _transmit_angle(word: int, schedule, m_bases: int) -> np.ndarray:
     """Reference: the angle D*pi/(2M) of word D, a quarter turn further when the schedule's parity(D) XOR bit == 1."""
     second_quadrant = schedule.parity ^ schedule.bit
-    return word * np.pi / (2 * schedule.m_bases) + second_quadrant * (np.pi / 2)
+    return word * np.pi / (2 * m_bases) + second_quadrant * (np.pi / 2)
 
 
 def test_criterion_10_key_pipeline_round_trip():
@@ -288,7 +288,7 @@ def test_criterion_10_key_pipeline_round_trip():
     rng = np.random.default_rng(SEED + 5)
     seed_key = SeedKey.from_hex("00112233445566778899aabbccddeeff")
     kprime = expand_key(seed_key, slots * 8)
-    r = generate_r(slots, rng)
+    r = random_bits(rng, slots)
     schedule = build_basis_schedule(kprime, r, m)
     events = simulate_meso_transmission(schedule, 25.0, rng, 1.0, 0.0, (rng, rng))
     decoded = bob_decode(schedule.parity, events)
@@ -303,14 +303,9 @@ def test_criterion_10_key_pipeline_round_trip():
         for word in (0, 1):
             word_bits = [(word >> (bits_per - 1 - i)) & 1 for i in range(bits_per)]
             for bit in (0, 1):
-                kp = ExpandedKey(
-                    packed=np.packbits(np.array(word_bits, dtype=np.uint8)),
-                    num_bits=bits_per,
-                    generator_id=KEYSTREAM_GENERATOR_ID,
-                    seed_fingerprint="case",
-                )
+                kp = ExpandedKey(packed=np.packbits(np.array(word_bits, dtype=np.uint8)), num_bits=bits_per)
                 sched = build_basis_schedule(kp, np.array([bit], dtype=np.uint8), m_cases)
-                angle = _transmit_angle(word, sched)[0]
+                angle = _transmit_angle(word, sched, m_cases)[0]
                 in_first = angle < np.pi / 2
                 quadrant_ok = quadrant_ok and (in_first == ((word % 2) ^ bit == 0))
                 base = word * np.pi / (2 * m_cases)

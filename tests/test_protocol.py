@@ -16,7 +16,6 @@ from hpqkd.protocol import (
     ChannelModel,
     SecurityConditionWarning,
     SessionConfig,
-    compute_qber,
     run_session,
 )
 from hpqkd.polarization import CLICK_BLOCK, SPARSE_CLICK_PROB, DetectionCounts, two_arm_clicks
@@ -47,6 +46,13 @@ def detection_split(delta_phi, channel, plan, fiber, channel_model, rng) -> str:
     if lower:
         return "lower"
     return "none"
+
+
+def compute_qber(alice_bits, bob_bits, matched_slots) -> float:
+    """Reference: the disagreeing matched slots over the matched slots, two integers divided once."""
+    matched = np.asarray(matched_slots, dtype=bool)
+    wrong = np.asarray(alice_bits) != np.asarray(bob_bits)
+    return int(np.count_nonzero(wrong & matched)) / int(np.count_nonzero(matched))
 
 
 def reference_bits(rng, n) -> np.ndarray:
@@ -206,14 +212,6 @@ class TestComputeQber:
         qber = compute_qber(a, b, np.ones(10_000, dtype=bool))
         assert abs(qber - 0.5) <= 3 * np.sqrt(0.25 / 10_000)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            compute_qber([], [], [])
-        with pytest.raises(ValueError):
-            compute_qber([0, 1], [0], [True, True])
-        with pytest.raises(ValueError):
-            compute_qber([0, 1], [0, 1], [False, False])
-
     @pytest.mark.parametrize("matched", ("random", "all", "single"))
     @pytest.mark.parametrize("seed", range(4))
     def test_count_equals_mean_of_gathered_slots(self, seed, matched):
@@ -367,6 +365,15 @@ class TestParallel:
         assert ch2.raw_detections == 0 and ch2.sifted_bits == 0
         ratio = parallel.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
         assert abs(ratio - 1.0) <= 3 * 0.03
+
+    def test_session_qber_is_the_error_count_over_the_sifted_bits(self):
+        # Each channel's errors are counted and the sum divided once; the sum
+        # of qber * sifted_bits over the channels gave 0.08803986710963456 here.
+        ch = ChannelModel(length_km=20, dark_count_prob=0.02)
+        report = run_session(config(mode="parallel", seed=71, slots=3000, channel=ch))
+        errors = sum(round(c.qber * c.sifted_bits) for c in report.per_channel)
+        assert (errors, report.sifted_bits) == (53, 602)
+        assert report.qber == 53 / 602 == 0.08803986710963455
 
     def test_transcript_announces_both_channels(self):
         report = run_session(config(mode="parallel", seed=20, slots=128))
@@ -537,7 +544,7 @@ def _meso_pool(channel: ChannelModel, layout: int) -> tuple[int, int, int]:
     erased = wrong = 0
     for seed in MESO_SEEDS:
         cfg = config(mode="hybrid", slots=MESO_SLOTS, seed=seed, channel=channel)
-        r = ks.generate_r(MESO_SLOTS, protocol._stream(seed, "r_entropy"))
+        r = ks.random_bits(protocol._stream(seed, "r_entropy"), MESO_SLOTS)
         if layout == 2:
             decoded = protocol._meso_leg(cfg, r)
         else:
@@ -742,20 +749,27 @@ def _field_calls(p: float, slots: int) -> list[str]:
 #: Links that put the weak, meso and dark fields in each regime: weak
 #: (p = 0.049) and dark count-and-subset with meso blocks at 50 km; weak
 #: and dark blocks with the meso quiet slots on the lossless link; and weak
-#: blocks with dark quiet slots at d = 0.95.
+#: blocks with dark quiet slots at d = 0.95; and the lossless link at d = 0,
+#: where no dark stream is built.
 DRAW_CHANNELS = (
     ChannelModel(length_km=50, dark_count_prob=0.01),
     ChannelModel(mu_weak=1.3, dark_count_prob=0.5),
     ChannelModel(length_km=20, dark_count_prob=0.95),
+    IDEAL,
 )
 
 
-def _mode_roles(mode: str) -> list[str]:
-    """The roles a session of ``mode`` reads: each channel's bits, clicks and bases, or R and the meso leg."""
+def _mode_roles(mode: str, dark: bool) -> list[str]:
+    """The roles a session of ``mode`` reads: each channel's bits, clicks and bases, or R and the meso leg.
+
+    The dark roles only with ``dark``: at d = 0 no detector reads them.
+    """
     channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
-    roles = [f"{kind}_ch{ch}" for ch in channels for kind in ("alice_bits", "photons", "dark_upper", "dark_lower")]
+    kinds = ("alice_bits", "photons", "dark_upper", "dark_lower") if dark else ("alice_bits", "photons")
+    roles = [f"{kind}_ch{ch}" for ch in channels for kind in kinds]
     if mode in ("hybrid", "hybrid_parallel"):
-        return roles + ["r_entropy", "meso_channel", "meso_dark_transmit", "meso_dark_reflect"]
+        meso_dark = ["meso_dark_transmit", "meso_dark_reflect"] if dark else []
+        return roles + ["r_entropy", "meso_channel", *meso_dark]
     return roles + [f"{party}_bases_ch{ch}" for ch in channels for party in ("alice", "bob")]
 
 
@@ -780,10 +794,11 @@ def test_session_draws_follow_layout3(mode, monkeypatch):
 
         monkeypatch.setattr(protocol, "_stream", recording)
         run_session(config(mode=mode, slots=slots, channel=channel))
-        assert sorted(built) == sorted(_mode_roles(mode)), (channel, built)
+        dark = channel.dark_count_prob > 0
+        assert sorted(built) == sorted(_mode_roles(mode, dark)), (channel, built)
         if mode == "baseline_bb84":  # no r_entropy, meso_* or *_ch2
             kinds = ("alice_bases", "alice_bits", "bob_bases", "dark_lower", "dark_upper", "photons")
-            assert sorted(built) == [f"{kind}_ch1" for kind in kinds]
+            assert sorted(built) == [f"{kind}_ch1" for kind in kinds if dark or not kind.startswith("dark")]
         draws = {}
         for role, name, args in calls:
             draws.setdefault(role, []).append((name, args))
