@@ -11,7 +11,6 @@ from .optics import (
     FiberLink,
     ModulationPlan,
     SidebandSpectrum,
-    TimeDomainField,
     sideband_intensities_closed_form,
     sideband_intensities_oracle,
     tuned_fiber,
@@ -50,7 +49,6 @@ __all__ = [
     "FiberLink",
     "ModulationPlan",
     "SidebandSpectrum",
-    "TimeDomainField",
     "sideband_intensities_closed_form",
     "sideband_intensities_oracle",
     "tuned_fiber",

@@ -21,20 +21,19 @@ from .polarization import DetectionCounts, DetectionEvent, TwoModeCoherentState
 _TIE_JITTER = 1e-9
 
 #: Largest accepted ``m_bases``.  The sweep's log-mean table grows as M^2: at
-#: this M a point of 1000 trials peaks at 92 MiB traced (132 MB RSS) and
-#: takes 250-360 us per trial, against 9-17 us at M = 64 (one BLAS thread,
+#: this M a point of 1000 trials peaks at 92 MiB traced (130 MB RSS) and
+#: takes 160-240 us per trial, against 4-9 us at M = 64 (one BLAS thread,
 #: 2-core VM).  Up to this M the only arm an ideal attacker's candidate on
 #: the grid k*pi/M predicts dark is its own reflect arm, which
 #: ``_identify``'s veto count relies on.
 MAX_ATTACK_M_BASES = 1024
 
 
-def _hypothesis_tables(angles: np.ndarray, signal_mean: float) -> np.ndarray:
+def _hypothesis_tables(cos2: np.ndarray, signal_mean: float) -> np.ndarray:
     """Log of the per-arm count means under every (candidate, analyzer) pair,
-    as an M x 2M table over the transmit then reflect arms of every analyzer;
-    0 where a mean is exactly 0.
+    from their cos^2 table ``cos2``, as an M x 2M table over the transmit then
+    reflect arms of every analyzer; 0 where a mean is exactly 0.
     """
-    cos2 = np.cos(angles[:, None] - angles[None, :]) ** 2
     means = np.concatenate([signal_mean * cos2, signal_mean * (1 - cos2)], axis=1)
     return np.log(np.where(means == 0, 1.0, means))
 
@@ -84,10 +83,11 @@ def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random
     n = len(true_index)
     sub_mean = signal_mean / m
 
-    delta = angles[true_index][:, None] - angles
+    # cos^2 and sin^2 of every candidate minus analyzer angle, one row per candidate.
+    cos2, sin2 = (f(angles[:, None] - angles) ** 2 for f in (np.cos, np.sin))
     # Transmit then reflect arm of every analyzer, as in the hypothesis tables.
     counts = np.concatenate(
-        [rng.poisson(sub_mean * np.cos(delta) ** 2), rng.poisson(sub_mean * np.sin(delta) ** 2)],
+        [rng.poisson(sub_mean * cos2[true_index]), rng.poisson(sub_mean * sin2[true_index])],
         axis=1,
         dtype=float,
     )
@@ -99,7 +99,7 @@ def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random
     none = ~(clicks_t | clicks_r)
     one = clicks_t ^ clicks_r
 
-    scores = counts @ _hypothesis_tables(angles, sub_mean).T
+    scores = counts @ _hypothesis_tables(cos2, sub_mean).T
     scores += jitter
     # On this grid the one arm a candidate predicts dark is its own reflect
     # arm (``MAX_ATTACK_M_BASES``).  Vetoes and log-likelihoods are both

@@ -4,8 +4,8 @@ Alice drives a Mach-Zehnder amplitude modulator with two RF tones, the light
 propagates over a dispersionless fiber link, and Bob phase-modulates with the
 same two tones before sideband-selective detection.  The module provides both
 the first-order closed-form sideband intensities and an exact time-domain
-spectral oracle that synthesizes the full field and reads the tone powers
-from one discrete Fourier transform of it.
+spectral oracle that samples the full field over one common tone period and
+reads each of the five tone powers as one direct DFT sum at its bin.
 """
 from __future__ import annotations
 
@@ -208,18 +208,6 @@ class SidebandSpectrum:
                 raise ValueError(f"{name} intensity must be >= 0")
 
 
-@dataclass(frozen=True)
-class TimeDomainField:
-    """Baseband field samples on a uniform grid (carrier factor removed)."""
-
-    sample_rate: float
-    samples: np.ndarray
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-
 def _channel_terms(plan: ModulationPlan, fiber: FiberLink, channel: int):
     """(sum term, interference amplitude, link phase) of the fringe law."""
     if channel == 1:
@@ -298,80 +286,92 @@ def oracle_period(plan: ModulationPlan, num_samples: int) -> float:
 
 @lru_cache(maxsize=4)
 def _oracle_grid(omega1, omega2, m3, m4, phi1_b, phi2_b, num_samples):
-    """Sample times and Bob's phasor of one oracle grid.
+    """The per-sample factors of one oracle grid, as a read-only 10 x N array.
 
-    Neither depends on Alice's settings, which the fringe sweeps vary, nor
-    on the fiber, so a sweep builds them once.  The arrays are shared and
-    read-only.
+    Rows 0-3 are cos and sin of omega1*t and of omega2*t, from which Alice's
+    drive at any RF phase is a sum of products; rows 4-5 are cos and sin of
+    Bob's phase-modulator phase; rows 6-9 are cos and sin of
+    2*pi*(k*n mod N)/N at the exact DFT bin k of omega1 and of omega2, the
+    twiddles an FFT reads those bins with.  None of them depends on Alice's
+    settings, which the fringe sweeps vary, nor on the fiber, so a sweep
+    builds them once.
+
+    Raises ValueError when a tone does not sit on a DFT bin of the grid.
     """
     period = _common_period(omega1, omega2)
-    t = np.arange(num_samples) * (period / num_samples)
-    bob = np.exp(1j * (m3 * np.cos(omega1 * t + phi1_b) + m4 * np.cos(omega2 * t + phi2_b)))
-    for array in (t, bob):
-        array.flags.writeable = False
-    return t, bob
-
-
-def synthesize_bob_field(
-    plan: ModulationPlan, fiber: FiberLink, num_samples: int = DEFAULT_ORACLE_SAMPLES
-) -> TimeDomainField:
-    """Exact field at Bob's output, sampled over one common tone period.
-
-    Alice's modulator is taken in balanced push-pull drive: the output
-    envelope e0*cos((psi1 + drive(t))/2) carries the exact interferometric
-    intensity law (e0^2/2)*(1 + cos(psi1 + drive)) with no residual phase
-    modulation, and contains every harmonic order of the drive.
-
-    The dispersionless link advances every spectral component at offset
-    delta by the same delay, i.e. by the phase (n/c)*delta*L, so it arrives
-    as Alice's field with each RF phase advanced by ``fiber.link_phase`` of
-    its tone.  Bob's exact phase-modulator exponential is then applied in
-    the time domain; it and the sample times come from a small per-grid
-    cache, since they do not depend on Alice's settings or the fiber.
-
-    Raises ValueError when the grid violates the Nyquist bound for the
-    highest tone or the tones share no common period.
-    """
-    period = oracle_period(plan, num_samples)
-    t, bob = _oracle_grid(plan.omega1, plan.omega2, plan.m3, plan.m4, plan.phi1_b, plan.phi2_b, num_samples)
-    phase1 = plan.phi1_a + fiber.link_phase(plan.omega1)
-    phase2 = plan.phi2_a + fiber.link_phase(plan.omega2)
-    drive = plan.m1 * np.cos(plan.omega1 * t + phase1) + plan.m2 * np.cos(plan.omega2 * t + phase2)
-    field = plan.e0 * np.cos((plan.psi1 + drive) / 2)
-    return TimeDomainField(sample_rate=num_samples / period, samples=field * bob)
-
-
-def _tone_powers(field: TimeDomainField, omegas) -> list[float]:
-    """Powers at several baseband offsets, read from one FFT of the field.
-
-    Each offset must fall on an exact DFT bin of the sampled duration
-    (integer number of cycles), otherwise its power would leak into
-    neighbouring bins.
-    """
-    n = len(field.samples)
+    n = np.arange(num_samples)
+    t = n * (period / num_samples)
     bins = []
-    for omega in omegas:
-        cycles = omega * field.duration / (2 * np.pi)
-        k = round(cycles)
-        if abs(cycles - k) > 1e-6:
+    for omega in (omega1, omega2):
+        cycles = omega * period / (2 * np.pi)
+        if abs(cycles - round(cycles)) > 1e-6:
             raise ValueError(f"omega {omega:g} does not sit on a DFT bin (cycles {cycles:g})")
-        bins.append(k % n)
-    spectrum = np.fft.fft(field.samples)
-    return [float(abs(spectrum[k] / n) ** 2) for k in bins]
+        bins.append(round(cycles))
+
+    def angles():  # one at a time, so the build holds one angle array beside the grid
+        yield omega1 * t
+        yield omega2 * t
+        yield m3 * np.cos(omega1 * t + phi1_b) + m4 * np.cos(omega2 * t + phi2_b)
+        for k in bins:
+            yield (2 * np.pi / num_samples) * (k * n % num_samples)
+
+    grid = np.empty((10, num_samples))
+    for row, angle in zip(range(0, 10, 2), angles()):
+        np.cos(angle, out=grid[row])
+        np.sin(angle, out=grid[row + 1])
+    grid.flags.writeable = False
+    return grid
 
 
 def sideband_intensities_oracle(
     plan: ModulationPlan, fiber: FiberLink, num_samples: int = DEFAULT_ORACLE_SAMPLES
 ) -> SidebandSpectrum:
-    """Ground-truth sideband powers from the exact synthesized field.
+    """Ground-truth sideband powers from the exact field at Bob's output.
 
-    No small-depth expansion anywhere: the modulator envelope and Bob's
-    phase exponential are evaluated exactly and the five tone powers read
-    from one discrete Fourier transform on a leak-free grid.
+    No small-depth expansion anywhere.  Alice's modulator is taken in
+    balanced push-pull drive: the output envelope e0*cos((psi1 + drive(t))/2)
+    carries the exact interferometric intensity law
+    (e0^2/2)*(1 + cos(psi1 + drive)) with no residual phase modulation, and
+    contains every harmonic order of the drive.  The dispersionless link
+    advances every spectral component at offset delta by the same delay,
+    i.e. by the phase (n/c)*delta*L, so the field arrives as Alice's with
+    each RF phase advanced by ``fiber.link_phase`` of its tone.  Bob's exact
+    phase-modulator exponential multiplies it in the time domain.
+
+    The field is sampled over one common tone period (``oracle_period``),
+    and each tone power is a direct DFT sum at the tone's exact bin, summed
+    pairwise.  With the tones, Bob's phasor and the twiddles from a small
+    per-grid cache, a call takes one cosine per sample, for the envelope.
+
+    Raises ValueError when the grid violates the Nyquist bound for the
+    highest tone, the tones share no common period, or a tone does not sit
+    on a DFT bin.
     """
-    field = synthesize_bob_field(plan, fiber, num_samples)
-    offsets = (0.0, plan.omega1, -plan.omega1, plan.omega2, -plan.omega2)  # field order
-    return SidebandSpectrum(*_tone_powers(field, offsets))
+    oracle_period(plan, num_samples)  # its Nyquist and common-period checks
+    cos1, sin1, cos2, sin2, bob_cos, bob_sin, *twiddles = _oracle_grid(
+        plan.omega1, plan.omega2, plan.m3, plan.m4, plan.phi1_b, plan.phi2_b, num_samples
+    )
+    phase1 = plan.phi1_a + fiber.link_phase(plan.omega1)
+    phase2 = plan.phi2_a + fiber.link_phase(plan.omega2)
+    drive = (
+        (plan.m1 * math.cos(phase1)) * cos1
+        - (plan.m1 * math.sin(phase1)) * sin1
+        + (plan.m2 * math.cos(phase2)) * cos2
+        - (plan.m2 * math.sin(phase2)) * sin2
+    )
+    envelope = plan.e0 * np.cos((plan.psi1 + drive) / 2)
+    re, im = envelope * bob_cos, envelope * bob_sin
+    mean_re, mean_im = np.add.reduce(re) / num_samples, np.add.reduce(im) / num_samples
+    powers = [mean_re**2 + mean_im**2]
+    # The carrier sums to 0 against a tone's twiddles.  Taken out first, it
+    # leaves partial sums, and so rounding, at the scale of the sidebands.
+    re -= mean_re
+    im -= mean_im
+    for cos_k, sin_k in (twiddles[:2], twiddles[2:]):
+        # The bins +k and -k (upper and lower sideband) from the same four sums.
+        rc, rs, ic, is_ = (np.add.reduce(x * y) / num_samples for x in (re, im) for y in (cos_k, sin_k))
+        powers += [(rc + is_) ** 2 + (ic - rs) ** 2, (rc - is_) ** 2 + (ic + rs) ** 2]
+    return SidebandSpectrum(*map(float, powers))
 
 
 def fit_half_angle_fringe(delta_phis, powers, kind: str = "cos2") -> tuple[float, float]:

@@ -54,13 +54,14 @@ MAX_GRID_POINTS = 64
 #: ``MAX_PNS_MC_TRIALS``, so at most 0.6 s and 30 s for the table.
 MAX_PNS_MU = 64
 
-#: Largest accepted ``optics_verify.num_samples``: a spectrum peaks near 60 B
-#: and takes ~80 ns per sample, and each of up to 4 cached grids holds 24 B
-#: per sample, so 60 MB and 0.1 s per spectrum plus 100 MB of cache.
+#: Largest accepted ``optics_verify.num_samples``: a spectrum peaks near 40 B
+#: and takes ~40 ns per sample, and a cached grid (a command builds one, the
+#: cache keeps 4) holds 80 B per sample, so 40 MB and 0.04 s per spectrum plus
+#: 84 MB per grid; ``optics-verify`` peaks at 154 MB RSS with 6 spectra here.
 MAX_ORACLE_SAMPLES = 2**20
 
 #: Largest accepted ``optics_verify.sweep_points`` and ``cross_sweep_points``:
-#: a point is one spectrum, ~2 ms on the default grid, so ~2 s per sweep.
+#: a point is one spectrum, ~0.5 ms on the default grid, so ~0.5 s per sweep.
 MAX_SWEEP_POINTS = 1024
 
 

@@ -2,8 +2,10 @@
 
 The polarization rotation and Stokes statistics of a linearly polarized
 coherent state, the small-angle overlap that sits beside
-``polarization.overlap_exact``, and the single-arm Mach-Zehnder field with
-its small-signal intensity.  ``test_polarization``, ``test_optics`` and
+``polarization.overlap_exact``, the single-arm Mach-Zehnder field with its
+small-signal intensity, and the field at Bob's output with its tone powers
+read from one FFT, the readout ``optics.sideband_intensities_oracle``
+replaced by direct DFT sums.  ``test_polarization``, ``test_optics`` and
 ``test_acceptance`` check these laws and compare the package against them.
 """
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hpqkd.optics import ModulationPlan
+from hpqkd.optics import DEFAULT_ORACLE_SAMPLES, FiberLink, ModulationPlan, oracle_period
 from hpqkd.polarization import TwoModeCoherentState
 
 
@@ -116,3 +118,65 @@ def alice_intensity_small_signal(plan: ModulationPlan, t) -> np.ndarray:
         - plan.m1 * np.sin(plan.psi1) * np.cos(plan.omega1 * t + plan.phi1_a)
         - plan.m2 * np.sin(plan.psi1) * np.cos(plan.omega2 * t + plan.phi2_a)
     )
+
+
+@dataclass(frozen=True)
+class TimeDomainField:
+    """Baseband field samples on a uniform grid (carrier factor removed)."""
+
+    sample_rate: float
+    samples: np.ndarray
+
+    @property
+    def duration(self) -> float:
+        return len(self.samples) / self.sample_rate
+
+
+def synthesize_bob_field(
+    plan: ModulationPlan, fiber: FiberLink, num_samples: int = DEFAULT_ORACLE_SAMPLES
+) -> TimeDomainField:
+    """Exact field at Bob's output, sampled over one common tone period.
+
+    Alice's modulator is taken in balanced push-pull drive: the output
+    envelope e0*cos((psi1 + drive(t))/2) carries the exact interferometric
+    intensity law (e0^2/2)*(1 + cos(psi1 + drive)) with no residual phase
+    modulation, and contains every harmonic order of the drive.
+
+    The dispersionless link advances every spectral component at offset
+    delta by the same delay, i.e. by the phase (n/c)*delta*L, so it arrives
+    as Alice's field with each RF phase advanced by ``fiber.link_phase`` of
+    its tone.  Bob's exact phase-modulator exponential is then applied in
+    the time domain.
+
+    Raises ValueError when the grid violates the Nyquist bound for the
+    highest tone or the tones share no common period.
+    """
+    period = oracle_period(plan, num_samples)
+    t = np.arange(num_samples) * (period / num_samples)
+    bob = np.exp(
+        1j * (plan.m3 * np.cos(plan.omega1 * t + plan.phi1_b) + plan.m4 * np.cos(plan.omega2 * t + plan.phi2_b))
+    )
+    phase1 = plan.phi1_a + fiber.link_phase(plan.omega1)
+    phase2 = plan.phi2_a + fiber.link_phase(plan.omega2)
+    drive = plan.m1 * np.cos(plan.omega1 * t + phase1) + plan.m2 * np.cos(plan.omega2 * t + phase2)
+    field = plan.e0 * np.cos((plan.psi1 + drive) / 2)
+    return TimeDomainField(sample_rate=num_samples / period, samples=field * bob)
+
+
+def tone_powers(field: TimeDomainField, omegas) -> list[float]:
+    """Powers at several baseband offsets, read from one FFT of the field.
+
+    Each offset must fall on an exact DFT bin of the sampled duration
+    (integer number of cycles), otherwise its power would leak into
+    neighbouring bins.
+    """
+    n = len(field.samples)
+    bins = []
+    for omega in omegas:
+        cycles = omega * field.duration / (2 * np.pi)
+        k = round(cycles)
+        if abs(cycles - k) > 1e-6:
+            raise ValueError(f"omega {omega:g} does not sit on a DFT bin (cycles {cycles:g})")
+        bins.append(k % n)
+    spectrum = np.fft.fft(field.samples)
+    return [float(abs(spectrum[k] / n) ** 2) for k in bins]

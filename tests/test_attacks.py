@@ -174,6 +174,23 @@ class TestStreamLayout:
             np.testing.assert_array_equal(batch.case_both + batch.case_none + batch.case_one, m)
             assert rng.bit_generator.state == replay.bit_generator.state
 
+    @pytest.mark.parametrize("m", [2, 3, 8, 64, MAX_ATTACK_M_BASES])
+    def test_poisson_means_equal_the_reference_means(self, m):
+        # Means one ulp apart almost always draw the same counts, so the
+        # digests cannot tell them apart: compare the means themselves.
+        rng = np.random.default_rng([m, 1])
+        index = rng.integers(0, m, 200)
+        means = []
+        recorder = SimpleNamespace(
+            poisson=lambda lam: means.append(lam) or rng.poisson(lam), uniform=rng.uniform, integers=rng.integers
+        )
+        _identify(index, m, 3.0 * m, recorder)
+        delta = _grid(m)[index][:, None] - _grid(m)  # as ``_reference_identify`` draws them
+        sub_mean = 3.0 * m / m
+        assert len(means) == 2
+        np.testing.assert_array_equal(means[0], sub_mean * np.cos(delta) ** 2)
+        np.testing.assert_array_equal(means[1], sub_mean * np.sin(delta) ** 2)
+
     @pytest.mark.parametrize("trials", [100, 2 * _TRIAL_BLOCK + 1])
     def test_estimate_success_draws_in_blocks(self, trials):
         m, alpha_sq = 8, 8.0

@@ -22,11 +22,16 @@ from hpqkd.optics import (
     sideband_intensities_closed_form,
     sideband_intensities_oracle,
     split_upper_probability,
-    synthesize_bob_field,
     tuned_fiber,
     tuning_offsets,
 )
-from physics_reference import alice_field_exact, alice_intensity_small_signal
+from physics_reference import (
+    TimeDomainField,
+    alice_field_exact,
+    alice_intensity_small_signal,
+    synthesize_bob_field,
+    tone_powers,
+)
 
 PLAN = ModulationPlan()
 FIBER = tuned_fiber(PLAN)
@@ -337,6 +342,8 @@ class TestOracle:
     def test_nyquist_rejected(self):
         with pytest.raises(ValueError, match="Nyquist"):
             synthesize_bob_field(PLAN, FIBER, num_samples=8)
+        with pytest.raises(ValueError, match="Nyquist"):
+            sideband_intensities_oracle(PLAN, FIBER, num_samples=8)
 
     def test_incommensurate_tones_rejected(self):
         plan = ModulationPlan(omega2=PLAN.omega1 * np.sqrt(2))
@@ -347,6 +354,13 @@ class TestOracle:
         field = synthesize_bob_field(PLAN, FIBER, num_samples=1024)
         with pytest.raises(ValueError, match="bin"):
             tone_power(field, PLAN.omega1 * 1.1)
+
+    def test_off_bin_tone_rejected(self):
+        # omega1/omega2 is 4096/4095 within 1e-9, so the grid spans 4096
+        # cycles of omega1, on which omega2 runs 2e-6 cycles past bin 4095.
+        plan = plan_with(omega2=PLAN.omega1 * 4095 / 4096 * (1 + 5e-10))
+        with pytest.raises(ValueError, match="does not sit on a DFT bin"):
+            sideband_intensities_oracle(plan, FIBER, num_samples=2**15)
 
     def test_field_grid_covers_common_period(self):
         field = synthesize_bob_field(PLAN, FIBER, num_samples=1024)
@@ -363,8 +377,8 @@ class TestOracle:
 
 
 def tone_power(field, omega: float) -> float:
-    """Power at one baseband offset, read as the oracle reads it: from one FFT of the field."""
-    (power,) = optics._tone_powers(field, (omega,))
+    """Power at one baseband offset, read from one FFT of the field."""
+    (power,) = tone_powers(field, (omega,))
     return power
 
 
@@ -380,7 +394,7 @@ def reference_field(plan, fiber, num_samples=DEFAULT_ORACLE_SAMPLES, include_chi
 
     Each DFT component at offset delta picks up the phase (n/c)*delta*L
     between a forward and an inverse FFT: the propagation law written bin by
-    bin, independent of the time shift ``synthesize_bob_field`` applies.
+    bin, independent of the time shift that the oracle and ``synthesize_bob_field`` apply.
     """
     period = optics._common_period(plan.omega1, plan.omega2)
     t = np.arange(num_samples) * (period / num_samples)
@@ -395,7 +409,7 @@ def reference_field(plan, fiber, num_samples=DEFAULT_ORACLE_SAMPLES, include_chi
     bob = np.exp(
         1j * (plan.m3 * np.cos(plan.omega1 * t + plan.phi1_b) + plan.m4 * np.cos(plan.omega2 * t + plan.phi2_b))
     )
-    return optics.TimeDomainField(sample_rate=num_samples / period, samples=field * bob)
+    return TimeDomainField(sample_rate=num_samples / period, samples=field * bob)
 
 
 def reference_oracle(plan, fiber, num_samples=DEFAULT_ORACLE_SAMPLES, include_chirp=False):
@@ -421,10 +435,15 @@ class TestFftReadout:
         "detuned": (PLAN, FiberLink(length_m=FIBER.length_m * 1.01)),
         "dark-channel1": (plan_with(m1=0.0, m3=0.0, phi2_a=0.7), FIBER),
         "swept": (plan_with(phi1_a=1.3, phi2_a=2.9, phi1_b=0.4, phi2_b=5.1), FIBER),
+        # omega2 1.5e-9 cycles off bin 3: the oracle reads the bin, as an FFT does.
+        "off-bin": (plan_with(omega2=3 * PLAN.omega1 * (1 + 5e-10)), FIBER),
     }
+    #: The Fourier-domain reference applies the link at each bin's offset, so
+    #: it puts an off-bin tone's link phase at its bin (2e-11 e0^2 away).
+    ON_BIN = [case for case in CASES if case != "off-bin"]
 
     @pytest.mark.parametrize("num_samples", [1024, 4096, 16384])
-    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("case", ON_BIN)
     def test_matches_direct_projection(self, case, num_samples):
         plan, fiber = self.CASES[case]
         reference = reference_oracle(plan, fiber, num_samples)
@@ -433,6 +452,17 @@ class TestFftReadout:
 
     @pytest.mark.parametrize("num_samples", [1024, 4096, 16384])
     @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_fft_of_the_synthesized_field(self, case, num_samples):
+        plan, fiber = self.CASES[case]
+        spectrum = sideband_intensities_oracle(plan, fiber, num_samples)
+        field = synthesize_bob_field(plan, fiber, num_samples)
+        offsets = (0.0, plan.omega1, -plan.omega1, plan.omega2, -plan.omega2)
+        assert_spectra_close(spectrum, SidebandSpectrum(*tone_powers(field, offsets)), plan.e0)
+        projections = SidebandSpectrum(*(_projection_power(field, omega) for omega in offsets))
+        assert_spectra_close(spectrum, projections, plan.e0)
+
+    @pytest.mark.parametrize("num_samples", [1024, 4096, 16384])
+    @pytest.mark.parametrize("case", ON_BIN)
     def test_field_matches_fourier_domain_propagation(self, case, num_samples):
         # The time shift and the bin-by-bin phase put the same power in every bin.
         plan, fiber = self.CASES[case]
@@ -447,6 +477,48 @@ class TestFftReadout:
         for omega in (0.0, PLAN.omega1, -PLAN.omega1, PLAN.omega2, -PLAN.omega2, 2 * PLAN.omega2):
             assert abs(tone_power(field, omega) - _projection_power(field, omega)) <= 1e-15
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is double on this platform"
+    )
+    @pytest.mark.parametrize("channel", [1, 2])
+    def test_matches_long_double_dft(self, channel):
+        for phase in np.linspace(0, 2 * np.pi, 16, endpoint=False):
+            plan = PLAN.with_phases(**{f"phi{channel}_a": phase})
+            spectrum = sideband_intensities_oracle(plan, FIBER, num_samples=4096)
+            reference = long_double_oracle(plan, FIBER, num_samples=4096)
+            assert abs(spectrum.carrier - reference.carrier) <= 5e-16 * plan.e0**2
+            for name in ("upper1", "lower1", "upper2", "lower2"):
+                assert abs(getattr(spectrum, name) - getattr(reference, name)) <= 1e-17 * plan.e0**2, name
+
+
+def long_double_oracle(plan, fiber, num_samples):
+    """The oracle's field and bins, evaluated in long double by a direct DFT.
+
+    The plan, the link phases and the grid step are the oracle's doubles;
+    every product, cosine and sum after them is taken in long double.
+    """
+    ld = np.longdouble
+    period = ld(optics.oracle_period(plan, num_samples))
+    n = np.arange(num_samples)
+    t = n * (period / num_samples)
+    omega1, omega2 = ld(plan.omega1), ld(plan.omega2)
+    phase1 = ld(plan.phi1_a) + ld(fiber.link_phase(plan.omega1))
+    phase2 = ld(plan.phi2_a) + ld(fiber.link_phase(plan.omega2))
+    drive = ld(plan.m1) * np.cos(omega1 * t + phase1) + ld(plan.m2) * np.cos(omega2 * t + phase2)
+    envelope = ld(plan.e0) * np.cos((ld(plan.psi1) + drive) / 2)
+    bob = ld(plan.m3) * np.cos(omega1 * t + ld(plan.phi1_b)) + ld(plan.m4) * np.cos(omega2 * t + ld(plan.phi2_b))
+    re, im = envelope * np.cos(bob), envelope * np.sin(bob)
+    two_pi = 8 * np.arctan(ld(1))
+    powers = []
+    for omega in (0.0, plan.omega1, -plan.omega1, plan.omega2, -plan.omega2):
+        k = round(omega * float(period) / (2 * np.pi))
+        angle = two_pi * (k * n % num_samples) / num_samples
+        # (re + i*im) * (cos - i*sin), summed
+        x = np.sum(re * np.cos(angle) + im * np.sin(angle)) / num_samples
+        y = np.sum(im * np.cos(angle) - re * np.sin(angle)) / num_samples
+        powers.append(float(x * x + y * y))
+    return SidebandSpectrum(*powers)
+
 
 class TestOracleGridCache:
     @pytest.mark.parametrize(
@@ -457,8 +529,9 @@ class TestOracleGridCache:
             ([(plan_with(phi1_b=0.0), FIBER), (plan_with(phi1_b=0.8), FIBER)], 2),
             ([(plan_with(phi2_b=0.0), FIBER), (plan_with(phi2_b=2.2), FIBER)], 2),
             ([(plan_with(m3=0.05), FIBER), (plan_with(m3=0.02, m4=0.07), FIBER)], 2),
+            ([(PLAN, FIBER), (plan_with(omega2=5 * PLAN.omega1), FIBER)], 2),
         ],
-        ids=["length", "index", "phi1_b", "phi2_b", "bob-depths"],
+        ids=["length", "index", "phi1_b", "phi2_b", "bob-depths", "omega2"],
     )
     def test_alternating_settings_never_read_a_stale_grid(self, variants, grids):
         # The fiber is not part of the grid: two links share one grid.
@@ -484,17 +557,17 @@ class TestOracleGridCache:
         assert (info.misses, info.hits) == (1, 4)
 
     def test_cached_arrays_are_read_only(self):
-        arrays = optics._oracle_grid(
+        grid = optics._oracle_grid(
             PLAN.omega1, PLAN.omega2, PLAN.m3, PLAN.m4, PLAN.phi1_b, PLAN.phi2_b, 1024
         )
-        assert len(arrays) == 2
-        for array in arrays:
+        assert grid.shape == (10, 1024)
+        for array in (grid, *grid):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
 
     def test_field_samples_are_not_the_cached_arrays(self):
-        # Callers own the field they get back; writing to it leaves the cache intact.
+        # Callers own the field they get back; writing to it changes no later field.
         first = synthesize_bob_field(PLAN, FIBER, num_samples=1024)
         expected = first.samples.copy()
         first.samples[:] = 0

@@ -487,7 +487,6 @@ class TestPublicApi:
             "SessionConfig",
             "SessionReport",
             "SidebandSpectrum",
-            "TimeDomainField",
             "TwoModeCoherentState",
             "__version__",
             "amplifier_attack",

@@ -3,9 +3,10 @@
 Each workload runs all three commands through ``cli.main``.  The ``data`` of
 the ``simulate`` and ``attack-sweep`` bundles is pinned by its sha256, so a
 refactor that claims "the same numbers" is checked mechanically.  The
-``optics-verify`` floats come from an FFT, whose last ulp moves between
-numpy builds, so they are compared with a committed expected file at a
-relative tolerance instead; its flags are compared exactly.
+``optics-verify`` floats come from numpy's vectorized cosines and pairwise
+sums, whose last ulp can move between numpy builds and CPUs, so they are
+compared with a committed expected file at a relative tolerance instead;
+its flags are compared exactly.
 
 Run this file as a script to rewrite the expected file, after a change that
 is meant to move the optics numbers.
