@@ -100,14 +100,44 @@ def expand_key(seed: SeedKey, target_bits: int) -> ExpandedKey:
     return ExpandedKey(packed=np.frombuffer(stream, dtype=np.uint8), num_bits=target_bits)
 
 
-def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` uniform 0/1 values as uint8: ``ceil(n / 8)`` random bytes, unpacked.
+def random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform bits packed big-endian: ``ceil(n / 8)`` random bytes, zero past bit n.
 
-    Drawn in pieces of a multiple of 4 bytes (32 bits), the bytes equal one
-    draw of the whole, so a reader that takes 32·k bits at a time sees the
-    same bits.
+    The bytes are ``np.packbits(random_bits(rng, n))``.  Drawn in pieces of a
+    multiple of 4 bytes (32 bits), they equal one draw of the whole, so a
+    reader that takes 32·k bits at a time sees the same bits.
     """
-    return np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8), count=n)
+    packed = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
+    if n % 8:
+        packed[-1] &= 0xFF << (8 - n % 8) & 0xFF
+    return packed
+
+
+def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform 0/1 values as uint8: ``random_bytes(rng, n)``, unpacked."""
+    return np.unpackbits(random_bytes(rng, n), count=n)
+
+
+#: Ones in each byte value, and in each pair of bytes read as one uint16
+#: (the sum of the two bytes' counts, so the byte order does not matter).
+_BYTE_ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+_PAIR_ONES = np.add.outer(_BYTE_ONES, _BYTE_ONES).ravel()
+
+
+def popcount(packed: np.ndarray, num_bits: int):
+    """Ones among the first ``num_bits`` bits of big-endian packed bytes (last axis).
+
+    Table lookups, two bytes at a time, so any numpy the package accepts
+    counts the same way; the bits past ``num_bits`` are never read.
+    """
+    whole, rest = divmod(num_bits, 8)
+    paired = whole - whole % 2
+    ones = np.take(_PAIR_ONES, packed[..., :paired].view(np.uint16)).sum(axis=-1, dtype=np.int64)
+    if whole % 2:
+        ones += _BYTE_ONES[packed[..., paired]]
+    if rest:
+        ones += _BYTE_ONES[packed[..., whole] >> (8 - rest)]
+    return ones
 
 
 def bits_per_slot(m_bases: int) -> int:

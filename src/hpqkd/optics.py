@@ -284,7 +284,9 @@ def oracle_period(plan: ModulationPlan, num_samples: int) -> float:
     return period
 
 
-@lru_cache(maxsize=4)
+#: Two grids, 84 MB each at ``scenario.MAX_ORACLE_SAMPLES``: a command builds
+#: one, and a caller that alternates two settings of Bob's still finds both.
+@lru_cache(maxsize=2)
 def _oracle_grid(omega1, omega2, m3, m4, phi1_b, phi2_b, num_samples):
     """The per-sample factors of one oracle grid, as a read-only 10 x N array.
 

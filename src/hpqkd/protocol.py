@@ -10,6 +10,7 @@ four times the baseline.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import warnings
 from dataclasses import dataclass, fields
 
@@ -24,21 +25,16 @@ from .optics import (
     require_tuned,
     split_upper_probability,
 )
-from .polarization import SPARSE_CLICK_PROB, sparse_slots, two_arm_clicks, uniform_blocks
 
 MODES = ("baseline_bb84", "hybrid", "parallel", "hybrid_parallel")
 
 _HALF_PI = np.pi / 2
 
-#: (Alice basis, bit, Bob basis) of each entry of a channel's split table,
-#: entry ``(a << 2) | (b << 1) | c``, as uint8 like the per-slot values.
-_COMBOS = np.array([(i >> 2, i >> 1 & 1, i & 1) for i in range(8)], dtype=np.uint8).T
-
 #: The per-role random streams, by spawn key: ``_stream(seed, role)`` is
-#: child ``_ROLES.index(role)`` of ``SeedSequence(seed)``.  Slot randomness
-#: is consumed as arrays indexed by slot, so results do not depend on how
-#: slot processing is batched.  Roles are only ever appended, so each keeps
-#: its stream; ``routing_ch*`` keeps its index although nothing reads it.
+#: child ``_ROLES.index(role)`` of ``SeedSequence(seed)``.  Roles are only
+#: ever appended, so each keeps its stream; ``alice_bits_ch*``,
+#: ``photons_ch*``, ``routing_ch*`` and ``dark_*_ch*`` keep their indices
+#: although layout 6 reads none of them.
 _ROLES = (
     "alice_bits_ch1",
     "alice_bits_ch2",
@@ -58,17 +54,34 @@ _ROLES = (
     "meso_channel",
     "meso_dark_transmit",
     "meso_dark_reflect",
+    "weak_counts_ch1",
+    "weak_counts_ch2",
 )
 
 #: Layout of the random streams a session consumes, recorded in the
-#: ``simulate`` results.  Layout 5: each role of ``_ROLES`` is built by
+#: ``simulate`` results.  Layout 6: each role of ``_ROLES`` is built by
 #: ``_stream`` where it is read, and read front to back, once per session.
-#: Every 0/1 array is ``keystream.random_bits``: ``ceil(n / 8)`` bytes
-#: ``integers(0, 256, uint8)``, unpacked big-endian.  A weak channel draws
-#: its bits that way (and, in the sifted modes, both parties' bases), and
-#: the assisted modes draw R (k = n per channel bits) on ``r_entropy``.
-#: Every i.i.d. Bernoulli(p) click field over n slots is one
-#: ``polarization.add_clicks`` draw, in one of three regimes cut at
+#: A bit string over n slots is ``ceil(n / 8)`` bytes ``integers(0, 256,
+#: uint8)``, read big-endian: the sifted modes draw both parties' bases so
+#: (``keystream.random_bytes``, on ``alice_bases_ch*`` and
+#: ``bob_bases_ch*``), and the assisted modes draw R, n bits per channel
+#: interleaved, on ``r_entropy`` (``keystream.random_bits``, the same bytes
+#: unpacked).
+#:
+#: A weak channel draws nothing per slot.  Its slots fall into 8 classes
+#: [a, c, k]: Alice's basis a, Bob's measured basis c, and k = 1 where the
+#: slot is kept (matched announced bases in a sifted mode, a usable meso
+#: decode in an assisted one, where Bob's basis is the decoded one).  The
+#: fault flips c on the first ``round(f * n)`` slots.  The class sizes are
+#: popcounts of the bit strings (``_slot_counts``).  ``weak_counts_ch*``
+#: then draws one ``multinomial`` per class, in class order, over 8 cells:
+#: Alice's bit b (1/2 each) times upper only, lower only, both and neither,
+#: with P(upper only) = (1 - d)(p t + (1 - p) d), P(lower only) the same at
+#: 1 - t, P(both) = p d + (1 - p) d**2, where p = 1 - exp(-mu) and t is the
+#: split law of (a, b, c) (``_weak_outcomes``).
+#:
+#: The meso leg draws each i.i.d. Bernoulli(p) click field over n slots
+#: with one ``polarization.add_clicks`` call, in one of three regimes cut at
 #: p = 1/16 and p = 15/16 (``polarization.SPARSE_CLICK_PROB``):
 #:
 #: - p <= 1/16: ``k = binomial(n, p)``, then ``choice(n, k, replace=False,
@@ -81,22 +94,12 @@ _ROLES = (
 #: - in between: ``random(n) < p``, drawn in blocks of 2**14 uniforms
 #:   (``polarization.CLICK_BLOCK``), which concatenate to one ``random(n)``.
 #:
-#: Each detector's dark stream (``dark_*_ch*``, ``meso_dark_transmit`` and
-#: ``meso_dark_reflect``) holds one such field with p = d, and
-#: ``meso_channel`` one with p = 1 - exp(-alpha_sq * survival), the meso
-#: signal click.  On ``photons_ch*`` a weak channel with p = 1 - exp(-mu)
-#: and split law t draws, when p <= 1/16, the click slots as above and then
-#: one ``random(k)`` routing uniform per click slot, in the order ``choice``
-#: returned them, upper where u < t; otherwise one uniform u per slot, in
-#: blocks, with a click where u < p, upper where u < p * t.  Either way
-#: P(upper) = p t and P(lower) = p (1 - t).  ``routing_ch*`` is never read.
-#: The byte streams and the block-drawn uniforms hold one kind of draw in
-#: slot order, so a reader that takes them a chunk at a time (32 slots at a
-#: time, for the bytes) can keep this layout; a count-and-subset field is
-#: drawn once per session.  K' is the ``shake256-ctr64k-v2`` keystream of
+#: ``meso_channel`` holds the signal click, p = 1 - exp(-alpha_sq *
+#: survival), and ``meso_dark_transmit`` and ``meso_dark_reflect`` one
+#: field each with p = d.  K' is the ``shake256-ctr64k-v2`` keystream of
 #: ``keystream.expand_key``, and only the parity of each basis word is read
 #: from it.
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 
 #: Largest accepted mean photon number of a pulse: far above any physical
@@ -229,83 +232,86 @@ def _stream(seed: int, role: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ROLES.index(role),)))
 
 
-def _measured_bases(config: SessionConfig, bob_basis: np.ndarray) -> np.ndarray:
-    """Bob's bases as his receiver sets them: the fault flips the first slots."""
-    flipped = round(config.basis_flip_fault_fraction * config.num_slots)
-    if not flipped:
-        return bob_basis
-    out = bob_basis.copy()
-    out[:flipped] ^= 1
-    return out
+#: The fringe phase of each (Alice basis a, bit b, Bob basis c), [a, b, c],
+#: formed as the per-slot expression forms it: the split law's 8 arguments.
+_PHASES = np.array(
+    [(a * _HALF_PI + b * np.pi) - c * _HALF_PI for a, b, c in itertools.product((0, 1), repeat=3)]
+).reshape(2, 2, 2)
+
+#: The bits of channel 1 and of channel 2 in a byte of a string that
+#: interleaves the two slot by slot, channel 1 first (big-endian).
+_LANE_MASKS = (0xAA, 0x55)
 
 
-@dataclass
-class _ChannelRun:
-    alice_bits: np.ndarray
-    click_upper: np.ndarray
-    click_lower: np.ndarray
-    conclusive: np.ndarray
-    bob_bits: np.ndarray
+def _joint(ones_a: int, ones_b: int, ones_ab: int, total: int) -> list[list[int]]:
+    """Slots [a][b] of a 2 x 2 table, from the ones of a, of b and of a & b among ``total``."""
+    return [[total - ones_a - ones_b + ones_ab, ones_b - ones_ab], [ones_a - ones_ab, ones_ab]]
 
 
-def _run_channel(
-    config: SessionConfig,
-    channel: int,
-    alice_basis: np.ndarray,
-    bob_basis_actual: np.ndarray,
-) -> _ChannelRun:
-    """Detection pass of one sideband channel for the given basis choices.
+def _slot_counts(alice, bob, kept, n: int, flipped: int, lanes: int = 1, lane: int = 0) -> np.ndarray:
+    """Slots of one channel by [fault, a, b, k], from packed bit strings.
 
-    The fringe phase of a slot, and with it the split law, depends only on
-    (Alice basis, bit, Bob basis), so the law is read from an 8-entry table
-    keyed by ``(alice_basis << 2) | (bit << 1) | bob_basis``.  Its entries
-    come from the per-slot phase expression on those 8 combinations, so each
-    slot gets the very float the per-slot law gives it; no float phase is
-    held per slot.
+    ``alice`` and ``bob`` hold Alice's basis a and Bob's announced or
+    decoded basis b, one bit per slot packed big-endian; ``kept`` marks the
+    kept slots k, or is None where a slot is kept when a == b (the sifted
+    modes).  The strings interleave ``lanes`` channels (1 or 2), and this
+    channel's bits are lane ``lane``; bits past the last slot are not read.  fault = 1
+    on the first ``flipped`` slots, 0 on the rest.  Every count is a
+    popcount of the strings or of their bitwise products.
     """
-    n = config.num_slots
+    if lanes > 1:  # this channel's bits only
+        mask = np.uint8(_LANE_MASKS[lane])
+        alice, bob, kept = alice & mask, bob & mask, kept & mask
+    both = alice & bob
+    fields = [alice, bob, both]
+    if kept is not None:
+        fields += [kept, alice & kept, bob & kept, both & kept]
+    fields = np.stack(fields)
+    whole = ks.popcount(fields, lanes * n).tolist()
+    prefix = ks.popcount(fields, lanes * flipped).tolist() if flipped else [0] * len(fields)
+    out = []
+    for ones, slots in (([w - f for w, f in zip(whole, prefix)], n - flipped), (prefix, flipped)):
+        in_all = _joint(*ones[:3], slots)
+        if kept is None:
+            on_kept = [[in_all[0][0], 0], [0, in_all[1][1]]]
+        else:
+            on_kept = _joint(*ones[4:], ones[3])
+        out.append([[[in_all[a][b] - on_kept[a][b], on_kept[a][b]] for b in (0, 1)] for a in (0, 1)])
+    return np.array(out)
+
+
+def _weak_outcomes(config: SessionConfig, channel: int, counts: np.ndarray) -> tuple[list, int]:
+    """Draw one sideband channel's detections per class: ``(tally, upper_bit)``.
+
+    ``counts`` holds the slots per class [a, c, k]: Alice's basis, Bob's
+    measured basis and whether the slot is kept.  Each class draws one
+    multinomial over Alice's bit b (1/2 each) and the outcome o: upper
+    detector only, lower only, both, neither.  A weak pulse holds a photon
+    with p = 1 - exp(-mu) and sends it to the upper detector with the split
+    law t of (a, b, c); each detector also fires on a dark count d.  The
+    fringe phase, and with it t, depends only on (a, b, c), so the law is
+    evaluated on those 8 phases.  Returns the detections [k][b][o], summed
+    over a and c, and the bit an upper click decodes to.
+    """
     ch = config.channel
-    bits = ks.random_bits(_stream(config.seed, f"alice_bits_ch{channel}"), n)
-    a, b, c = _COMBOS
-    table = split_upper_probability(
-        config.plan, config.fiber, channel, (a * _HALF_PI + b * np.pi) - c * _HALF_PI
-    )
-    if table is None:  # no signal, so nothing reads the table
-        mu = 0.0
-        upper_bit = 0
+    table = split_upper_probability(config.plan, config.fiber, channel, _PHASES)
+    if table is None:  # no signal, so the split is never read
+        p, split, upper_bit = 0.0, np.full((2, 2, 2), 0.5), 0
     else:
-        mu = ch.mu_weak * ch.survival_probability
-        upper_bit = 0 if table[0] >= 0.5 else 1  # combination 0 sits at phase 0.0
-    key = (alice_basis << 2) | (bits << 1) | bob_basis_actual
+        p = float(-np.expm1(-ch.mu_weak * ch.survival_probability))
+        split, upper_bit = table, 0 if table[0, 0, 0] >= 0.5 else 1  # a = b = c = 0 sits at phase 0.0
+    d = ch.dark_count_prob
+    dark = (1 - p) * d  # no photon, and a dark count
+    both, neither = p * d + dark * d, (1 - p) * (1 - d) * (1 - d)
 
-    # A signal click with p, routed upper with the slot's t: p * t in all.
-    p_click = -np.expm1(-mu)
-    rng = _stream(config.seed, f"photons_ch{channel}")
-    if p_click <= SPARSE_CLICK_PROB:  # the click slots, then one routing uniform each
-        signal = np.zeros(n, dtype=bool)
-        to_upper = np.zeros(n, dtype=bool)
-        if p_click > 0:
-            slots = sparse_slots(n, p_click, rng)
-            signal[slots] = True
-            to_upper[slots[rng.random(len(slots)) < table[key[slots]]]] = True
-    else:  # one uniform per slot: a click below p, routed upper below p * t
-        signal = np.empty(n, dtype=bool)
-        to_upper = np.empty(n, dtype=bool)
-        upper_table = p_click * table
-        for block, u in uniform_blocks(rng, n):
-            np.less(u, p_click, out=signal[block])
-            np.less(u, upper_table[key[block]], out=to_upper[block])
-    # Built only where two_arm_clicks draws dark clicks: at d > 0.
-    dark_rngs = (_stream(config.seed, f"dark_{arm}_ch{channel}") for arm in ("upper", "lower"))
-    click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
-    conclusive = click_upper ^ click_lower
-    bob_bits = click_upper.view(np.uint8) ^ np.uint8(1 - upper_bit)
-    return _ChannelRun(bits, click_upper, click_lower, conclusive, bob_bits)
+    def cells(t):  # one value of Alice's bit, half the slots
+        return ((1 - d) * (p * t + dark) / 2, (1 - d) * (p * (1 - t) + dark) / 2, both / 2, neither / 2)
 
-
-def _hex_bits(bits: np.ndarray) -> str:
-    """The bits packed big-endian, zero-padded to a whole byte, as hex."""
-    return np.packbits(bits).tobytes().hex()
+    t = split.tolist()
+    pvals = np.array([[[*cells(t[a][0][c]), *cells(t[a][1][c])] for c in (0, 1)] for a in (0, 1)])
+    rng = _stream(config.seed, f"weak_counts_ch{channel}")
+    outcomes = rng.multinomial(counts, np.broadcast_to(pvals[:, :, None], (2, 2, 2, 8)))
+    return outcomes.reshape(2, 2, 2, 2, 4).sum(axis=(0, 1)).tolist(), upper_bit
 
 
 def _meso_leg(config: SessionConfig, r_bits: np.ndarray):
@@ -357,9 +363,13 @@ def run_session(config: SessionConfig) -> SessionReport:
     channels = (1, 2) if config.mode in ("parallel", "hybrid_parallel") else (1,)
     assisted = config.mode in ("hybrid", "hybrid_parallel")
     n = config.num_slots
+    flipped = round(config.basis_flip_fault_fraction * n)
     if assisted:
         r_bits = ks.random_bits(_stream(config.seed, "r_entropy"), len(channels) * n)
         decoded = _meso_leg(config, r_bits)
+        alice, bob = np.packbits(r_bits), np.packbits(decoded.bits)
+        erased = np.packbits(decoded.erasure)
+        kept = ~erased
 
     reports = []
     usable_counts = []
@@ -368,27 +378,29 @@ def run_session(config: SessionConfig) -> SessionReport:
     announced = {}
     for channel in channels:
         if assisted:
-            sel = slice(channel - 1, None, len(channels))
-            alice_basis, bob_basis = r_bits[sel], decoded.bits[sel]
-            keep = ~decoded.erasure[sel]
-            usable = int(np.count_nonzero(keep))
-            agreement = int(np.count_nonzero((bob_basis == alice_basis) & keep)) / usable if usable else 0.0
+            by_bob = _slot_counts(alice, bob, kept, n, flipped, len(channels), channel - 1)
+            usable = int(by_bob[..., 1].sum())
+            agreed = int(by_bob[:, 0, 0, 1].sum() + by_bob[:, 1, 1, 1].sum())
+            agreement = agreed / usable if usable else 0.0
         else:
-            alice_basis = ks.random_bits(_stream(config.seed, f"alice_bases_ch{channel}"), n)
-            bob_basis = ks.random_bits(_stream(config.seed, f"bob_bases_ch{channel}"), n)
-            keep = alice_basis == bob_basis
+            alice = ks.random_bytes(_stream(config.seed, f"alice_bases_ch{channel}"), n)
+            bob = ks.random_bytes(_stream(config.seed, f"bob_bases_ch{channel}"), n)
+            by_bob = _slot_counts(alice, bob, None, n, flipped)
             usable = n
             agreement = None
-            announced[f"alice_ch{channel}"] = _hex_bits(alice_basis)
-            announced[f"bob_ch{channel}"] = _hex_bits(bob_basis)
-        run = _run_channel(config, channel, alice_basis, _measured_bases(config, bob_basis))
-        kept = keep & run.conclusive
-        sifted = int(np.count_nonzero(kept))
-        wrong = int(np.count_nonzero((run.alice_bits != run.bob_bits) & kept))
+            announced[f"alice_ch{channel}"] = alice.tobytes().hex()
+            announced[f"bob_ch{channel}"] = bob.tobytes().hex()
+        # Bob measures in b, except where the fault flips it: the classes [a, c, k].
+        classes = by_bob[0] + by_bob[1][:, ::-1]
+        tally, upper_bit = _weak_outcomes(config, channel, classes)  # [k][b][o]
+        on_kept = tally[1]
+        sifted = sum(on_kept[b][o] for b in (0, 1) for o in (0, 1))
+        # A wrong bit: the lower detector alone for b = upper_bit, the upper one alone otherwise.
+        wrong = on_kept[upper_bit][1] + on_kept[1 - upper_bit][0]
         reports.append(
             ChannelReport(
                 channel=channel,
-                raw_detections=int(np.count_nonzero(run.conclusive)),
+                raw_detections=sum(tally[k][b][o] for k in (0, 1) for b in (0, 1) for o in (0, 1)),
                 sifted_bits=sifted,
                 qber=wrong / sifted if sifted else 0.0,
                 useful_rate_bits_per_slot=sifted / usable if usable else 0.0,
@@ -396,12 +408,12 @@ def run_session(config: SessionConfig) -> SessionReport:
             )
         )
         usable_counts.append(usable)
-        double_clicks += int(np.count_nonzero(run.click_upper & run.click_lower))
+        double_clicks += sum(tally[k][b][2] for k in (0, 1) for b in (0, 1))
         errors += wrong
 
     if assisted:
-        transcript = {"erasure_mask_hex": _hex_bits(decoded.erasure)}
-        meso_erasures = int(np.count_nonzero(decoded.erasure))
+        transcript = {"erasure_mask_hex": erased.tobytes().hex()}
+        meso_erasures = int(ks.popcount(erased, len(channels) * n))
     else:
         transcript = {"announced_bases": announced}
         meso_erasures = 0

@@ -50,29 +50,49 @@ _RATES_COLUMNS = (
 )
 
 
+def _ratio(rate: float, baseline_rate: float) -> float | None:
+    """``rate`` over the baseline's, or None: the multiplier is undefined against a dead baseline."""
+    return rate / baseline_rate if baseline_rate > 0 else None
+
+
+def _sent_slot_rates(report) -> list[float]:
+    """Each channel's sifted bits over the slots sent on it, erased meso slots included."""
+    return [c.sifted_bits / report.slots for c in report.per_channel]
+
+
 def simulate_results(resolved: dict) -> dict:
     """Run every configured mode and tabulate rates against the baseline.
 
     ``rate_ratio_vs_baseline`` is a mode's useful rate divided by that of the
     scenario's ``baseline_bb84`` session (same seed, channel and fault
     fraction), or null when the baseline rate is 0.  When ``modes`` omits
-    the baseline it is run once for the ratio and not reported.  The
-    results record the ``stream_layout`` the sessions consumed their random
-    streams in.
+    the baseline it is run once for the ratio and not reported.
+
+    ``useful_rate_bits_per_slot`` divides by the usable slots, which leave
+    out every erased meso slot.  ``useful_rate_bits_per_sent_slot`` divides
+    by every slot sent, per channel and, summed, per session, so the
+    assisted modes pay for their erasures; ``rate_ratio_per_sent_slot_vs_baseline``
+    is its ratio to the baseline's.  The results record the
+    ``stream_layout`` the sessions consumed their random streams in.
     """
     configs = build_session_configs(resolved)
     reports = [run_session(config) for config in configs]
     baseline = next((r for r in reports if r.mode == "baseline_bb84"), None)
     if baseline is None and configs:
         baseline = run_session(dataclasses.replace(configs[0], mode="baseline_bb84"))
+    baseline_per_sent = sum(_sent_slot_rates(baseline)) if configs else 0.0
     sessions = []
     rows = []
     for report in reports:
-        if baseline.useful_rate_bits_per_slot > 0:
-            ratio = report.useful_rate_bits_per_slot / baseline.useful_rate_bits_per_slot
-        else:
-            ratio = None  # multiplier undefined against a dead baseline
-        session = {**report.to_dict(), "rate_ratio_vs_baseline": ratio}
+        per_sent = _sent_slot_rates(report)
+        session = {
+            **report.to_dict(),
+            "rate_ratio_vs_baseline": _ratio(report.useful_rate_bits_per_slot, baseline.useful_rate_bits_per_slot),
+            "useful_rate_bits_per_sent_slot": sum(per_sent),
+            "rate_ratio_per_sent_slot_vs_baseline": _ratio(sum(per_sent), baseline_per_sent),
+        }
+        for channel, rate in zip(session["per_channel"], per_sent, strict=True):
+            channel["useful_rate_bits_per_sent_slot"] = rate
         sessions.append(session)
         rows.append({name: session[name] for name in _RATES_COLUMNS})
     return {"sessions": sessions, "rates_table": rows, "stream_layout": protocol.STREAM_LAYOUT}

@@ -56,7 +56,7 @@ MAX_PNS_MU = 64
 
 #: Largest accepted ``optics_verify.num_samples``: a spectrum peaks near 40 B
 #: and takes ~40 ns per sample, and a cached grid (a command builds one, the
-#: cache keeps 4) holds 80 B per sample, so 40 MB and 0.04 s per spectrum plus
+#: cache keeps 2) holds 80 B per sample, so 40 MB and 0.04 s per spectrum plus
 #: 84 MB per grid; ``optics-verify`` peaks at 154 MB RSS with 6 spectra here.
 MAX_ORACLE_SAMPLES = 2**20
 

@@ -5,8 +5,12 @@ coherent state, the small-angle overlap that sits beside
 ``polarization.overlap_exact``, the single-arm Mach-Zehnder field with its
 small-signal intensity, and the field at Bob's output with its tone powers
 read from one FFT, the readout ``optics.sideband_intensities_oracle``
-replaced by direct DFT sums.  ``test_polarization``, ``test_optics`` and
-``test_acceptance`` check these laws and compare the package against them.
+replaced by direct DFT sums.  The weak-channel detection passes of session
+stream layouts 5 and 2, one outcome per slot, and the session that runs
+them (``reference_run_session``), the per-slot sessions that layout 6's
+draws per slot class replaced.  ``test_polarization``, ``test_optics``,
+``test_protocol`` and ``test_acceptance`` check these laws and compare the
+package against them.
 """
 from __future__ import annotations
 
@@ -14,8 +18,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hpqkd.optics import DEFAULT_ORACLE_SAMPLES, FiberLink, ModulationPlan, oracle_period
-from hpqkd.polarization import TwoModeCoherentState
+from hpqkd import keystream as ks
+from hpqkd import protocol
+from hpqkd.optics import (
+    DEFAULT_ORACLE_SAMPLES,
+    FiberLink,
+    ModulationPlan,
+    oracle_period,
+    split_upper_probability,
+)
+from hpqkd.polarization import (
+    SPARSE_CLICK_PROB,
+    TwoModeCoherentState,
+    sparse_slots,
+    two_arm_clicks,
+    uniform_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -180,3 +198,238 @@ def tone_powers(field: TimeDomainField, omegas) -> list[float]:
         bins.append(k % n)
     spectrum = np.fft.fft(field.samples)
     return [float(abs(spectrum[k] / n) ** 2) for k in bins]
+
+
+#: (Alice basis, bit, Bob basis) of each entry of a channel's split table,
+#: entry ``(a << 2) | (b << 1) | c``, as uint8 like the per-slot values.
+COMBOS = np.array([(i >> 2, i >> 1 & 1, i & 1) for i in range(8)], dtype=np.uint8).T
+
+
+@dataclass
+class ChannelRun:
+    """One weak channel's per-slot pass: Alice's bits, each detector's clicks and Bob's bits."""
+
+    alice_bits: np.ndarray
+    click_upper: np.ndarray
+    click_lower: np.ndarray
+    conclusive: np.ndarray
+    bob_bits: np.ndarray
+
+
+def measured_bases(config, bob_basis: np.ndarray) -> np.ndarray:
+    """Bob's bases as his receiver sets them: the fault flips the first slots."""
+    flipped = round(config.basis_flip_fault_fraction * config.num_slots)
+    if not flipped:
+        return bob_basis
+    out = bob_basis.copy()
+    out[:flipped] ^= 1
+    return out
+
+
+def layout5_run_channel(config, channel: int, alice_basis, bob_basis_actual) -> ChannelRun:
+    """Detection pass of one sideband channel in stream layout 5, one outcome per slot.
+
+    Alice's bits are random bytes unpacked on ``alice_bits_ch*``.  The split
+    law is read from an 8-entry table keyed by ``(alice_basis << 2) |
+    (bit << 1) | bob_basis``, its entries from the per-slot phase expression
+    on those 8 combinations.  With p = 1 - exp(-mu) up to 1/16 the channel
+    draws its click slots (``sparse_slots``) on ``photons_ch*``, then one
+    routing uniform per click slot, upper below t; above 1/16 one uniform u
+    per slot, in blocks, a click below p, upper below p * t.  Each detector
+    adds its dark clicks from ``dark_*_ch*`` (``two_arm_clicks``).  Streams
+    come from ``protocol._stream``.
+    """
+    n = config.num_slots
+    ch = config.channel
+    bits = ks.random_bits(protocol._stream(config.seed, f"alice_bits_ch{channel}"), n)
+    a, b, c = COMBOS
+    table = split_upper_probability(
+        config.plan, config.fiber, channel, (a * (np.pi / 2) + b * np.pi) - c * (np.pi / 2)
+    )
+    if table is None:  # no signal, so nothing reads the table
+        mu = 0.0
+        upper_bit = 0
+    else:
+        mu = ch.mu_weak * ch.survival_probability
+        upper_bit = 0 if table[0] >= 0.5 else 1  # combination 0 sits at phase 0.0
+    key = (alice_basis << 2) | (bits << 1) | bob_basis_actual
+
+    # A signal click with p, routed upper with the slot's t: p * t in all.
+    p_click = -np.expm1(-mu)
+    rng = protocol._stream(config.seed, f"photons_ch{channel}")
+    if p_click <= SPARSE_CLICK_PROB:  # the click slots, then one routing uniform each
+        signal = np.zeros(n, dtype=bool)
+        to_upper = np.zeros(n, dtype=bool)
+        if p_click > 0:
+            slots = sparse_slots(n, p_click, rng)
+            signal[slots] = True
+            to_upper[slots[rng.random(len(slots)) < table[key[slots]]]] = True
+    else:  # one uniform per slot: a click below p, routed upper below p * t
+        signal = np.empty(n, dtype=bool)
+        to_upper = np.empty(n, dtype=bool)
+        upper_table = p_click * table
+        for block, u in uniform_blocks(rng, n):
+            np.less(u, p_click, out=signal[block])
+            np.less(u, upper_table[key[block]], out=to_upper[block])
+    # Built only where two_arm_clicks draws dark clicks: at d > 0.
+    dark_rngs = (protocol._stream(config.seed, f"dark_{arm}_ch{channel}") for arm in ("upper", "lower"))
+    click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
+    conclusive = click_upper ^ click_lower
+    bob_bits = click_upper.view(np.uint8) ^ np.uint8(1 - upper_bit)
+    return ChannelRun(bits, click_upper, click_lower, conclusive, bob_bits)
+
+
+def reference_bits(rng, n) -> np.ndarray:
+    """Reference: ``n`` 0/1 values drawn as layout 3 draws them, from ``ceil(n / 8)`` bytes."""
+    return np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8))[:n]
+
+
+def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=5) -> ChannelRun:
+    """Per-slot reference for ``layout5_run_channel``, in stream layout 5 or 2.
+
+    The detection pass written slot by slot: a float fringe phase per slot,
+    the split law evaluated on every one of them, and Bob's bit chosen with
+    ``np.where``.  ``layout=5`` draws the layout-5 weak channel with
+    p = 1 - exp(-mu): for p <= 1/16 a count and that many click slots, then
+    one routing uniform per click slot, upper below t (nothing at p = 0);
+    above 1/16 one ``random(n)``, a signal below p and the upper detector
+    below p * t, as layout 3 drew it.  Its dark clicks are the engine's
+    (``two_arm_clicks``).  ``layout=2`` draws ``integers(0, 2)`` bits,
+    ``poisson(mu) > 0`` signals, a separate routing uniform and one
+    ``random(n) < d`` dark draw per arm, upper stream first, none at d = 0.
+    It draws from the streams in the table pass's order, so on equal streams
+    the two layout-5 passes must agree bit for bit.
+    """
+    n = config.num_slots
+    ch = config.channel
+    bits_rng = streams[f"alice_bits_ch{channel}"]
+    bits = reference_bits(bits_rng, n) if layout == 5 else bits_rng.integers(0, 2, n, dtype=np.uint8)
+    delta_phi = (alice_basis * (np.pi / 2) + bits * np.pi) - bob_basis_actual * (np.pi / 2)
+    p_upper = split_upper_probability(config.plan, config.fiber, channel, delta_phi)
+    if p_upper is None:
+        mu = 0.0
+        p_upper = np.full(n, 0.5)
+        upper_bit = 0
+    else:
+        mu = ch.mu_weak * ch.survival_probability
+        upper_bit = 0 if split_upper_probability(config.plan, config.fiber, channel, 0.0) >= 0.5 else 1
+    p_click = -np.expm1(-mu)
+    rng = streams[f"photons_ch{channel}"]
+    if layout == 5 and p_click <= 1 / 16:
+        signal, to_upper = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        if p_click > 0:
+            slots = rng.choice(n, rng.binomial(n, p_click), replace=False, shuffle=False)
+            signal[slots] = True
+            to_upper[slots] = rng.random(len(slots)) < p_upper[slots]
+    elif layout == 5:
+        u = rng.random(n)
+        signal = u < p_click
+        to_upper = u < p_click * p_upper
+    else:
+        signal = rng.poisson(mu, n) > 0
+        to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
+    dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
+    if layout == 5:
+        click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
+    else:
+        click_upper, click_lower = signal & to_upper, signal & ~to_upper
+        if ch.dark_count_prob > 0:
+            click_upper |= dark_rngs[0].random(n) < ch.dark_count_prob
+            click_lower |= dark_rngs[1].random(n) < ch.dark_count_prob
+    bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
+    return ChannelRun(bits, click_upper, click_lower, click_upper ^ click_lower, bob_bits)
+
+
+def session_streams(seed) -> dict:
+    """Every role's generator for ``seed``, each built as the engine builds it."""
+    return {role: protocol._stream(seed, role) for role in protocol._ROLES}
+
+
+def layout2_run_channel(config, channel, alice_basis, bob_basis_actual) -> ChannelRun:
+    """``reference_channel_run`` in layout 2 on the session's streams: a drop-in for ``layout5_run_channel``."""
+    streams = session_streams(config.seed)
+    return reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=2)
+
+
+def layout2_bits(rng, n) -> np.ndarray:
+    """``n`` 0/1 values as stream layout 2 drew them."""
+    return rng.integers(0, 2, n, dtype=np.uint8)
+
+
+def _hex_bits(bits: np.ndarray) -> str:
+    return np.packbits(bits).tobytes().hex()
+
+
+def reference_run_session(config, layout: int = 5) -> protocol.SessionReport:
+    """``run_session`` as stream layout 5 (or 2) ran it: each weak channel one outcome per slot.
+
+    Layout 5 draws Alice's bits, the sifted bases and R as random bytes
+    unpacked (``keystream.random_bits``) and runs ``layout5_run_channel``;
+    layout 2 draws them with ``integers(0, 2)`` and runs
+    ``layout2_run_channel``.  K' and the meso leg are the package's
+    (``protocol._meso_leg``).  The report is assembled as the package
+    assembles it, so on the same draws the two agree field for field.
+    """
+    if layout == 5:
+        random_bits, run_channel = ks.random_bits, layout5_run_channel
+    else:
+        random_bits, run_channel = layout2_bits, layout2_run_channel
+    channels = (1, 2) if config.mode in ("parallel", "hybrid_parallel") else (1,)
+    assisted = config.mode in ("hybrid", "hybrid_parallel")
+    n = config.num_slots
+    if assisted:
+        r_bits = random_bits(protocol._stream(config.seed, "r_entropy"), len(channels) * n)
+        decoded = protocol._meso_leg(config, r_bits)
+    reports, usable_counts, announced = [], [], {}
+    double_clicks = errors = 0
+    for channel in channels:
+        if assisted:
+            sel = slice(channel - 1, None, len(channels))
+            alice_basis, bob_basis = r_bits[sel], decoded.bits[sel]
+            keep = ~decoded.erasure[sel]
+            usable = int(np.count_nonzero(keep))
+            agreement = int(np.count_nonzero((bob_basis == alice_basis) & keep)) / usable if usable else 0.0
+        else:
+            alice_basis = random_bits(protocol._stream(config.seed, f"alice_bases_ch{channel}"), n)
+            bob_basis = random_bits(protocol._stream(config.seed, f"bob_bases_ch{channel}"), n)
+            keep = alice_basis == bob_basis
+            usable, agreement = n, None
+            announced[f"alice_ch{channel}"] = _hex_bits(alice_basis)
+            announced[f"bob_ch{channel}"] = _hex_bits(bob_basis)
+        run = run_channel(config, channel, alice_basis, measured_bases(config, bob_basis))
+        kept = keep & run.conclusive
+        sifted = int(np.count_nonzero(kept))
+        wrong = int(np.count_nonzero((run.alice_bits != run.bob_bits) & kept))
+        reports.append(
+            protocol.ChannelReport(
+                channel=channel,
+                raw_detections=int(np.count_nonzero(run.conclusive)),
+                sifted_bits=sifted,
+                qber=wrong / sifted if sifted else 0.0,
+                useful_rate_bits_per_slot=sifted / usable if usable else 0.0,
+                basis_agreement=agreement,
+            )
+        )
+        usable_counts.append(usable)
+        double_clicks += int(np.count_nonzero(run.click_upper & run.click_lower))
+        errors += wrong
+    if assisted:
+        transcript = {"erasure_mask_hex": _hex_bits(decoded.erasure)}
+        meso_erasures = int(np.count_nonzero(decoded.erasure))
+    else:
+        transcript, meso_erasures = {"announced_bases": announced}, 0
+    sifted = sum(c.sifted_bits for c in reports)
+    return protocol.SessionReport(
+        mode=config.mode,
+        seed=config.seed,
+        slots=n,
+        usable_slots=min(usable_counts),
+        raw_detections=sum(c.raw_detections for c in reports),
+        sifted_bits=sifted,
+        double_click_erasures=double_clicks,
+        meso_erasures=meso_erasures,
+        qber=errors / sifted if sifted else 0.0,
+        useful_rate_bits_per_slot=sum(c.useful_rate_bits_per_slot for c in reports),
+        per_channel=tuple(reports),
+        public_transcript=transcript,
+    )

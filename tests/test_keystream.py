@@ -16,7 +16,9 @@ from hpqkd.keystream import (
     bob_decode,
     build_basis_schedule,
     expand_key,
+    popcount,
     random_bits,
+    random_bytes,
     simulate_meso_transmission,
 )
 from hpqkd.polarization import DetectionCounts
@@ -220,6 +222,45 @@ class TestRandomStream:
     def test_balanced_bits(self):
         bits = random_bits(np.random.default_rng(1), 100_000)
         assert abs(np.mean(bits) - 0.5) <= 3 * np.sqrt(0.25 / 100_000)
+
+    @pytest.mark.parametrize("n", [1, 8, 37, 4096, 4099])
+    def test_bytes_are_the_packed_bits(self, n):
+        # The bits past n are zero, as np.packbits pads them.
+        packed = random_bytes(np.random.default_rng(3), n)
+        assert packed.dtype == np.uint8 and len(packed) == -(-n // 8)
+        assert np.array_equal(packed, np.packbits(random_bits(np.random.default_rng(3), n)))
+
+
+class TestPopcount:
+    def test_every_byte_value(self):
+        values = np.arange(256, dtype=np.uint8)
+        assert [int(popcount(values[i : i + 1], 8)) for i in range(256)] == [bin(x).count("1") for x in range(256)]
+        assert popcount(values, 8 * 256) == sum(bin(x).count("1") for x in range(256))
+
+    def test_every_pair_of_bytes(self):
+        # Whole bytes are read two at a time.
+        pairs = np.arange(65536, dtype=">u2").view(np.uint8).reshape(-1, 2)
+        assert popcount(pairs, 16).tolist() == [bin(x).count("1") for x in range(65536)]
+
+    @pytest.mark.parametrize("num_bits", [0, 1, 7, 8, 9, 12_345, 8 * 4096 - 3, 8 * 4096])
+    def test_counts_only_the_leading_bits(self, num_bits):
+        # Every byte is 0xff, so a count past num_bits would show; 12 345 and
+        # 8 * 4096 - 3 end mid-byte, as a fault prefix or a slot count may.
+        packed = np.full(4096, 0xFF, dtype=np.uint8)
+        assert popcount(packed, num_bits) == num_bits
+
+    @pytest.mark.parametrize("n, prefix", [(37, 13), (4099, 1229), (20_001, 6000), (20_001, 6001)])
+    def test_random_string_and_prefix(self, n, prefix):
+        bits = random_bits(np.random.default_rng(n + prefix), n)
+        packed = np.packbits(bits)
+        packed[-1] |= 0xFF >> (n % 8) if n % 8 else 0  # ones past n are not counted
+        assert popcount(packed, n) == int(bits.sum()) == "".join(map(str, bits)).count("1")
+        assert popcount(packed, prefix) == int(bits[:prefix].sum())
+
+    def test_counts_along_the_last_axis(self):
+        rows = np.random.default_rng(4).integers(0, 256, (3, 11), dtype=np.uint8)
+        expected = [sum(bin(x).count("1") for x in row[:10]) + bin(row[10] >> 3).count("1") for row in rows]
+        assert popcount(rows, 85).tolist() == expected
 
 
 class TestSchedule:

@@ -556,6 +556,14 @@ class TestOracleGridCache:
         info = optics._oracle_grid.cache_info()
         assert (info.misses, info.hits) == (1, 4)
 
+    def test_at_most_two_grids_stay_cached(self):
+        # A grid holds 80 B per sample, 84 MB at the largest accepted grid.
+        optics._oracle_grid.cache_clear()
+        for phi1_b in (0.0, 0.4, 0.8):
+            sideband_intensities_oracle(plan_with(phi1_b=phi1_b), FIBER, 1024)
+        info = optics._oracle_grid.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (3, 2, 2)
+
     def test_cached_arrays_are_read_only(self):
         grid = optics._oracle_grid(
             PLAN.omega1, PLAN.omega2, PLAN.m3, PLAN.m4, PLAN.phi1_b, PLAN.phi2_b, 1024

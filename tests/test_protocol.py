@@ -18,7 +18,15 @@ from hpqkd.protocol import (
     SessionConfig,
     run_session,
 )
-from hpqkd.polarization import CLICK_BLOCK, SPARSE_CLICK_PROB, DetectionCounts, two_arm_clicks
+from hpqkd.polarization import CLICK_BLOCK, SPARSE_CLICK_PROB, DetectionCounts
+from physics_reference import (
+    ChannelRun,
+    layout5_run_channel,
+    measured_bases,
+    reference_channel_run,
+    reference_run_session,
+    session_streams,
+)
 
 PLAN = ModulationPlan()
 FIBER = tuned_fiber(PLAN)
@@ -53,78 +61,6 @@ def compute_qber(alice_bits, bob_bits, matched_slots) -> float:
     matched = np.asarray(matched_slots, dtype=bool)
     wrong = np.asarray(alice_bits) != np.asarray(bob_bits)
     return int(np.count_nonzero(wrong & matched)) / int(np.count_nonzero(matched))
-
-
-def reference_bits(rng, n) -> np.ndarray:
-    """Reference: ``n`` 0/1 values drawn as layout 3 draws them, from ``ceil(n / 8)`` bytes."""
-    return np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8))[:n]
-
-
-def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=5) -> protocol._ChannelRun:
-    """Per-slot reference for ``protocol._run_channel``, in stream layout 5 or 2.
-
-    The detection pass written slot by slot: a float fringe phase per slot,
-    the split law evaluated on every one of them, and Bob's bit chosen with
-    ``np.where``.  ``layout=5`` draws the layout-5 weak channel with
-    p = 1 - exp(-mu): for p <= 1/16 a count and that many click slots, then
-    one routing uniform per click slot, upper below t (nothing at p = 0);
-    above 1/16 one ``random(n)``, a signal below p and the upper detector
-    below p * t, as layout 3 drew it.  Its dark clicks are the engine's
-    (``two_arm_clicks``).  ``layout=2`` draws ``integers(0, 2)`` bits,
-    ``poisson(mu) > 0`` signals, a separate routing uniform and one
-    ``random(n) < d`` dark draw per arm, upper stream first, none at d = 0.
-    It draws from the streams in the engine's order, so on equal streams the
-    layout-5 pass and the engine must agree bit for bit.
-    """
-    n = config.num_slots
-    ch = config.channel
-    bits_rng = streams[f"alice_bits_ch{channel}"]
-    bits = reference_bits(bits_rng, n) if layout == 5 else bits_rng.integers(0, 2, n, dtype=np.uint8)
-    delta_phi = (alice_basis * (np.pi / 2) + bits * np.pi) - bob_basis_actual * (np.pi / 2)
-    p_upper = split_upper_probability(config.plan, config.fiber, channel, delta_phi)
-    if p_upper is None:
-        mu = 0.0
-        p_upper = np.full(n, 0.5)
-        upper_bit = 0
-    else:
-        mu = ch.mu_weak * ch.survival_probability
-        upper_bit = 0 if split_upper_probability(config.plan, config.fiber, channel, 0.0) >= 0.5 else 1
-    p_click = -np.expm1(-mu)
-    rng = streams[f"photons_ch{channel}"]
-    if layout == 5 and p_click <= 1 / 16:
-        signal, to_upper = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        if p_click > 0:
-            slots = rng.choice(n, rng.binomial(n, p_click), replace=False, shuffle=False)
-            signal[slots] = True
-            to_upper[slots] = rng.random(len(slots)) < p_upper[slots]
-    elif layout == 5:
-        u = rng.random(n)
-        signal = u < p_click
-        to_upper = u < p_click * p_upper
-    else:
-        signal = rng.poisson(mu, n) > 0
-        to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
-    dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
-    if layout == 5:
-        click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
-    else:
-        click_upper, click_lower = signal & to_upper, signal & ~to_upper
-        if ch.dark_count_prob > 0:
-            click_upper |= dark_rngs[0].random(n) < ch.dark_count_prob
-            click_lower |= dark_rngs[1].random(n) < ch.dark_count_prob
-    bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
-    return protocol._ChannelRun(bits, click_upper, click_lower, click_upper ^ click_lower, bob_bits)
-
-
-def session_streams(seed) -> dict:
-    """Every role's generator for ``seed``, each built as the engine builds it."""
-    return {role: protocol._stream(seed, role) for role in protocol._ROLES}
-
-
-def layout2_run_channel(config, channel, alice_basis, bob_basis_actual) -> protocol._ChannelRun:
-    """``reference_channel_run`` in layout 2 on the session's streams: a drop-in for ``protocol._run_channel``."""
-    streams = session_streams(config.seed)
-    return reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=2)
 
 
 def config(mode="baseline_bb84", slots=10_000, seed=42, channel=IDEAL, plan=PLAN, fiber=FIBER, **kw):
@@ -263,23 +199,18 @@ class TestDetectionSplit:
         # delta_phi = alice_basis * pi/2.  Bright enough pulses and frequent
         # dark counts make all four outcomes common.
         ch = ChannelModel(mu_weak=1.0, dark_count_prob=0.2)
-        slots = 40_000
-        run = protocol._run_channel(
-            config(slots=slots, seed=31, channel=ch),
-            channel,
-            np.full(slots, alice_basis, dtype=np.uint8),
-            np.zeros(slots, dtype=np.uint8),
-        )
-        at_phase = run.alice_bits == 0
-        upper, lower = run.click_upper[at_phase], run.click_lower[at_phase]
-        engine = {"upper": upper & ~lower, "lower": ~upper & lower, "both": upper & lower, "none": ~upper & ~lower}
+        counts = np.zeros((2, 2, 2), dtype=np.int64)
+        counts[alice_basis, 0, 1] = 40_000
+        tally, _ = protocol._weak_outcomes(config(seed=31, channel=ch), channel, counts)
+        at_phase = tally[1][0]  # kept, bit 0: upper only, lower only, both, neither
+        engine = dict(zip(("upper", "lower", "both", "none"), at_phase))
         rng = np.random.default_rng(32)
         reference = [
             detection_split(alice_basis * np.pi / 2, channel, PLAN, FIBER, ch, rng) for _ in range(20_000)
         ]
-        n_engine, n_reference = int(at_phase.sum()), len(reference)
+        n_engine, n_reference = sum(at_phase), len(reference)
         for outcome, hits in engine.items():
-            f_engine = hits.mean()
+            f_engine = hits / n_engine
             f_reference = reference.count(outcome) / n_reference
             pooled = (f_engine * n_engine + f_reference * n_reference) / (n_engine + n_reference)
             sigma = np.sqrt(pooled * (1 - pooled) * (1 / n_engine + 1 / n_reference))
@@ -368,16 +299,28 @@ class TestParallel:
 
     def test_session_qber_is_the_error_count_over_the_sifted_bits(self):
         # Each channel's errors are counted and the sum divided once; the sum
-        # of qber * sifted_bits over the channels gave 0.08803986710963456 here.
+        # of qber * sifted_bits over the channels gives 0.0785498489425982 here.
         ch = ChannelModel(length_km=20, dark_count_prob=0.02)
-        report = run_session(config(mode="parallel", seed=71, slots=3000, channel=ch))
+        report = run_session(config(mode="parallel", seed=193, slots=3000, channel=ch))
         errors = sum(round(c.qber * c.sifted_bits) for c in report.per_channel)
-        assert (errors, report.sifted_bits) == (53, 602)
-        assert report.qber == 53 / 602 == 0.08803986710963455
+        assert (errors, report.sifted_bits) == (52, 662)
+        assert sum(c.qber * c.sifted_bits for c in report.per_channel) / 662 == 0.0785498489425982
+        assert report.qber == 52 / 662 == 0.07854984894259819
 
     def test_transcript_announces_both_channels(self):
         report = run_session(config(mode="parallel", seed=20, slots=128))
         assert "alice_ch2" in report.public_transcript["announced_bases"]
+
+    @pytest.mark.parametrize("fault", (0.0, 0.3))
+    @pytest.mark.parametrize("channel", ("default", "longhaul"))
+    def test_channel1_is_the_baseline_channel(self, channel, fault):
+        # Same roles, so the same bases, class sizes and class draws.
+        kw = dict(seed=7, slots=20_001, channel=GOLDEN_CHANNELS[channel], basis_flip_fault_fraction=fault)
+        baseline = run_session(config(**kw))
+        parallel = run_session(config(mode="parallel", **kw))
+        assert parallel.per_channel[0] == baseline.per_channel[0]
+        announced = parallel.public_transcript["announced_bases"]
+        assert {k: announced[k] for k in ("alice_ch1", "bob_ch1")} == baseline.public_transcript["announced_bases"]
 
 
 class TestHybridParallel:
@@ -429,10 +372,12 @@ class TestOrderingAndDeterminism:
         assert a.sifted_bits != b.sifted_bits or a.qber != b.qber or a.to_dict() != b.to_dict()
 
 
-#: Channel settings the split-table pass is checked on, as (channel,
-#: ChannelModel, plan, fiber, fault fraction).  The weak channel draws one
-#: uniform per slot on each but ``dark-channel`` (p = 0, nothing drawn) and
-#: the 100-km links (p = 0.005, a count, its click slots and a routing
+#: Channel settings the split table is checked on, as (channel,
+#: ChannelModel, plan, fiber, fault fraction): the layout-5 table pass of
+#: ``physics_reference`` against its per-slot form, and the layout-6 class
+#: cells against the per-slot split floats.  The layout-5 weak channel draws
+#: one uniform per slot on each but ``dark-channel`` (p = 0, nothing drawn)
+#: and the 100-km links (p = 0.005, a count, its click slots and a routing
 #: uniform each).
 SPLIT_TABLE_CASES = {
     "ch1": (1, IDEAL, PLAN, FIBER, 0.0),
@@ -460,10 +405,10 @@ class TestSplitTable:
         streams = session_streams(9)
         engine_streams, reference_streams = copy.deepcopy(streams), copy.deepcopy(streams)
         monkeypatch.setattr(protocol, "_stream", lambda seed, role: engine_streams[role])
-        measured = protocol._measured_bases(cfg, bob_basis)
-        run = protocol._run_channel(cfg, channel, alice_basis, measured)
+        measured = measured_bases(cfg, bob_basis)
+        run = layout5_run_channel(cfg, channel, alice_basis, measured)
         reference = reference_channel_run(cfg, reference_streams, channel, alice_basis, bob_basis ^ flipped)
-        for field in dataclasses.fields(protocol._ChannelRun):
+        for field in dataclasses.fields(ChannelRun):
             got, want = getattr(run, field.name), getattr(reference, field.name)
             assert got.dtype == want.dtype and np.array_equal(got, want), field.name
         for role in streams:
@@ -471,6 +416,36 @@ class TestSplitTable:
             untouched = role.startswith("routing_ch") or (name == "dark-channel" and role.startswith("photons_ch"))
             if untouched:  # routing is never read, and a channel with p = 0 draws no click field
                 assert engine_streams[role].bit_generator.state == streams[role].bit_generator.state, role
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_TABLE_CASES))
+    def test_class_cells_read_the_per_slot_split_floats(self, name, monkeypatch):
+        # Layout 6: the 8 cells of class [a, c, k] are Alice's bit b (1/2
+        # each) times upper only, lower only, both, neither, with t the split
+        # law at the per-slot phase expression of (a, b, c).
+        channel, ch, plan, fiber, _ = SPLIT_TABLE_CASES[name]
+        calls = []
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(protocol, "_stream", lambda seed, role: _RecordingRng(role, rng, calls))
+        cfg = config(channel=ch, plan=plan, fiber=fiber)
+        protocol._weak_outcomes(cfg, channel, np.ones((2, 2, 2), dtype=np.int64))
+        ((role, name, (_, pvals)),) = calls
+        assert (role, name) == (f"weak_counts_ch{channel}", "multinomial")
+        combos = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.uint8)  # rows (a, b, c)
+        a, b, c = np.tile(combos, (5, 1)).T  # a per-slot sized array, not the 8-entry table
+        per_slot = split_upper_probability(plan, fiber, channel, (a * (np.pi / 2) + b * np.pi) - c * (np.pi / 2))
+        d = ch.dark_count_prob
+        p = 0.0 if per_slot is None else -np.expm1(-ch.mu_weak * ch.survival_probability)
+        for i, (a_i, b_i, c_i) in enumerate(combos):
+            t = 0.5 if per_slot is None else per_slot[i]
+            cells = [
+                (1 - d) * (p * t + (1 - p) * d),
+                (1 - d) * (p * (1 - t) + (1 - p) * d),
+                p * d + (1 - p) * d * d,
+                (1 - p) * (1 - d) * (1 - d),
+            ]
+            for kept in (0, 1):
+                got = pvals[a_i, c_i, kept, 4 * b_i : 4 * b_i + 4]
+                assert got.tolist() == [cell / 2 for cell in cells], (a_i, b_i, c_i)
 
     @pytest.mark.parametrize("mode", protocol.MODES)
     def test_split_law_sees_at_most_eight_phases(self, mode, monkeypatch):
@@ -483,6 +458,28 @@ class TestSplitTable:
         monkeypatch.setattr(protocol, "split_upper_probability", recording)
         run_session(config(mode=mode, slots=5000))
         assert 1 <= len(seen) <= 2 and all(size <= 8 for size in seen), seen
+
+
+class TestSlotCounts:
+    @pytest.mark.parametrize("n, fault", [(1, 0.0), (8, 1.0), (37, 0.3), (4096, 0.5), (20_001, 0.0), (20_001, 0.3)])
+    @pytest.mark.parametrize(
+        "kept, lanes, lane", [("matched", 1, 0), ("random", 1, 0), ("random", 2, 0), ("random", 2, 1)]
+    )
+    def test_counts_equal_the_per_slot_counts(self, n, fault, kept, lanes, lane):
+        # A fault prefix of round(0.3 * 37) = 11 or 6000 slots ends mid-byte.
+        # The sifted modes keep the matched slots of one channel's strings; the
+        # assisted ones a mask, over strings that interleave two channels.
+        rng = np.random.default_rng(n)
+        a, b = rng.integers(0, 2, (2, lanes * n), dtype=np.uint8)
+        k = a == b if kept == "matched" else rng.random(lanes * n) < 0.7
+        flipped = round(fault * n)
+        fault_flags = np.arange(n) < flipped
+        sel = slice(lane, None, lanes)
+        expected = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        np.add.at(expected, (fault_flags.astype(np.uint8), a[sel], b[sel], k[sel].astype(np.uint8)), 1)
+        packed_kept = None if kept == "matched" else np.packbits(k)
+        got = protocol._slot_counts(np.packbits(a), np.packbits(b), packed_kept, n, flipped, lanes, lane)
+        assert np.array_equal(got, expected)
 
 
 def _layout1_meso_counts(schedule, channel: ChannelModel, rng) -> DetectionCounts:
@@ -607,18 +604,21 @@ def test_meso_sparse_fields_agree_with_law_and_layout1(name):
     assert all(abs(v) < 3 for v in z.values()), z
 
 
-def _weak_law(channel: ChannelModel, mode: str) -> tuple[float, float, float]:
-    """Closed-form weak-channel fractions of a session: (conclusive, sifted, error).
+def _weak_law(channel: ChannelModel, mode: str, flipped: float = 0.0) -> tuple[float, float, float, float]:
+    """Closed-form weak-channel fractions of a session: (conclusive, sifted, error, double click).
 
-    Conclusive is over sent slots, sifted over usable slots and error over
-    sifted bits, averaged over the mode's channels.  A slot of split law t
+    Conclusive and double click are over sent slots, sifted over usable
+    slots and error over sifted bits, averaged over the mode's channels.  A slot of split law t
     sends its signal, present with p = 1 - exp(-mu * eta), to the upper
     detector with probability t; with dark probability d per detector the
     upper one alone fires with (1 - d)(p t + (1 - p) d), the lower one alone
-    with the same at 1 - t.  The sifted modes keep the matched-basis slots.
+    with the same at 1 - t, and both with p d + (1 - p) d**2 at any t.  The
+    sifted modes keep the matched-basis slots.
     The assisted modes keep the usable meso slots, on which Bob's basis is
     Alice's unless the meso decode was wrong (``_meso_law``); on an erased
-    slot it matches half the time.
+    slot it matches half the time.  On the fraction ``flipped`` of the slots
+    the fault flips the basis Bob measures in, not the one he announces or
+    decodes.
     """
     p = -np.expm1(-channel.mu_weak * channel.survival_probability)
     d = channel.dark_count_prob
@@ -626,53 +626,71 @@ def _weak_law(channel: ChannelModel, mode: str) -> tuple[float, float, float]:
     assisted = mode in ("hybrid", "hybrid_parallel")
     erasure, wrong = _meso_law(channel) if assisted else (0.0, 0.0)
     conclusive = kept = errors = 0.0
-    for ch, (a, b, c) in itertools.product(channels, itertools.product((0, 1), repeat=3)):
-        t = float(split_upper_probability(PLAN, FIBER, ch, a * np.pi / 2 + b * np.pi - c * np.pi / 2))
+    for ch, (a, b, c), flip in itertools.product(channels, itertools.product((0, 1), repeat=3), (0, 1)):
+        share = flipped if flip else 1 - flipped
+        t = float(split_upper_probability(PLAN, FIBER, ch, a * np.pi / 2 + b * np.pi - (c ^ flip) * np.pi / 2))
         upper_bit = 0 if split_upper_probability(PLAN, FIBER, ch, 0.0) >= 0.5 else 1
         upper_only = (1 - d) * (p * t + (1 - p) * d)
         lower_only = (1 - d) * (p * (1 - t) + (1 - p) * d)
         wrong_only = lower_only if b == upper_bit else upper_only
         if assisted:  # (a, b) uniform; c given a follows the meso decode
             on_usable = 1 - wrong if c == a else wrong
-            conclusive += ((1 - erasure) * on_usable + erasure / 2) * (upper_only + lower_only) / 4
-            kept += on_usable * (upper_only + lower_only) / 4
-            errors += on_usable * wrong_only / 4
+            conclusive += share * ((1 - erasure) * on_usable + erasure / 2) * (upper_only + lower_only) / 4
+            kept += share * on_usable * (upper_only + lower_only) / 4
+            errors += share * on_usable * wrong_only / 4
         else:  # (a, b, c) uniform; matched bases are kept
-            conclusive += (upper_only + lower_only) / 8
+            conclusive += share * (upper_only + lower_only) / 8
             if c == a:
-                kept += (upper_only + lower_only) / 8
-                errors += wrong_only / 8
-    return conclusive / len(channels), kept / len(channels), errors / kept
+                kept += share * (upper_only + lower_only) / 8
+                errors += share * wrong_only / 8
+    return conclusive / len(channels), kept / len(channels), errors / kept, p * d + (1 - p) * d * d
 
 
-def _layout2_bits(rng, n) -> np.ndarray:
-    return rng.integers(0, 2, n, dtype=np.uint8)
+def _weak_pool(channel: ChannelModel, mode: str, layout: int, fault: float = 0.0) -> np.ndarray:
+    """(conclusive, slots, sifted, usable, errors, double clicks) summed over the seed pool and channels.
 
-
-def _weak_pool(channel: ChannelModel, mode: str, layout: int) -> np.ndarray:
-    """(conclusive, slots, sifted, usable, errors) summed over the seed pool and channels.
-
-    Layout 2 is the session engine with its weak channels, bits, bases and R
-    drawn as stream layout 2 drew them (``reference_channel_run`` and
-    ``integers(0, 2)``); K' is the current generator, which only moves the
+    Layout 6 is ``run_session``; layouts 5 and 2 are ``reference_run_session``,
+    one outcome per weak slot.  Layout 2 draws its bits, bases and R with
+    ``integers(0, 2)``; K' is the current generator, which only moves the
     meso leg's basis words.
     """
-    totals = np.zeros(5, dtype=np.int64)
-    with pytest.MonkeyPatch.context() as mp:
-        if layout == 2:
-            mp.setattr(ks, "random_bits", _layout2_bits)
-            mp.setattr(protocol, "_run_channel", layout2_run_channel)
-        for seed in WEAK_SEEDS:
-            report = run_session(config(mode=mode, slots=WEAK_SLOTS, seed=seed, channel=channel))
-            slots = report.slots * len(report.per_channel)
-            errors = sum(round(c.qber * c.sifted_bits) for c in report.per_channel)
-            totals += (report.raw_detections, slots, report.sifted_bits, slots - report.meso_erasures, errors)
+    totals = np.zeros(6, dtype=np.int64)
+    for seed in WEAK_SEEDS:
+        cfg = config(mode=mode, slots=WEAK_SLOTS, seed=seed, channel=channel, basis_flip_fault_fraction=fault)
+        report = run_session(cfg) if layout == 6 else reference_run_session(cfg, layout)
+        slots = report.slots * len(report.per_channel)
+        errors = sum(round(c.qber * c.sifted_bits) for c in report.per_channel)
+        totals += (
+            report.raw_detections,
+            slots,
+            report.sifted_bits,
+            slots - report.meso_erasures,
+            errors,
+            report.double_click_erasures,
+        )
     return totals
 
 
-#: Lossless, lossy and dark-count links at both weak intensities.  The
-#: 70-km and 100-km links (p = 0.05 and 0.005) draw their weak clicks as a
-#: count and a subset of slots, the others one uniform per slot.
+def _pool_z(law, pools: dict) -> dict:
+    """z of each pool's fractions (conclusive, sifted, error, double click) against the law, and of one pool
+    against the other."""
+    z = {}
+    for layout, (conclusive, slots, kept, usable, errors, double) in pools.items():
+        z[f"conclusive, layout {layout} vs law"] = _z_law(conclusive, slots, law[0])
+        z[f"sifted, layout {layout} vs law"] = _z_law(kept, usable, law[1])
+        z[f"error, layout {layout} vs law"] = _z_law(errors, kept, law[2])
+        z[f"double click, layout {layout} vs law"] = _z_law(double, slots, law[3])
+    (_, (c1, n1, k1, u1, e1, d1)), (old, (c2, n2, k2, u2, e2, d2)) = pools.items()
+    z[f"conclusive vs layout {old}"] = _z_two_sample(c1, n1, c2, n2)
+    z[f"sifted vs layout {old}"] = _z_two_sample(k1, u1, k2, u2)
+    z[f"error vs layout {old}"] = _z_two_sample(e1, k1, e2, k2)
+    z[f"double click vs layout {old}"] = _z_two_sample(d1, n1, d2, n2)
+    return z
+
+
+#: Lossless, lossy and dark-count links at both weak intensities.  Layout
+#: 5 drew the weak clicks of the 70-km and 100-km links (p = 0.05 and
+#: 0.005) as a count and a subset of slots, the others one uniform per slot.
 WEAK_CHANNELS = {
     "lossless": IDEAL,
     "lossless-dark": ChannelModel(mu_weak=1.3, dark_count_prob=0.02),
@@ -694,10 +712,9 @@ LAYOUT2_SIFTED_DIGESTS = {
 
 
 @pytest.mark.parametrize("channel, mode", sorted(LAYOUT2_SIFTED_DIGESTS))
-def test_layout2_reference_reproduces_layout2_sessions(channel, mode, monkeypatch):
-    monkeypatch.setattr(ks, "random_bits", _layout2_bits)
-    monkeypatch.setattr(protocol, "_run_channel", layout2_run_channel)
-    report = run_session(config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel]))
+def test_layout2_reference_reproduces_layout2_sessions(channel, mode):
+    cfg = config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel])
+    report = reference_run_session(cfg, layout=2)
     digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == LAYOUT2_SIFTED_DIGESTS[(channel, mode)]
 
@@ -705,18 +722,20 @@ def test_layout2_reference_reproduces_layout2_sessions(channel, mode, monkeypatc
 @pytest.mark.parametrize("mode", ("parallel", "hybrid_parallel"))
 @pytest.mark.parametrize("name", sorted(WEAK_CHANNELS))
 def test_weak_layout3_agrees_with_law_and_layout2(name, mode):
-    """Layout 3 draws one uniform per weak slot where layout 2 drew a Poisson count and a routing uniform."""
+    """The weak channels agree with the law and with layout 2, which drew a Poisson count and a routing uniform per slot."""
     law = _weak_law(WEAK_CHANNELS[name], mode)
-    pools = {layout: _weak_pool(WEAK_CHANNELS[name], mode, layout) for layout in (3, 2)}
-    z = {}
-    for layout, (conclusive, slots, kept, usable, errors) in pools.items():
-        z[f"conclusive, layout {layout} vs law"] = _z_law(conclusive, slots, law[0])
-        z[f"sifted, layout {layout} vs law"] = _z_law(kept, usable, law[1])
-        z[f"error, layout {layout} vs law"] = _z_law(errors, kept, law[2])
-    (c3, n3, k3, u3, e3), (c2, n2, k2, u2, e2) = pools[3], pools[2]
-    z["conclusive vs layout 2"] = _z_two_sample(c3, n3, c2, n2)
-    z["sifted vs layout 2"] = _z_two_sample(k3, u3, k2, u2)
-    z["error vs layout 2"] = _z_two_sample(e3, k3, e2, k2)
+    z = _pool_z(law, {layout: _weak_pool(WEAK_CHANNELS[name], mode, layout) for layout in (6, 2)})
+    assert 0 < law[0] < 1 and 0 < law[1] < 1
+    assert all(abs(v) < 3 for v in z.values()), z
+
+
+@pytest.mark.parametrize("fault", (0.0, 0.3))
+@pytest.mark.parametrize("mode", protocol.MODES)
+@pytest.mark.parametrize("name", sorted(WEAK_CHANNELS))
+def test_weak_layout6_agrees_with_law_and_layout5(name, mode, fault):
+    """Layout 6 draws a weak channel's counts per slot class where layout 5 drew one outcome per slot."""
+    law = _weak_law(WEAK_CHANNELS[name], mode, round(fault * WEAK_SLOTS) / WEAK_SLOTS)
+    z = _pool_z(law, {layout: _weak_pool(WEAK_CHANNELS[name], mode, layout, fault) for layout in (6, 5)})
     assert 0 < law[0] < 1 and 0 < law[1] < 1
     assert all(abs(v) < 3 for v in z.values()), z
 
@@ -738,7 +757,7 @@ class _RecordingRng:
 
 
 def _field_calls(p: float, slots: int) -> list[str]:
-    """The calls of one layout-5 click field over ``slots`` slots with probability p."""
+    """The calls of one click field over ``slots`` slots with probability p."""
     if p == 0:
         return []
     if SPARSE_CLICK_PROB < p < 1 - SPARSE_CLICK_PROB:
@@ -746,11 +765,10 @@ def _field_calls(p: float, slots: int) -> list[str]:
     return ["binomial", "choice"]
 
 
-#: Links that put the weak, meso and dark fields in each regime: weak
-#: (p = 0.049) and dark count-and-subset with meso blocks at 50 km; weak
-#: and dark blocks with the meso quiet slots on the lossless link; and weak
-#: blocks with dark quiet slots at d = 0.95; and the lossless link at d = 0,
-#: where no dark stream is built.
+#: Links that put the meso fields in each regime: dark count-and-subset
+#: with meso blocks at 50 km; the meso quiet slots on the lossless link;
+#: dark quiet slots at d = 0.95; and the lossless link at d = 0, where no
+#: meso dark stream is built.
 DRAW_CHANNELS = (
     ChannelModel(length_km=50, dark_count_prob=0.01),
     ChannelModel(mu_weak=1.3, dark_count_prob=0.5),
@@ -760,13 +778,12 @@ DRAW_CHANNELS = (
 
 
 def _mode_roles(mode: str, dark: bool) -> list[str]:
-    """The roles a session of ``mode`` reads: each channel's bits, clicks and bases, or R and the meso leg.
+    """The roles a session of ``mode`` reads: each channel's class draws and bases, or R and the meso leg.
 
-    The dark roles only with ``dark``: at d = 0 no detector reads them.
+    The meso dark roles only with ``dark``: at d = 0 no detector reads them.
     """
     channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
-    kinds = ("alice_bits", "photons", "dark_upper", "dark_lower") if dark else ("alice_bits", "photons")
-    roles = [f"{kind}_ch{ch}" for ch in channels for kind in kinds]
+    roles = [f"weak_counts_ch{ch}" for ch in channels]
     if mode in ("hybrid", "hybrid_parallel"):
         meso_dark = ["meso_dark_transmit", "meso_dark_reflect"] if dark else []
         return roles + ["r_entropy", "meso_channel", *meso_dark]
@@ -775,17 +792,18 @@ def _mode_roles(mode: str, dark: bool) -> list[str]:
 
 @pytest.mark.parametrize("mode", protocol.MODES)
 def test_session_draws_follow_layout3(mode, monkeypatch):
-    """Layout 5: one array per byte role, and on each click role the calls of its field's regime.
+    """Layout 6: one byte draw per bases role and R, the meso click fields in their regimes, and on each
+    ``weak_counts_ch*`` role one multinomial draw over the 8 slot classes and nothing else.
 
     Each role the mode reads is built once, where it is read: a second
     build would restart its stream and repeat its draws.
     """
-    assert protocol.STREAM_LAYOUT == 5
+    assert protocol.STREAM_LAYOUT == 6
     slots = 2 * CLICK_BLOCK + 1001  # three blocks
     stream = protocol._stream
     channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
     assisted = mode in ("hybrid", "hybrid_parallel")
-    for channel in DRAW_CHANNELS:
+    for channel, fault in itertools.product(DRAW_CHANNELS, (0.0, 0.3)):
         calls, built = [], []
 
         def recording(seed, role):
@@ -793,22 +811,21 @@ def test_session_draws_follow_layout3(mode, monkeypatch):
             return _RecordingRng(role, stream(seed, role), calls)
 
         monkeypatch.setattr(protocol, "_stream", recording)
-        run_session(config(mode=mode, slots=slots, channel=channel))
+        run_session(config(mode=mode, slots=slots, channel=channel, basis_flip_fault_fraction=fault))
         dark = channel.dark_count_prob > 0
         assert sorted(built) == sorted(_mode_roles(mode, dark)), (channel, built)
         if mode == "baseline_bb84":  # no r_entropy, meso_* or *_ch2
-            kinds = ("alice_bases", "alice_bits", "bob_bases", "dark_lower", "dark_upper", "photons")
-            assert sorted(built) == [f"{kind}_ch1" for kind in kinds if dark or not kind.startswith("dark")]
+            assert sorted(built) == ["alice_bases_ch1", "bob_bases_ch1", "weak_counts_ch1"]
         draws = {}
         for role, name, args in calls:
             draws.setdefault(role, []).append((name, args))
         assert set(draws) == set(built), (channel, draws.keys())
+        for ch in channels:
+            ((name, (counts, pvals)),) = draws.pop(f"weak_counts_ch{ch}")
+            assert name == "multinomial" and counts.shape == (2, 2, 2) and pvals.shape == (2, 2, 2, 8)
+            assert counts.sum() == slots
         names = {role: [name for name, _ in role_draws] for role, role_draws in draws.items()}
-        p_weak = -np.expm1(-channel.mu_weak * channel.survival_probability)
-        weak = _field_calls(p_weak, slots) + (["random"] if p_weak <= SPARSE_CLICK_PROB else [])
-        dark = _field_calls(channel.dark_count_prob, slots)
-        expected = {f"photons_ch{ch}": weak for ch in channels}
-        expected |= {f"dark_{arm}_ch{ch}": dark for arm in ("upper", "lower") for ch in channels}
+        expected = {}
         if assisted:
             meso_slots = len(channels) * slots
             p_meso = -np.expm1(-channel.alpha_sq_meso * channel.survival_probability)
@@ -819,9 +836,11 @@ def test_session_draws_follow_layout3(mode, monkeypatch):
         assert clicks == expected, (channel, clicks)
         other = {role: role_draws for role, role_draws in draws.items() if role not in expected}
         assert all(len(role_draws) == 1 for role_draws in other.values()), other  # one array per role and session
-        assert not [role for role in draws if role.startswith("routing_ch")]
         assert {name for ((name, args),) in other.values()} == {"integers"}
-        assert all(args[:2] == (0, 256) for ((name, args),) in other.values())
+        bits = {"r_entropy": len(channels) * slots}  # the bases roles draw one bit per slot
+        assert {role: args for role, ((name, args),) in other.items()} == {
+            role: (0, 256, -(-bits.get(role, slots) // 8)) for role in other
+        }
 
 
 @pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
@@ -837,22 +856,47 @@ def test_stream_is_its_roles_spawned_child(seed):
 
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
 #: 2000 slots.  A change that alters any of these changes the numbers a
-#: scenario produces, and must say so and bump a stream-layout id.  Stream
-#: layout 2 moved only the long-haul assisted digests: the lossless meso leg
-#: has no dark stream to read, and a pulse of 25 photons clicks in both layouts.
-#: All eight moved when ``public_transcript`` became the erasure bitmask; with
-#: the transcript popped they hash as before.  All eight moved again with
-#: layout 3 (other weak-channel draws, bits and bases, and a new K'); the
-#: four sifted ones hashed under layout 2 are ``LAYOUT2_SIFTED_DIGESTS``.
-#: Layout 4 moved none of them: at 2000 slots and d = 1e-5 no detector
-#: draws a dark click in either layout.  The ``dark`` channel (d = 0.02)
-#: pins the count-and-subset dark draws, 40 to 80 per detector.  Layout 5
-#: moved the four ``longhaul`` ones, whose weak channels (p = 0.005) draw
-#: their click slots and a routing uniform each, and ``dark``'s two
-#: assisted ones, whose meso click (p = 0.99995) draws its quiet slots: one
-#: fewer meso erasure in each.  The lossless meso click takes that path
-#: too, but no slot is quiet at p = 1 - 1.4e-11 in either layout.
+#: scenario produces, and must say so and bump a stream-layout id.  All
+#: twelve moved with layout 6, whose weak channels draw counts per slot
+#: class; the layout-5 ones are ``LAYOUT5_DIGESTS``.
 GOLDEN_DIGESTS = {
+    "default": {
+        "baseline_bb84": "b7ec0a2c779e51e4a2e3139686880fe4ef8327ef87426b4a961643222d52c96d",
+        "hybrid": "f2bab838a28ad18de37464cbe57d2349225e71c7b02e88af5140107ac91c0f2f",
+        "parallel": "4a6620e1e712be7ac554c40d7316c29fc27f2a6793d106213e7ab9b7649d0049",
+        "hybrid_parallel": "ef921b053c464aaf5d03018efc5a8effbb4b1e72d068236574f948c1ead37fec",
+    },
+    "longhaul": {
+        "baseline_bb84": "52f0026a0bd0f4eb8cdd228c6219749caa4cec9e782bf5d781a917b726e7ebe4",
+        "hybrid": "1d945b96b742ce5d44371b699c842d8c02163fe8326b66675f18e3cb12df8048",
+        "parallel": "1c184f0bc4c9c511d8fd389ddc907147d5ab5c18ce911817482270b7445a57a6",
+        "hybrid_parallel": "b005d314baee0dfd93c6913f4292f100a614775f60a7e9fc28edb4df5d58c63c",
+    },
+    "dark": {
+        "baseline_bb84": "0d5b436667c52304dc3583ca6e9908f4eeb49771261b28b84c56494a002f184d",
+        "hybrid": "8d84b4d7a4b5605c231fdcd58169eb30d482869934715ecfa90a004ef7940f9a",
+        "parallel": "7e561a1973db4ae5c02b7e5028068592727d178032607efd1cc202f4ce27ac1b",
+        "hybrid_parallel": "548ede9b963569feed18487b6d1c8f2635aad581a8fe28d45f4013e34c268aba",
+    },
+}
+
+#: The golden sessions under stream layout 5, which ``reference_run_session``
+#: must reproduce.  Layout 2 moved only the long-haul assisted digests: the
+#: lossless meso leg has no dark stream to read, and a pulse of 25 photons
+#: clicks in both layouts.  All eight moved when ``public_transcript``
+#: became the erasure bitmask; with the transcript popped they hash as
+#: before.  All eight moved again with layout 3 (other weak-channel draws,
+#: bits and bases, and a new K'); the four sifted ones hashed under layout 2
+#: are ``LAYOUT2_SIFTED_DIGESTS``.  Layout 4 moved none of them: at 2000
+#: slots and d = 1e-5 no detector draws a dark click in either layout.  The
+#: ``dark`` channel (d = 0.02) pins the count-and-subset dark draws, 40 to
+#: 80 per detector.  Layout 5 moved the four ``longhaul`` ones, whose weak
+#: channels (p = 0.005) draw their click slots and a routing uniform each,
+#: and ``dark``'s two assisted ones, whose meso click (p = 0.99995) draws
+#: its quiet slots: one fewer meso erasure in each.  The lossless meso click
+#: takes that path too, but no slot is quiet at p = 1 - 1.4e-11 in either
+#: layout.
+LAYOUT5_DIGESTS = {
     "default": {
         "baseline_bb84": "95d5ec9418929d44443f81218733d08730128c6a333467d2c2c0684f2d3a6927",
         "hybrid": "50adf381c83a182b3f93c6297521787a9291d00f3a4ddc205becf8177eb58b3a",
@@ -885,6 +929,14 @@ def test_report_matches_golden_digest(mode, channel):
     report = run_session(config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel]))
     digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[channel][mode]
+
+
+@pytest.mark.parametrize("channel", sorted(LAYOUT5_DIGESTS))
+@pytest.mark.parametrize("mode", protocol.MODES)
+def test_layout5_reference_reproduces_layout5_sessions(mode, channel):
+    report = reference_run_session(config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel]))
+    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == LAYOUT5_DIGESTS[channel][mode]
 
 
 def _mask_bits(report) -> tuple[np.ndarray, int]:

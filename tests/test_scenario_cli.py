@@ -152,7 +152,7 @@ class TestSimulateCommand:
         assert by_mode["baseline_bb84"]["rate_ratio_vs_baseline"] == 1.0
         assert by_mode["hybrid_parallel"]["rate_ratio_vs_baseline"] == pytest.approx(4.0, abs=0.8)
         assert bundle["data"]["scenario"] == FAST_SIM
-        assert bundle["data"]["results"]["stream_layout"] == 5
+        assert bundle["data"]["results"]["stream_layout"] == 6
         summary = capsys.readouterr().out
         assert "hybrid_parallel" in summary
 
@@ -176,6 +176,34 @@ class TestSimulateCommand:
         ratio = session["rate_ratio_vs_baseline"]
         assert ratio == session["useful_rate_bits_per_slot"] / baseline_rate
         assert abs(ratio - 2.0) <= 3 * 2.0 * 0.045
+
+    @pytest.mark.parametrize("modes", [list(MODES), ["hybrid_parallel"]])
+    def test_rates_per_sent_slot(self, modes):
+        # Per sent slot the erased meso slots count; the sifted modes erase none.
+        simulate = {"num_slots": 4000, "modes": modes}
+        doc = {"schema_version": 1, "seed": 5, "channel": {"length_km": 60}, "simulate": simulate}
+        results = reporting.simulate_results(scenario.resolve(doc))
+        (baseline_config,) = scenario.build_session_configs(
+            scenario.resolve({**doc, "simulate": {**doc["simulate"], "modes": ["baseline_bb84"]}})
+        )
+        baseline_rate = run_session(baseline_config).sifted_bits / 4000
+        for session in results["sessions"]:
+            per_channel = [c["sifted_bits"] / session["slots"] for c in session["per_channel"]]
+            assert [c["useful_rate_bits_per_sent_slot"] for c in session["per_channel"]] == per_channel
+            assert session["useful_rate_bits_per_sent_slot"] == sum(per_channel)
+            assert session["rate_ratio_per_sent_slot_vs_baseline"] == sum(per_channel) / baseline_rate
+            if session["mode"] in ("baseline_bb84", "parallel"):
+                assert session["useful_rate_bits_per_sent_slot"] == session["useful_rate_bits_per_slot"]
+            else:
+                assert session["meso_erasures"] > 0
+                assert session["useful_rate_bits_per_sent_slot"] < session["useful_rate_bits_per_slot"]
+        assert all("useful_rate_bits_per_sent_slot" not in row for row in results["rates_table"])
+
+    def test_ratio_per_sent_slot_is_null_against_a_dead_baseline(self):
+        doc = {"schema_version": 1, "channel": {"length_km": 1000}, "simulate": {"num_slots": 500}}
+        sessions = reporting.simulate_results(scenario.resolve(doc))["sessions"]
+        assert [s["rate_ratio_per_sent_slot_vs_baseline"] for s in sessions] == [None] * 4
+        assert [s["useful_rate_bits_per_sent_slot"] for s in sessions] == [0.0] * 4
 
     def test_rerun_reproduces_data_section(self, tmp_path):
         path = write_scenario(tmp_path, FAST_SIM)

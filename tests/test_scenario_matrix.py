@@ -20,6 +20,7 @@ import sys
 import pytest
 
 from hpqkd import cli, reporting
+from physics_reference import reference_run_session
 
 #: The 3-point sweep at 100 trials, and 4 fringe points (2 x 4 + 2 spectra).
 _REDUCED = {
@@ -42,18 +43,28 @@ WORKLOADS = {
 #: sha256 of ``reporting.data_bytes`` per (workload, command).  The
 #: ``simulate`` digests moved when ``public_transcript`` became the erasure
 #: bitmask (with the transcripts popped the data hashed as before), again
-#: with session stream layout 3 (``protocol.STREAM_LAYOUT``), with layout
-#: 4, whose dark draws move only ``sim-longhaul``, and with layout 5, whose
-#: sparse weak click fields move ``sim-longhaul`` again.  At layouts 4 and 5
-#: the other two record only the new layout id (``LAYOUT3_SIMULATE_DIGESTS``
-#: and ``LAYOUT4_SIMULATE_DIGESTS``).
+#: with session stream layouts 3, 4 and 5 (``protocol.STREAM_LAYOUT``), and
+#: with layout 6, whose weak channels draw counts per slot class and whose
+#: sessions gained ``useful_rate_bits_per_sent_slot`` and
+#: ``rate_ratio_per_sent_slot_vs_baseline``.  Under layout 5 the data hashed
+#: as ``LAYOUT5_SIMULATE_DIGESTS``.
 DATA_DIGESTS = {
-    ("sim-ideal", "simulate"): "448729c280c6a48a9ca8ae8a973af3816704894a032282b3e7018c2c3d93dbe0",
+    ("sim-ideal", "simulate"): "78ef5355adae84ab9e261e597a8e29655fb557af90ec8fcf32e9acf7abe01ac0",
     ("sim-ideal", "attack-sweep"): "046dc1636077f90b0a9561049fce94088b62a9072aec5459ea30cf17c6d4c690",
-    ("sim-longhaul", "simulate"): "1e2a52169673ff4145b7c45b5b8180c4f32215963991c417c45ee57402ee1a1d",
+    ("sim-longhaul", "simulate"): "c4da07f26cdad759edf83ca25b6d42ba4e94e9c7a1f84f2de5e7a8e6347978b0",
     ("sim-longhaul", "attack-sweep"): "228fff42d9710f188457a2abb4639d90783c5ba6c7467e2336772196d3dd1bbf",
-    ("analysis", "simulate"): "504ef092da5e9ea0806d1b564bbf7488f6fe0027cb2fdbb7a202e0dce77ca8d2",
+    ("analysis", "simulate"): "5dbfdefe776073ad4ef912638ae72cdafc5d4a198450299c03b025edde398590",
     ("analysis", "attack-sweep"): "d8524c6af239e4838a30a56634e717f3111c48e788a3002c6ebd3767be5a7a3a",
+}
+
+#: ``simulate`` digests under layout 5, which the layout-5 reference session
+#: (``physics_reference.reference_run_session``) reproduces once the
+#: per-sent-slot keys are taken out.  At layouts 4 and 5 the lossless
+#: workloads recorded only the new layout id.
+LAYOUT5_SIMULATE_DIGESTS = {
+    "sim-ideal": "448729c280c6a48a9ca8ae8a973af3816704894a032282b3e7018c2c3d93dbe0",
+    "sim-longhaul": "1e2a52169673ff4145b7c45b5b8180c4f32215963991c417c45ee57402ee1a1d",
+    "analysis": "504ef092da5e9ea0806d1b564bbf7488f6fe0027cb2fdbb7a202e0dce77ca8d2",
 }
 
 #: ``simulate`` digests of the lossless workloads under layout 3.  They read
@@ -98,10 +109,30 @@ def test_data_matches_pinned_digest(tmp_path, workload, command):
     )
 
 
-@pytest.mark.parametrize("workload", sorted(LAYOUT3_SIMULATE_DIGESTS))
-def test_lossless_data_moved_only_by_the_layout_id(tmp_path, workload):
+def _layout5_bundle(tmp_path, workload: str, monkeypatch) -> dict:
+    """The ``simulate`` bundle of the layout-5 reference sessions, as layout 5 wrote it."""
+    monkeypatch.setattr(reporting, "run_session", reference_run_session)
     bundle = _bundle(tmp_path, workload, "simulate")
-    assert bundle["data"]["results"]["stream_layout"] == 5
+    results = bundle["data"]["results"]
+    assert results["stream_layout"] == 6
+    results["stream_layout"] = 5
+    for session in results["sessions"]:
+        del session["useful_rate_bits_per_sent_slot"], session["rate_ratio_per_sent_slot_vs_baseline"]
+        for channel in session["per_channel"]:
+            del channel["useful_rate_bits_per_sent_slot"]
+    return bundle
+
+
+@pytest.mark.parametrize("workload", sorted(LAYOUT5_SIMULATE_DIGESTS))
+def test_layout5_reference_reproduces_layout5_data(tmp_path, workload, monkeypatch):
+    bundle = _layout5_bundle(tmp_path, workload, monkeypatch)
+    assert hashlib.sha256(reporting.data_bytes(bundle)).hexdigest() == LAYOUT5_SIMULATE_DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(LAYOUT3_SIMULATE_DIGESTS))
+def test_lossless_data_moved_only_by_the_layout_id(tmp_path, workload, monkeypatch):
+    # Layouts 3 to 5 drew the same numbers on a lossless link.
+    bundle = _layout5_bundle(tmp_path, workload, monkeypatch)
     for layout, digests in ((4, LAYOUT4_SIMULATE_DIGESTS), (3, LAYOUT3_SIMULATE_DIGESTS)):
         bundle["data"]["results"]["stream_layout"] = layout
         assert hashlib.sha256(reporting.data_bytes(bundle)).hexdigest() == digests[workload], layout

@@ -68,6 +68,7 @@ def test_rate_multipliers_small_run():
     rows = [line.split() for line in result.stdout.splitlines()[1:] if line.strip()]
     modes = ["baseline_bb84", "hybrid", "parallel", "hybrid_parallel"]
     assert [(row[0], row[1]) for row in rows] == [(length, mode) for length in ("0.0", "1000.0") for mode in modes]
-    assert rows[0][-1] == "1.000"
+    # Both ratios, per usable slot and per sent slot, of the lossless baseline are 1.
+    assert rows[0][-2:] == ["1.000", "1.000"]
     # No photon survives 1000 km, so every ratio is undefined, never nan.
-    assert [row[-1] for row in rows[4:]] == ["n/a"] * 4
+    assert [row[-2:] for row in rows[4:]] == [["n/a", "n/a"]] * 4
