@@ -30,11 +30,8 @@ from .attacks import (
     pns_exploitable_fraction,
 )
 from .keystream import (
-    BasisSchedule,
     ExpandedKey,
     SeedKey,
-    bob_decode,
-    build_basis_schedule,
     expand_key,
 )
 from .protocol import (
@@ -62,11 +59,8 @@ __all__ = [
     "attack_success_curve",
     "bob_anomaly_monitor",
     "pns_exploitable_fraction",
-    "BasisSchedule",
     "ExpandedKey",
     "SeedKey",
-    "bob_decode",
-    "build_basis_schedule",
     "expand_key",
     "ChannelModel",
     "SessionConfig",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import DetectionCounts, add_clicks, two_arm_clicks
+from .polarization import add_clicks, clear_tail, two_arm_clicks
 
 _DOMAIN = b"hpqkd-keystream-v2"
 _BLOCK_BYTES = 65_536
@@ -31,36 +31,31 @@ MAX_M_BASES = 2**52
 
 @dataclass(frozen=True)
 class SeedKey:
-    """Pre-shared secret key of 64 to 512 bits, a whole number of bytes."""
+    """Pre-shared secret key of 8 to 64 bytes (64 to 512 bits)."""
 
-    bits: np.ndarray
+    raw: bytes
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bits must be a flat 0/1 sequence")
-        if len(bits) < _MIN_SEED_BITS:
+        if not isinstance(self.raw, bytes):
+            raise TypeError(f"seed key must be bytes, got {type(self.raw).__name__}")
+        if 8 * len(self.raw) < _MIN_SEED_BITS:
             raise ValueError(f"seed key must hold at least {_MIN_SEED_BITS} bits")
-        if len(bits) > _MAX_SEED_BITS:
+        if 8 * len(self.raw) > _MAX_SEED_BITS:
             raise ValueError(
                 f"seed key must hold at most {_MAX_SEED_BITS} bits; "
                 "a longer key adds no strength to the SHAKE256 keystream"
             )
-        if len(bits) % 8:
-            # Packed to bytes, a key and its zero-padded extension would be one key.
-            raise ValueError("seed key must hold a whole number of bytes")
-        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SeedKey":
-        return cls(bits=np.unpackbits(np.frombuffer(raw, dtype=np.uint8)))
+        return cls(memoryview(raw).tobytes())
 
     @classmethod
     def from_hex(cls, hexstr: str) -> "SeedKey":
-        return cls.from_bytes(bytes.fromhex(hexstr))
+        return cls(bytes.fromhex(hexstr))
 
     def to_bytes(self) -> bytes:
-        return np.packbits(self.bits).tobytes()
+        return self.raw
 
 
 @dataclass(frozen=True)
@@ -96,32 +91,32 @@ def expand_key(seed: SeedKey, target_bits: int) -> ExpandedKey:
     for i, start in enumerate(range(0, len(stream), _BLOCK_BYTES)):
         size = min(_BLOCK_BYTES, len(stream) - start)
         stream[start : start + size] = hashlib.shake_256(prefix + i.to_bytes(8, "big")).digest(size)
-    stream[-1] &= 0xFF << (8 * len(stream) - target_bits) & 0xFF
+    clear_tail(stream, target_bits)
     return ExpandedKey(packed=np.frombuffer(stream, dtype=np.uint8), num_bits=target_bits)
 
 
 def random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
     """``n`` uniform bits packed big-endian: ``ceil(n / 8)`` random bytes, zero past bit n.
 
-    The bytes are ``np.packbits(random_bits(rng, n))``.  Drawn in pieces of a
-    multiple of 4 bytes (32 bits), they equal one draw of the whole, so a
-    reader that takes 32·k bits at a time sees the same bits.
+    The bytes are one ``integers(0, 256, uint8)`` draw, bit 0 the most
+    significant bit of byte 0.  Drawn in pieces of a multiple of 4 bytes
+    (32 bits), they equal one draw of the whole, so a reader that takes
+    32·k bits at a time sees the same bits.
     """
     packed = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
-    if n % 8:
-        packed[-1] &= 0xFF << (8 - n % 8) & 0xFF
+    clear_tail(packed, n)
     return packed
-
-
-def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` uniform 0/1 values as uint8: ``random_bytes(rng, n)``, unpacked."""
-    return np.unpackbits(random_bytes(rng, n), count=n)
 
 
 #: Ones in each byte value, and in each pair of bytes read as one uint16
 #: (the sum of the two bytes' counts, so the byte order does not matter).
 _BYTE_ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
 _PAIR_ONES = np.add.outer(_BYTE_ONES, _BYTE_ONES).ravel()
+
+#: Byte pairs looked up at a time.  ``np.take`` holds its indices as intp,
+#: so a whole string at once would take 4 B per byte; a block keeps that
+#: temporary to 32 KiB a row.
+_POPCOUNT_PAIRS = 2**12
 
 
 def popcount(packed: np.ndarray, num_bits: int):
@@ -132,7 +127,10 @@ def popcount(packed: np.ndarray, num_bits: int):
     """
     whole, rest = divmod(num_bits, 8)
     paired = whole - whole % 2
-    ones = np.take(_PAIR_ONES, packed[..., :paired].view(np.uint16)).sum(axis=-1, dtype=np.int64)
+    pairs = packed[..., :paired].view(np.uint16)
+    ones = np.zeros(packed.shape[:-1], dtype=np.int64)
+    for start in range(0, pairs.shape[-1], _POPCOUNT_PAIRS):
+        ones += np.take(_PAIR_ONES, pairs[..., start : start + _POPCOUNT_PAIRS]).sum(axis=-1, dtype=np.int64)
     if whole % 2:
         ones += _BYTE_ONES[packed[..., paired]]
     if rest:
@@ -146,122 +144,71 @@ def bits_per_slot(m_bases: int) -> int:
     return m_bases.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class BasisSchedule:
-    """Per-slot basis parity and encoded bit.
+def basis_parities(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
+    """parity(D) of each whole log2(M)-bit word D of K', one bit per slot, packed.
 
-    Slot i's basis is the log2(M)-bit word D read big-endian from bits
-    [i log2(M), (i + 1) log2(M)) of the expanded key; its first-quadrant
-    angle is D*pi/(2*M) and its orthogonal partner sits a quarter turn
-    away.  The transmitted angle is in the first quadrant exactly when
-    parity(D) XOR bit == 0, and nothing else of D is ever read, so the
-    schedule holds ``parity``, the word's last bit, as uint8.  It comes
-    from K' alone, so the receiver decodes with the same array.
-    """
-
-    parity: np.ndarray
-    bit: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.parity)
-
-
-def _parities(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
-    """parity(D) of each whole log2(M)-bit word of K', read from the packed bytes.
-
-    A whole-byte word's parity is the low bit of its last byte.  Otherwise
-    eight words fill log2(M) bytes, so the words at one position of such a
-    group sit ``log2(M)`` bytes apart, their last bit always at the same
-    place in the byte: one strided column per position.
+    Slot i's basis is the word D read big-endian from bits
+    [i log2(M), (i + 1) log2(M)) of K'; its first-quadrant angle is
+    D*pi/(2*M), and the transmitted angle is in the first quadrant exactly
+    when parity(D) XOR bit == 0.  Nothing else of D is ever read, so the
+    words are never built.  Eight words fill log2(M) bytes, so the words at
+    one position of such a group sit ``log2(M)`` bytes apart, their last
+    bit always at the same place in the byte: one strided column per
+    position, shifted into that position's bit of each packed byte.  The
+    bits past the last slot are zero.
     """
     bits_per = bits_per_slot(m_bases)
     slots = len(kprime) // bits_per
-    if bits_per % 8 == 0:
-        step = bits_per // 8
-        return kprime.packed[step - 1 :: step][:slots] & 1
-    parity = np.empty(slots, dtype=np.uint8)
+    parity = np.zeros((slots + 7) // 8, dtype=np.uint8)
     for position in range(min(8, slots)):
         last = (position + 1) * bits_per - 1  # the word's last bit, counted from its group's start
-        column = parity[position::8]
-        np.right_shift(kprime.packed[last >> 3 :: bits_per][: len(column)], 7 - (last & 7), out=column)
-        column &= 1
+        words = kprime.packed[last >> 3 :: bits_per][: (slots - position + 7) // 8]
+        bit = words & (0x80 >> (last & 7))
+        shift = (last & 7) - position  # from its place in the key byte to its place in the parity byte
+        parity[: len(words)] |= bit << shift if shift >= 0 else bit >> -shift
     return parity
 
 
-def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> BasisSchedule:
-    """Pair each key word with a data bit; the parity rule fixes the transmit angle.
-
-    Even basis word and bit 0 (or odd word and bit 1) put the polarization in
-    the first quadrant; the other two combinations select the orthogonal
-    partner in the second quadrant.
-    """
-    r = np.asarray(r, dtype=np.uint8)
-    parity = _parities(kprime, m_bases)
-    if len(r) != len(parity):
-        raise ValueError(
-            f"data length {len(r)} != floor(|K'| / log2(M)) = {len(parity)}"
-        )
-    return BasisSchedule(parity=parity, bit=r)
-
-
-@dataclass(frozen=True)
-class DecodedBits:
-    """Receiver-side recovery of the data bits, with erasure flags.
-
-    ``erasure`` marks slots whose detection was inconclusive (no click or
-    clicks in both arms); ``bits`` is only meaningful where ``erasure`` is
-    False.
-    """
-
-    bits: np.ndarray
-    erasure: np.ndarray
-
-
-def bob_decode(parity: np.ndarray, counts: DetectionCounts) -> DecodedBits:
-    """Decode per-slot detection counts with the shared basis parities.
-
-    ``parity`` holds parity(D) of the words D that both parties read from
-    K' (a schedule's ``parity``: it does not depend on the data bits, so the
-    session builds it once).  The receiver analyzes at each word's
-    first-quadrant angle, so a transmit-arm click decodes to parity(D), the
-    bit that maps to the first quadrant, and a reflect-arm click to the
-    other bit.
-    """
-    parity = np.asarray(parity, dtype=np.uint8)
-    if len(counts) != len(parity):
-        raise ValueError(f"got counts for {len(counts)} slots, expected {len(parity)}")
-    clicked_r = counts.counts_reflect > 0
-    erasure = ~((counts.counts_transmit > 0) ^ clicked_r)
-    bits = parity ^ clicked_r
-    return DecodedBits(bits=bits, erasure=erasure)
-
-
 def simulate_meso_transmission(
-    schedule: BasisSchedule,
+    parity: np.ndarray,
+    r: np.ndarray,
+    num_slots: int,
     alpha_sq: float,
     rng: np.random.Generator,
     survival: float,
     dark_count_prob: float,
     dark_rngs: Iterable[np.random.Generator],
-) -> DetectionCounts:
-    """Send the schedule as mesoscopic pulses and detect at the shared basis.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send R as mesoscopic pulses, detect at the shared basis and decode: ``(bits, erased)``.
 
-    Each slot carries a coherent pulse of mean photon number ``alpha_sq`` at
-    the scheduled angle, thinned by ``survival`` (loss and detector
-    efficiency).  Only whether an arm fired is ever read, so the pulse is
-    drawn as a click with p = 1 - exp(-alpha_sq * survival), which is
-    exactly P(Poisson > 0): one ``polarization.add_clicks`` field from
-    ``rng``.  The analyzer always sits at the slot's first-quadrant angle,
-    so the click lands in one arm, the transmit arm iff parity(D) == bit.
-    Each arm also fires on a dark count with probability
-    ``dark_count_prob``, drawn by ``two_arm_clicks`` from ``dark_rngs``
-    (transmit arm, reflect arm).  NaN or a negative ``alpha_sq`` raises
-    ``ValueError``.  Returns the 0/1 clicks of each arm.
+    ``parity`` (``basis_parities``) and the data bits ``r`` hold one bit per
+    slot, packed big-endian, zero past ``num_slots``.  Each slot carries a
+    coherent pulse of mean photon number ``alpha_sq`` at the scheduled
+    angle, thinned by ``survival`` (loss and detector efficiency).  Only
+    whether an arm fired is ever read, so the pulse is drawn as a click with
+    p = 1 - exp(-alpha_sq * survival), which is exactly P(Poisson > 0): one
+    ``polarization.add_clicks`` field from ``rng``.  The analyzer always
+    sits at the slot's first-quadrant angle, so the click lands in one arm,
+    the transmit arm iff parity(D) == bit.  Each arm also fires on a dark
+    count with probability ``dark_count_prob``, drawn by ``two_arm_clicks``
+    from ``dark_rngs`` (transmit arm, reflect arm).
+
+    Bob decodes with the same parities: a transmit-arm click is parity(D),
+    the bit that maps to the first quadrant, and a reflect-arm click the
+    other bit, so ``bits`` = parity XOR reflect.  No click or a double
+    click is an erasure, so ``erased`` = NOT(transmit XOR reflect).  Both
+    are packed, zero past ``num_slots``; ``bits`` means nothing where
+    ``erased`` is set.  NaN or a negative ``alpha_sq`` raises
+    ``ValueError``, as do strings of another length than
+    ``ceil(num_slots / 8)`` bytes.
     """
     if not alpha_sq >= 0 or not 0 <= survival <= 1:  # NaN fails both
         raise ValueError(f"alpha_sq must be >= 0 and survival a probability, got {alpha_sq!r} and {survival!r}")
-    signal = np.zeros(len(schedule), dtype=bool)
-    add_clicks(signal, -np.expm1(-alpha_sq * survival), rng)
-    aligned = schedule.parity == schedule.bit
-    click_t, click_r = two_arm_clicks(signal, aligned, dark_count_prob, dark_rngs)
-    return DetectionCounts(click_t.view(np.uint8), click_r.view(np.uint8))
+    if not len(parity) == len(r) == (num_slots + 7) // 8:
+        raise ValueError(f"got {len(parity)} parity and {len(r)} data bytes for {num_slots} slots")
+    signal = np.zeros_like(r)
+    add_clicks(signal, num_slots, -np.expm1(-alpha_sq * survival), rng)
+    transmit, reflect = two_arm_clicks(signal, ~(parity ^ r), num_slots, dark_count_prob, dark_rngs)
+    erased = ~(transmit ^ reflect)
+    clear_tail(erased, num_slots)
+    return parity ^ reflect, erased

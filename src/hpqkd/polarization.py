@@ -3,7 +3,8 @@
 The exact distinguishability of two such states, and photon counting
 through a rotated polarizing beam splitter.  Photon counting is Poissonian
 per mode with independent arms, which is exact for coherent states.
-``two_arm_clicks`` is the threshold detector that both session legs share.
+``two_arm_clicks`` is the threshold detector of the mesoscopic leg, its
+click fields one bit per slot, packed (``add_clicks``).
 """
 from __future__ import annotations
 
@@ -98,46 +99,63 @@ def sparse_slots(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return rng.choice(n, rng.binomial(n, p), replace=False, shuffle=False)
 
 
-def add_clicks(field: np.ndarray, p: float, rng: np.random.Generator) -> None:
-    """OR an i.i.d. Bernoulli(p) click field into the boolean ``field``, in place.
+def clear_tail(field, num_slots: int) -> None:
+    """Zero the bits past ``num_slots`` of a packed big-endian bit string, in place."""
+    field[-1] &= 0xFF << (-num_slots % 8) & 0xFF
 
-    The draw depends on p.  Up to ``SPARSE_CLICK_PROB`` it draws the click
-    slots (``sparse_slots``), nothing at p = 0.  From 1 - ``SPARSE_CLICK_PROB``
-    on it draws the quiet slots with 1 - p, which is exact there (Sterbenz),
-    so the law is that of ``random(n) < p``; at p = 1 the draw is empty.  In
-    between it draws ``random(n) < p`` in blocks (``uniform_blocks``).
+
+def _bit_places(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's byte in a packed field, and its bit there as a one-bit uint8 mask."""
+    return slots >> 3, np.uint8(0x80) >> (slots & 7).astype(np.uint8)
+
+
+def add_clicks(field: np.ndarray, num_slots: int, p: float, rng: np.random.Generator) -> None:
+    """OR an i.i.d. Bernoulli(p) click field over ``num_slots`` slots into ``field``, in place.
+
+    ``field`` holds one bit per slot, packed big-endian into
+    ``ceil(num_slots / 8)`` uint8; bits past the last slot are left as they
+    are.  The draw depends on p.  Up to ``SPARSE_CLICK_PROB`` it draws the
+    click slots (``sparse_slots``) and sets them, nothing at p = 0.  From
+    1 - ``SPARSE_CLICK_PROB`` on it draws the quiet slots with 1 - p, which
+    is exact there (Sterbenz), and sets every other slot, so the law is that
+    of ``random(n) < p``; at p = 1 the draw is empty.  In between it draws
+    ``random(n) < p`` in blocks (``uniform_blocks``), each packed as it is
+    drawn.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"click probability must be in [0, 1], got {p!r}")
-    n = len(field)
     if p <= SPARSE_CLICK_PROB:
         if p > 0:
-            field[sparse_slots(n, p, rng)] = True
+            np.bitwise_or.at(field, *_bit_places(sparse_slots(num_slots, p, rng)))
     elif p >= 1 - SPARSE_CLICK_PROB:
-        quiet = sparse_slots(n, 1 - p, rng)
-        kept = field[quiet]
-        field.fill(True)
-        field[quiet] = kept
+        byte, bit = _bit_places(sparse_slots(num_slots, 1 - p, rng))
+        clicks = np.full_like(field, 0xFF)
+        clear_tail(clicks, num_slots)
+        np.bitwise_and.at(clicks, byte, ~bit)
+        field |= clicks
     else:
-        for block, u in uniform_blocks(rng, n):
-            field[block] |= u < p
+        for block, u in uniform_blocks(rng, num_slots):
+            packed = np.packbits(u < p)
+            field[block.start // 8 : block.start // 8 + len(packed)] |= packed
 
 
 def two_arm_clicks(
     signal: np.ndarray,
     to_first: np.ndarray,
+    num_slots: int,
     dark_count_prob: float,
     dark_rngs: Iterable[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clicks of a two-arm threshold detector, one boolean per slot and arm.
+    """Clicks of a two-arm threshold detector over ``num_slots`` slots, each arm a packed field.
 
-    A signal click lands in the first arm where ``to_first`` holds and in
-    the second arm elsewhere.  Each arm also fires on its own i.i.d. dark
-    counts, drawn by ``add_clicks`` from its generator in ``dark_rngs``
-    (first arm, then second); with no dark counts nothing is drawn and
-    ``dark_rngs`` is not iterated, so a lazy iterable builds no generator.
-    Exactly one arm firing is conclusive; no click or a double click is an
-    erasure.
+    ``signal`` and ``to_first`` are packed as ``add_clicks`` packs, with
+    ``signal`` zero past the last slot.  A signal click lands in the first
+    arm where ``to_first`` holds and in the second arm elsewhere.  Each arm
+    also fires on its own i.i.d. dark counts, drawn by ``add_clicks`` from
+    its generator in ``dark_rngs`` (first arm, then second); with no dark
+    counts nothing is drawn and ``dark_rngs`` is not iterated, so a lazy
+    iterable builds no generator.  Exactly one arm firing is conclusive;
+    no click or a double click is an erasure.
     """
     if not 0 <= dark_count_prob <= 1:
         raise ValueError(f"dark_count_prob must be in [0, 1], got {dark_count_prob!r}")
@@ -145,7 +163,7 @@ def two_arm_clicks(
     second = signal & ~to_first
     if dark_count_prob > 0:
         for arm, rng in zip((first, second), dark_rngs, strict=True):
-            add_clicks(arm, dark_count_prob, rng)
+            add_clicks(arm, num_slots, dark_count_prob, rng)
     return first, second
 
 

@@ -65,8 +65,8 @@ _ROLES = (
 #: uint8)``, read big-endian: the sifted modes draw both parties' bases so
 #: (``keystream.random_bytes``, on ``alice_bases_ch*`` and
 #: ``bob_bases_ch*``), and the assisted modes draw R, n bits per channel
-#: interleaved, on ``r_entropy`` (``keystream.random_bits``, the same bytes
-#: unpacked).
+#: interleaved, on ``r_entropy`` the same way.  The session holds every
+#: per-slot bit string in this packed form, zero past the last slot.
 #:
 #: A weak channel draws nothing per slot.  Its slots fall into 8 classes
 #: [a, c, k]: Alice's basis a, Bob's measured basis c, and k = 1 where the
@@ -259,14 +259,15 @@ def _slot_counts(alice, bob, kept, n: int, flipped: int, lanes: int = 1, lane: i
     on the first ``flipped`` slots, 0 on the rest.  Every count is a
     popcount of the strings or of their bitwise products.
     """
-    if lanes > 1:  # this channel's bits only
-        mask = np.uint8(_LANE_MASKS[lane])
-        alice, bob, kept = alice & mask, bob & mask, kept & mask
-    both = alice & bob
-    fields = [alice, bob, both]
+    # Rows a, b, a & b, then k, a & k, b & k, a & b & k, built in place.
+    fields = np.empty((3 if kept is None else 7, len(alice)), dtype=np.uint8)
+    fields[0], fields[1] = alice, bob
+    np.bitwise_and(alice, bob, out=fields[2])
     if kept is not None:
-        fields += [kept, alice & kept, bob & kept, both & kept]
-    fields = np.stack(fields)
+        fields[3] = kept
+        np.bitwise_and(fields[:3], kept, out=fields[4:])
+    if lanes > 1:  # this channel's bits only
+        fields &= _LANE_MASKS[lane]
     whole = ks.popcount(fields, lanes * n).tolist()
     prefix = ks.popcount(fields, lanes * flipped).tolist() if flipped else [0] * len(fields)
     out = []
@@ -314,26 +315,24 @@ def _weak_outcomes(config: SessionConfig, channel: int, counts: np.ndarray) -> t
     return outcomes.reshape(2, 2, 2, 2, 4).sum(axis=(0, 1)).tolist(), upper_bit
 
 
-def _meso_leg(config: SessionConfig, r_bits: np.ndarray):
-    """Distribute the basis stream over the mesoscopic polarization channel."""
+def _meso_leg(config: SessionConfig, r: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Send the ``num_bits`` bits of R over the mesoscopic channel: Bob's ``(bits, erased)``, packed."""
     ch = config.channel
-    # No name keeps K' past the schedule, so it is freed before the meso
-    # draws allocate theirs.
-    schedule = ks.build_basis_schedule(
-        ks.expand_key(config.resolved_seed_key(), len(r_bits) * ks.bits_per_slot(ch.m_bases)),
-        r_bits,
-        ch.m_bases,
+    # Both parties derive the same parities from K'.  No name keeps K' past
+    # them, so it is freed before the meso draws allocate theirs.
+    parity = ks.basis_parities(
+        ks.expand_key(config.resolved_seed_key(), num_bits * ks.bits_per_slot(ch.m_bases)), ch.m_bases
     )
-    counts = ks.simulate_meso_transmission(
-        schedule,
+    return ks.simulate_meso_transmission(
+        parity,
+        r,
+        num_bits,
         ch.alpha_sq_meso,
         _stream(config.seed, "meso_channel"),
         survival=ch.survival_probability,
         dark_count_prob=ch.dark_count_prob,
         dark_rngs=(_stream(config.seed, f"meso_dark_{arm}") for arm in ("transmit", "reflect")),
     )
-    # Both parties derive the same parities from K'; they are built once.
-    return ks.bob_decode(schedule.parity, counts)
 
 
 def run_session(config: SessionConfig) -> SessionReport:
@@ -365,10 +364,8 @@ def run_session(config: SessionConfig) -> SessionReport:
     n = config.num_slots
     flipped = round(config.basis_flip_fault_fraction * n)
     if assisted:
-        r_bits = ks.random_bits(_stream(config.seed, "r_entropy"), len(channels) * n)
-        decoded = _meso_leg(config, r_bits)
-        alice, bob = np.packbits(r_bits), np.packbits(decoded.bits)
-        erased = np.packbits(decoded.erasure)
+        alice = ks.random_bytes(_stream(config.seed, "r_entropy"), len(channels) * n)
+        bob, erased = _meso_leg(config, alice, len(channels) * n)
         kept = ~erased
 
     reports = []

@@ -24,12 +24,13 @@ class ScenarioError(ValueError):
     """Scenario file could not be parsed or validated."""
 
 
-#: Largest accepted ``simulate.num_slots``: all four modes hold about 25 B
-#: per slot on any link and at any M (61 MB peak RSS at 1e6 slots on the
-#: lossless and the 100-km, 1e-5-dark link, 86 MB at 2e6, at M = 256 and at
-#: M = ``keystream.MAX_M_BASES``; 33 MB of it the imported package), so a
-#: run at this cap peaks near 0.28 GB (280 MB measured at M = 256, 271 MB
-#: at 2**52).  Past memory, the cap bounds time: about 1.5 to 2.5 s a run.
+#: Largest accepted ``simulate.num_slots``.  A session holds its per-slot
+#: bit strings packed, so what grows with the slot count is K' (log2(M) bits
+#: per meso slot) and the published bit strings.  A run of all four modes at
+#: this cap (seed 3, one BLAS thread) peaks at 91 MiB RSS on the lossless
+#: and the 100-km, 1e-5-dark link at M = 256 (34 MiB of it the imported
+#: package) and at 191 MiB at M = ``keystream.MAX_M_BASES``, and takes 0.30
+#: to 0.37 s (0.72 s at that M), with a 22.5 MB bundle.
 MAX_NUM_SLOTS = 10_000_000
 
 #: Largest accepted ``attack_sweep.trials``: a grid point takes 9-17 us per

@@ -5,8 +5,10 @@ coherent state, the small-angle overlap that sits beside
 ``polarization.overlap_exact``, the single-arm Mach-Zehnder field with its
 small-signal intensity, and the field at Bob's output with its tone powers
 read from one FFT, the readout ``optics.sideband_intensities_oracle``
-replaced by direct DFT sums.  The weak-channel detection passes of session
-stream layouts 5 and 2, one outcome per slot, and the session that runs
+replaced by direct DFT sums.  The click fields and the meso pass (basis
+schedule, transmission, decode) as they were before the session held its
+bits packed, one value per slot.  The weak-channel detection passes of
+session stream layouts 5 and 2, one outcome per slot, and the session that runs
 them (``reference_run_session``), the per-slot sessions that layout 6's
 draws per slot class replaced.  ``test_polarization``, ``test_optics``,
 ``test_protocol`` and ``test_acceptance`` check these laws and compare the
@@ -14,12 +16,14 @@ package against them.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from hpqkd import keystream as ks
 from hpqkd import protocol
+from hpqkd.keystream import ExpandedKey, bits_per_slot
 from hpqkd.optics import (
     DEFAULT_ORACLE_SAMPLES,
     FiberLink,
@@ -29,9 +33,9 @@ from hpqkd.optics import (
 )
 from hpqkd.polarization import (
     SPARSE_CLICK_PROB,
+    DetectionCounts,
     TwoModeCoherentState,
     sparse_slots,
-    two_arm_clicks,
     uniform_blocks,
 )
 
@@ -200,6 +204,203 @@ def tone_powers(field: TimeDomainField, omegas) -> list[float]:
     return [float(abs(spectrum[k] / n) ** 2) for k in bins]
 
 
+# The click fields and the meso pass as the session held them before it
+# packed its bits: one bool or uint8 per slot, on the draws of stream
+# layout 6.  The packed ``polarization.add_clicks``, ``two_arm_clicks`` and
+# ``protocol._meso_leg`` must equal them bit for bit.
+
+
+def add_clicks(field: np.ndarray, p: float, rng: np.random.Generator) -> None:
+    """OR an i.i.d. Bernoulli(p) click field into the boolean ``field``, in place.
+
+    The draw depends on p.  Up to ``SPARSE_CLICK_PROB`` it draws the click
+    slots (``sparse_slots``), nothing at p = 0.  From 1 - ``SPARSE_CLICK_PROB``
+    on it draws the quiet slots with 1 - p, which is exact there (Sterbenz),
+    so the law is that of ``random(n) < p``; at p = 1 the draw is empty.  In
+    between it draws ``random(n) < p`` in blocks (``uniform_blocks``).
+    """
+    if not 0 <= p <= 1:
+        raise ValueError(f"click probability must be in [0, 1], got {p!r}")
+    n = len(field)
+    if p <= SPARSE_CLICK_PROB:
+        if p > 0:
+            field[sparse_slots(n, p, rng)] = True
+    elif p >= 1 - SPARSE_CLICK_PROB:
+        quiet = sparse_slots(n, 1 - p, rng)
+        kept = field[quiet]
+        field.fill(True)
+        field[quiet] = kept
+    else:
+        for block, u in uniform_blocks(rng, n):
+            field[block] |= u < p
+
+
+def two_arm_clicks(
+    signal: np.ndarray,
+    to_first: np.ndarray,
+    dark_count_prob: float,
+    dark_rngs: Iterable[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Clicks of a two-arm threshold detector, one boolean per slot and arm.
+
+    A signal click lands in the first arm where ``to_first`` holds and in
+    the second arm elsewhere.  Each arm also fires on its own i.i.d. dark
+    counts, drawn by ``add_clicks`` from its generator in ``dark_rngs``
+    (first arm, then second); with no dark counts nothing is drawn and
+    ``dark_rngs`` is not iterated, so a lazy iterable builds no generator.
+    Exactly one arm firing is conclusive; no click or a double click is an
+    erasure.
+    """
+    if not 0 <= dark_count_prob <= 1:
+        raise ValueError(f"dark_count_prob must be in [0, 1], got {dark_count_prob!r}")
+    first = signal & to_first
+    second = signal & ~to_first
+    if dark_count_prob > 0:
+        for arm, rng in zip((first, second), dark_rngs, strict=True):
+            add_clicks(arm, dark_count_prob, rng)
+    return first, second
+
+
+@dataclass(frozen=True)
+class BasisSchedule:
+    """Per-slot basis parity and encoded bit.
+
+    Slot i's basis is the log2(M)-bit word D read big-endian from bits
+    [i log2(M), (i + 1) log2(M)) of the expanded key; its first-quadrant
+    angle is D*pi/(2*M) and its orthogonal partner sits a quarter turn
+    away.  The transmitted angle is in the first quadrant exactly when
+    parity(D) XOR bit == 0, and nothing else of D is ever read, so the
+    schedule holds ``parity``, the word's last bit, as uint8.  It comes
+    from K' alone, so the receiver decodes with the same array.
+    """
+
+    parity: np.ndarray
+    bit: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.parity)
+
+
+def _parities(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
+    """parity(D) of each whole log2(M)-bit word of K', read from the packed bytes.
+
+    A whole-byte word's parity is the low bit of its last byte.  Otherwise
+    eight words fill log2(M) bytes, so the words at one position of such a
+    group sit ``log2(M)`` bytes apart, their last bit always at the same
+    place in the byte: one strided column per position.
+    """
+    bits_per = bits_per_slot(m_bases)
+    slots = len(kprime) // bits_per
+    if bits_per % 8 == 0:
+        step = bits_per // 8
+        return kprime.packed[step - 1 :: step][:slots] & 1
+    parity = np.empty(slots, dtype=np.uint8)
+    for position in range(min(8, slots)):
+        last = (position + 1) * bits_per - 1  # the word's last bit, counted from its group's start
+        column = parity[position::8]
+        np.right_shift(kprime.packed[last >> 3 :: bits_per][: len(column)], 7 - (last & 7), out=column)
+        column &= 1
+    return parity
+
+
+def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> BasisSchedule:
+    """Pair each key word with a data bit; the parity rule fixes the transmit angle.
+
+    Even basis word and bit 0 (or odd word and bit 1) put the polarization in
+    the first quadrant; the other two combinations select the orthogonal
+    partner in the second quadrant.
+    """
+    r = np.asarray(r, dtype=np.uint8)
+    parity = _parities(kprime, m_bases)
+    if len(r) != len(parity):
+        raise ValueError(
+            f"data length {len(r)} != floor(|K'| / log2(M)) = {len(parity)}"
+        )
+    return BasisSchedule(parity=parity, bit=r)
+
+
+@dataclass(frozen=True)
+class DecodedBits:
+    """Receiver-side recovery of the data bits, with erasure flags.
+
+    ``erasure`` marks slots whose detection was inconclusive (no click or
+    clicks in both arms); ``bits`` is only meaningful where ``erasure`` is
+    False.
+    """
+
+    bits: np.ndarray
+    erasure: np.ndarray
+
+
+def bob_decode(parity: np.ndarray, counts: DetectionCounts) -> DecodedBits:
+    """Decode per-slot detection counts with the shared basis parities.
+
+    ``parity`` holds parity(D) of the words D that both parties read from
+    K' (a schedule's ``parity``: it does not depend on the data bits, so the
+    session builds it once).  The receiver analyzes at each word's
+    first-quadrant angle, so a transmit-arm click decodes to parity(D), the
+    bit that maps to the first quadrant, and a reflect-arm click to the
+    other bit.
+    """
+    parity = np.asarray(parity, dtype=np.uint8)
+    if len(counts) != len(parity):
+        raise ValueError(f"got counts for {len(counts)} slots, expected {len(parity)}")
+    clicked_r = counts.counts_reflect > 0
+    erasure = ~((counts.counts_transmit > 0) ^ clicked_r)
+    bits = parity ^ clicked_r
+    return DecodedBits(bits=bits, erasure=erasure)
+
+
+def simulate_meso_transmission(
+    schedule: BasisSchedule,
+    alpha_sq: float,
+    rng: np.random.Generator,
+    survival: float,
+    dark_count_prob: float,
+    dark_rngs: Iterable[np.random.Generator],
+) -> DetectionCounts:
+    """Send the schedule as mesoscopic pulses and detect at the shared basis.
+
+    Each slot carries a coherent pulse of mean photon number ``alpha_sq`` at
+    the scheduled angle, thinned by ``survival`` (loss and detector
+    efficiency).  Only whether an arm fired is ever read, so the pulse is
+    drawn as a click with p = 1 - exp(-alpha_sq * survival), which is
+    exactly P(Poisson > 0): one ``polarization.add_clicks`` field from
+    ``rng``.  The analyzer always sits at the slot's first-quadrant angle,
+    so the click lands in one arm, the transmit arm iff parity(D) == bit.
+    Each arm also fires on a dark count with probability
+    ``dark_count_prob``, drawn by ``two_arm_clicks`` from ``dark_rngs``
+    (transmit arm, reflect arm).  NaN or a negative ``alpha_sq`` raises
+    ``ValueError``.  Returns the 0/1 clicks of each arm.
+    """
+    if not alpha_sq >= 0 or not 0 <= survival <= 1:  # NaN fails both
+        raise ValueError(f"alpha_sq must be >= 0 and survival a probability, got {alpha_sq!r} and {survival!r}")
+    signal = np.zeros(len(schedule), dtype=bool)
+    add_clicks(signal, -np.expm1(-alpha_sq * survival), rng)
+    aligned = schedule.parity == schedule.bit
+    click_t, click_r = two_arm_clicks(signal, aligned, dark_count_prob, dark_rngs)
+    return DetectionCounts(click_t.view(np.uint8), click_r.view(np.uint8))
+
+
+def meso_leg(config, r_bits: np.ndarray) -> DecodedBits:
+    """The meso leg of a session over the unpacked R, one value per slot."""
+    ch = config.channel
+    schedule = build_basis_schedule(
+        ks.expand_key(config.resolved_seed_key(), len(r_bits) * bits_per_slot(ch.m_bases)),
+        r_bits,
+        ch.m_bases,
+    )
+    counts = simulate_meso_transmission(
+        schedule,
+        ch.alpha_sq_meso,
+        protocol._stream(config.seed, "meso_channel"),
+        survival=ch.survival_probability,
+        dark_count_prob=ch.dark_count_prob,
+        dark_rngs=(protocol._stream(config.seed, f"meso_dark_{arm}") for arm in ("transmit", "reflect")),
+    )
+    return bob_decode(schedule.parity, counts)
+
+
 #: (Alice basis, bit, Bob basis) of each entry of a channel's split table,
 #: entry ``(a << 2) | (b << 1) | c``, as uint8 like the per-slot values.
 COMBOS = np.array([(i >> 2, i >> 1 & 1, i & 1) for i in range(8)], dtype=np.uint8).T
@@ -241,7 +442,7 @@ def layout5_run_channel(config, channel: int, alice_basis, bob_basis_actual) -> 
     """
     n = config.num_slots
     ch = config.channel
-    bits = ks.random_bits(protocol._stream(config.seed, f"alice_bits_ch{channel}"), n)
+    bits = reference_bits(protocol._stream(config.seed, f"alice_bits_ch{channel}"), n)
     a, b, c = COMBOS
     table = split_upper_probability(
         config.plan, config.fiber, channel, (a * (np.pi / 2) + b * np.pi) - c * (np.pi / 2)
@@ -364,14 +565,14 @@ def reference_run_session(config, layout: int = 5) -> protocol.SessionReport:
     """``run_session`` as stream layout 5 (or 2) ran it: each weak channel one outcome per slot.
 
     Layout 5 draws Alice's bits, the sifted bases and R as random bytes
-    unpacked (``keystream.random_bits``) and runs ``layout5_run_channel``;
-    layout 2 draws them with ``integers(0, 2)`` and runs
-    ``layout2_run_channel``.  K' and the meso leg are the package's
-    (``protocol._meso_leg``).  The report is assembled as the package
-    assembles it, so on the same draws the two agree field for field.
+    unpacked (``reference_bits``) and runs ``layout5_run_channel``; layout 2
+    draws them with ``integers(0, 2)`` and runs ``layout2_run_channel``.
+    The meso leg is the per-slot ``meso_leg``.  The report is assembled as
+    the package assembles it, so on the same draws the two agree field for
+    field.
     """
     if layout == 5:
-        random_bits, run_channel = ks.random_bits, layout5_run_channel
+        random_bits, run_channel = reference_bits, layout5_run_channel
     else:
         random_bits, run_channel = layout2_bits, layout2_run_channel
     channels = (1, 2) if config.mode in ("parallel", "hybrid_parallel") else (1,)
@@ -379,7 +580,7 @@ def reference_run_session(config, layout: int = 5) -> protocol.SessionReport:
     n = config.num_slots
     if assisted:
         r_bits = random_bits(protocol._stream(config.seed, "r_entropy"), len(channels) * n)
-        decoded = protocol._meso_leg(config, r_bits)
+        decoded = meso_leg(config, r_bits)
     reports, usable_counts, announced = [], [], {}
     double_clicks = errors = 0
     for channel in channels:

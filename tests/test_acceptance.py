@@ -13,10 +13,10 @@ from hpqkd import cli, reporting, scenario
 from hpqkd.attacks import PnsModel, estimate_success, pns_exploitable_fraction
 from hpqkd.keystream import (
     ExpandedKey,
-    bob_decode,
-    build_basis_schedule,
+    basis_parities,
     expand_key,
-    random_bits,
+    popcount,
+    random_bytes,
     simulate_meso_transmission,
     SeedKey,
 )
@@ -275,10 +275,9 @@ def test_criterion_09_distinguishability():
     )
 
 
-def _transmit_angle(word: int, schedule, m_bases: int) -> np.ndarray:
-    """Reference: the angle D*pi/(2M) of word D, a quarter turn further when the schedule's parity(D) XOR bit == 1."""
-    second_quadrant = schedule.parity ^ schedule.bit
-    return word * np.pi / (2 * m_bases) + second_quadrant * (np.pi / 2)
+def _transmit_angle(word: int, parity: int, bit: int, m_bases: int) -> float:
+    """Reference: the angle D*pi/(2M) of word D, a quarter turn further when parity(D) XOR bit == 1."""
+    return word * np.pi / (2 * m_bases) + (parity ^ bit) * (np.pi / 2)
 
 
 def test_criterion_10_key_pipeline_round_trip():
@@ -288,13 +287,11 @@ def test_criterion_10_key_pipeline_round_trip():
     rng = np.random.default_rng(SEED + 5)
     seed_key = SeedKey.from_hex("00112233445566778899aabbccddeeff")
     kprime = expand_key(seed_key, slots * 8)
-    r = random_bits(rng, slots)
-    schedule = build_basis_schedule(kprime, r, m)
-    events = simulate_meso_transmission(schedule, 25.0, rng, 1.0, 0.0, (rng, rng))
-    decoded = bob_decode(schedule.parity, events)
-    erasure_rate = float(decoded.erasure.mean())
-    valid = ~decoded.erasure
-    error_rate = float(np.mean(decoded.bits[valid] != r[valid]))
+    r = random_bytes(rng, slots)
+    bits, erased = simulate_meso_transmission(basis_parities(kprime, m), r, slots, 25.0, rng, 1.0, 0.0, (rng, rng))
+    erasures = int(popcount(erased, slots))
+    erasure_rate = erasures / slots
+    error_rate = int(popcount((bits ^ r) & ~erased, slots)) / (slots - erasures)
 
     # Exhaustive quadrant codification: all 4 parity/bit cases for each M.
     quadrant_ok = True
@@ -304,8 +301,8 @@ def test_criterion_10_key_pipeline_round_trip():
             word_bits = [(word >> (bits_per - 1 - i)) & 1 for i in range(bits_per)]
             for bit in (0, 1):
                 kp = ExpandedKey(packed=np.packbits(np.array(word_bits, dtype=np.uint8)), num_bits=bits_per)
-                sched = build_basis_schedule(kp, np.array([bit], dtype=np.uint8), m_cases)
-                angle = _transmit_angle(word, sched, m_cases)[0]
+                parity = int(basis_parities(kp, m_cases)[0]) >> 7
+                angle = _transmit_angle(word, parity, bit, m_cases)
                 in_first = angle < np.pi / 2
                 quadrant_ok = quadrant_ok and (in_first == ((word % 2) ^ bit == 0))
                 base = word * np.pi / (2 * m_cases)

@@ -7,21 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpqkd.keystream import (
-    BasisSchedule,
     ExpandedKey,
     MAX_M_BASES,
-    DecodedBits,
     SeedKey,
+    basis_parities,
     bits_per_slot,
-    bob_decode,
-    build_basis_schedule,
     expand_key,
     popcount,
-    random_bits,
     random_bytes,
     simulate_meso_transmission,
 )
-from hpqkd.polarization import DetectionCounts
 
 #: Frozen interoperability vectors for the shake256-ctr64k-v2 keystream.
 VECTOR_SEED_HEX = "00112233445566778899aabbccddeeff"
@@ -60,11 +55,30 @@ def shake256_keystream(seed: bytes, target_bits: int) -> bytes:
     return np.packbits(bits).tobytes()
 
 
+def random_bits(rng, n: int) -> np.ndarray:
+    """``n`` uniform 0/1 values as uint8: ``random_bytes(rng, n)``, unpacked."""
+    return np.unpackbits(random_bytes(rng, n), count=n)
+
+
+def parity_bits(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
+    """``basis_parities`` unpacked, one uint8 per whole word of K'."""
+    return np.unpackbits(basis_parities(kprime, m_bases), count=len(kprime) // bits_per_slot(m_bases))
+
+
+def meso_round_trip(kprime, r_bits, m_bases, alpha_sq, rng, survival=1.0, dark=0.0):
+    """``simulate_meso_transmission`` on K''s parities and the 0/1 values ``r_bits``: (bits, erased), unpacked."""
+    n = len(r_bits)
+    bits, erased = simulate_meso_transmission(
+        basis_parities(kprime, m_bases), np.packbits(r_bits), n, alpha_sq, rng, survival, dark, (rng, rng)
+    )
+    return np.unpackbits(bits, count=n), np.unpackbits(erased, count=n).astype(bool)
+
+
 def basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
     """Reference: the whole log2(M)-bit words D of K', read big-endian, as int64.
 
     Whole-byte words join the key's bytes; other widths join its unpacked
-    bits.  The schedule holds only parity(D), which must equal ``D & 1``.
+    bits.  The package reads only parity(D), which must equal ``D & 1``.
     """
     bits_per = bits_per_slot(m_bases)
     slots = len(kprime) // bits_per
@@ -84,9 +98,9 @@ def first_quadrant_angle(words, m_bases: int) -> np.ndarray:
     return np.asarray(words) * np.pi / (2 * m_bases)
 
 
-def transmit_angle(words, schedule, m_bases: int) -> np.ndarray:
+def transmit_angle(words, parity, bits, m_bases: int) -> np.ndarray:
     """Reference: each slot's transmit angle, in the second quadrant when parity(D) XOR bit == 1."""
-    second_quadrant = schedule.parity ^ schedule.bit
+    second_quadrant = parity ^ bits
     return first_quadrant_angle(words, m_bases) + second_quadrant * (np.pi / 2)
 
 
@@ -101,22 +115,32 @@ class TestSeedKey:
             SeedKey.from_bytes(b"\x00" * 7)
 
     def test_bits_must_be_binary(self):
-        with pytest.raises(ValueError):
-            SeedKey(bits=np.full(64, 2, dtype=np.uint8))
+        # A key is its bytes; an array of bit values is not one.
+        with pytest.raises(TypeError, match="bytes"):
+            SeedKey(np.full(64, 2, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.full(64, 0.5), np.full(64, 1.9), np.zeros(64, dtype=np.uint8), list(range(16)), bytearray(16), "00" * 16],
+    )
+    def test_only_bytes_are_a_key(self, value):
+        # Cast to uint8, a float array would read 0.5 as the all-zero key and
+        # 1.9 as the all-ones key.
+        with pytest.raises(TypeError, match="seed key must be bytes"):
+            SeedKey(value)
 
     def test_roundtrip_bytes(self):
         raw = bytes(range(16))
         assert SeedKey.from_bytes(raw).to_bytes() == raw
+        assert SeedKey.from_bytes(bytearray(raw)) == SeedKey(raw) == SeedKey.from_hex(raw.hex())
 
-    def test_bit_count_must_be_a_whole_number_of_bytes(self):
-        # Packed to bytes, a 65-bit key and its zero-padded 72-bit extension
-        # would give the same K', so a partial byte is refused.
-        bits = np.unpackbits(np.frombuffer(bytes(range(1, 65)), dtype=np.uint8))
-        for n in (64, 72, 512):
-            assert len(SeedKey(bits=bits[:n]).to_bytes()) == n // 8
-        for n in (65, 71, 100, 511):
-            with pytest.raises(ValueError, match="whole number of bytes"):
-                SeedKey(bits=bits[:n])
+    @pytest.mark.parametrize("size", [7, 8, 64, 65])
+    def test_byte_bounds_and_their_messages(self, size):
+        if 8 <= size <= 64:
+            assert SeedKey(bytes(size)).to_bytes() == bytes(size)
+        else:
+            with pytest.raises(ValueError, match=f"at {'least 64' if size < 8 else 'most 512'} bits"):
+                SeedKey(bytes(size))
 
 
 class TestExpansion:
@@ -162,9 +186,9 @@ class TestExpansion:
 
     def test_avalanche_on_single_seed_bit(self):
         key = _fresh_key()
-        flipped_bits = key.bits.copy()
-        flipped_bits[0] ^= 1
-        flipped = SeedKey(bits=flipped_bits)
+        flipped_raw = bytearray(key.to_bytes())
+        flipped_raw[0] ^= 0x80  # the key's first bit
+        flipped = SeedKey(bytes(flipped_raw))
         n = 10_000
         a = key_bits(expand_key(key, n))
         b = key_bits(expand_key(flipped, n))
@@ -191,14 +215,15 @@ class TestExpansion:
 
 class TestRandomStream:
     def test_bits_are_the_unpacked_bytes(self):
-        bits = random_bits(np.random.default_rng(3), 37)
+        packed = random_bytes(np.random.default_rng(3), 37)
         raw = np.random.default_rng(3).integers(0, 256, 5, dtype=np.uint8)
-        assert bits.dtype == np.uint8 and len(bits) == 37
-        assert np.array_equal(bits, np.unpackbits(raw)[:37])
+        assert packed.dtype == np.uint8 and len(packed) == 5
+        assert np.array_equal(np.unpackbits(packed)[:37], np.unpackbits(raw)[:37])
+        assert not np.unpackbits(packed)[37:].any()
 
     @pytest.mark.parametrize("piece", [4, 8, 12, 4096])
     def test_byte_draws_in_pieces_of_four_equal_one_draw(self, piece):
-        # A chunked reader can take 32-slot multiples of random_bits and keep
+        # A chunked reader can take 32-slot multiples of random_bytes and keep
         # the stream: numpy fills uint8 draws from 32-bit words.
         total = 3 * 4096 + 7
         whole = np.random.default_rng(8).integers(0, 256, total, dtype=np.uint8)
@@ -206,8 +231,8 @@ class TestRandomStream:
         pieces = [rng.integers(0, 256, min(piece, total - i), dtype=np.uint8) for i in range(0, total, piece)]
         assert np.array_equal(np.concatenate(pieces), whole)
         rng = np.random.default_rng(8)
-        bits = [random_bits(rng, min(8 * piece, 8 * total - i)) for i in range(0, 8 * total, 8 * piece)]
-        assert np.array_equal(np.concatenate(bits), np.unpackbits(whole))
+        packed = [random_bytes(rng, min(8 * piece, 8 * total - i)) for i in range(0, 8 * total, 8 * piece)]
+        assert np.array_equal(np.concatenate(packed), whole)
 
     @pytest.mark.parametrize("piece", [1, 2, 3, 5])
     def test_byte_draws_in_other_pieces_differ(self, piece):
@@ -227,8 +252,9 @@ class TestRandomStream:
     def test_bytes_are_the_packed_bits(self, n):
         # The bits past n are zero, as np.packbits pads them.
         packed = random_bytes(np.random.default_rng(3), n)
+        raw = np.random.default_rng(3).integers(0, 256, -(-n // 8), dtype=np.uint8)
         assert packed.dtype == np.uint8 and len(packed) == -(-n // 8)
-        assert np.array_equal(packed, np.packbits(random_bits(np.random.default_rng(3), n)))
+        assert np.array_equal(packed, np.packbits(np.unpackbits(raw)[:n]))
 
 
 class TestPopcount:
@@ -257,6 +283,13 @@ class TestPopcount:
         assert popcount(packed, n) == int(bits.sum()) == "".join(map(str, bits)).count("1")
         assert popcount(packed, prefix) == int(bits[:prefix].sum())
 
+    @pytest.mark.parametrize("num_bits", [16 * 2**12 - 1, 16 * 2**12, 16 * 2**12 + 9, 3 * 16 * 2**12 + 5])
+    def test_counts_across_lookup_blocks(self, num_bits):
+        # Byte pairs are looked up 2**12 at a time; every block counts once.
+        rows = np.random.default_rng(num_bits).integers(0, 256, (2, -(-num_bits // 8) + 3), dtype=np.uint8)
+        expected = [int(np.unpackbits(row)[:num_bits].sum()) for row in rows]
+        assert popcount(rows, num_bits).tolist() == expected
+
     def test_counts_along_the_last_axis(self):
         rows = np.random.default_rng(4).integers(0, 256, (3, 11), dtype=np.uint8)
         expected = [sum(bin(x).count("1") for x in row[:10]) + bin(row[10] >> 3).count("1") for row in rows]
@@ -266,8 +299,7 @@ class TestPopcount:
 class TestSchedule:
     def _angle_for(self, words_bits, r, m):
         kprime = packed_key(words_bits)
-        schedule = build_basis_schedule(kprime, np.asarray(r, dtype=np.uint8), m)
-        return transmit_angle(basis_words(kprime, m), schedule, m)
+        return transmit_angle(basis_words(kprime, m), parity_bits(kprime, m), np.asarray(r, dtype=np.uint8), m)
 
     def test_even_word_bit_zero_first_quadrant(self):
         assert self._angle_for([0, 0, 0, 0], [0], 16)[0] == pytest.approx(0.0)
@@ -287,23 +319,25 @@ class TestSchedule:
     def test_basis_words_are_big_endian(self, m):
         bits_per = int(np.log2(m))
         kprime = expand_key(_fresh_key(), 50 * bits_per + bits_per - 1)  # trailing bits unused
-        schedule = build_basis_schedule(kprime, np.zeros(50, dtype=np.uint8), m)
+        parity = basis_parities(kprime, m)
         expected = [
             int("".join(str(b) for b in key_bits(kprime)[i * bits_per : (i + 1) * bits_per]), 2)
             for i in range(50)
         ]
         assert basis_words(kprime, m).tolist() == expected
-        assert schedule.parity.dtype == np.uint8
-        assert schedule.parity.tolist() == [word & 1 for word in expected]
+        assert parity.dtype == np.uint8 and len(parity) == 7
+        assert np.unpackbits(parity).tolist() == [word & 1 for word in expected] + [0] * 6
 
     @pytest.mark.parametrize("slots", [1, 7, 8, 9, 63, 4097])
     def test_parity_is_the_last_bit_of_each_word(self, slots):
+        # Packed, zero past the last slot: np.packbits pads so.
         key = _fresh_key(b"p")
         for log_m in range(1, 53):
             m = 2**log_m
             kprime = expand_key(key, slots * log_m + log_m - 1)  # trailing bits unused
-            schedule = build_basis_schedule(kprime, np.zeros(slots, dtype=np.uint8), m)
-            np.testing.assert_array_equal(schedule.parity, basis_words(kprime, m) & 1, err_msg=f"M = 2**{log_m}")
+            np.testing.assert_array_equal(
+                basis_parities(kprime, m), np.packbits(basis_words(kprime, m) & 1), err_msg=f"M = 2**{log_m}"
+            )
 
     @given(m=powers_of_two, seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
@@ -311,12 +345,11 @@ class TestSchedule:
         rng = np.random.default_rng(seed)
         kprime = expand_key(_fresh_key(), slots * int(np.log2(m)))
         r = random_bits(rng, slots)
-        schedule = build_basis_schedule(kprime, r, m)
         words = basis_words(kprime, m)
-        parity = words % 2
-        angle = transmit_angle(words, schedule, m)
+        parity = parity_bits(kprime, m)
+        angle = transmit_angle(words, parity, r, m)
         in_first = angle < np.pi / 2
-        np.testing.assert_array_equal(in_first, (parity ^ schedule.bit) == 0)
+        np.testing.assert_array_equal(in_first, (words % 2 ^ r) == 0)
         # The in-quadrant offset always matches the word's canonical angle.
         base = first_quadrant_angle(words, m)
         np.testing.assert_allclose(np.where(in_first, angle, angle - np.pi / 2), base)
@@ -328,13 +361,14 @@ class TestSchedule:
         expected = kbits // int(np.log2(m))
         if expected == 0:
             return
-        r = np.zeros(expected, dtype=np.uint8)
-        assert len(build_basis_schedule(kprime, r, m)) == expected
+        parity = basis_parities(kprime, m)
+        assert len(parity) == -(-expected // 8)
+        assert not np.unpackbits(parity)[expected:].any()
 
     def test_non_power_of_two_rejected(self):
         kprime = expand_key(_fresh_key(), 12)
         with pytest.raises(ValueError):
-            build_basis_schedule(kprime, np.zeros(4, dtype=np.uint8), 12)
+            basis_parities(kprime, 12)
 
     @pytest.mark.parametrize("m", [2 * MAX_M_BASES, 2**63, 2**64, 2**65])
     def test_basis_count_above_cap_rejected(self, m):
@@ -349,29 +383,26 @@ class TestSchedule:
         # The transmit arm comes from parity XOR bit; the angle's quadrant agrees with it.
         for bit in (0, 1):
             bits = np.full(len(words), bit, dtype=np.uint8)
-            schedule = BasisSchedule((words & 1).astype(np.uint8), bits)
-            np.testing.assert_array_equal(words % 2 == bit, transmit_angle(words, schedule, MAX_M_BASES) < np.pi / 2)
+            angles = transmit_angle(words, (words & 1).astype(np.uint8), bits, MAX_M_BASES)
+            np.testing.assert_array_equal(words % 2 == bit, angles < np.pi / 2)
 
     def test_length_mismatch_rejected(self):
-        kprime = expand_key(_fresh_key(), 16)
-        with pytest.raises(ValueError):
-            build_basis_schedule(kprime, np.zeros(3, dtype=np.uint8), 16)
+        # Four slots are one byte of parities; two bytes of data are refused.
+        parity = basis_parities(expand_key(_fresh_key(), 16), 16)
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="data bytes"):
+            simulate_meso_transmission(parity, np.zeros(2, dtype=np.uint8), 4, 25.0, rng, 1.0, 0.0, (rng, rng))
 
     def test_both_sides_derive_identical_words(self):
         kprime_alice = expand_key(_fresh_key(), 64)
         kprime_bob = expand_key(_fresh_key(), 64)
-        r = np.zeros(16, dtype=np.uint8)
-        a = build_basis_schedule(kprime_alice, r, 16)
-        b = build_basis_schedule(kprime_bob, r, 16)
-        np.testing.assert_array_equal(a.parity, b.parity)
+        np.testing.assert_array_equal(basis_parities(kprime_alice, 16), basis_parities(kprime_bob, 16))
         np.testing.assert_array_equal(basis_words(kprime_alice, 16), basis_words(kprime_bob, 16))
 
     def test_analyzer_angles_are_first_quadrant_canonical(self):
         kprime = expand_key(_fresh_key(), 40)
-        r = random_bits(np.random.default_rng(9), 10)
-        schedule = build_basis_schedule(kprime, r, 16)
         words = basis_words(kprime, 16)
-        assert len(words) == len(schedule)
+        assert len(words) == len(parity_bits(kprime, 16)) == 10
         analyzers = _analyzer_angles(words, 16)
         assert np.all(analyzers < np.pi / 2)
         np.testing.assert_allclose(
@@ -386,68 +417,68 @@ class TestRoundTrip:
         rng = np.random.default_rng(21)
         kprime = expand_key(_fresh_key(), slots * 8)
         r = random_bits(rng, slots)
-        schedule = build_basis_schedule(kprime, r, m)
-        events = simulate_meso_transmission(schedule, 25.0, rng, 1.0, 0.0, (rng, rng))
-        decoded = bob_decode(schedule.parity, events)
-        assert decoded.erasure.mean() < 1e-3
-        ok = ~decoded.erasure
-        assert np.mean(decoded.bits[ok] != r[ok]) < 1e-3
+        bits, erased = meso_round_trip(kprime, r, m, 25.0, rng)
+        assert erased.mean() < 1e-3
+        ok = ~erased
+        assert np.mean(bits[ok] != r[ok]) < 1e-3
 
     def test_vacuum_pulses_all_erased(self):
         m = 4
         kprime = expand_key(_fresh_key(), 20)
         r = random_bits(np.random.default_rng(2), 10)
-        schedule = build_basis_schedule(kprime, r, m)
-        rng = np.random.default_rng(3)
-        events = simulate_meso_transmission(schedule, 0.0, rng, 1.0, 0.0, (rng, rng))
-        decoded = bob_decode(schedule.parity, events)
-        assert decoded.erasure.all()
+        _, erased = meso_round_trip(kprime, r, m, 0.0, np.random.default_rng(3))
+        assert erased.all()
 
     def test_dark_clicks_in_both_arms_erase(self):
+        # Every slot clicks in both arms: erased, and a reflect click read.
         m = 16
         kprime = expand_key(_fresh_key(), 40)
-        schedule = build_basis_schedule(kprime, random_bits(np.random.default_rng(4), 10), m)
-        rng = np.random.default_rng(5)
-        counts = simulate_meso_transmission(schedule, 0.0, rng, 1.0, 1.0, (rng, rng))
-        assert counts.counts_transmit.tolist() == counts.counts_reflect.tolist() == [1] * 10
-        decoded = bob_decode(schedule.parity, counts)
-        assert decoded.erasure.all()
+        r = random_bits(np.random.default_rng(4), 10)
+        bits, erased = meso_round_trip(kprime, r, m, 0.0, np.random.default_rng(5), dark=1.0)
+        assert erased.all()
+        assert bits.tolist() == (parity_bits(kprime, m) ^ 1).tolist()
 
     @pytest.mark.parametrize(
         "alpha_sq, survival", [(float("nan"), 1.0), (-1.0, 1.0), (25.0, float("nan")), (25.0, 1.5)]
     )
     def test_invalid_intensity_or_survival_raises(self, alpha_sq, survival):
         kprime = expand_key(_fresh_key(), 40)
-        schedule = build_basis_schedule(kprime, random_bits(np.random.default_rng(4), 10), 16)
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="alpha_sq"):
-            simulate_meso_transmission(schedule, alpha_sq, rng, survival, 0.0, (rng, rng))
+            meso_round_trip(kprime, random_bits(np.random.default_rng(4), 10), 16, alpha_sq, rng, survival)
 
     def test_single_aligned_slot_decodes_exactly(self):
+        # A pulse that always clicks (p = 1 - exp(-1e6) == 1.0) and no dark
+        # count: the click lands in the arm the angle's quadrant selects,
+        # and each bit decodes exactly under an even and an odd word.
         m = 16
-        kprime = expand_key(_fresh_key(), 4)
-        schedule = build_basis_schedule(kprime, np.array([0], dtype=np.uint8), m)
-        transmit_first = transmit_angle(basis_words(kprime, m), schedule, m)[0] < np.pi / 2
-        counts = DetectionCounts([5], [0]) if transmit_first else DetectionCounts([0], [5])
-        decoded = bob_decode(schedule.parity, counts)
-        assert not decoded.erasure[0]
-        assert decoded.bits[0] == 0
+        for word in (0, 1):
+            kprime = packed_key([0, 0, 0, word])
+            parity = parity_bits(kprime, m)
+            for bit in (0, 1):
+                r = np.array([bit], dtype=np.uint8)
+                assert (transmit_angle(basis_words(kprime, m), parity, r, m)[0] < np.pi / 2) == (word == bit)
+                bits, erased = meso_round_trip(kprime, r, m, 1e6, np.random.default_rng(1))
+                assert not erased[0]
+                assert bits[0] == bit
 
     def test_event_count_mismatch_rejected(self):
-        kprime = expand_key(_fresh_key(), 8)
-        parity = build_basis_schedule(kprime, np.zeros(4, dtype=np.uint8), 4).parity
-        with pytest.raises(ValueError):
-            bob_decode(parity, DetectionCounts([1], [0]))
+        # Four slots are one byte; a slot count of nine needs two.
+        parity = basis_parities(expand_key(_fresh_key(), 8), 4)
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="for 9 slots"):
+            simulate_meso_transmission(parity, np.zeros(1, dtype=np.uint8), 9, 25.0, rng, 1.0, 0.0, (rng, rng))
 
     def test_double_click_is_erasure(self):
         kprime = expand_key(_fresh_key(), 4)
-        parity = build_basis_schedule(kprime, np.zeros(2, dtype=np.uint8), 4).parity
-        decoded = bob_decode(parity, DetectionCounts([1, 0], [1, 0]))
-        assert isinstance(decoded, DecodedBits)
-        assert decoded.erasure.all()
+        r = np.zeros(2, dtype=np.uint8)
+        rng = np.random.default_rng(2)
+        double, double_erased = meso_round_trip(kprime, r, 4, 0.0, rng, dark=1.0)
+        silent, silent_erased = meso_round_trip(kprime, r, 4, 0.0, rng)
+        assert double_erased.all() and silent_erased.all()
         # The protocol feeds these bits to the weak channel on erased slots:
         # parity^1 on a double click (the reflect arm fired), parity with no click.
         words = basis_words(kprime, 4)
-        assert parity.tolist() == (words % 2).tolist()
-        assert decoded.bits.tolist() == [words[0] % 2 ^ 1, words[1] % 2]
-
+        assert parity_bits(kprime, 4).tolist() == (words % 2).tolist()
+        assert double.tolist() == (words % 2 ^ 1).tolist()
+        assert silent.tolist() == (words % 2).tolist()

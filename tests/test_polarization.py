@@ -15,6 +15,7 @@ from hpqkd.polarization import (
     pbs_measure,
     two_arm_clicks,
 )
+from physics_reference import add_clicks as reference_add_clicks
 from physics_reference import overlap_small_angle, rotate, stokes_monte_carlo, stokes_summary
 
 amplitude = st.floats(0.0, 6.0)
@@ -55,26 +56,33 @@ class TestState:
         assert counts.counts_reflect.tolist() == [0, 1]
 
 
+def _pack(bits) -> np.ndarray:
+    return np.packbits(np.asarray(bits, dtype=bool))
+
+
+def _unpack(field: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(field, count=n).astype(bool)
+
+
 class TestTwoArmClicks:
     SIGNAL = np.array([True, True, False, False])
     TO_FIRST = np.array([True, False, True, False])
 
     def test_signal_routes_to_one_arm(self):
         rngs = (np.random.default_rng(1), np.random.default_rng(2))
-        first, second = two_arm_clicks(self.SIGNAL, self.TO_FIRST, 0.0, rngs)
-        assert first.tolist() == [True, False, False, False]
-        assert second.tolist() == [False, True, False, False]
+        first, second = two_arm_clicks(_pack(self.SIGNAL), _pack(self.TO_FIRST), 4, 0.0, rngs)
+        assert first.tolist() == [0b1000_0000] and second.tolist() == [0b0100_0000]
 
     def test_no_dark_counts_draw_nothing(self):
         rngs = (np.random.default_rng(1), np.random.default_rng(2))
         before = [rng.bit_generator.state for rng in rngs]
-        two_arm_clicks(self.SIGNAL, self.TO_FIRST, 0.0, rngs)
+        two_arm_clicks(_pack(self.SIGNAL), _pack(self.TO_FIRST), 4, 0.0, rngs)
         assert [rng.bit_generator.state for rng in rngs] == before
 
     def test_each_arm_reads_its_own_dark_stream_once(self):
         signal, to_first = np.tile(self.SIGNAL, 16), np.tile(self.TO_FIRST, 16)
         rngs = (_RecordingRng(np.random.default_rng(1)), _RecordingRng(np.random.default_rng(2)))
-        first, second = two_arm_clicks(signal, to_first, 0.5, rngs)
+        first, second = two_arm_clicks(_pack(signal), _pack(to_first), 64, 0.5, rngs)
         darks = []
         for rng, seed in zip(rngs, (1, 2)):
             # One block of uniforms from each stream at d = 0.5, and nothing more.
@@ -83,26 +91,28 @@ class TestTwoArmClicks:
             dark = reference.random(64) < 0.5
             assert rng.bit_generator.state == reference.bit_generator.state
             darks.append(dark)
-        np.testing.assert_array_equal(first, (signal & to_first) | darks[0])
-        np.testing.assert_array_equal(second, (signal & ~to_first) | darks[1])
+        np.testing.assert_array_equal(first, _pack((signal & to_first) | darks[0]))
+        np.testing.assert_array_equal(second, _pack((signal & ~to_first) | darks[1]))
 
     @pytest.mark.parametrize("n", (1, 63, 20_001))
     def test_certain_dark_counts_fire_every_slot(self, n):
+        # Every slot fires, and no bit past the last slot.
         rngs = (np.random.default_rng(1), np.random.default_rng(2))
-        first, second = two_arm_clicks(np.zeros(n, bool), np.ones(n, bool), 1.0, rngs)
-        assert first.all() and second.all() and len(first) == len(second) == n
+        first, second = two_arm_clicks(_pack(np.zeros(n)), _pack(np.ones(n)), n, 1.0, rngs)
+        np.testing.assert_array_equal(first, _pack(np.ones(n)))
+        np.testing.assert_array_equal(second, _pack(np.ones(n)))
 
     @pytest.mark.parametrize("d", (0.0, 1e-4, 0.5))
     def test_one_slot(self, d):
         rngs = (np.random.default_rng(1), np.random.default_rng(2))
-        first, second = two_arm_clicks(np.ones(1, bool), np.ones(1, bool), d, rngs)
-        assert first.tolist() == [True] and second.shape == (1,)
+        first, second = two_arm_clicks(_pack([True]), _pack([True]), 1, d, rngs)
+        assert first.tolist() == [0x80] and second.shape == (1,) and second[0] in (0, 0x80)
 
     @pytest.mark.parametrize("d", (-0.1, 1.5, float("nan")))
     def test_dark_count_prob_outside_the_unit_interval_raises(self, d):
         rngs = (np.random.default_rng(1), np.random.default_rng(2))
         with pytest.raises(ValueError, match="dark_count_prob"):
-            two_arm_clicks(self.SIGNAL, self.TO_FIRST, d, rngs)
+            two_arm_clicks(_pack(self.SIGNAL), _pack(self.TO_FIRST), 4, d, rngs)
 
 
 def _reference_field(prior: np.ndarray, p: float, rng) -> np.ndarray:
@@ -144,28 +154,41 @@ class TestClickField:
     def test_regimes_make_their_calls(self, name, n):
         p, calls = FIELD_CASES[name]
         prior = np.random.default_rng(n).random(n) < 0.3
-        field, rng, reference = prior.copy(), _RecordingRng(np.random.default_rng(5)), np.random.default_rng(5)
-        add_clicks(field, p, rng)
+        field, rng, reference = _pack(prior), _RecordingRng(np.random.default_rng(5)), np.random.default_rng(5)
+        add_clicks(field, n, p, rng)
         assert rng.calls == calls(n)
-        np.testing.assert_array_equal(field, _reference_field(prior, p, reference))
+        np.testing.assert_array_equal(field, _pack(_reference_field(prior, p, reference)))
         assert rng.bit_generator.state == reference.bit_generator.state
         if p in (0.0, 1.0):  # nothing drawn
             assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
-            assert field.all() if p else np.array_equal(field, prior)
+            np.testing.assert_array_equal(field, _pack(np.ones(n) if p else prior))
 
     def test_blocks_equal_one_draw(self):
         n = 3 * CLICK_BLOCK + 17
-        field = np.zeros(n, dtype=bool)
-        add_clicks(field, 0.5, np.random.default_rng(8))
-        np.testing.assert_array_equal(field, np.random.default_rng(8).random(n) < 0.5)
+        field = np.zeros(-(-n // 8), dtype=np.uint8)
+        add_clicks(field, n, 0.5, np.random.default_rng(8))
+        np.testing.assert_array_equal(field, _pack(np.random.default_rng(8).random(n) < 0.5))
 
     @pytest.mark.parametrize("p", (-0.1, 1.5, float("nan"), -np.inf))
     def test_probability_outside_the_unit_interval_raises(self, p):
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="click probability"):
-            add_clicks(np.zeros(4, dtype=bool), p, rng)
+            add_clicks(np.zeros(1, dtype=np.uint8), 4, p, rng)
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("preset", (False, True))
+    @pytest.mark.parametrize("n", (1, 7, 9, CLICK_BLOCK + 3))
+    @pytest.mark.parametrize("p", (0.0, 1e-5, 1 / 16, 0.22, 15 / 16, 1 - 1e-5, 1.0))
+    def test_packed_field_equals_the_per_slot_field(self, p, n, preset):
+        # Bit for bit, from one seed, into an empty field or one with clicks
+        # already set; the comparison with np.packbits also holds every bit
+        # past n at zero.
+        prior = np.random.default_rng(n).random(n) < 0.5 if preset else np.zeros(n, dtype=bool)
+        unpacked, field = prior.copy(), _pack(prior)
+        reference_add_clicks(unpacked, p, np.random.default_rng(11))
+        add_clicks(field, n, p, np.random.default_rng(11))
+        np.testing.assert_array_equal(field, _pack(unpacked))
 
 
 class _RecordingRng:
@@ -201,8 +224,9 @@ def _z_two_sample(hits_a: int, n_a: int, hits_b: int, n_b: int) -> float:
 
 
 def _engine_dark(n: int, d: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    no_signal = np.zeros(n, dtype=bool)
-    return two_arm_clicks(no_signal, no_signal, d, rngs)
+    no_signal = np.zeros(-(-n // 8), dtype=np.uint8)
+    first, second = two_arm_clicks(no_signal, no_signal, n, d, rngs)
+    return _unpack(first, n), _unpack(second, n)
 
 
 def _layout3_dark(n: int, d: float, rngs) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from hpqkd.protocol import (
     run_session,
 )
 from hpqkd.polarization import CLICK_BLOCK, SPARSE_CLICK_PROB, DetectionCounts
+import physics_reference as ref
 from physics_reference import (
     ChannelRun,
     layout5_run_channel,
@@ -537,21 +538,21 @@ MESO_SLOTS = 25_000
 
 
 def _meso_pool(channel: ChannelModel, layout: int) -> tuple[int, int, int]:
-    """(erased, wrong, slots) summed over the seed pool, for stream layout 2 or 1."""
+    """(erased, wrong, slots) summed over the seed pool, for stream layout 2 (the engine's) or 1."""
     erased = wrong = 0
     for seed in MESO_SEEDS:
         cfg = config(mode="hybrid", slots=MESO_SLOTS, seed=seed, channel=channel)
-        r = ks.random_bits(protocol._stream(seed, "r_entropy"), MESO_SLOTS)
+        r = ks.random_bytes(protocol._stream(seed, "r_entropy"), MESO_SLOTS)
         if layout == 2:
-            decoded = protocol._meso_leg(cfg, r)
+            bits, erasure = protocol._meso_leg(cfg, r, MESO_SLOTS)
         else:
             kprime = ks.expand_key(cfg.resolved_seed_key(), MESO_SLOTS * ks.bits_per_slot(channel.m_bases))
-            schedule = ks.build_basis_schedule(kprime, r, channel.m_bases)
+            schedule = ref.build_basis_schedule(kprime, np.unpackbits(r, count=MESO_SLOTS), channel.m_bases)
             counts = _layout1_meso_counts(schedule, channel, np.random.default_rng([1, seed]))
-            decoded = ks.bob_decode(schedule.parity, counts)
-        keep = ~decoded.erasure
-        erased += int(decoded.erasure.sum())
-        wrong += int((decoded.bits[keep] != r[keep]).sum())
+            decoded = ref.bob_decode(schedule.parity, counts)
+            bits, erasure = np.packbits(decoded.bits), np.packbits(decoded.erasure)
+        erased += int(ks.popcount(erasure, MESO_SLOTS))
+        wrong += int(ks.popcount((bits ^ r) & ~erasure, MESO_SLOTS))
     return erased, wrong, len(MESO_SEEDS) * MESO_SLOTS
 
 
@@ -856,9 +857,11 @@ def test_stream_is_its_roles_spawned_child(seed):
 
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
 #: 2000 slots.  A change that alters any of these changes the numbers a
-#: scenario produces, and must say so and bump a stream-layout id.  All
-#: twelve moved with layout 6, whose weak channels draw counts per slot
-#: class; the layout-5 ones are ``LAYOUT5_DIGESTS``.
+#: scenario produces, and must say so and bump a stream-layout id.  The
+#: first twelve moved with layout 6, whose weak channels draw counts per
+#: slot class; the layout-5 ones are ``LAYOUT5_DIGESTS``.  ``dense-dark``
+#: (d = 0.5) was pinned under layout 6: each meso dark field is one
+#: uniform per slot, drawn in blocks.
 GOLDEN_DIGESTS = {
     "default": {
         "baseline_bb84": "b7ec0a2c779e51e4a2e3139686880fe4ef8327ef87426b4a961643222d52c96d",
@@ -877,6 +880,12 @@ GOLDEN_DIGESTS = {
         "hybrid": "8d84b4d7a4b5605c231fdcd58169eb30d482869934715ecfa90a004ef7940f9a",
         "parallel": "7e561a1973db4ae5c02b7e5028068592727d178032607efd1cc202f4ce27ac1b",
         "hybrid_parallel": "548ede9b963569feed18487b6d1c8f2635aad581a8fe28d45f4013e34c268aba",
+    },
+    "dense-dark": {
+        "baseline_bb84": "c6e6e3bf546f6dc2b566cc56ed2c5c4c244a2b8ba968702792ad6853044b348b",
+        "hybrid": "ca53e32facc5212801b736c3565f2ea2169e5abacb52585c5025faac1405cac6",
+        "parallel": "6c5931e48fdd9e6ed432db2737d03e302a50b2a7154b4cd8bf876d6b963b0c1f",
+        "hybrid_parallel": "f371a73cf7c3d4834c83ddfeceb2df5641f2b1cfc76a709a63f4b322509c414b",
     },
 }
 
@@ -920,6 +929,7 @@ GOLDEN_CHANNELS = {
     "default": IDEAL,
     "longhaul": ChannelModel(length_km=100, dark_count_prob=1e-5),
     "dark": ChannelModel(length_km=20, dark_count_prob=0.02),
+    "dense-dark": ChannelModel(dark_count_prob=0.5),
 }
 
 
@@ -937,6 +947,27 @@ def test_layout5_reference_reproduces_layout5_sessions(mode, channel):
     report = reference_run_session(config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel]))
     digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == LAYOUT5_DIGESTS[channel][mode]
+
+
+@pytest.mark.parametrize("slots", (3, 2001))
+@pytest.mark.parametrize("m_bases", (2, 8, 256, 2**12, 2**16))
+@pytest.mark.parametrize("channel", sorted(GOLDEN_CHANNELS))
+def test_packed_meso_leg_equals_the_per_slot_reference(channel, m_bases, slots):
+    """The packed meso leg gives the per-slot one's decode and erasures, bit for bit.
+
+    Words of 1, 3 and 12 bits share bytes; words of 8 and 16 bits are whole
+    bytes.  Neither slot count is a whole number of bytes, and the bits past
+    the last slot must be zero, as ``np.packbits`` pads them.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SecurityConditionWarning)  # alpha_sq >= M at M = 2 and 8
+        link = dataclasses.replace(GOLDEN_CHANNELS[channel], m_bases=m_bases)
+    cfg = config(mode="hybrid", seed=7, slots=slots, channel=link)
+    r = ks.random_bytes(protocol._stream(cfg.seed, "r_entropy"), slots)
+    bits, erased = protocol._meso_leg(cfg, r, slots)
+    decoded = ref.meso_leg(cfg, np.unpackbits(r, count=slots))
+    np.testing.assert_array_equal(bits, np.packbits(decoded.bits))
+    np.testing.assert_array_equal(erased, np.packbits(decoded.erasure))
 
 
 def _mask_bits(report) -> tuple[np.ndarray, int]:
