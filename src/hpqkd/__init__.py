@@ -1,8 +1,8 @@
 """Sideband-interference QKD with keystream-driven mesoscopic polarization.
 
-Physics core (``optics``, ``polarization``), adversary models (``attacks``),
-the shared-key pipeline (``keystream``), the four-mode session engine
-(``protocol``), and the scenario-driven CLI (``cli``).
+Physics core (``optics``, ``polarization``), the brute-force and PNS attack
+models (``attacks``), the shared-key pipeline (``keystream``), the four-mode
+session engine (``protocol``), and the scenario-driven CLI (``cli``).
 """
 
 __version__ = "0.1.0"
@@ -15,20 +15,8 @@ from .optics import (
     sideband_intensities_oracle,
     tuned_fiber,
 )
-from .polarization import (
-    DetectionCounts,
-    DetectionEvent,
-    TwoModeCoherentState,
-    overlap_exact,
-    pbs_measure,
-)
-from .attacks import (
-    PnsModel,
-    amplifier_attack,
-    attack_success_curve,
-    bob_anomaly_monitor,
-    pns_exploitable_fraction,
-)
+from .polarization import overlap_exact
+from .attacks import attack_success_curve, pns_exploitable_fraction
 from .keystream import (
     ExpandedKey,
     SeedKey,
@@ -49,15 +37,8 @@ __all__ = [
     "sideband_intensities_closed_form",
     "sideband_intensities_oracle",
     "tuned_fiber",
-    "DetectionCounts",
-    "DetectionEvent",
-    "TwoModeCoherentState",
     "overlap_exact",
-    "pbs_measure",
-    "PnsModel",
-    "amplifier_attack",
     "attack_success_curve",
-    "bob_anomaly_monitor",
     "pns_exploitable_fraction",
     "ExpandedKey",
     "SeedKey",

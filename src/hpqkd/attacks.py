@@ -1,20 +1,18 @@
 """Eavesdropper models for the mesoscopic polarization channel.
 
 Covers the brute-force polarization identification (pulse splitting with
-per-candidate analyzers and three-case detector logic), the optical-amplifier
-attack with its unavoidable unpolarized background, the receiver-side anomaly
-monitor that background trips, and photon-number-splitting exploitability.
+per-candidate analyzers and three-case detector logic), read by
+``attack-sweep``'s crossover curve, and the photon-number-splitting
+exploitability of its weak-pulse table.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import MISSING, dataclass
+import sys
+from dataclasses import dataclass
 
 import numpy as np
-
-from .optics import check_params, param
-from .polarization import DetectionCounts, DetectionEvent, TwoModeCoherentState
 
 #: Ties between candidate scores are broken uniformly at random by adding a
 #: jitter far below any physical log-likelihood gap.
@@ -54,19 +52,8 @@ _TRIAL_BLOCK = 1024
 STREAM_LAYOUT = 2
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """Outcomes of n identification trials, one entry per trial."""
-
-    estimated_angle: np.ndarray
-    case_both: np.ndarray
-    case_none: np.ndarray
-    case_one: np.ndarray
-    success: np.ndarray
-
-
-def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random.Generator) -> _Batch:
-    """Run ``len(true_index)`` identification trials at once.
+def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random.Generator) -> np.ndarray:
+    """Run ``len(true_index)`` identification trials at once; True where a trial's estimate is right.
 
     Trial i splits a pulse of mean photon number ``signal_mean`` polarized
     at candidate ``true_index[i]`` of the grid k*pi/M into M equal
@@ -94,10 +81,7 @@ def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random
     jitter = rng.uniform(0.0, _TIE_JITTER, (n, m))
     fallback = rng.integers(0, m, n)
 
-    clicks_t, clicks_r = counts[:, :m] > 0, counts[:, m:] > 0
-    both = clicks_t & clicks_r
-    none = ~(clicks_t | clicks_r)
-    one = clicks_t ^ clicks_r
+    one = (counts[:, :m] > 0) ^ (counts[:, m:] > 0)
 
     scores = counts @ _hypothesis_tables(cos2, sub_mean).T
     scores += jitter
@@ -107,7 +91,7 @@ def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random
     vetoes = np.where(one, counts[:, m:], np.inf)
     scores[vetoes > vetoes.min(axis=1, keepdims=True)] = -np.inf
     index = np.where(one.any(axis=1), np.argmax(scores, axis=1), fallback)
-    return _Batch(angles[index], both.sum(axis=1), none.sum(axis=1), one.sum(axis=1), index == true_index)
+    return index == true_index
 
 
 @dataclass(frozen=True)
@@ -140,7 +124,7 @@ def estimate_success(
     hits = 0
     for start in range(0, trials, _TRIAL_BLOCK):
         n = min(_TRIAL_BLOCK, trials - start)
-        hits += int(_identify(rng.integers(0, m_bases, n), m_bases, alpha_sq, rng).success.sum())
+        hits += int(_identify(rng.integers(0, m_bases, n), m_bases, alpha_sq, rng).sum())
     rate = hits / trials
     stderr = math.sqrt(rate * (1 - rate) / trials)
     return SweepPoint(alpha_sq=float(alpha_sq), success_rate=rate, stderr=stderr, trials=trials)
@@ -177,105 +161,18 @@ def attack_success_curve(
     return list(map(estimate_success, *args))
 
 
-@dataclass(frozen=True)
-class AmplifiedPulse:
-    """Amplified signal plus the unpolarized background the amplifier added.
-
-    ``ase_photons`` is the total mean of spontaneous-emission photons across
-    both polarization modes; being unpolarized, any analyzer splits it evenly,
-    so each arm sees an extra Poisson(ase_photons / 2) on measurement.
-    """
-
-    state: TwoModeCoherentState
-    ase_photons: float
-
-    def measure(self, analyzer_angle: float, rng: np.random.Generator) -> DetectionEvent:
-        n = self.state.mean_photons
-        delta = self.state.theta - analyzer_angle
-        half_ase = self.ase_photons / 2
-        return DetectionEvent(
-            counts_transmit=int(rng.poisson(n * np.cos(delta) ** 2 + half_ase)),
-            counts_reflect=int(rng.poisson(n * np.sin(delta) ** 2 + half_ase)),
-        )
-
-
-def amplifier_attack(
-    pulse: TwoModeCoherentState,
-    gain: float,
-    ase_photons: float | None = None,
-) -> AmplifiedPulse:
-    """Scale the pulse by ``gain`` and attach the mandatory ASE background.
-
-    Noiseless amplification is disallowed: any gain above 1 must come with
-    unpolarized spontaneous-emission photons.  The default background is the
-    quantum-limited floor of gain - 1 photons per polarization mode
-    (2*(gain - 1) total).
-    """
-    if gain < 1:
-        raise ValueError("gain must be >= 1")
-    if ase_photons is None:
-        ase_photons = 2 * (gain - 1)
-    if ase_photons < 0:
-        raise ValueError("ase_photons must be >= 0")
-    if gain > 1 and ase_photons == 0:
-        raise ValueError("amplification with zero spontaneous emission is unphysical")
-    amplified = TwoModeCoherentState(alpha=pulse.alpha * math.sqrt(gain), theta=pulse.theta)
-    return AmplifiedPulse(state=amplified, ase_photons=float(ase_photons))
-
-
-@dataclass(frozen=True)
-class AnomalyVerdict:
-    wrong_arm_rate: float
-    threshold: float
-    anomalous: bool
-    events: int
-
-
-def bob_anomaly_monitor(counts: DetectionCounts, expected_dark_rate: float) -> AnomalyVerdict:
-    """Flag excess clicks in the arm that should only see dark counts.
-
-    The receiver knows the transmitted polarization in advance, so his
-    crossed (reflect) arm should click at the dark-count rate alone; the
-    verdict is anomalous when the empirical rate exceeds it by more than
-    5 binomial standard errors.
-    """
-    n = len(counts)
-    if not n:
-        raise ValueError("need at least one detection event")
-    if not 0 <= expected_dark_rate <= 1:
-        raise ValueError("expected_dark_rate must be a probability")
-    rate = int((counts.counts_reflect > 0).sum()) / n
-    threshold = expected_dark_rate + 5 * math.sqrt(expected_dark_rate * (1 - expected_dark_rate) / n)
-    return AnomalyVerdict(
-        wrong_arm_rate=rate,
-        threshold=threshold,
-        anomalous=rate > threshold,
-        events=n,
-    )
-
-
-@dataclass(frozen=True)
-class PnsModel:
-    """Photon-number-splitting exploitability of a weak-pulse source.
+def pns_exploitable_fraction(mu: float, min_exploitable: int) -> float:
+    """Poisson tail P(n >= min_exploitable) for weak pulses of mean photon number ``mu``.
 
     ``min_exploitable`` is 2 when measurement bases are announced publicly
     (the eavesdropper keeps one photon and waits) and 3 when they are never
     announced, as in the hybrid protocol.
     """
-
-    mu: float = param(MISSING, "photons", "mean photon number of the weak pulses", low=0)
-    min_exploitable: int = 2
-
-    def __post_init__(self):
-        check_params(self)
-        if self.min_exploitable not in (2, 3):
-            raise ValueError("min_exploitable must be 2 or 3")
-
-
-def pns_exploitable_fraction(model: PnsModel) -> float:
-    """Poisson tail P(n >= min_exploitable) for pulses of mean ``model.mu``."""
-    head = sum(
-        math.exp(-model.mu) * model.mu**k / math.factorial(k)
-        for k in range(model.min_exploitable)
-    )
+    if not abs(mu) <= sys.float_info.max:  # NaN, inf, an int too big for a float
+        raise ValueError("mu must be finite")
+    if mu < 0:
+        raise ValueError(f"mu must be >= 0, got {mu!r}")
+    if min_exploitable not in (2, 3):
+        raise ValueError("min_exploitable must be 2 or 3")
+    head = sum(math.exp(-mu) * mu**k / math.factorial(k) for k in range(min_exploitable))
     return max(0.0, 1.0 - head)

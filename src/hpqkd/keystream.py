@@ -108,33 +108,15 @@ def random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
     return packed
 
 
-#: Ones in each byte value, and in each pair of bytes read as one uint16
-#: (the sum of the two bytes' counts, so the byte order does not matter).
-_BYTE_ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
-_PAIR_ONES = np.add.outer(_BYTE_ONES, _BYTE_ONES).ravel()
-
-#: Byte pairs looked up at a time.  ``np.take`` holds its indices as intp,
-#: so a whole string at once would take 4 B per byte; a block keeps that
-#: temporary to 32 KiB a row.
-_POPCOUNT_PAIRS = 2**12
-
-
 def popcount(packed: np.ndarray, num_bits: int):
     """Ones among the first ``num_bits`` bits of big-endian packed bytes (last axis).
 
-    Table lookups, two bytes at a time, so any numpy the package accepts
-    counts the same way; the bits past ``num_bits`` are never read.
+    The bits past ``num_bits`` are never read.
     """
     whole, rest = divmod(num_bits, 8)
-    paired = whole - whole % 2
-    pairs = packed[..., :paired].view(np.uint16)
-    ones = np.zeros(packed.shape[:-1], dtype=np.int64)
-    for start in range(0, pairs.shape[-1], _POPCOUNT_PAIRS):
-        ones += np.take(_PAIR_ONES, pairs[..., start : start + _POPCOUNT_PAIRS]).sum(axis=-1, dtype=np.int64)
-    if whole % 2:
-        ones += _BYTE_ONES[packed[..., paired]]
+    ones = np.bitwise_count(packed[..., :whole]).sum(axis=-1, dtype=np.int64)
     if rest:
-        ones += _BYTE_ONES[packed[..., whole] >> (8 - rest)]
+        ones += np.bitwise_count(packed[..., whole] >> (8 - rest))
     return ones
 
 

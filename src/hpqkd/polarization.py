@@ -1,10 +1,9 @@
-"""Two-mode coherent states with linear polarization.
+"""Detection of linearly polarized coherent pulses.
 
-The exact distinguishability of two such states, and photon counting
-through a rotated polarizing beam splitter.  Photon counting is Poissonian
-per mode with independent arms, which is exact for coherent states.
-``two_arm_clicks`` is the threshold detector of the mesoscopic leg, its
-click fields one bit per slot, packed (``add_clicks``).
+``two_arm_clicks`` is the threshold detector of the mesoscopic leg behind
+a polarizing beam splitter, its click fields one bit per slot, packed
+(``add_clicks``).  ``overlap_exact`` is the exact distinguishability of two
+such pulses.
 """
 from __future__ import annotations
 
@@ -15,29 +14,12 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class TwoModeCoherentState:
-    """Linearly polarized coherent state |alpha*cos(theta), alpha*sin(theta)>.
-
-    ``theta`` is stored in [0, pi) because linear polarizations at theta and
-    theta + pi are the same physical state.
-    """
-
-    alpha: complex
-    theta: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        object.__setattr__(self, "theta", float(self.theta) % np.pi)
-
-    @property
-    def mean_photons(self) -> float:
-        return float(abs(self.alpha) ** 2)
-
-
-@dataclass(frozen=True)
 class DetectionEvent:
-    """Photon counts at the two outputs of a polarizing beam splitter."""
+    """Photon counts at the two outputs of a polarizing beam splitter.
+
+    No command builds one: it stays because the benchmark's traced meso hook
+    (``bench/worker.py``) imports it.
+    """
 
     counts_transmit: int
     counts_reflect: int
@@ -45,27 +27,6 @@ class DetectionEvent:
     def __post_init__(self):
         if self.counts_transmit < 0 or self.counts_reflect < 0:
             raise ValueError("photon counts must be >= 0")
-
-
-@dataclass(frozen=True)
-class DetectionCounts:
-    """Photon counts, or 0/1 clicks, at the two PBS outputs for a run of slots, one array per arm."""
-
-    counts_transmit: np.ndarray
-    counts_reflect: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.counts_transmit)
-        r = np.asarray(self.counts_reflect)
-        if t.ndim != 1 or r.ndim != 1 or len(t) != len(r):
-            raise ValueError("counts must be two 1-D arrays of one length")
-        if (t < 0).any() or (r < 0).any():
-            raise ValueError("photon counts must be >= 0")
-        object.__setattr__(self, "counts_transmit", t)
-        object.__setattr__(self, "counts_reflect", r)
-
-    def __len__(self) -> int:
-        return len(self.counts_transmit)
 
 
 #: Click fields with p <= SPARSE_CLICK_PROB are drawn as a count and a subset
@@ -174,21 +135,3 @@ def overlap_exact(alpha: complex, theta: float) -> float:
     exp(-2*|alpha|^2*(1 - cos(theta))).
     """
     return float(np.exp(-2 * abs(alpha) ** 2 * (1 - np.cos(theta))))
-
-
-def pbs_measure(
-    state: TwoModeCoherentState,
-    analyzer_angle: float,
-    rng: np.random.Generator,
-) -> DetectionEvent:
-    """Photon counts behind a PBS rotated to ``analyzer_angle``.
-
-    Transmit arm ~ Poisson(n*cos^2(theta - analyzer)), reflect arm
-    ~ Poisson(n*sin^2(theta - analyzer)), drawn independently.
-    """
-    n = state.mean_photons
-    delta = state.theta - analyzer_angle
-    return DetectionEvent(
-        counts_transmit=int(rng.poisson(n * np.cos(delta) ** 2)),
-        counts_reflect=int(rng.poisson(n * np.sin(delta) ** 2)),
-    )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import attacks, protocol
-from .attacks import PnsModel, attack_success_curve, pns_exploitable_fraction
+from .attacks import attack_success_curve, pns_exploitable_fraction
 from .optics import (
     fit_half_angle_fringe,
     is_tuned,
@@ -103,7 +103,7 @@ def _pns_rows(resolved: dict, trials: int, rng: np.random.Generator) -> list[dic
     rows = []
     for mu in sweep["pns_mu"]:
         for threshold in sweep["pns_thresholds"]:
-            analytic = pns_exploitable_fraction(PnsModel(mu=mu, min_exploitable=threshold))
+            analytic = pns_exploitable_fraction(mu, threshold)
             draws = rng.poisson(mu, trials)
             mc = float(np.mean(draws >= threshold))
             rows.append(

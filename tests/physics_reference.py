@@ -1,13 +1,14 @@
 """Reference physics that no command reaches, kept as test oracles.
 
-The polarization rotation and Stokes statistics of a linearly polarized
-coherent state, the small-angle overlap that sits beside
+A linearly polarized two-mode coherent state with its rotation and Stokes
+statistics, the small-angle overlap that sits beside
 ``polarization.overlap_exact``, the single-arm Mach-Zehnder field with its
 small-signal intensity, and the field at Bob's output with its tone powers
 read from one FFT, the readout ``optics.sideband_intensities_oracle``
 replaced by direct DFT sums.  The click fields and the meso pass (basis
 schedule, transmission, decode) as they were before the session held its
-bits packed, one value per slot.  The weak-channel detection passes of
+bits packed, one value per slot, with their two-arm counts
+(``DetectionCounts``).  The weak-channel detection passes of
 session stream layouts 5 and 2, one outcome per slot, and the session that runs
 them (``reference_run_session``), the per-slot sessions that layout 6's
 draws per slot class replaced.  ``test_polarization``, ``test_optics``,
@@ -31,13 +32,49 @@ from hpqkd.optics import (
     oracle_period,
     split_upper_probability,
 )
-from hpqkd.polarization import (
-    SPARSE_CLICK_PROB,
-    DetectionCounts,
-    TwoModeCoherentState,
-    sparse_slots,
-    uniform_blocks,
-)
+from hpqkd.polarization import SPARSE_CLICK_PROB, sparse_slots, uniform_blocks
+
+
+@dataclass(frozen=True)
+class TwoModeCoherentState:
+    """Linearly polarized coherent state |alpha*cos(theta), alpha*sin(theta)>.
+
+    ``theta`` is stored in [0, pi) because linear polarizations at theta and
+    theta + pi are the same physical state.
+    """
+
+    alpha: complex
+    theta: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
+        object.__setattr__(self, "theta", float(self.theta) % np.pi)
+
+    @property
+    def mean_photons(self) -> float:
+        return float(abs(self.alpha) ** 2)
+
+
+@dataclass(frozen=True)
+class DetectionCounts:
+    """Photon counts, or 0/1 clicks, at the two PBS outputs for a run of slots, one array per arm."""
+
+    counts_transmit: np.ndarray
+    counts_reflect: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.counts_transmit)
+        r = np.asarray(self.counts_reflect)
+        if t.ndim != 1 or r.ndim != 1 or len(t) != len(r):
+            raise ValueError("counts must be two 1-D arrays of one length")
+        if (t < 0).any() or (r < 0).any():
+            raise ValueError("photon counts must be >= 0")
+        object.__setattr__(self, "counts_transmit", t)
+        object.__setattr__(self, "counts_reflect", r)
+
+    def __len__(self) -> int:
+        return len(self.counts_transmit)
 
 
 @dataclass(frozen=True)

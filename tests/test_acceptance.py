@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hpqkd import cli, reporting, scenario
-from hpqkd.attacks import PnsModel, estimate_success, pns_exploitable_fraction
+from hpqkd.attacks import estimate_success, pns_exploitable_fraction
 from hpqkd.keystream import (
     ExpandedKey,
     basis_parities,
@@ -27,9 +27,9 @@ from hpqkd.optics import (
     sideband_intensities_oracle,
     tuned_fiber,
 )
-from hpqkd.polarization import TwoModeCoherentState, overlap_exact
+from hpqkd.polarization import overlap_exact
 from hpqkd.protocol import ChannelModel, SessionConfig, run_session
-from physics_reference import overlap_small_angle, stokes_monte_carlo
+from physics_reference import TwoModeCoherentState, overlap_small_angle, stokes_monte_carlo
 
 PLAN = ModulationPlan()  # m1 = 2*m3 = 0.1, tones 1 and 3 GHz, quadrature bias
 FIBER = tuned_fiber(PLAN)
@@ -205,8 +205,8 @@ def test_criterion_06_brute_force_crossover():
 
 
 def test_criterion_07_pns_hardening():
-    two = pns_exploitable_fraction(PnsModel(mu=0.1, min_exploitable=2))
-    three = pns_exploitable_fraction(PnsModel(mu=0.1, min_exploitable=3))
+    two = pns_exploitable_fraction(0.1, 2)
+    three = pns_exploitable_fraction(0.1, 3)
     rng = np.random.default_rng(SEED + 3)
     draws = rng.poisson(0.1, 300_000)
     mc_ok = True

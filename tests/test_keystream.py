@@ -264,7 +264,7 @@ class TestPopcount:
         assert popcount(values, 8 * 256) == sum(bin(x).count("1") for x in range(256))
 
     def test_every_pair_of_bytes(self):
-        # Whole bytes are read two at a time.
+        # Every 16-bit pattern, as the two whole bytes of one row.
         pairs = np.arange(65536, dtype=">u2").view(np.uint8).reshape(-1, 2)
         assert popcount(pairs, 16).tolist() == [bin(x).count("1") for x in range(65536)]
 
@@ -285,7 +285,8 @@ class TestPopcount:
 
     @pytest.mark.parametrize("num_bits", [16 * 2**12 - 1, 16 * 2**12, 16 * 2**12 + 9, 3 * 16 * 2**12 + 5])
     def test_counts_across_lookup_blocks(self, num_bits):
-        # Byte pairs are looked up 2**12 at a time; every block counts once.
+        # Long rows, whole and ending mid-byte, with random bytes past num_bits:
+        # every whole byte counts once and none past the prefix counts.
         rows = np.random.default_rng(num_bits).integers(0, 256, (2, -(-num_bits // 8) + 3), dtype=np.uint8)
         expected = [int(np.unpackbits(row)[:num_bits].sum()) for row in rows]
         assert popcount(rows, num_bits).tolist() == expected

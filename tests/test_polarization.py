@@ -1,4 +1,4 @@
-"""Coherent polarization states: rotations, Stokes statistics, overlaps, PBS."""
+"""Coherent polarization states: rotations, Stokes statistics, overlaps, click fields."""
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from hpqkd.polarization import (
     CLICK_BLOCK,
     SPARSE_CLICK_PROB,
-    DetectionCounts,
     DetectionEvent,
-    TwoModeCoherentState,
     add_clicks,
     overlap_exact,
-    pbs_measure,
     two_arm_clicks,
 )
+from physics_reference import DetectionCounts, TwoModeCoherentState
 from physics_reference import add_clicks as reference_add_clicks
 from physics_reference import overlap_small_angle, rotate, stokes_monte_carlo, stokes_summary
 
@@ -390,39 +388,3 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap_small_angle(-1.0, 0.1)
 
-
-class TestPbsMeasure:
-    def test_aligned_analyzer_never_reflects(self):
-        state = TwoModeCoherentState(alpha=10.0, theta=0.9)
-        rng = np.random.default_rng(5)
-        assert all(
-            pbs_measure(state, 0.9, rng).counts_reflect == 0 for _ in range(200)
-        )
-
-    def test_crossed_analyzer_never_transmits(self):
-        state = TwoModeCoherentState(alpha=10.0, theta=0.9)
-        rng = np.random.default_rng(6)
-        assert all(
-            pbs_measure(state, 0.9 + np.pi / 2, rng).counts_transmit == 0 for _ in range(200)
-        )
-
-    def test_diagonal_split_means(self):
-        # Analyzer at theta + pi/4: each arm averages |alpha|^2 / 2.
-        state = TwoModeCoherentState(alpha=10.0, theta=0.2)
-        rng = np.random.default_rng(7)
-        trials = 10_000
-        events = [pbs_measure(state, 0.2 + np.pi / 4, rng) for _ in range(trials)]
-        sigma = np.sqrt(50.0 / trials)
-        assert abs(np.mean([e.counts_transmit for e in events]) - 50.0) <= 3 * sigma
-        assert abs(np.mean([e.counts_reflect for e in events]) - 50.0) <= 3 * sigma
-
-    def test_total_counts_conserve_energy_in_expectation(self):
-        state = TwoModeCoherentState(alpha=3.0, theta=1.1)
-        rng = np.random.default_rng(8)
-        trials = 20_000
-        total = sum(
-            e.counts_transmit + e.counts_reflect
-            for e in (pbs_measure(state, 0.4, rng) for _ in range(trials))
-        )
-        expected = trials * state.mean_photons
-        assert abs(total - expected) <= 4 * np.sqrt(expected)

@@ -18,10 +18,11 @@ from hpqkd.protocol import (
     SessionConfig,
     run_session,
 )
-from hpqkd.polarization import CLICK_BLOCK, SPARSE_CLICK_PROB, DetectionCounts
+from hpqkd.polarization import CLICK_BLOCK, SPARSE_CLICK_PROB
 import physics_reference as ref
 from physics_reference import (
     ChannelRun,
+    DetectionCounts,
     layout5_run_channel,
     measured_bases,
     reference_channel_run,

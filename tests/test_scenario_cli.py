@@ -504,24 +504,17 @@ class TestPublicApi:
         # and says so in CHANGES.md.
         assert sorted(hpqkd.__all__) == [
             "ChannelModel",
-            "DetectionCounts",
-            "DetectionEvent",
             "ExpandedKey",
             "FiberLink",
             "ModulationPlan",
-            "PnsModel",
             "SeedKey",
             "SessionConfig",
             "SessionReport",
             "SidebandSpectrum",
-            "TwoModeCoherentState",
             "__version__",
-            "amplifier_attack",
             "attack_success_curve",
-            "bob_anomaly_monitor",
             "expand_key",
             "overlap_exact",
-            "pbs_measure",
             "pns_exploitable_fraction",
             "run_session",
             "sideband_intensities_closed_form",
