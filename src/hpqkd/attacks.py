@@ -40,16 +40,25 @@ def _hypothesis_tables(cos2: np.ndarray, signal_mean: float) -> np.ndarray:
 #: stream layout: memory stays O(_TRIAL_BLOCK * M + M^2) for any trial count.
 _TRIAL_BLOCK = 1024
 
-#: Layout of the random streams consumed by the brute-force sweep, recorded
-#: in the ``attack-sweep`` bundle.  Layout 2: ``attack_success_curve`` spawns
-#: one child per grid point in grid order (``attack-sweep`` spawns one more
-#: for its PNS table), on which ``estimate_success`` runs blocks of up to
+#: Pulses per block of ``pns_tail_fractions``.  Part of the stream layout:
+#: memory stays O(_PNS_BLOCK) for any pulse count.
+_PNS_BLOCK = 2**16
+
+#: Layout of the random streams consumed by ``attack-sweep``, recorded in its
+#: bundle.  Layout 3: ``attack_success_curve`` spawns one child per grid
+#: point in grid order, on which ``estimate_success`` runs blocks of up to
 #: ``_TRIAL_BLOCK`` trials; per block of n trials it draws the true
 #: candidate indices ``integers(0, M, n)``, then ``_identify`` draws the
 #: transmit counts ``poisson`` (n, M), the reflect counts ``poisson`` (n, M),
 #: the tie jitter ``uniform`` (n, M) and the fallback indices
-#: ``integers(0, M, n)``, every one of them whether or not it is used.
-STREAM_LAYOUT = 2
+#: ``integers(0, M, n)``, every one of them whether or not it is used (as in
+#: layout 2).  ``attack-sweep`` spawns one more child for its PNS table, on
+#: which ``pns_tail_fractions`` runs blocks of up to ``_PNS_BLOCK`` pulses;
+#: per block of n pulses it draws ``standard_exponential(n)``, then for each
+#: k from 2 to the largest threshold ``standard_exponential(live)`` for the
+#: ``live`` pulses, in pulse order, whose arrival time k - 1 is below the
+#: largest mean.  Layout 2 drew ``poisson(mu, trials)`` per table row.
+STREAM_LAYOUT = 3
 
 
 def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random.Generator) -> np.ndarray:
@@ -176,3 +185,40 @@ def pns_exploitable_fraction(mu: float, min_exploitable: int) -> float:
         raise ValueError("min_exploitable must be 2 or 3")
     head = sum(math.exp(-mu) * mu**k / math.factorial(k) for k in range(min_exploitable))
     return max(0.0, 1.0 - head)
+
+
+def pns_tail_fractions(mus, thresholds, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Monte Carlo P(N >= t) for every mean in ``mus`` and threshold in ``thresholds``.
+
+    A check of ``pns_exploitable_fraction`` that does not use the Poisson
+    law: photons arrive as a unit-rate Poisson process, arrival t at
+    S_t = E_1 + ... + E_t with i.i.d. standard exponentials E_k, and a pulse
+    of mean mu holds at least t photons iff S_t < mu (so mu = 0 reads 0).
+    All means and thresholds share one set of ``trials`` arrival sequences,
+    so each entry is a Binomial(trials, P(N >= t)) fraction, and the entries
+    never fall as mu grows or t falls.  Returns a len(mus) x len(thresholds)
+    array.  Draw order as documented at ``STREAM_LAYOUT``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    means = np.asarray(mus, dtype=float)
+    if not means.size or not (np.isfinite(means) & (means >= 0)).all():
+        raise ValueError("need at least one mean, each finite and >= 0")
+    thresholds = list(thresholds)
+    if not thresholds or not set(thresholds) <= {2, 3}:
+        raise ValueError("thresholds must be 2 or 3, at least one")
+    # An arrival time's bin counts the means at or below it, so it is below
+    # mu iff its bin is at most the number of means below mu.  (Not
+    # np.unique: its first call imports numpy.ma, 17 ms and 1 MB.)
+    levels = np.sort(means)
+    rank = np.searchsorted(levels, means)
+    reach = levels[-1]
+    hits = np.zeros((max(thresholds) + 1, len(levels) + 1), dtype=np.int64)
+    for start in range(0, trials, _PNS_BLOCK):
+        arrival = rng.standard_exponential(min(_PNS_BLOCK, trials - start))
+        for k in range(2, max(thresholds) + 1):
+            arrival = arrival[arrival < reach]
+            arrival += rng.standard_exponential(len(arrival))
+            hits[k] += np.bincount(np.searchsorted(levels, arrival, side="right"), minlength=len(levels) + 1)
+    below = np.cumsum(hits, axis=1)
+    return below[np.ix_(thresholds, rank)].T / trials

@@ -85,14 +85,19 @@ def add_clicks(field: np.ndarray, num_slots: int, p: float, rng: np.random.Gener
     """
     if not 0 <= p <= 1:
         raise ValueError(f"click probability must be in [0, 1], got {p!r}")
+    # The drawn slots are distinct, so no two of their one-bit masks share a
+    # bit: adding the masks sets (subtracting them clears) exactly those
+    # bits, and numpy runs add.at and subtract.at several times faster than
+    # bitwise_or.at and bitwise_and.at.
     if p <= SPARSE_CLICK_PROB:
         if p > 0:
-            np.bitwise_or.at(field, *_bit_places(sparse_slots(num_slots, p, rng)))
+            clicks = np.zeros_like(field)
+            np.add.at(clicks, *_bit_places(sparse_slots(num_slots, p, rng)))
+            field |= clicks
     elif p >= 1 - SPARSE_CLICK_PROB:
-        byte, bit = _bit_places(sparse_slots(num_slots, 1 - p, rng))
         clicks = np.full_like(field, 0xFF)
         clear_tail(clicks, num_slots)
-        np.bitwise_and.at(clicks, byte, ~bit)
+        np.subtract.at(clicks, *_bit_places(sparse_slots(num_slots, 1 - p, rng)))
         field |= clicks
     else:
         for block, u in uniform_blocks(rng, num_slots):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import attacks, protocol
-from .attacks import attack_success_curve, pns_exploitable_fraction
+from .attacks import attack_success_curve, pns_exploitable_fraction, pns_tail_fractions
 from .optics import (
     fit_half_angle_fringe,
     is_tuned,
@@ -99,20 +99,25 @@ def simulate_results(resolved: dict) -> dict:
 
 
 def _pns_rows(resolved: dict, trials: int, rng: np.random.Generator) -> list[dict]:
+    """One row per (mean, threshold), means outer: the analytic tail, its Monte Carlo check and that check's error.
+
+    The error takes the larger of the two fractions' binomial variances, so
+    a check that happens to read 0 or 1 still reports the analytic spread.
+    """
     sweep = resolved["attack_sweep"]
+    mc_table = pns_tail_fractions(sweep["pns_mu"], sweep["pns_thresholds"], trials, rng)
     rows = []
-    for mu in sweep["pns_mu"]:
-        for threshold in sweep["pns_thresholds"]:
+    for mu, mc_row in zip(sweep["pns_mu"], mc_table.tolist(), strict=True):
+        for threshold, mc in zip(sweep["pns_thresholds"], mc_row, strict=True):
             analytic = pns_exploitable_fraction(mu, threshold)
-            draws = rng.poisson(mu, trials)
-            mc = float(np.mean(draws >= threshold))
+            spread = max(mc * (1 - mc), analytic * (1 - analytic))
             rows.append(
                 {
                     "mu": mu,
                     "threshold": threshold,
                     "analytic_fraction": analytic,
                     "mc_fraction": mc,
-                    "mc_stderr": float(np.sqrt(max(mc * (1 - mc), analytic) / trials)),
+                    "mc_stderr": float(np.sqrt(spread / trials)),
                 }
             )
     return rows

@@ -40,8 +40,11 @@ MAX_NUM_SLOTS = 10_000_000
 #: of at most 1.6e-3.
 MAX_ATTACK_TRIALS = 100_000
 
-#: Largest accepted ``attack_sweep.pns_mc_trials``: a PNS row draws 9 B and
-#: ~30 ns per trial, so 90 MB and 0.3 s per row at the cap.
+#: Largest accepted ``attack_sweep.pns_mc_trials``: the PNS table draws its
+#: pulses in blocks (``attacks.pns_tail_fractions``), so it peaks at 0.7-1.1
+#: MiB traced for any count, and takes 13-17 ns per pulse for the whole table
+#: at the default means and 45-71 ns with every pulse drawn to its third
+#: photon (two timing runs, numpy 2.4.6, 2-core VM): 0.13-0.71 s at the cap.
 MAX_PNS_MC_TRIALS = 10_000_000
 
 #: Most entries in ``attack_sweep.alpha_sq_over_m_grid``: each entry is one
@@ -51,8 +54,10 @@ MAX_PNS_MC_TRIALS = 10_000_000
 MAX_GRID_POINTS = 64
 
 #: Most entries in ``attack_sweep.pns_mu``: each mean gives one PNS row per
-#: threshold, about 5 ms at the default 2e5 trials and 0.23 s at
-#: ``MAX_PNS_MC_TRIALS``, so at most 0.6 s and 30 s for the table.
+#: threshold, and all rows share one draw, whose cost grows with the largest
+#: mean rather than with the number of means: 2.8-5 ms at the default 2e5
+#: trials and means, 9.5-17 ms with 64 means reaching 1e6, and at most
+#: 0.71 s at ``MAX_PNS_MC_TRIALS``.
 MAX_PNS_MU = 64
 
 #: Largest accepted ``optics_verify.num_samples``: a spectrum peaks near 40 B

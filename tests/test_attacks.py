@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpqkd.attacks import (
+    _PNS_BLOCK,
     _TIE_JITTER,
     _TRIAL_BLOCK,
     MAX_ATTACK_M_BASES,
@@ -18,6 +20,7 @@ from hpqkd.attacks import (
     attack_success_curve,
     estimate_success,
     pns_exploitable_fraction,
+    pns_tail_fractions,
     _identify,
 )
 
@@ -219,9 +222,10 @@ class TestStreamLayout:
             assert rng.bit_generator.state == kernel.bit_generator.state == replay.bit_generator.state, m
 
 
-#: sha256 of ``attack_success_curve`` as JSON under stream layout 2, per
-#: (M, trials); the second case ends on a partial block.  A new digest means
-#: the sweep consumes its streams differently: bump ``STREAM_LAYOUT``.
+#: sha256 of ``attack_success_curve`` as JSON under stream layouts 2 and 3
+#: (layout 3 changed only the PNS table's draws), per (M, trials); the second
+#: case ends on a partial block.  A new digest means the sweep consumes its
+#: streams differently: bump ``STREAM_LAYOUT``.
 SWEEP_GOLDEN_DIGESTS = {
     (64, 1000): "ca5234bbb286da9beaff1aa63281de9f5ddde5a938c9cefe39806b03f879df86",
     (8, 2 * _TRIAL_BLOCK + 1): "0635fc417e26d954244cee02e3bf3a44f8f913813702963e1ba96ae58be4f1ec",
@@ -230,7 +234,7 @@ SWEEP_GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("m, trials", sorted(SWEEP_GOLDEN_DIGESTS))
 def test_success_curve_matches_golden_digest(m, trials):
-    assert STREAM_LAYOUT == 2
+    assert STREAM_LAYOUT == 3
     grid = [m * ratio for ratio in (0.0, 0.25, 1.0, 4.0, 64.0)]
     points = attack_success_curve(grid, m, trials, np.random.default_rng(2026))
     payload = json.dumps([dataclasses.asdict(p) for p in points], sort_keys=True)
@@ -311,3 +315,114 @@ class TestPns:
                 pns_exploitable_fraction(mu, 2)
         with pytest.raises(ValueError):
             pns_exploitable_fraction(0.1, 4)
+
+
+def _reference_tail_fractions(mus, thresholds, trials: int, rng) -> np.ndarray:
+    """The layout-3 PNS draw with a mask over every pulse in place of
+    compaction, and each (mu, t) counted by its own comparison."""
+    reach = max(mus)
+    hits = np.zeros((len(mus), len(thresholds)), dtype=np.int64)
+    for start in range(0, trials, _PNS_BLOCK):
+        arrival = rng.standard_exponential(min(_PNS_BLOCK, trials - start))
+        for k in range(2, max(thresholds) + 1):
+            live = arrival < reach
+            arrival[~live] = np.inf
+            arrival[live] += rng.standard_exponential(int(live.sum()))
+            for j, threshold in enumerate(thresholds):
+                if threshold == k:
+                    hits[:, j] += [int((arrival < mu).sum()) for mu in mus]
+    return hits / trials
+
+
+#: Means and thresholds whose tails the pooled law gate checks.
+PNS_LAW_MUS = (0.05, 0.2, 1.0, 5.0)
+#: Seeds pooled by the law gate, and pulses per seed: 2e6 pulses in all,
+#: about 40 expected at the rarest tail (mu = 0.05, t = 3).
+PNS_LAW_SEEDS, PNS_LAW_TRIALS = 100, 20_000
+
+#: sha256 of ``pns_tail_fractions`` as JSON under stream layout 3, on
+#: ``default_rng(2026)``; the draw ends on a partial block.
+PNS_GOLDEN_DIGEST = "da05760b60888744a6e350c7266c4df58b49c0380e5caede14070e5fb2fceb7d"
+
+
+class TestPnsTailFractions:
+    @pytest.mark.parametrize(
+        "mus, thresholds, trials",
+        [
+            ([0.05, 0.1, 0.2], [2, 3], 2 * _PNS_BLOCK + 5),
+            ([5.0, 0.0, 0.2, 5.0], [3], 1000),  # unsorted, a repeated mean, one threshold
+            ([0.0], [3, 2], 10),  # nothing reaches a second photon
+        ],
+        ids=["default-means", "unsorted-repeated", "vacuum"],
+    )
+    def test_equals_the_per_pulse_reference(self, mus, thresholds, trials):
+        rng, replay = np.random.default_rng(17), np.random.default_rng(17)
+        fractions = pns_tail_fractions(mus, thresholds, trials, rng)
+        np.testing.assert_array_equal(fractions, _reference_tail_fractions(mus, thresholds, trials, replay))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_vacuum_reads_zero_and_rows_are_coupled(self):
+        mus = [0.0, 0.05, 0.2, 1.0, 5.0, 1e6]
+        fractions = pns_tail_fractions(mus, [2, 3], 50_000, np.random.default_rng(4))
+        assert (fractions[0] == 0).all()
+        assert (fractions[-1] == 1).all()
+        assert (np.diff(fractions, axis=0) >= 0).all()  # never falls as mu grows
+        assert (fractions[:, 1] <= fractions[:, 0]).all()  # mc(3) <= mc(2)
+
+    @pytest.mark.parametrize("trials", (1, _PNS_BLOCK, _PNS_BLOCK + 1))
+    def test_any_pulse_count_runs(self, trials):
+        fractions = pns_tail_fractions([0.0, 0.5, 3.0], [2, 3], trials, np.random.default_rng(trials))
+        assert fractions.shape == (3, 2)
+        hits = fractions * trials
+        np.testing.assert_array_equal(hits, np.round(hits))
+        assert (fractions[0] == 0).all() and ((0 <= fractions) & (fractions <= 1)).all()
+
+    def test_law_over_pooled_seeds(self):
+        hits = sum(
+            np.round(pns_tail_fractions(PNS_LAW_MUS, [2, 3], PNS_LAW_TRIALS, np.random.default_rng([29, seed])) * PNS_LAW_TRIALS)
+            for seed in range(PNS_LAW_SEEDS)
+        )
+        pulses = PNS_LAW_SEEDS * PNS_LAW_TRIALS
+        for i, mu in enumerate(PNS_LAW_MUS):
+            for j, threshold in enumerate((2, 3)):
+                p = pns_exploitable_fraction(mu, threshold)
+                assert abs(hits[i, j] - pulses * p) <= 3 * np.sqrt(pulses * p * (1 - p)), (mu, threshold)
+
+    def test_peak_memory_does_not_grow_with_pulses(self):
+        peaks = []
+        for trials in (1_000_000, 10_000_000):
+            tracemalloc.start()
+            try:
+                pns_tail_fractions([0.05, 0.1, 0.2], [2, 3], trials, np.random.default_rng(5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # One block of float64 arrival times is 512 KiB.
+        assert abs(peaks[1] - peaks[0]) <= 2**16, peaks
+        assert peaks[1] < 4 * 8 * _PNS_BLOCK, peaks
+
+    def test_matches_golden_digest(self):
+        assert STREAM_LAYOUT == 3
+        fractions = pns_tail_fractions([0.0, 0.05, 0.1, 0.2, 5.0], [2, 3], 2 * _PNS_BLOCK + 3, np.random.default_rng(2026))
+        assert hashlib.sha256(json.dumps(fractions.tolist()).encode()).hexdigest() == PNS_GOLDEN_DIGEST
+
+    @pytest.mark.parametrize(
+        "mus, thresholds, trials",
+        [
+            ([0.1], [2], 0),
+            ([], [2], 10),
+            ([-0.1], [2], 10),
+            ([np.nan], [2], 10),
+            ([np.inf], [2], 10),
+            ([0.1], [], 10),
+            ([0.1], [4], 10),
+            ([0.1], [1, 2], 10),
+        ],
+        ids=["no-pulses", "no-means", "negative-mean", "nan-mean", "inf-mean", "no-thresholds", "threshold-4", "threshold-1"],
+    )
+    def test_bad_input_raises_and_draws_nothing(self, mus, thresholds, trials):
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            pns_tail_fractions(mus, thresholds, trials, rng)
+        assert rng.bit_generator.state == before

@@ -9,7 +9,9 @@ from hpqkd.polarization import (
     SPARSE_CLICK_PROB,
     DetectionEvent,
     add_clicks,
+    clear_tail,
     overlap_exact,
+    sparse_slots,
     two_arm_clicks,
 )
 from physics_reference import DetectionCounts, TwoModeCoherentState
@@ -187,6 +189,27 @@ class TestClickField:
         reference_add_clicks(unpacked, p, np.random.default_rng(11))
         add_clicks(field, n, p, np.random.default_rng(11))
         np.testing.assert_array_equal(field, _pack(unpacked))
+
+    @pytest.mark.parametrize("n", (7, 1001, 2 * CLICK_BLOCK + 5))
+    @pytest.mark.parametrize("p", (1e-3, SPARSE_CLICK_PROB, 1 - SPARSE_CLICK_PROB, 1 - 1e-3))
+    def test_sparse_regimes_equal_the_bitwise_at_reference(self, p, n):
+        # The sparse regimes as they were written with np.bitwise_or.at and
+        # np.bitwise_and.at, byte for byte, on a field of random bytes: its
+        # clicks already set, and the bits past n of its partial last byte
+        # left as they are (n = 7 and 1001).
+        preset = np.random.default_rng(n).integers(0, 256, -(-n // 8), dtype=np.uint8)
+        field, expected = preset.copy(), preset.copy()
+        add_clicks(field, n, p, np.random.default_rng(12))
+        slots = sparse_slots(n, min(p, 1 - p), np.random.default_rng(12))
+        byte, bit = slots >> 3, np.uint8(0x80) >> (slots & 7).astype(np.uint8)
+        if p <= SPARSE_CLICK_PROB:
+            np.bitwise_or.at(expected, byte, bit)
+        else:
+            clicks = np.full_like(expected, 0xFF)
+            clear_tail(clicks, n)
+            np.bitwise_and.at(clicks, byte, ~bit)
+            expected |= clicks
+        np.testing.assert_array_equal(field, expected)
 
 
 class _RecordingRng:

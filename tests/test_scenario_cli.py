@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import hpqkd
@@ -301,6 +302,19 @@ class TestAttackSweepCommand:
         for row in pns:
             assert row["mc_fraction"] == pytest.approx(row["analytic_fraction"], abs=5 * row["mc_stderr"] + 1e-9)
 
+    def test_pns_stderr_floor_is_the_analytic_spread(self):
+        # At mu = 1e6 both fractions are exactly 1 and so is the spread's
+        # floor: the row reports no error.  At mu = 0 both read exactly 0.
+        sweep = {"pns_mu": [0.0, 0.1, 1e6], "pns_thresholds": [2, 3]}
+        rows = reporting._pns_rows({"attack_sweep": sweep}, 1000, np.random.default_rng(3))
+        ends = [row for row in rows if row["mu"] != 0.1]
+        assert [(row["analytic_fraction"], row["mc_fraction"], row["mc_stderr"]) for row in ends] == [(0.0, 0.0, 0.0)] * 2 + [
+            (1.0, 1.0, 0.0)
+        ] * 2
+        for row in rows:
+            analytic, mc = row["analytic_fraction"], row["mc_fraction"]
+            assert row["mc_stderr"] == math.sqrt(max(mc * (1 - mc), analytic * (1 - analytic)) / 1000)
+
     def test_trials_override(self, tmp_path):
         path = write_scenario(tmp_path, FAST_SWEEP)
         out = tmp_path / "sweep.json"
@@ -360,7 +374,7 @@ class TestAttackSweepCommand:
         path = write_scenario(tmp_path, FAST_SWEEP)
         out = tmp_path / "sweep.json"
         assert cli.main(["attack-sweep", "--scenario", path, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["data"]["results"]["stream_layout"] == 2
+        assert json.loads(out.read_text())["data"]["results"]["stream_layout"] == attacks.STREAM_LAYOUT == 3
 
     @pytest.mark.parametrize(
         "sweep, argv",

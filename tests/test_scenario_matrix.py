@@ -47,14 +47,17 @@ WORKLOADS = {
 #: with layout 6, whose weak channels draw counts per slot class and whose
 #: sessions gained ``useful_rate_bits_per_sent_slot`` and
 #: ``rate_ratio_per_sent_slot_vs_baseline``.  Under layout 5 the data hashed
-#: as ``LAYOUT5_SIMULATE_DIGESTS``.
+#: as ``LAYOUT5_SIMULATE_DIGESTS``.  The ``attack-sweep`` digests moved with
+#: ``attacks.STREAM_LAYOUT`` 3, whose PNS table draws one set of photon
+#: arrival times for every row: only its ``mc_fraction`` and ``mc_stderr``
+#: columns and ``stream_layout`` changed.
 DATA_DIGESTS = {
     ("sim-ideal", "simulate"): "78ef5355adae84ab9e261e597a8e29655fb557af90ec8fcf32e9acf7abe01ac0",
-    ("sim-ideal", "attack-sweep"): "046dc1636077f90b0a9561049fce94088b62a9072aec5459ea30cf17c6d4c690",
+    ("sim-ideal", "attack-sweep"): "2a700768e581884a20e4063bc02ba575b7858b2d0c5a3d063caaec669901bcc1",
     ("sim-longhaul", "simulate"): "c4da07f26cdad759edf83ca25b6d42ba4e94e9c7a1f84f2de5e7a8e6347978b0",
-    ("sim-longhaul", "attack-sweep"): "228fff42d9710f188457a2abb4639d90783c5ba6c7467e2336772196d3dd1bbf",
+    ("sim-longhaul", "attack-sweep"): "969f189afe47980ba4f59f83fa9ae9985a9e8e9c9f2360dff74cf324abcd945c",
     ("analysis", "simulate"): "5dbfdefe776073ad4ef912638ae72cdafc5d4a198450299c03b025edde398590",
-    ("analysis", "attack-sweep"): "d8524c6af239e4838a30a56634e717f3111c48e788a3002c6ebd3767be5a7a3a",
+    ("analysis", "attack-sweep"): "788dd6fd866a6bd5663630647d97f4459a315dfcd00f560b2bdc99bd86ce9dde",
 }
 
 #: ``simulate`` digests under layout 5, which the layout-5 reference session
