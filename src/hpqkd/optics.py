@@ -253,8 +253,13 @@ def split_upper_probability(plan: ModulationPlan, fiber: FiberLink, channel: int
     return 0.5 + (v / (2 * s)) * np.sin(chi + np.asarray(delta_phi, dtype=float))
 
 
+@lru_cache(maxsize=16)
 def _common_period(omega1: float, omega2: float, max_denominator: int = 4096):
-    """Shortest duration holding an integer number of cycles of both tones."""
+    """Shortest duration holding an integer number of cycles of both tones.
+
+    Cached, since every oracle spectrum asks for it; a ValueError is raised
+    again on every call, as ``lru_cache`` keeps no exceptions.
+    """
     ratio = omega1 / omega2
     frac = Fraction(ratio).limit_denominator(max_denominator) if math.isfinite(ratio) else Fraction(0)
     if frac.numerator == 0 or abs(float(frac) - ratio) > 1e-9 * ratio:
@@ -283,6 +288,10 @@ def oracle_period(plan: ModulationPlan, num_samples: int) -> float:
         )
     return period
 
+
+#: Samples per partial sum of the oracle's bin readout: a block's dot
+#: products go to BLAS, and the block sums are then added pairwise.
+_ORACLE_BLOCK = 4096
 
 #: Two grids, 84 MB each at ``scenario.MAX_ORACLE_SAMPLES``: a command builds
 #: one, and a caller that alternates two settings of Bob's still finds both.
@@ -341,39 +350,50 @@ def sideband_intensities_oracle(
     phase-modulator exponential multiplies it in the time domain.
 
     The field is sampled over one common tone period (``oracle_period``),
-    and each tone power is a direct DFT sum at the tone's exact bin, summed
-    pairwise.  With the tones, Bob's phasor and the twiddles from a small
-    per-grid cache, a call takes one cosine per sample, for the envelope.
+    and each tone power is a direct DFT sum at the tone's exact bin.  With
+    the tones, Bob's phasor and the twiddles from a small per-grid cache, a
+    call takes one cosine per sample, for the envelope, and small matrix
+    products: the drive from the four tone rows, and the sideband sums from
+    the four twiddle rows, per block of ``_ORACLE_BLOCK`` samples with the
+    block sums added pairwise.  The carrier is the field's pairwise mean.
 
     Raises ValueError when the grid violates the Nyquist bound for the
     highest tone, the tones share no common period, or a tone does not sit
     on a DFT bin.
     """
     oracle_period(plan, num_samples)  # its Nyquist and common-period checks
-    cos1, sin1, cos2, sin2, bob_cos, bob_sin, *twiddles = _oracle_grid(
-        plan.omega1, plan.omega2, plan.m3, plan.m4, plan.phi1_b, plan.phi2_b, num_samples
-    )
+    grid = _oracle_grid(plan.omega1, plan.omega2, plan.m3, plan.m4, plan.phi1_b, plan.phi2_b, num_samples)
     phase1 = plan.phi1_a + fiber.link_phase(plan.omega1)
     phase2 = plan.phi2_a + fiber.link_phase(plan.omega2)
-    drive = (
-        (plan.m1 * math.cos(phase1)) * cos1
-        - (plan.m1 * math.sin(phase1)) * sin1
-        + (plan.m2 * math.cos(phase2)) * cos2
-        - (plan.m2 * math.sin(phase2)) * sin2
-    )
-    envelope = plan.e0 * np.cos((plan.psi1 + drive) / 2)
-    re, im = envelope * bob_cos, envelope * bob_sin
-    mean_re, mean_im = np.add.reduce(re) / num_samples, np.add.reduce(im) / num_samples
-    powers = [mean_re**2 + mean_im**2]
+    # Half of Alice's drive m*cos(omega*t + phase), from the rows cos and sin
+    # of omega*t; halving is exact, so this is cos((psi1 + drive)/2).
+    m1, m2 = plan.m1 / 2, plan.m2 / 2
+    half = np.array([m1 * math.cos(phase1), -m1 * math.sin(phase1), m2 * math.cos(phase2), -m2 * math.sin(phase2)])
+    envelope = half @ grid[:4]
+    envelope += plan.psi1 / 2
+    np.cos(envelope, out=envelope)
+    field = grid[4:6] * envelope  # rows re, im of Bob's field over e0, so powers are in e0^2
+    mean = np.add.reduce(field, axis=1) / num_samples
     # The carrier sums to 0 against a tone's twiddles.  Taken out first, it
     # leaves partial sums, and so rounding, at the scale of the sidebands.
-    re -= mean_re
-    im -= mean_im
-    for cos_k, sin_k in (twiddles[:2], twiddles[2:]):
-        # The bins +k and -k (upper and lower sideband) from the same four sums.
-        rc, rs, ic, is_ = (np.add.reduce(x * y) / num_samples for x in (re, im) for y in (cos_k, sin_k))
+    field -= mean[:, None]
+    # The sums of re and im against the four twiddle rows, per block of
+    # _ORACLE_BLOCK samples (the last block partial), then over the blocks.
+    whole = num_samples // _ORACLE_BLOCK
+    cut = whole * _ORACLE_BLOCK
+    blocks = np.matmul(
+        field[:, :cut].reshape(2, whole, _ORACLE_BLOCK).transpose(1, 0, 2),
+        grid[6:, :cut].reshape(4, whole, _ORACLE_BLOCK).transpose(1, 2, 0),
+    )
+    last = field[:, cut:] @ grid[6:, cut:].T
+    # One contiguous row of block sums per bin sum: numpy adds along it pairwise.
+    per_block = np.concatenate((blocks, last[None])).reshape(whole + 1, 8).T.copy()
+    sums = np.add.reduce(per_block, axis=1) / num_samples  # [re, im][tone][cos, sin]
+    powers = [mean[0] ** 2 + mean[1] ** 2]
+    # The bins +k and -k (upper and lower sideband) of a tone from the same four sums.
+    for (rc, rs), (ic, is_) in zip(*sums.reshape(2, 2, 2)):
         powers += [(rc + is_) ** 2 + (ic - rs) ** 2, (rc - is_) ** 2 + (ic + rs) ** 2]
-    return SidebandSpectrum(*map(float, powers))
+    return SidebandSpectrum(*(float(plan.e0**2 * p) for p in powers))
 
 
 def fit_half_angle_fringe(delta_phis, powers, kind: str = "cos2") -> tuple[float, float]:

@@ -60,14 +60,16 @@ MAX_GRID_POINTS = 64
 #: 0.71 s at ``MAX_PNS_MC_TRIALS``.
 MAX_PNS_MU = 64
 
-#: Largest accepted ``optics_verify.num_samples``: a spectrum peaks near 40 B
-#: and takes ~40 ns per sample, and a cached grid (a command builds one, the
-#: cache keeps 2) holds 80 B per sample, so 40 MB and 0.04 s per spectrum plus
-#: 84 MB per grid; ``optics-verify`` peaks at 154 MB RSS with 6 spectra here.
+#: Largest accepted ``optics_verify.num_samples``: a spectrum allocates at
+#: most 24 B and takes 20-30 ns per sample (one BLAS thread, 2-core VM), and
+#: a cached grid (a command builds one, the cache keeps 2) holds 80 B per
+#: sample, so 25 MB and 0.02-0.03 s per spectrum plus 84 MB per grid;
+#: ``optics-verify`` peaks at 154 MB RSS with 6 spectra, a peak that the
+#: grid build sets.
 MAX_ORACLE_SAMPLES = 2**20
 
 #: Largest accepted ``optics_verify.sweep_points`` and ``cross_sweep_points``:
-#: a point is one spectrum, ~0.5 ms on the default grid, so ~0.5 s per sweep.
+#: a point is one spectrum, ~0.3 ms on the default grid, so ~0.3 s per sweep.
 MAX_SWEEP_POINTS = 1024
 
 

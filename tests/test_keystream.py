@@ -10,6 +10,7 @@ from hpqkd.keystream import (
     ExpandedKey,
     MAX_M_BASES,
     SeedKey,
+    _WORD_COUNT_BYTES,
     basis_parities,
     bits_per_slot,
     expand_key,
@@ -290,6 +291,27 @@ class TestPopcount:
         rows = np.random.default_rng(num_bits).integers(0, 256, (2, -(-num_bits // 8) + 3), dtype=np.uint8)
         expected = [int(np.unpackbits(row)[:num_bits].sum()) for row in rows]
         assert popcount(rows, num_bits).tolist() == expected
+
+    @pytest.mark.parametrize("width", [1, 7, 9, 13, 25, 26, _WORD_COUNT_BYTES + 13, 3 * _WORD_COUNT_BYTES + 13])
+    def test_matches_unpackbits_on_unaligned_rows(self, width):
+        # Row widths that are not a multiple of 8 bytes put most rows off an
+        # 8-byte boundary, as does a 1-D string that starts 3 bytes into its
+        # buffer.  Prefixes of 1-200 bits, and on the wide rows also around
+        # the word count's threshold and up to the end.
+        prefixes = range(1, min(200, 8 * width) + 1)
+        if width > _WORD_COUNT_BYTES:
+            threshold = 8 * _WORD_COUNT_BYTES
+            prefixes = [*prefixes, *range(threshold - 100, threshold + 101), *range(8 * width - 200, 8 * width + 1)]
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, 256, (5, width), dtype=np.uint8)
+        flat = rows.reshape(-1)[3:]
+        ones = np.cumsum(np.unpackbits(rows, axis=-1), axis=-1)
+        flat_ones = np.cumsum(np.unpackbits(flat))
+        for num_bits in prefixes:
+            expected = ones[:, num_bits - 1]
+            assert popcount(rows, num_bits).tolist() == expected.tolist(), num_bits
+            assert [int(popcount(row, num_bits)) for row in rows] == expected.tolist(), num_bits
+            assert int(popcount(flat, num_bits)) == int(flat_ones[num_bits - 1]), num_bits
 
     def test_counts_along_the_last_axis(self):
         rows = np.random.default_rng(4).integers(0, 256, (3, 11), dtype=np.uint8)

@@ -1,5 +1,7 @@
 """Sideband optics: exact modulator identities, fringe laws, and the oracle."""
 import dataclasses
+import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -350,6 +352,20 @@ class TestOracle:
         with pytest.raises(ValueError, match="rational"):
             sideband_intensities_oracle(plan, FIBER)
 
+    def test_common_period_is_cached_and_errors_are_not(self):
+        optics._common_period.cache_clear()
+        optics._oracle_grid.cache_clear()
+        for _ in range(3):
+            sideband_intensities_oracle(PLAN, FIBER, num_samples=1024)
+        info = optics._common_period.cache_info()
+        # The first call's checks compute it, and its grid build finds it.
+        assert (info.misses, info.hits) == (1, 3)
+        irrational = ModulationPlan(omega2=PLAN.omega1 * np.sqrt(2))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="rational"):
+                sideband_intensities_oracle(irrational, FIBER)
+        assert optics._common_period.cache_info().currsize == 1
+
     def test_tone_power_requires_exact_bin(self):
         field = synthesize_bob_field(PLAN, FIBER, num_samples=1024)
         with pytest.raises(ValueError, match="bin"):
@@ -482,13 +498,19 @@ class TestFftReadout:
     )
     @pytest.mark.parametrize("channel", [1, 2])
     def test_matches_long_double_dft(self, channel):
-        for phase in np.linspace(0, 2 * np.pi, 16, endpoint=False):
-            plan = PLAN.with_phases(**{f"phi{channel}_a": phase})
-            spectrum = sideband_intensities_oracle(plan, FIBER, num_samples=4096)
-            reference = long_double_oracle(plan, FIBER, num_samples=4096)
-            assert abs(spectrum.carrier - reference.carrier) <= 5e-16 * plan.e0**2
-            for name in ("upper1", "lower1", "upper2", "lower2"):
-                assert abs(getattr(spectrum, name) - getattr(reference, name)) <= 1e-17 * plan.e0**2, name
+        # 16384 is the commands' grid; 1000, 4097 and 12289 end in a partial
+        # block of the oracle's readout.
+        for case, num_samples in itertools.product(("default", "off-bin"), (1000, 4096, 4097, 12289, 16384)):
+            base, fiber = self.CASES[case]
+            for phase in np.linspace(0, 2 * np.pi, 16, endpoint=False):
+                plan = base.with_phases(**{f"phi{channel}_a": phase})
+                spectrum = sideband_intensities_oracle(plan, fiber, num_samples=num_samples)
+                reference = long_double_oracle(plan, fiber, num_samples=num_samples)
+                where = f"{case}, {num_samples} samples, phase {phase:.3f}"
+                assert abs(spectrum.carrier - reference.carrier) <= 5e-16 * plan.e0**2, where
+                for name in ("upper1", "lower1", "upper2", "lower2"):
+                    error = abs(getattr(spectrum, name) - getattr(reference, name))
+                    assert error <= 1e-17 * plan.e0**2, f"{name}, {where}"
 
 
 def long_double_oracle(plan, fiber, num_samples):
@@ -508,16 +530,21 @@ def long_double_oracle(plan, fiber, num_samples):
     envelope = ld(plan.e0) * np.cos((ld(plan.psi1) + drive) / 2)
     bob = ld(plan.m3) * np.cos(omega1 * t + ld(plan.phi1_b)) + ld(plan.m4) * np.cos(omega2 * t + ld(plan.phi2_b))
     re, im = envelope * np.cos(bob), envelope * np.sin(bob)
-    two_pi = 8 * np.arctan(ld(1))
     powers = []
     for omega in (0.0, plan.omega1, -plan.omega1, plan.omega2, -plan.omega2):
-        k = round(omega * float(period) / (2 * np.pi))
-        angle = two_pi * (k * n % num_samples) / num_samples
+        cos_k, sin_k = _long_double_twiddles(round(omega * float(period) / (2 * np.pi)), num_samples)
         # (re + i*im) * (cos - i*sin), summed
-        x = np.sum(re * np.cos(angle) + im * np.sin(angle)) / num_samples
-        y = np.sum(im * np.cos(angle) - re * np.sin(angle)) / num_samples
+        x = np.sum(re * cos_k + im * sin_k) / num_samples
+        y = np.sum(im * cos_k - re * sin_k) / num_samples
         powers.append(float(x * x + y * y))
     return SidebandSpectrum(*powers)
+
+
+@functools.lru_cache(maxsize=8)
+def _long_double_twiddles(k, num_samples):
+    """cos and sin of 2*pi*(k*n mod N)/N in long double, shared by a sweep's calls."""
+    angle = 8 * np.arctan(np.longdouble(1)) * (k * np.arange(num_samples) % num_samples) / num_samples
+    return np.cos(angle), np.sin(angle)
 
 
 class TestOracleGridCache:
