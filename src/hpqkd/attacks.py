@@ -45,20 +45,24 @@ _TRIAL_BLOCK = 1024
 _PNS_BLOCK = 2**16
 
 #: Layout of the random streams consumed by ``attack-sweep``, recorded in its
-#: bundle.  Layout 3: ``attack_success_curve`` spawns one child per grid
+#: bundle.  Layout 4: ``attack_success_curve`` spawns one child per grid
 #: point in grid order, on which ``estimate_success`` runs blocks of up to
 #: ``_TRIAL_BLOCK`` trials; per block of n trials it draws the true
 #: candidate indices ``integers(0, M, n)``, then ``_identify`` draws the
 #: transmit counts ``poisson`` (n, M), the reflect counts ``poisson`` (n, M),
 #: the tie jitter ``uniform`` (n, M) and the fallback indices
 #: ``integers(0, M, n)``, every one of them whether or not it is used (as in
-#: layout 2).  ``attack-sweep`` spawns one more child for its PNS table, on
-#: which ``pns_tail_fractions`` runs blocks of up to ``_PNS_BLOCK`` pulses;
-#: per block of n pulses it draws ``standard_exponential(n)``, then for each
-#: k from 2 to the largest threshold ``standard_exponential(live)`` for the
-#: ``live`` pulses, in pulse order, whose arrival time k - 1 is below the
-#: largest mean.  Layout 2 drew ``poisson(mu, trials)`` per table row.
-STREAM_LAYOUT = 3
+#: layouts 2 and 3).  ``attack-sweep`` spawns one more child for its PNS
+#: table, on which ``pns_tail_fractions`` first draws the number of pulses
+#: whose first photon arrives before the largest mean, reach, as
+#: ``binomial(trials, p)`` with p = -expm1(-reach); then it runs blocks of up
+#: to ``_PNS_BLOCK`` of those pulses, and per block of n pulses draws
+#: ``random(n)`` for their first arrivals, then for each k from 2 to the
+#: largest threshold ``standard_exponential(live)`` for the ``live`` pulses,
+#: in pulse order, whose arrival time k - 1 is below reach.  Layout 3 drew
+#: every pulse's first arrival with ``standard_exponential``; layout 2 drew
+#: ``poisson(mu, trials)`` per table row.
+STREAM_LAYOUT = 4
 
 
 def _identify(true_index: np.ndarray, m: int, signal_mean: float, rng: np.random.Generator) -> np.ndarray:
@@ -183,6 +187,14 @@ def pns_exploitable_fraction(mu: float, min_exploitable: int) -> float:
         raise ValueError(f"mu must be >= 0, got {mu!r}")
     if min_exploitable not in (2, 3):
         raise ValueError("min_exploitable must be 2 or 3")
+    if mu < 1:
+        # Below mu = 1, 1 - head cancels (at mu = 1e-6, t = 3 it reads 0), so
+        # sum the tail itself.  Each term is at most a third of the one before, so
+        # the terms left out add less than 3**-36 of the first.
+        return math.fsum(
+            math.exp(-mu) * mu**k / math.factorial(k) for k in range(min_exploitable, min_exploitable + 36)
+        )
+    # From mu = 1 on the tail is at least 0.08, so 1 - head does not cancel.
     head = sum(math.exp(-mu) * mu**k / math.factorial(k) for k in range(min_exploitable))
     return max(0.0, 1.0 - head)
 
@@ -194,6 +206,13 @@ def pns_tail_fractions(mus, thresholds, trials: int, rng: np.random.Generator) -
     law: photons arrive as a unit-rate Poisson process, arrival t at
     S_t = E_1 + ... + E_t with i.i.d. standard exponentials E_k, and a pulse
     of mean mu holds at least t photons iff S_t < mu (so mu = 0 reads 0).
+    Only pulses whose first photon arrives before the largest mean, reach,
+    can count, so the draw keeps a Binomial(trials, p) number of them, p =
+    P(E_1 < reach), and draws each one's E_1 from the exponential law
+    truncated to [0, reach) by inversion.  That has the law of drawing every
+    pulse and dropping the late ones, and it uses only the law of one
+    exponential, which every drawn arrival follows as before, so the table
+    stays a check of the Poisson tail formula and not a copy of it.
     All means and thresholds share one set of ``trials`` arrival sequences,
     so each entry is a Binomial(trials, P(N >= t)) fraction, and the entries
     never fall as mu grows or t falls.  Returns a len(mus) x len(thresholds)
@@ -208,17 +227,24 @@ def pns_tail_fractions(mus, thresholds, trials: int, rng: np.random.Generator) -
     if not thresholds or not set(thresholds) <= {2, 3}:
         raise ValueError("thresholds must be 2 or 3, at least one")
     # An arrival time's bin counts the means at or below it, so it is below
-    # mu iff its bin is at most the number of means below mu.  (Not
+    # mu iff its bin is at most the number of means below mu.  Arrivals are
+    # binned only while below reach, so no bin counts every mean.  (Not
     # np.unique: its first call imports numpy.ma, 17 ms and 1 MB.)
     levels = np.sort(means)
     rank = np.searchsorted(levels, means)
     reach = levels[-1]
-    hits = np.zeros((max(thresholds) + 1, len(levels) + 1), dtype=np.int64)
-    for start in range(0, trials, _PNS_BLOCK):
-        arrival = rng.standard_exponential(min(_PNS_BLOCK, trials - start))
+    p = -math.expm1(-reach)
+    kept = int(rng.binomial(trials, p))
+    hits = np.zeros((max(thresholds) + 1, len(levels)), dtype=np.int64)
+    for start in range(0, kept, _PNS_BLOCK):
+        # First arrivals -log1p(-p * u), mapped in place.
+        arrival = rng.random(min(_PNS_BLOCK, kept - start))
+        arrival *= -p
+        np.log1p(arrival, out=arrival)
+        np.negative(arrival, out=arrival)
         for k in range(2, max(thresholds) + 1):
-            arrival = arrival[arrival < reach]
             arrival += rng.standard_exponential(len(arrival))
-            hits[k] += np.bincount(np.searchsorted(levels, arrival, side="right"), minlength=len(levels) + 1)
+            arrival = arrival[arrival < reach]
+            hits[k] += np.bincount(np.searchsorted(levels, arrival, side="right"), minlength=len(levels))
     below = np.cumsum(hits, axis=1)
     return below[np.ix_(thresholds, rank)].T / trials

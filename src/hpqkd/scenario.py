@@ -41,10 +41,12 @@ MAX_NUM_SLOTS = 10_000_000
 MAX_ATTACK_TRIALS = 100_000
 
 #: Largest accepted ``attack_sweep.pns_mc_trials``: the PNS table draws its
-#: pulses in blocks (``attacks.pns_tail_fractions``), so it peaks at 0.7-1.1
-#: MiB traced for any count, and takes 13-17 ns per pulse for the whole table
-#: at the default means and 45-71 ns with every pulse drawn to its third
-#: photon (two timing runs, numpy 2.4.6, 2-core VM): 0.13-0.71 s at the cap.
+#: pulses in blocks (``attacks.pns_tail_fractions``), so it peaks at 0.5-1.1
+#: MiB traced for any count.  It draws only the pulses whose first photon
+#: arrives before the largest mean, 18% of them at the default means, where
+#: the whole table takes 3.7-6.4 ns per pulse; with a mean of 1e6 every
+#: pulse is drawn to its third photon, at 41-62 ns per pulse (four timing
+#: runs, numpy 2.4.6, one BLAS thread, 2-core VM): 0.04-0.62 s at the cap.
 MAX_PNS_MC_TRIALS = 10_000_000
 
 #: Most entries in ``attack_sweep.alpha_sq_over_m_grid``: each entry is one
@@ -55,9 +57,9 @@ MAX_GRID_POINTS = 64
 
 #: Most entries in ``attack_sweep.pns_mu``: each mean gives one PNS row per
 #: threshold, and all rows share one draw, whose cost grows with the largest
-#: mean rather than with the number of means: 2.8-5 ms at the default 2e5
-#: trials and means, 9.5-17 ms with 64 means reaching 1e6, and at most
-#: 0.71 s at ``MAX_PNS_MC_TRIALS``.
+#: mean and only as log(means) with their number: 0.8-1.4 ms at the default
+#: 2e5 trials and means, 16-24 ms with 64 means reaching 1e6, and 0.78-0.81 s
+#: for those 64 means at ``MAX_PNS_MC_TRIALS`` (same runs as above).
 MAX_PNS_MU = 64
 
 #: Largest accepted ``optics_verify.num_samples``: a spectrum allocates at

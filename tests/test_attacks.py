@@ -3,7 +3,9 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,8 +224,8 @@ class TestStreamLayout:
             assert rng.bit_generator.state == kernel.bit_generator.state == replay.bit_generator.state, m
 
 
-#: sha256 of ``attack_success_curve`` as JSON under stream layouts 2 and 3
-#: (layout 3 changed only the PNS table's draws), per (M, trials); the second
+#: sha256 of ``attack_success_curve`` as JSON under stream layouts 2, 3 and 4
+#: (layouts 3 and 4 changed only the PNS table's draws), per (M, trials); the second
 #: case ends on a partial block.  A new digest means the sweep consumes its
 #: streams differently: bump ``STREAM_LAYOUT``.
 SWEEP_GOLDEN_DIGESTS = {
@@ -234,7 +236,7 @@ SWEEP_GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("m, trials", sorted(SWEEP_GOLDEN_DIGESTS))
 def test_success_curve_matches_golden_digest(m, trials):
-    assert STREAM_LAYOUT == 3
+    assert STREAM_LAYOUT == 4
     grid = [m * ratio for ratio in (0.0, 0.25, 1.0, 4.0, 64.0)]
     points = attack_success_curve(grid, m, trials, np.random.default_rng(2026))
     payload = json.dumps([dataclasses.asdict(p) for p in points], sort_keys=True)
@@ -307,6 +309,15 @@ class TestPns:
     def test_higher_threshold_is_harder(self, mu):
         assert pns_exploitable_fraction(mu, 3) < pns_exploitable_fraction(mu, 2)
 
+    def test_matches_a_decimal_series_from_tiny_to_large_means(self):
+        # Where 1 - head cancels (mu = 1e-6, t = 3 read 0.0) the tail must
+        # keep its full precision, and it must not lose it elsewhere.
+        mus = [10.0**e for e in np.arange(-12, 3.01, 0.25)] + [math.nextafter(1.0, 0.0), 1.0]
+        for mu in mus:
+            for threshold in (2, 3):
+                exact = _decimal_tail(mu, threshold)
+                assert abs(pns_exploitable_fraction(mu, threshold) - exact) <= 1e-13 * exact, (mu, threshold)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pns_exploitable_fraction(-0.1, 2)
@@ -317,21 +328,50 @@ class TestPns:
             pns_exploitable_fraction(0.1, 4)
 
 
+def _decimal_tail(mu: float, threshold: int) -> float:
+    """P(N >= threshold) for N ~ Poisson(mu), summed term by term in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(mu)
+        term = x**threshold / math.factorial(threshold)
+        total, k = Decimal(0), threshold
+        # The terms rise up to k = mu, then fall; stop once they no longer count.
+        while k <= x or term > total * Decimal("1e-60"):
+            total += term
+            k += 1
+            term = term * x / k
+        return float(total * (-x).exp())
+
+
 def _reference_tail_fractions(mus, thresholds, trials: int, rng) -> np.ndarray:
-    """The layout-3 PNS draw with a mask over every pulse in place of
-    compaction, and each (mu, t) counted by its own comparison."""
+    """The layout-4 PNS draw one pulse at a time, each (mu, t) counted by its own comparison."""
     reach = max(mus)
+    p = -math.expm1(-reach)
+    kept = int(rng.binomial(trials, p))
     hits = np.zeros((len(mus), len(thresholds)), dtype=np.int64)
-    for start in range(0, trials, _PNS_BLOCK):
-        arrival = rng.standard_exponential(min(_PNS_BLOCK, trials - start))
+    for start in range(0, kept, _PNS_BLOCK):
+        arrivals = [-math.log1p(-p * rng.random()) for _ in range(min(_PNS_BLOCK, kept - start))]
         for k in range(2, max(thresholds) + 1):
-            live = arrival < reach
-            arrival[~live] = np.inf
-            arrival[live] += rng.standard_exponential(int(live.sum()))
+            arrivals = [a + rng.standard_exponential() for a in arrivals]
+            arrivals = [a for a in arrivals if a < reach]
             for j, threshold in enumerate(thresholds):
                 if threshold == k:
-                    hits[:, j] += [int((arrival < mu).sum()) for mu in mus]
+                    hits[:, j] += [sum(a < mu for a in arrivals) for mu in mus]
     return hits / trials
+
+
+def _pns_recorder(rng, draws: list) -> SimpleNamespace:
+    """``rng`` as ``pns_tail_fractions`` uses it, appending (method, arguments, values) of each draw
+    to ``draws``; each draw returns a copy, since the first arrivals are mapped in place."""
+
+    def recorded(method):
+        def draw(*args):
+            draws.append((method, args, getattr(rng, method)(*args)))
+            return np.copy(draws[-1][2])
+
+        return draw
+
+    return SimpleNamespace(**{method: recorded(method) for method in ("binomial", "random", "standard_exponential")})
 
 
 #: Means and thresholds whose tails the pooled law gate checks.
@@ -340,9 +380,10 @@ PNS_LAW_MUS = (0.05, 0.2, 1.0, 5.0)
 #: about 40 expected at the rarest tail (mu = 0.05, t = 3).
 PNS_LAW_SEEDS, PNS_LAW_TRIALS = 100, 20_000
 
-#: sha256 of ``pns_tail_fractions`` as JSON under stream layout 3, on
-#: ``default_rng(2026)``; the draw ends on a partial block.
-PNS_GOLDEN_DIGEST = "da05760b60888744a6e350c7266c4df58b49c0380e5caede14070e5fb2fceb7d"
+#: sha256 of ``pns_tail_fractions`` as JSON under stream layout 4, on
+#: ``default_rng(2026)``; the largest mean, 5.0, keeps 99.3% of the pulses,
+#: so the draw ends on a partial block.
+PNS_GOLDEN_DIGEST = "88e10629f7dfcbe4e5a75f87d075f9154a1701b36ac2a1ff53ff3aee47afdac1"
 
 
 class TestPnsTailFractions:
@@ -352,14 +393,40 @@ class TestPnsTailFractions:
             ([0.05, 0.1, 0.2], [2, 3], 2 * _PNS_BLOCK + 5),
             ([5.0, 0.0, 0.2, 5.0], [3], 1000),  # unsorted, a repeated mean, one threshold
             ([0.0], [3, 2], 10),  # nothing reaches a second photon
+            ([0.2, 1e6, 0.05], [2, 3], 1000),  # p = 1: every pulse is kept
         ],
-        ids=["default-means", "unsorted-repeated", "vacuum"],
+        ids=["default-means", "unsorted-repeated", "vacuum", "every-pulse-kept"],
     )
     def test_equals_the_per_pulse_reference(self, mus, thresholds, trials):
         rng, replay = np.random.default_rng(17), np.random.default_rng(17)
         fractions = pns_tail_fractions(mus, thresholds, trials, rng)
         np.testing.assert_array_equal(fractions, _reference_tail_fractions(mus, thresholds, trials, replay))
         assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_vacuum_draws_nothing(self):
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        fractions = pns_tail_fractions([0.0, 0.0], [2, 3], 1_000_000, rng)
+        assert (fractions == 0).all()
+        assert rng.bit_generator.state == before
+
+    def test_draws_only_the_kept_pulses(self):
+        mus, trials = [0.05, 0.1, 0.2], 10 * _PNS_BLOCK + 7
+        draws = []
+        fractions = pns_tail_fractions(mus, [2, 3], trials, _pns_recorder(np.random.default_rng(12), draws))
+        (method, (n, p), kept), *blocks = draws
+        assert (method, n, p) == ("binomial", trials, -math.expm1(-0.2))
+        assert 0.17 < kept / trials < 0.19  # about 18% of the pulses can reach a threshold
+        # Per block: the first arrivals, then one exponential per live pulse for k = 2 and 3.
+        assert [method for method, _, _ in blocks] == ["random", "standard_exponential", "standard_exponential"] * 2
+        assert [size for _, (size,), _ in blocks[0::3]] == [_PNS_BLOCK, kept - _PNS_BLOCK]
+        live = 0
+        for (_, _, first), (_, (second_size,), second), (_, (third_size,), _) in zip(blocks[0::3], blocks[1::3], blocks[2::3]):
+            assert second_size == len(first)
+            reached = (-np.log1p(-p * first) + second < 0.2).sum()
+            assert third_size == reached
+            live += reached
+        assert fractions[2, 0] * trials == live
 
     def test_vacuum_reads_zero_and_rows_are_coupled(self):
         mus = [0.0, 0.05, 0.2, 1.0, 5.0, 1e6]
@@ -389,20 +456,22 @@ class TestPnsTailFractions:
                 assert abs(hits[i, j] - pulses * p) <= 3 * np.sqrt(pulses * p * (1 - p)), (mu, threshold)
 
     def test_peak_memory_does_not_grow_with_pulses(self):
-        peaks = []
-        for trials in (1_000_000, 10_000_000):
-            tracemalloc.start()
-            try:
-                pns_tail_fractions([0.05, 0.1, 0.2], [2, 3], trials, np.random.default_rng(5))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # One block of float64 arrival times is 512 KiB.
-        assert abs(peaks[1] - peaks[0]) <= 2**16, peaks
-        assert peaks[1] < 4 * 8 * _PNS_BLOCK, peaks
+        # At the default means 18% of the pulses are kept; a mean of 1e6 keeps every one.
+        for mus in ([0.05, 0.1, 0.2], [0.05, 0.2, 1e6]):
+            peaks = []
+            for trials in (1_000_000, 10_000_000):
+                tracemalloc.start()
+                try:
+                    pns_tail_fractions(mus, [2, 3], trials, np.random.default_rng(5))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # One block of float64 arrival times is 512 KiB.
+            assert abs(peaks[1] - peaks[0]) <= 2**16, (mus, peaks)
+            assert peaks[1] < 4 * 8 * _PNS_BLOCK, (mus, peaks)
 
     def test_matches_golden_digest(self):
-        assert STREAM_LAYOUT == 3
+        assert STREAM_LAYOUT == 4
         fractions = pns_tail_fractions([0.0, 0.05, 0.1, 0.2, 5.0], [2, 3], 2 * _PNS_BLOCK + 3, np.random.default_rng(2026))
         assert hashlib.sha256(json.dumps(fractions.tolist()).encode()).hexdigest() == PNS_GOLDEN_DIGEST
 

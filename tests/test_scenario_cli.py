@@ -374,7 +374,7 @@ class TestAttackSweepCommand:
         path = write_scenario(tmp_path, FAST_SWEEP)
         out = tmp_path / "sweep.json"
         assert cli.main(["attack-sweep", "--scenario", path, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["data"]["results"]["stream_layout"] == attacks.STREAM_LAYOUT == 3
+        assert json.loads(out.read_text())["data"]["results"]["stream_layout"] == attacks.STREAM_LAYOUT == 4
 
     @pytest.mark.parametrize(
         "sweep, argv",
