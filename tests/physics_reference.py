@@ -6,14 +6,16 @@ statistics, the small-angle overlap that sits beside
 small-signal intensity, and the field at Bob's output with its tone powers
 read from one FFT, the readout ``optics.sideband_intensities_oracle``
 replaced by direct DFT sums.  The click fields and the meso pass (basis
-schedule, transmission, decode) as they were before the session held its
-bits packed, one value per slot, with their two-arm counts
-(``DetectionCounts``).  The weak-channel detection passes of
-session stream layouts 5 and 2, one outcome per slot, and the session that runs
-them (``reference_run_session``), the per-slot sessions that layout 6's
-draws per slot class replaced.  ``test_polarization``, ``test_optics``,
-``test_protocol`` and ``test_acceptance`` check these laws and compare the
-package against them.
+schedule, transmission, decode) one value per slot, with their two-arm
+counts (``DetectionCounts``), which the packed meso leg must equal bit for
+bit.  And the one per-slot session reference: the weak-channel pass of
+session stream layout 5, one outcome per slot (``reference_channel_run``),
+and the session that runs it on every role's stream
+(``reference_run_session``).  The seed-pool gates of ``test_protocol``
+compare the package with it and with closed-form laws, and
+``LAYOUT5_DIGESTS`` pin it.  ``test_polarization``, ``test_optics``,
+``test_protocol``, ``test_scenario_matrix`` and ``test_acceptance`` read
+these oracles.
 """
 from __future__ import annotations
 
@@ -241,10 +243,9 @@ def tone_powers(field: TimeDomainField, omegas) -> list[float]:
     return [float(abs(spectrum[k] / n) ** 2) for k in bins]
 
 
-# The click fields and the meso pass as the session held them before it
-# packed its bits: one bool or uint8 per slot, on the draws of stream
-# layout 6.  The packed ``polarization.add_clicks``, ``two_arm_clicks`` and
-# ``protocol._meso_leg`` must equal them bit for bit.
+# The click fields and the meso pass, one bool or uint8 per slot, on the
+# draws of stream layout 6.  The packed ``polarization.add_clicks``,
+# ``two_arm_clicks`` and ``protocol._meso_leg`` must equal them bit for bit.
 
 
 def add_clicks(field: np.ndarray, p: float, rng: np.random.Generator) -> None:
@@ -438,11 +439,6 @@ def meso_leg(config, r_bits: np.ndarray) -> DecodedBits:
     return bob_decode(schedule.parity, counts)
 
 
-#: (Alice basis, bit, Bob basis) of each entry of a channel's split table,
-#: entry ``(a << 2) | (b << 1) | c``, as uint8 like the per-slot values.
-COMBOS = np.array([(i >> 2, i >> 1 & 1, i & 1) for i in range(8)], dtype=np.uint8).T
-
-
 @dataclass
 class ChannelRun:
     """One weak channel's per-slot pass: Alice's bits, each detector's clicks and Bob's bits."""
@@ -464,84 +460,27 @@ def measured_bases(config, bob_basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def layout5_run_channel(config, channel: int, alice_basis, bob_basis_actual) -> ChannelRun:
-    """Detection pass of one sideband channel in stream layout 5, one outcome per slot.
-
-    Alice's bits are random bytes unpacked on ``alice_bits_ch*``.  The split
-    law is read from an 8-entry table keyed by ``(alice_basis << 2) |
-    (bit << 1) | bob_basis``, its entries from the per-slot phase expression
-    on those 8 combinations.  With p = 1 - exp(-mu) up to 1/16 the channel
-    draws its click slots (``sparse_slots``) on ``photons_ch*``, then one
-    routing uniform per click slot, upper below t; above 1/16 one uniform u
-    per slot, in blocks, a click below p, upper below p * t.  Each detector
-    adds its dark clicks from ``dark_*_ch*`` (``two_arm_clicks``).  Streams
-    come from ``protocol._stream``.
-    """
-    n = config.num_slots
-    ch = config.channel
-    bits = reference_bits(protocol._stream(config.seed, f"alice_bits_ch{channel}"), n)
-    a, b, c = COMBOS
-    table = split_upper_probability(
-        config.plan, config.fiber, channel, (a * (np.pi / 2) + b * np.pi) - c * (np.pi / 2)
-    )
-    if table is None:  # no signal, so nothing reads the table
-        mu = 0.0
-        upper_bit = 0
-    else:
-        mu = ch.mu_weak * ch.survival_probability
-        upper_bit = 0 if table[0] >= 0.5 else 1  # combination 0 sits at phase 0.0
-    key = (alice_basis << 2) | (bits << 1) | bob_basis_actual
-
-    # A signal click with p, routed upper with the slot's t: p * t in all.
-    p_click = -np.expm1(-mu)
-    rng = protocol._stream(config.seed, f"photons_ch{channel}")
-    if p_click <= SPARSE_CLICK_PROB:  # the click slots, then one routing uniform each
-        signal = np.zeros(n, dtype=bool)
-        to_upper = np.zeros(n, dtype=bool)
-        if p_click > 0:
-            slots = sparse_slots(n, p_click, rng)
-            signal[slots] = True
-            to_upper[slots[rng.random(len(slots)) < table[key[slots]]]] = True
-    else:  # one uniform per slot: a click below p, routed upper below p * t
-        signal = np.empty(n, dtype=bool)
-        to_upper = np.empty(n, dtype=bool)
-        upper_table = p_click * table
-        for block, u in uniform_blocks(rng, n):
-            np.less(u, p_click, out=signal[block])
-            np.less(u, upper_table[key[block]], out=to_upper[block])
-    # Built only where two_arm_clicks draws dark clicks: at d > 0.
-    dark_rngs = (protocol._stream(config.seed, f"dark_{arm}_ch{channel}") for arm in ("upper", "lower"))
-    click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
-    conclusive = click_upper ^ click_lower
-    bob_bits = click_upper.view(np.uint8) ^ np.uint8(1 - upper_bit)
-    return ChannelRun(bits, click_upper, click_lower, conclusive, bob_bits)
-
-
 def reference_bits(rng, n) -> np.ndarray:
-    """Reference: ``n`` 0/1 values drawn as layout 3 draws them, from ``ceil(n / 8)`` bytes."""
+    """Reference: ``n`` 0/1 values from ``ceil(n / 8)`` random bytes, unpacked big-endian."""
     return np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8))[:n]
 
 
-def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=5) -> ChannelRun:
-    """Per-slot reference for ``layout5_run_channel``, in stream layout 5 or 2.
+def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual) -> ChannelRun:
+    """Detection pass of one sideband channel in stream layout 5, written slot by slot.
 
-    The detection pass written slot by slot: a float fringe phase per slot,
-    the split law evaluated on every one of them, and Bob's bit chosen with
-    ``np.where``.  ``layout=5`` draws the layout-5 weak channel with
-    p = 1 - exp(-mu): for p <= 1/16 a count and that many click slots, then
-    one routing uniform per click slot, upper below t (nothing at p = 0);
-    above 1/16 one ``random(n)``, a signal below p and the upper detector
-    below p * t, as layout 3 drew it.  Its dark clicks are the engine's
-    (``two_arm_clicks``).  ``layout=2`` draws ``integers(0, 2)`` bits,
-    ``poisson(mu) > 0`` signals, a separate routing uniform and one
-    ``random(n) < d`` dark draw per arm, upper stream first, none at d = 0.
-    It draws from the streams in the table pass's order, so on equal streams
-    the two layout-5 passes must agree bit for bit.
+    Alice's bits are random bytes unpacked on ``alice_bits_ch*``.  The pass
+    forms a float fringe phase per slot, evaluates the split law t on each,
+    and chooses Bob's bit with ``np.where``.  With p = 1 - exp(-mu) up to
+    1/16 the channel draws a count and that many click slots on
+    ``photons_ch*``, then one routing uniform per click slot, upper below t
+    (nothing at p = 0); above 1/16 one ``random(n)``, a signal below p and
+    the upper detector below p * t.  Each detector adds its dark clicks from
+    ``dark_*_ch*`` (``two_arm_clicks``).  ``streams`` maps each role to its
+    generator (``session_streams``).
     """
     n = config.num_slots
     ch = config.channel
-    bits_rng = streams[f"alice_bits_ch{channel}"]
-    bits = reference_bits(bits_rng, n) if layout == 5 else bits_rng.integers(0, 2, n, dtype=np.uint8)
+    bits = reference_bits(streams[f"alice_bits_ch{channel}"], n)
     delta_phi = (alice_basis * (np.pi / 2) + bits * np.pi) - bob_basis_actual * (np.pi / 2)
     p_upper = split_upper_probability(config.plan, config.fiber, channel, delta_phi)
     if p_upper is None:
@@ -553,27 +492,18 @@ def reference_channel_run(config, streams, channel, alice_basis, bob_basis_actua
         upper_bit = 0 if split_upper_probability(config.plan, config.fiber, channel, 0.0) >= 0.5 else 1
     p_click = -np.expm1(-mu)
     rng = streams[f"photons_ch{channel}"]
-    if layout == 5 and p_click <= 1 / 16:
+    if p_click <= 1 / 16:
         signal, to_upper = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         if p_click > 0:
             slots = rng.choice(n, rng.binomial(n, p_click), replace=False, shuffle=False)
             signal[slots] = True
             to_upper[slots] = rng.random(len(slots)) < p_upper[slots]
-    elif layout == 5:
+    else:
         u = rng.random(n)
         signal = u < p_click
         to_upper = u < p_click * p_upper
-    else:
-        signal = rng.poisson(mu, n) > 0
-        to_upper = streams[f"routing_ch{channel}"].random(n) < p_upper
     dark_rngs = (streams[f"dark_upper_ch{channel}"], streams[f"dark_lower_ch{channel}"])
-    if layout == 5:
-        click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
-    else:
-        click_upper, click_lower = signal & to_upper, signal & ~to_upper
-        if ch.dark_count_prob > 0:
-            click_upper |= dark_rngs[0].random(n) < ch.dark_count_prob
-            click_lower |= dark_rngs[1].random(n) < ch.dark_count_prob
+    click_upper, click_lower = two_arm_clicks(signal, to_upper, ch.dark_count_prob, dark_rngs)
     bob_bits = np.where(click_upper, upper_bit, 1 - upper_bit).astype(np.uint8)
     return ChannelRun(bits, click_upper, click_lower, click_upper ^ click_lower, bob_bits)
 
@@ -583,40 +513,24 @@ def session_streams(seed) -> dict:
     return {role: protocol._stream(seed, role) for role in protocol._ROLES}
 
 
-def layout2_run_channel(config, channel, alice_basis, bob_basis_actual) -> ChannelRun:
-    """``reference_channel_run`` in layout 2 on the session's streams: a drop-in for ``layout5_run_channel``."""
-    streams = session_streams(config.seed)
-    return reference_channel_run(config, streams, channel, alice_basis, bob_basis_actual, layout=2)
-
-
-def layout2_bits(rng, n) -> np.ndarray:
-    """``n`` 0/1 values as stream layout 2 drew them."""
-    return rng.integers(0, 2, n, dtype=np.uint8)
-
-
 def _hex_bits(bits: np.ndarray) -> str:
     return np.packbits(bits).tobytes().hex()
 
 
-def reference_run_session(config, layout: int = 5) -> protocol.SessionReport:
-    """``run_session`` as stream layout 5 (or 2) ran it: each weak channel one outcome per slot.
+def reference_run_session(config) -> protocol.SessionReport:
+    """``run_session`` as stream layout 5 ran it: each weak channel one outcome per slot.
 
-    Layout 5 draws Alice's bits, the sifted bases and R as random bytes
-    unpacked (``reference_bits``) and runs ``layout5_run_channel``; layout 2
-    draws them with ``integers(0, 2)`` and runs ``layout2_run_channel``.
-    The meso leg is the per-slot ``meso_leg``.  The report is assembled as
-    the package assembles it, so on the same draws the two agree field for
-    field.
+    Alice's bits, the sifted bases and R are random bytes unpacked
+    (``reference_bits``), and each weak channel is ``reference_channel_run``
+    on ``session_streams(config.seed)``.  The meso leg is the per-slot
+    ``meso_leg``.  The report is assembled as the package assembles it.
     """
-    if layout == 5:
-        random_bits, run_channel = reference_bits, layout5_run_channel
-    else:
-        random_bits, run_channel = layout2_bits, layout2_run_channel
+    streams = session_streams(config.seed)
     channels = (1, 2) if config.mode in ("parallel", "hybrid_parallel") else (1,)
     assisted = config.mode in ("hybrid", "hybrid_parallel")
     n = config.num_slots
     if assisted:
-        r_bits = random_bits(protocol._stream(config.seed, "r_entropy"), len(channels) * n)
+        r_bits = reference_bits(streams["r_entropy"], len(channels) * n)
         decoded = meso_leg(config, r_bits)
     reports, usable_counts, announced = [], [], {}
     double_clicks = errors = 0
@@ -628,13 +542,13 @@ def reference_run_session(config, layout: int = 5) -> protocol.SessionReport:
             usable = int(np.count_nonzero(keep))
             agreement = int(np.count_nonzero((bob_basis == alice_basis) & keep)) / usable if usable else 0.0
         else:
-            alice_basis = random_bits(protocol._stream(config.seed, f"alice_bases_ch{channel}"), n)
-            bob_basis = random_bits(protocol._stream(config.seed, f"bob_bases_ch{channel}"), n)
+            alice_basis = reference_bits(streams[f"alice_bases_ch{channel}"], n)
+            bob_basis = reference_bits(streams[f"bob_bases_ch{channel}"], n)
             keep = alice_basis == bob_basis
             usable, agreement = n, None
             announced[f"alice_ch{channel}"] = _hex_bits(alice_basis)
             announced[f"bob_ch{channel}"] = _hex_bits(bob_basis)
-        run = run_channel(config, channel, alice_basis, measured_bases(config, bob_basis))
+        run = reference_channel_run(config, streams, channel, alice_basis, measured_bases(config, bob_basis))
         kept = keep & run.conclusive
         sifted = int(np.count_nonzero(kept))
         wrong = int(np.count_nonzero((run.alice_bits != run.bob_bits) & kept))

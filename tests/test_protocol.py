@@ -1,5 +1,4 @@
 """Session engine: detection law, sifting, rate multipliers, determinism."""
-import copy
 import dataclasses
 import hashlib
 import itertools
@@ -20,15 +19,7 @@ from hpqkd.protocol import (
 )
 from hpqkd.polarization import CLICK_BLOCK, SPARSE_CLICK_PROB
 import physics_reference as ref
-from physics_reference import (
-    ChannelRun,
-    DetectionCounts,
-    layout5_run_channel,
-    measured_bases,
-    reference_channel_run,
-    reference_run_session,
-    session_streams,
-)
+from physics_reference import reference_run_session
 
 PLAN = ModulationPlan()
 FIBER = tuned_fiber(PLAN)
@@ -374,13 +365,12 @@ class TestOrderingAndDeterminism:
         assert a.sifted_bits != b.sifted_bits or a.qber != b.qber or a.to_dict() != b.to_dict()
 
 
-#: Channel settings the split table is checked on, as (channel,
-#: ChannelModel, plan, fiber, fault fraction): the layout-5 table pass of
-#: ``physics_reference`` against its per-slot form, and the layout-6 class
-#: cells against the per-slot split floats.  The layout-5 weak channel draws
-#: one uniform per slot on each but ``dark-channel`` (p = 0, nothing drawn)
-#: and the 100-km links (p = 0.005, a count, its click slots and a routing
-#: uniform each).
+#: Channel settings, as (channel, ChannelModel, plan, fiber, fault
+#: fraction), on which the class cells of ``_weak_outcomes`` must equal the
+#: law on the per-slot split floats, bit for bit.  They cover both channels,
+#: dark counts, a dark channel (p = 0), a detuned fiber and 100-km links.
+#: The fault fraction does not enter the cells: it moves slots between
+#: classes.  A case moves only if the cell law itself changes.
 SPLIT_TABLE_CASES = {
     "ch1": (1, IDEAL, PLAN, FIBER, 0.0),
     "ch2": (2, IDEAL, PLAN, FIBER, 0.0),
@@ -395,30 +385,6 @@ SPLIT_TABLE_CASES = {
 
 
 class TestSplitTable:
-    @pytest.mark.parametrize("name", sorted(SPLIT_TABLE_CASES))
-    def test_table_pass_equals_per_slot_law(self, name, monkeypatch):
-        channel, ch, plan, fiber, fault = SPLIT_TABLE_CASES[name]
-        slots = 20_001
-        cfg = config(slots=slots, seed=9, channel=ch, plan=plan, fiber=fiber, basis_flip_fault_fraction=fault)
-        rng = np.random.default_rng(17)
-        alice_basis = rng.integers(0, 2, slots, dtype=np.uint8)
-        bob_basis = rng.integers(0, 2, slots, dtype=np.uint8)
-        flipped = np.arange(slots) < round(fault * slots)
-        streams = session_streams(9)
-        engine_streams, reference_streams = copy.deepcopy(streams), copy.deepcopy(streams)
-        monkeypatch.setattr(protocol, "_stream", lambda seed, role: engine_streams[role])
-        measured = measured_bases(cfg, bob_basis)
-        run = layout5_run_channel(cfg, channel, alice_basis, measured)
-        reference = reference_channel_run(cfg, reference_streams, channel, alice_basis, bob_basis ^ flipped)
-        for field in dataclasses.fields(ChannelRun):
-            got, want = getattr(run, field.name), getattr(reference, field.name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
-        for role in streams:
-            assert engine_streams[role].bit_generator.state == reference_streams[role].bit_generator.state, role
-            untouched = role.startswith("routing_ch") or (name == "dark-channel" and role.startswith("photons_ch"))
-            if untouched:  # routing is never read, and a channel with p = 0 draws no click field
-                assert engine_streams[role].bit_generator.state == streams[role].bit_generator.state, role
-
     @pytest.mark.parametrize("name", sorted(SPLIT_TABLE_CASES))
     def test_class_cells_read_the_per_slot_split_floats(self, name, monkeypatch):
         # Layout 6: the 8 cells of class [a, c, k] are Alice's bit b (1/2
@@ -484,21 +450,6 @@ class TestSlotCounts:
         assert np.array_equal(got, expected)
 
 
-def _layout1_meso_counts(schedule, channel: ChannelModel, rng) -> DetectionCounts:
-    """Reference: the stream layout 1 meso detector.
-
-    Poisson photon counts of mean alpha_sq * survival in the scheduled arm,
-    then a dark count in the transmit arm and one in the reflect arm, all
-    drawn from one generator.
-    """
-    n = len(schedule)
-    aligned = schedule.parity == schedule.bit
-    signal = rng.poisson(channel.alpha_sq_meso * channel.survival_probability, n)
-    dark_t = rng.random(n) < channel.dark_count_prob
-    dark_r = rng.random(n) < channel.dark_count_prob
-    return DetectionCounts(np.where(aligned, signal, 0) + dark_t, np.where(aligned, 0, signal) + dark_r)
-
-
 def _meso_law(channel: ChannelModel) -> tuple[float, float]:
     """Closed-form meso erasure fraction and decode error over usable slots.
 
@@ -538,47 +489,36 @@ MESO_SEEDS = range(8)
 MESO_SLOTS = 25_000
 
 
-def _meso_pool(channel: ChannelModel, layout: int) -> tuple[int, int, int]:
-    """(erased, wrong, slots) summed over the seed pool, for stream layout 2 (the engine's) or 1."""
+def _meso_pool(channel: ChannelModel) -> tuple[int, int, int]:
+    """(erased, wrong, slots) of the engine's meso leg, summed over the seed pool."""
     erased = wrong = 0
     for seed in MESO_SEEDS:
         cfg = config(mode="hybrid", slots=MESO_SLOTS, seed=seed, channel=channel)
         r = ks.random_bytes(protocol._stream(seed, "r_entropy"), MESO_SLOTS)
-        if layout == 2:
-            bits, erasure = protocol._meso_leg(cfg, r, MESO_SLOTS)
-        else:
-            kprime = ks.expand_key(cfg.resolved_seed_key(), MESO_SLOTS * ks.bits_per_slot(channel.m_bases))
-            schedule = ref.build_basis_schedule(kprime, np.unpackbits(r, count=MESO_SLOTS), channel.m_bases)
-            counts = _layout1_meso_counts(schedule, channel, np.random.default_rng([1, seed]))
-            decoded = ref.bob_decode(schedule.parity, counts)
-            bits, erasure = np.packbits(decoded.bits), np.packbits(decoded.erasure)
+        bits, erasure = protocol._meso_leg(cfg, r, MESO_SLOTS)
         erased += int(ks.popcount(erasure, MESO_SLOTS))
         wrong += int(ks.popcount((bits ^ r) & ~erasure, MESO_SLOTS))
     return erased, wrong, len(MESO_SEEDS) * MESO_SLOTS
 
 
 @pytest.mark.parametrize("name", sorted(MESO_CHANNELS))
-def test_meso_layout2_agrees_with_law_and_layout1(name):
-    """Layout 2 draws clicks where layout 1 drew Poisson counts: same statistics."""
+def test_meso_leg_agrees_with_law(name):
+    """The meso leg's erasure fraction and decode error agree with ``_meso_law``."""
     channel = MESO_CHANNELS[name]
     erasure_law, error_law = _meso_law(channel)
-    erased, wrong, slots = _meso_pool(channel, layout=2)
-    erased_1, wrong_1, slots_1 = _meso_pool(channel, layout=1)
-    usable, usable_1 = slots - erased, slots_1 - erased_1
+    erased, wrong, slots = _meso_pool(channel)
     assert 0.3 < erasure_law < 0.8
     z = {
         "erasure vs law": _z_law(erased, slots, erasure_law),
-        "error vs law": _z_law(wrong, usable, error_law),
-        "erasure vs layout 1": _z_two_sample(erased, slots, erased_1, slots_1),
-        "error vs layout 1": _z_two_sample(wrong, usable, wrong_1, usable_1),
-        "layout 1 erasure vs law": _z_law(erased_1, slots_1, erasure_law),
+        "error vs law": _z_law(wrong, slots - erased, error_law),
     }
     assert all(abs(v) < 3 for v in z.values()), z
 
 
 #: Links whose meso signal click takes the two count-and-subset regimes of
-#: layout 5: the quiet slots at 40 km (p = 0.981) and the click slots at
-#: 130 km (p = 0.061).  Their dark fields are count and subset too.
+#: ``polarization.add_clicks``: the quiet slots at 40 km (p = 0.981) and
+#: the click slots at 130 km (p = 0.061).  Their dark fields are count and
+#: subset too.
 MESO_SPARSE_CHANNELS = {
     "complement-40km": ChannelModel(length_km=40, dark_count_prob=0.05),
     "subset-130km": ChannelModel(length_km=130, dark_count_prob=0.01),
@@ -586,23 +526,39 @@ MESO_SPARSE_CHANNELS = {
 
 
 @pytest.mark.parametrize("name", sorted(MESO_SPARSE_CHANNELS))
-def test_meso_sparse_fields_agree_with_law_and_layout1(name):
-    """Layout 5 draws a sparse meso click field as a count and a subset of slots: same statistics."""
+def test_meso_sparse_fields_agree_with_law(name):
+    """A sparse meso click field, drawn as a count and a subset of slots, agrees with ``_meso_law``."""
     channel = MESO_SPARSE_CHANNELS[name]
     p = -np.expm1(-channel.alpha_sq_meso * channel.survival_probability)
     erasure_law, error_law = _meso_law(channel)
-    erased, wrong, slots = _meso_pool(channel, layout=2)
-    erased_1, wrong_1, slots_1 = _meso_pool(channel, layout=1)
-    usable, usable_1 = slots - erased, slots_1 - erased_1
+    erased, wrong, slots = _meso_pool(channel)
     assert not SPARSE_CLICK_PROB < p < 1 - SPARSE_CLICK_PROB
     assert min(erasure_law * slots, error_law * (1 - erasure_law) * slots) > 100  # events enough for a z
     z = {
         "erasure vs law": _z_law(erased, slots, erasure_law),
-        "error vs law": _z_law(wrong, usable, error_law),
-        "erasure vs layout 1": _z_two_sample(erased, slots, erased_1, slots_1),
-        "error vs layout 1": _z_two_sample(wrong, usable, wrong_1, usable_1),
-        "layout 1 erasure vs law": _z_law(erased_1, slots_1, erasure_law),
+        "error vs law": _z_law(wrong, slots - erased, error_law),
     }
+    assert all(abs(v) < 3 for v in z.values()), z
+
+
+def test_poisson_pulse_clicks_with_the_meso_click_law():
+    """A Poisson(m) pulse holds a photon with probability 1 - exp(-m), the click law of ``_meso_law``.
+
+    m = alpha_sq * eta of the lossless link and of the 70-, 100- and 130-km
+    meso links; one generator draws all four pools.
+    """
+    links = {
+        "lossless": IDEAL,
+        "70km": MESO_CHANNELS["lossy-70km"],
+        "100km": MESO_CHANNELS["dark-100km"],
+        "130km": MESO_SPARSE_CHANNELS["subset-130km"],
+    }
+    rng = np.random.default_rng(2006)
+    slots = 200_000
+    z = {}
+    for name, link in links.items():
+        m = link.alpha_sq_meso * link.survival_probability
+        z[name] = _z_law(int(np.count_nonzero(rng.poisson(m, slots) > 0)), slots, -np.expm1(-m))
     assert all(abs(v) < 3 for v in z.values()), z
 
 
@@ -648,18 +604,16 @@ def _weak_law(channel: ChannelModel, mode: str, flipped: float = 0.0) -> tuple[f
     return conclusive / len(channels), kept / len(channels), errors / kept, p * d + (1 - p) * d * d
 
 
-def _weak_pool(channel: ChannelModel, mode: str, layout: int, fault: float = 0.0) -> np.ndarray:
+def _weak_pool(channel: ChannelModel, mode: str, run, fault: float = 0.0) -> np.ndarray:
     """(conclusive, slots, sifted, usable, errors, double clicks) summed over the seed pool and channels.
 
-    Layout 6 is ``run_session``; layouts 5 and 2 are ``reference_run_session``,
-    one outcome per weak slot.  Layout 2 draws its bits, bases and R with
-    ``integers(0, 2)``; K' is the current generator, which only moves the
-    meso leg's basis words.
+    ``run`` is ``run_session`` or ``reference_run_session``, the per-slot
+    session of layout 5.
     """
     totals = np.zeros(6, dtype=np.int64)
     for seed in WEAK_SEEDS:
         cfg = config(mode=mode, slots=WEAK_SLOTS, seed=seed, channel=channel, basis_flip_fault_fraction=fault)
-        report = run_session(cfg) if layout == 6 else reference_run_session(cfg, layout)
+        report = run(cfg)
         slots = report.slots * len(report.per_channel)
         errors = sum(round(c.qber * c.sifted_bits) for c in report.per_channel)
         totals += (
@@ -673,26 +627,27 @@ def _weak_pool(channel: ChannelModel, mode: str, layout: int, fault: float = 0.0
     return totals
 
 
-def _pool_z(law, pools: dict) -> dict:
-    """z of each pool's fractions (conclusive, sifted, error, double click) against the law, and of one pool
-    against the other."""
+def _pool_z(law, engine: np.ndarray, reference: np.ndarray) -> dict:
+    """z of each pool's fractions (conclusive, sifted, error, double click) against the law, and of the
+    engine's pool against the reference's."""
     z = {}
-    for layout, (conclusive, slots, kept, usable, errors, double) in pools.items():
-        z[f"conclusive, layout {layout} vs law"] = _z_law(conclusive, slots, law[0])
-        z[f"sifted, layout {layout} vs law"] = _z_law(kept, usable, law[1])
-        z[f"error, layout {layout} vs law"] = _z_law(errors, kept, law[2])
-        z[f"double click, layout {layout} vs law"] = _z_law(double, slots, law[3])
-    (_, (c1, n1, k1, u1, e1, d1)), (old, (c2, n2, k2, u2, e2, d2)) = pools.items()
-    z[f"conclusive vs layout {old}"] = _z_two_sample(c1, n1, c2, n2)
-    z[f"sifted vs layout {old}"] = _z_two_sample(k1, u1, k2, u2)
-    z[f"error vs layout {old}"] = _z_two_sample(e1, k1, e2, k2)
-    z[f"double click vs layout {old}"] = _z_two_sample(d1, n1, d2, n2)
+    for name, (conclusive, slots, kept, usable, errors, double) in (("engine", engine), ("reference", reference)):
+        z[f"conclusive, {name} vs law"] = _z_law(conclusive, slots, law[0])
+        z[f"sifted, {name} vs law"] = _z_law(kept, usable, law[1])
+        z[f"error, {name} vs law"] = _z_law(errors, kept, law[2])
+        z[f"double click, {name} vs law"] = _z_law(double, slots, law[3])
+    (c1, n1, k1, u1, e1, d1), (c2, n2, k2, u2, e2, d2) = engine, reference
+    z["conclusive vs reference"] = _z_two_sample(c1, n1, c2, n2)
+    z["sifted vs reference"] = _z_two_sample(k1, u1, k2, u2)
+    z["error vs reference"] = _z_two_sample(e1, k1, e2, k2)
+    z["double click vs reference"] = _z_two_sample(d1, n1, d2, n2)
     return z
 
 
-#: Lossless, lossy and dark-count links at both weak intensities.  Layout
-#: 5 drew the weak clicks of the 70-km and 100-km links (p = 0.05 and
-#: 0.005) as a count and a subset of slots, the others one uniform per slot.
+#: Lossless, lossy and dark-count links at both weak intensities.  The
+#: per-slot reference draws the weak clicks of the 70-km and 100-km links
+#: (p = 0.05 and 0.005) as a count and a subset of slots, the others one
+#: uniform per slot.
 WEAK_CHANNELS = {
     "lossless": IDEAL,
     "lossless-dark": ChannelModel(mu_weak=1.3, dark_count_prob=0.02),
@@ -703,41 +658,15 @@ WEAK_CHANNELS = {
 WEAK_SEEDS = range(8)
 WEAK_SLOTS = 20_000
 
-#: Digests of the sifted golden sessions under stream layout 2 (they use no
-#: K'), which the layout-2 reference must reproduce.
-LAYOUT2_SIFTED_DIGESTS = {
-    ("default", "baseline_bb84"): "ebbfbe0d45a4a8317ba72b515e930e7c50308a898ed4dd6698ad8dc9c464c435",
-    ("default", "parallel"): "7ad7f93e3f89d46ff31bd9220653814462badc84dd128aa13a9557f2565a75af",
-    ("longhaul", "baseline_bb84"): "9f88ccd867f3ab978f831b93eb6a00f8df1f21b9bfb1e56dd659fcaa7f2c8041",
-    ("longhaul", "parallel"): "44c0f5e443827be923cc2165449ea42a2864d1929cdfcd9adbeb705b91cc6530",
-}
-
-
-@pytest.mark.parametrize("channel, mode", sorted(LAYOUT2_SIFTED_DIGESTS))
-def test_layout2_reference_reproduces_layout2_sessions(channel, mode):
-    cfg = config(mode=mode, seed=7, slots=2000, channel=GOLDEN_CHANNELS[channel])
-    report = reference_run_session(cfg, layout=2)
-    digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == LAYOUT2_SIFTED_DIGESTS[(channel, mode)]
-
-
-@pytest.mark.parametrize("mode", ("parallel", "hybrid_parallel"))
-@pytest.mark.parametrize("name", sorted(WEAK_CHANNELS))
-def test_weak_layout3_agrees_with_law_and_layout2(name, mode):
-    """The weak channels agree with the law and with layout 2, which drew a Poisson count and a routing uniform per slot."""
-    law = _weak_law(WEAK_CHANNELS[name], mode)
-    z = _pool_z(law, {layout: _weak_pool(WEAK_CHANNELS[name], mode, layout) for layout in (6, 2)})
-    assert 0 < law[0] < 1 and 0 < law[1] < 1
-    assert all(abs(v) < 3 for v in z.values()), z
-
-
 @pytest.mark.parametrize("fault", (0.0, 0.3))
 @pytest.mark.parametrize("mode", protocol.MODES)
 @pytest.mark.parametrize("name", sorted(WEAK_CHANNELS))
 def test_weak_layout6_agrees_with_law_and_layout5(name, mode, fault):
-    """Layout 6 draws a weak channel's counts per slot class where layout 5 drew one outcome per slot."""
+    """The engine draws a weak channel's counts per slot class (layout 6), the reference one outcome per slot
+    (layout 5): both agree with ``_weak_law`` and with each other."""
     law = _weak_law(WEAK_CHANNELS[name], mode, round(fault * WEAK_SLOTS) / WEAK_SLOTS)
-    z = _pool_z(law, {layout: _weak_pool(WEAK_CHANNELS[name], mode, layout, fault) for layout in (6, 5)})
+    engine = _weak_pool(WEAK_CHANNELS[name], mode, run_session, fault)
+    z = _pool_z(law, engine, _weak_pool(WEAK_CHANNELS[name], mode, reference_run_session, fault))
     assert 0 < law[0] < 1 and 0 < law[1] < 1
     assert all(abs(v) < 3 for v in z.values()), z
 
@@ -793,7 +722,7 @@ def _mode_roles(mode: str, dark: bool) -> list[str]:
 
 
 @pytest.mark.parametrize("mode", protocol.MODES)
-def test_session_draws_follow_layout3(mode, monkeypatch):
+def test_session_draws_follow_layout6(mode, monkeypatch):
     """Layout 6: one byte draw per bases role and R, the meso click fields in their regimes, and on each
     ``weak_counts_ch*`` role one multinomial draw over the 8 slot classes and nothing else.
 
@@ -847,7 +776,7 @@ def test_session_draws_follow_layout3(mode, monkeypatch):
 
 @pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
 def test_stream_is_its_roles_spawned_child(seed):
-    """Layout 5: ``_stream(seed, role)`` draws as child i of ``SeedSequence(seed).spawn(len(_ROLES))``."""
+    """``_stream(seed, role)`` draws as child i of ``SeedSequence(seed).spawn(len(_ROLES))``."""
     children = np.random.SeedSequence(seed).spawn(len(protocol._ROLES))
     for role, child in zip(protocol._ROLES, children, strict=True):
         got, want = protocol._stream(seed, role), np.random.default_rng(child)
@@ -856,13 +785,12 @@ def test_stream_is_its_roles_spawned_child(seed):
             assert np.array_equal(draw(got), draw(want)), role
 
 
-#: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` at seed 7 and
-#: 2000 slots.  A change that alters any of these changes the numbers a
-#: scenario produces, and must say so and bump a stream-layout id.  The
-#: first twelve moved with layout 6, whose weak channels draw counts per
-#: slot class; the layout-5 ones are ``LAYOUT5_DIGESTS``.  ``dense-dark``
-#: (d = 0.5) was pinned under layout 6: each meso dark field is one
-#: uniform per slot, drawn in blocks.
+#: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` of
+#: ``run_session`` at seed 7 and 2000 slots on each ``GOLDEN_CHANNELS`` link,
+#: in stream layout 6.  They pin every number a session reports.  A change
+#: that moves one changes what a scenario produces: it must bump
+#: ``protocol.STREAM_LAYOUT`` (or rename the changed field) and give the
+#: reason in CHANGES.md.
 GOLDEN_DIGESTS = {
     "default": {
         "baseline_bb84": "b7ec0a2c779e51e4a2e3139686880fe4ef8327ef87426b4a961643222d52c96d",
@@ -890,22 +818,12 @@ GOLDEN_DIGESTS = {
     },
 }
 
-#: The golden sessions under stream layout 5, which ``reference_run_session``
-#: must reproduce.  Layout 2 moved only the long-haul assisted digests: the
-#: lossless meso leg has no dark stream to read, and a pulse of 25 photons
-#: clicks in both layouts.  All eight moved when ``public_transcript``
-#: became the erasure bitmask; with the transcript popped they hash as
-#: before.  All eight moved again with layout 3 (other weak-channel draws,
-#: bits and bases, and a new K'); the four sifted ones hashed under layout 2
-#: are ``LAYOUT2_SIFTED_DIGESTS``.  Layout 4 moved none of them: at 2000
-#: slots and d = 1e-5 no detector draws a dark click in either layout.  The
-#: ``dark`` channel (d = 0.02) pins the count-and-subset dark draws, 40 to
-#: 80 per detector.  Layout 5 moved the four ``longhaul`` ones, whose weak
-#: channels (p = 0.005) draw their click slots and a routing uniform each,
-#: and ``dark``'s two assisted ones, whose meso click (p = 0.99995) draws
-#: its quiet slots: one fewer meso erasure in each.  The lossless meso click
-#: takes that path too, but no slot is quiet at p = 1 - 1.4e-11 in either
-#: layout.
+#: The same digests of ``reference_run_session``, the per-slot reference in
+#: stream layout 5, on the first three links.  They pin the reference that
+#: the seed-pool gates compare the engine with.  It shares only
+#: ``protocol._stream``, K' and the split law with the package, so a change
+#: to the session's own draws leaves them.  One moves only when the
+#: reference or one of those three changes, and must say why in CHANGES.md.
 LAYOUT5_DIGESTS = {
     "default": {
         "baseline_bb84": "95d5ec9418929d44443f81218733d08730128c6a333467d2c2c0684f2d3a6927",

@@ -40,21 +40,12 @@ WORKLOADS = {
     "analysis": {"attack_sweep": {"trials": 100}, "optics_verify": _REDUCED["optics_verify"]},
 }
 
-#: sha256 of ``reporting.data_bytes`` per (workload, command).  The
-#: ``simulate`` digests moved when ``public_transcript`` became the erasure
-#: bitmask (with the transcripts popped the data hashed as before), again
-#: with session stream layouts 3, 4 and 5 (``protocol.STREAM_LAYOUT``), and
-#: with layout 6, whose weak channels draw counts per slot class and whose
-#: sessions gained ``useful_rate_bits_per_sent_slot`` and
-#: ``rate_ratio_per_sent_slot_vs_baseline``.  Under layout 5 the data hashed
-#: as ``LAYOUT5_SIMULATE_DIGESTS``.  The ``attack-sweep`` digests moved with
-#: ``attacks.STREAM_LAYOUT`` 3, whose PNS table draws one set of photon
-#: arrival times for every row: only its ``mc_fraction`` and ``mc_stderr``
-#: columns and ``stream_layout`` changed.  They moved again with layout 4,
-#: which draws only the pulses whose first photon arrives before the largest
-#: mean, and with ``analytic_fraction`` summed as a series below mu = 1 (it
-#: moved by 1e-15 to 1.1e-12 relative): only those three columns and
-#: ``stream_layout`` changed, and no ``brute_force_table`` byte.
+#: sha256 of ``reporting.data_bytes`` per (workload, command): the
+#: ``simulate`` data in session stream layout 6 (``protocol.STREAM_LAYOUT``)
+#: and the ``attack-sweep`` data in attack stream layout 4
+#: (``attacks.STREAM_LAYOUT``).  A change that moves one changes what the
+#: command writes: it must bump the layout id of the streams it changed, or
+#: rename the changed field, and give the reason in CHANGES.md.
 DATA_DIGESTS = {
     ("sim-ideal", "simulate"): "78ef5355adae84ab9e261e597a8e29655fb557af90ec8fcf32e9acf7abe01ac0",
     ("sim-ideal", "attack-sweep"): "75c9778b997eac0f7bf3714524e4a926cfe9048e794eac5d1c337646cf249bb8",
@@ -64,32 +55,14 @@ DATA_DIGESTS = {
     ("analysis", "attack-sweep"): "78db3e53a932b3ec73ac7f685a52e30d596a3b5e318f98334f6b3542c5693181",
 }
 
-#: ``simulate`` digests under layout 5, which the layout-5 reference session
-#: (``physics_reference.reference_run_session``) reproduces once the
-#: per-sent-slot keys are taken out.  At layouts 4 and 5 the lossless
-#: workloads recorded only the new layout id.
+#: ``simulate`` digests of the per-slot reference sessions
+#: (``physics_reference.reference_run_session``), written as layout 5 wrote
+#: them: ``stream_layout`` 5 and no per-sent-slot keys.  As with
+#: ``LAYOUT5_DIGESTS``, a change to the session's own draws leaves them.
 LAYOUT5_SIMULATE_DIGESTS = {
     "sim-ideal": "448729c280c6a48a9ca8ae8a973af3816704894a032282b3e7018c2c3d93dbe0",
     "sim-longhaul": "1e2a52169673ff4145b7c45b5b8180c4f32215963991c417c45ee57402ee1a1d",
     "analysis": "504ef092da5e9ea0806d1b564bbf7488f6fe0027cb2fdbb7a202e0dce77ca8d2",
-}
-
-#: ``simulate`` digests of the lossless workloads under layout 3.  They read
-#: no dark stream, so with ``stream_layout`` put back to 3 their layout-4
-#: data must hash the same.
-LAYOUT3_SIMULATE_DIGESTS = {
-    "sim-ideal": "694812fde31835c6c8ddea3fa25ca75034871f1219a67230988b998ffff6dd7d",
-    "analysis": "4d20b89c44e130721752e3b3f92dd5ef85fb198d79eac1f74fe455b96a338a38",
-}
-
-#: ``simulate`` digests of the lossless workloads under layout 4.  Their
-#: weak fields fall between the cuts, where layout 5 draws the same
-#: uniforms in blocks, and their meso clicks (p = 1 - 1.4e-11) have no quiet
-#: slot in either layout, so with ``stream_layout`` put back to 4 their
-#: layout-5 data must hash the same.
-LAYOUT4_SIMULATE_DIGESTS = {
-    "sim-ideal": "54a9cb8b1c17d291168b8a5665d5d63ac3b32b0a3aa23d8dc1eecc08e12ed642",
-    "analysis": "4d392354f2c650fe2b0c4d469feab262c1dfcf8499030a7d2665de0fc7a7a816",
 }
 
 EXPECTED_OPTICS = pathlib.Path(__file__).with_name("scenario_matrix_optics.json")
@@ -116,8 +89,8 @@ def test_data_matches_pinned_digest(tmp_path, workload, command):
     )
 
 
-def _layout5_bundle(tmp_path, workload: str, monkeypatch) -> dict:
-    """The ``simulate`` bundle of the layout-5 reference sessions, as layout 5 wrote it."""
+@pytest.mark.parametrize("workload", sorted(LAYOUT5_SIMULATE_DIGESTS))
+def test_layout5_reference_reproduces_layout5_data(tmp_path, workload, monkeypatch):
     monkeypatch.setattr(reporting, "run_session", reference_run_session)
     bundle = _bundle(tmp_path, workload, "simulate")
     results = bundle["data"]["results"]
@@ -127,22 +100,7 @@ def _layout5_bundle(tmp_path, workload: str, monkeypatch) -> dict:
         del session["useful_rate_bits_per_sent_slot"], session["rate_ratio_per_sent_slot_vs_baseline"]
         for channel in session["per_channel"]:
             del channel["useful_rate_bits_per_sent_slot"]
-    return bundle
-
-
-@pytest.mark.parametrize("workload", sorted(LAYOUT5_SIMULATE_DIGESTS))
-def test_layout5_reference_reproduces_layout5_data(tmp_path, workload, monkeypatch):
-    bundle = _layout5_bundle(tmp_path, workload, monkeypatch)
     assert hashlib.sha256(reporting.data_bytes(bundle)).hexdigest() == LAYOUT5_SIMULATE_DIGESTS[workload]
-
-
-@pytest.mark.parametrize("workload", sorted(LAYOUT3_SIMULATE_DIGESTS))
-def test_lossless_data_moved_only_by_the_layout_id(tmp_path, workload, monkeypatch):
-    # Layouts 3 to 5 drew the same numbers on a lossless link.
-    bundle = _layout5_bundle(tmp_path, workload, monkeypatch)
-    for layout, digests in ((4, LAYOUT4_SIMULATE_DIGESTS), (3, LAYOUT3_SIMULATE_DIGESTS)):
-        bundle["data"]["results"]["stream_layout"] = layout
-        assert hashlib.sha256(reporting.data_bytes(bundle)).hexdigest() == digests[workload], layout
 
 
 def _assert_close(actual, expected, where: str) -> None:
