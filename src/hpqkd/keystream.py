@@ -1,9 +1,13 @@
 """Shared-key expansion and the quadrant codification of basis angles.
 
-A pre-shared secret key seeds a deterministic keystream; consecutive
-log2(M)-bit words of the expanded key select one of M first-quadrant basis
-angles per slot, and a fresh random bit stream picks the quadrant through
-the parity rule, encoding one bit in each transmitted polarization.
+A pre-shared secret key seeds a deterministic keystream K'.  The basis
+words are cut from it plane by plane: over n slots, bit j of slot i's
+log2(M)-bit word D_i, counted from the least significant bit, is bit
+j*n + i of K'.  D_i selects the first-quadrant basis angle D_i*pi/(2*M),
+and a fresh random bit stream picks the quadrant through the parity rule,
+encoding one bit in each transmitted polarization.  The rule reads only
+parity(D_i) = D_i & 1, which is bit i of K', so the first n bits of K' are
+the n slots' parities at any M and the words are never built.
 """
 from __future__ import annotations
 
@@ -138,31 +142,6 @@ def bits_per_slot(m_bases: int) -> int:
     return m_bases.bit_length() - 1
 
 
-def basis_parities(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
-    """parity(D) of each whole log2(M)-bit word D of K', one bit per slot, packed.
-
-    Slot i's basis is the word D read big-endian from bits
-    [i log2(M), (i + 1) log2(M)) of K'; its first-quadrant angle is
-    D*pi/(2*M), and the transmitted angle is in the first quadrant exactly
-    when parity(D) XOR bit == 0.  Nothing else of D is ever read, so the
-    words are never built.  Eight words fill log2(M) bytes, so the words at
-    one position of such a group sit ``log2(M)`` bytes apart, their last
-    bit always at the same place in the byte: one strided column per
-    position, shifted into that position's bit of each packed byte.  The
-    bits past the last slot are zero.
-    """
-    bits_per = bits_per_slot(m_bases)
-    slots = len(kprime) // bits_per
-    parity = np.zeros((slots + 7) // 8, dtype=np.uint8)
-    for position in range(min(8, slots)):
-        last = (position + 1) * bits_per - 1  # the word's last bit, counted from its group's start
-        words = kprime.packed[last >> 3 :: bits_per][: (slots - position + 7) // 8]
-        bit = words & (0x80 >> (last & 7))
-        shift = (last & 7) - position  # from its place in the key byte to its place in the parity byte
-        parity[: len(words)] |= bit << shift if shift >= 0 else bit >> -shift
-    return parity
-
-
 def simulate_meso_transmission(
     parity: np.ndarray,
     r: np.ndarray,
@@ -175,8 +154,9 @@ def simulate_meso_transmission(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Send R as mesoscopic pulses, detect at the shared basis and decode: ``(bits, erased)``.
 
-    ``parity`` (``basis_parities``) and the data bits ``r`` hold one bit per
-    slot, packed big-endian, zero past ``num_slots``.  Each slot carries a
+    ``parity`` (the first ``num_slots`` bits of K', ``expand_key(seed,
+    num_slots).packed``) and the data bits ``r`` hold one bit per slot,
+    packed big-endian, zero past ``num_slots``.  Each slot carries a
     coherent pulse of mean photon number ``alpha_sq`` at the scheduled
     angle, thinned by ``survival`` (loss and detector efficiency).  Only
     whether an arm fired is ever read, so the pulse is drawn as a click with

@@ -34,7 +34,7 @@ _HALF_PI = np.pi / 2
 #: child ``_ROLES.index(role)`` of ``SeedSequence(seed)``.  Roles are only
 #: ever appended, so each keeps its stream; ``alice_bits_ch*``,
 #: ``photons_ch*``, ``routing_ch*`` and ``dark_*_ch*`` keep their indices
-#: although layout 6 reads none of them.
+#: although layouts 6 and 7 read none of them.
 _ROLES = (
     "alice_bits_ch1",
     "alice_bits_ch2",
@@ -59,7 +59,7 @@ _ROLES = (
 )
 
 #: Layout of the random streams a session consumes, recorded in the
-#: ``simulate`` results.  Layout 6: each role of ``_ROLES`` is built by
+#: ``simulate`` results.  Layout 7: each role of ``_ROLES`` is built by
 #: ``_stream`` where it is read, and read front to back, once per session.
 #: A bit string over n slots is ``ceil(n / 8)`` bytes ``integers(0, 256,
 #: uint8)``, read big-endian: the sifted modes draw both parties' bases so
@@ -97,9 +97,10 @@ _ROLES = (
 #: ``meso_channel`` holds the signal click, p = 1 - exp(-alpha_sq *
 #: survival), and ``meso_dark_transmit`` and ``meso_dark_reflect`` one
 #: field each with p = d.  K' is the ``shake256-ctr64k-v2`` keystream of
-#: ``keystream.expand_key``, and only the parity of each basis word is read
-#: from it.
-STREAM_LAYOUT = 6
+#: ``keystream.expand_key``, and the basis words are cut from it plane by
+#: plane, so parity(D_i) is bit i of K': the meso leg expands one bit per
+#: meso slot at any M.
+STREAM_LAYOUT = 7
 
 
 #: Largest accepted mean photon number of a pulse: far above any physical
@@ -318,13 +319,9 @@ def _weak_outcomes(config: SessionConfig, channel: int, counts: np.ndarray) -> t
 def _meso_leg(config: SessionConfig, r: np.ndarray, num_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Send the ``num_bits`` bits of R over the mesoscopic channel: Bob's ``(bits, erased)``, packed."""
     ch = config.channel
-    # Both parties derive the same parities from K'.  No name keeps K' past
-    # them, so it is freed before the meso draws allocate theirs.
-    parity = ks.basis_parities(
-        ks.expand_key(config.resolved_seed_key(), num_bits * ks.bits_per_slot(ch.m_bases)), ch.m_bases
-    )
+    # Both parties derive the same parities: slot i's is bit i of K' at any M.
     return ks.simulate_meso_transmission(
-        parity,
+        ks.expand_key(config.resolved_seed_key(), num_bits).packed,
         r,
         num_bits,
         ch.alpha_sq_meso,

@@ -25,12 +25,13 @@ class ScenarioError(ValueError):
 
 
 #: Largest accepted ``simulate.num_slots``.  A session holds its per-slot
-#: bit strings packed, so what grows with the slot count is K' (log2(M) bits
-#: per meso slot) and the published bit strings.  A run of all four modes at
-#: this cap (seed 3, one BLAS thread) peaks at 91 MiB RSS on the lossless
-#: and the 100-km, 1e-5-dark link at M = 256 (34 MiB of it the imported
-#: package) and at 191 MiB at M = ``keystream.MAX_M_BASES``, and takes 0.30
-#: to 0.37 s (0.72 s at that M), with a 22.5 MB bundle.
+#: bit strings packed, and K' holds one bit per meso slot at any M, so what
+#: grows with the slot count is those strings and the published ones.  A run
+#: of all four modes at this cap (seed 3, one BLAS thread) peaks at 90-92 MiB
+#: RSS at M = 256 and at M = ``keystream.MAX_M_BASES``, on the lossless and
+#: the 100-km, 1e-5-dark link (33 MiB of it the imported package).  It takes
+#: 0.15-0.19 s on the lossless link and 0.26-0.32 s on the other, with a
+#: 22.5 MB bundle.
 MAX_NUM_SLOTS = 10_000_000
 
 #: Largest accepted ``attack_sweep.trials``: a grid point takes 9-17 us per

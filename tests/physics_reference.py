@@ -303,13 +303,13 @@ def two_arm_clicks(
 class BasisSchedule:
     """Per-slot basis parity and encoded bit.
 
-    Slot i's basis is the log2(M)-bit word D read big-endian from bits
-    [i log2(M), (i + 1) log2(M)) of the expanded key; its first-quadrant
-    angle is D*pi/(2*M) and its orthogonal partner sits a quarter turn
-    away.  The transmitted angle is in the first quadrant exactly when
-    parity(D) XOR bit == 0, and nothing else of D is ever read, so the
-    schedule holds ``parity``, the word's last bit, as uint8.  It comes
-    from K' alone, so the receiver decodes with the same array.
+    Slot i's basis is the log2(M)-bit word D_i of the expanded key, cut
+    plane by plane (``basis_words``); its first-quadrant angle is
+    D*pi/(2*M) and its orthogonal partner sits a quarter turn away.  The
+    transmitted angle is in the first quadrant exactly when parity(D) XOR
+    bit == 0, and nothing else of D is ever read, so the schedule holds
+    ``parity``, the word's least significant bit, as uint8.  It comes from
+    K' alone, so the receiver decodes with the same array.
     """
 
     parity: np.ndarray
@@ -319,26 +319,22 @@ class BasisSchedule:
         return len(self.parity)
 
 
-def _parities(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
-    """parity(D) of each whole log2(M)-bit word of K', read from the packed bytes.
+def basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
+    """The plane-major log2(M)-bit words D of K', as int64.
 
-    A whole-byte word's parity is the low bit of its last byte.  Otherwise
-    eight words fill log2(M) bytes, so the words at one position of such a
-    group sit ``log2(M)`` bytes apart, their last bit always at the same
-    place in the byte: one strided column per position.
+    Over n = floor(|K'| / log2(M)) slots, bit j of D_i, counted from the
+    least significant bit, is bit j*n + i of K' (bits counted big-endian in
+    each byte, ``np.packbits`` order): row j of K''s first n log2(M) bits
+    laid out as a (log2(M), n) array.  The bits past them are not read.
     """
     bits_per = bits_per_slot(m_bases)
     slots = len(kprime) // bits_per
-    if bits_per % 8 == 0:
-        step = bits_per // 8
-        return kprime.packed[step - 1 :: step][:slots] & 1
-    parity = np.empty(slots, dtype=np.uint8)
-    for position in range(min(8, slots)):
-        last = (position + 1) * bits_per - 1  # the word's last bit, counted from its group's start
-        column = parity[position::8]
-        np.right_shift(kprime.packed[last >> 3 :: bits_per][: len(column)], 7 - (last & 7), out=column)
-        column &= 1
-    return parity
+    planes = np.unpackbits(kprime.packed, count=slots * bits_per).reshape(bits_per, slots)
+    words = np.zeros(slots, dtype=np.int64)
+    for plane in planes[::-1]:  # most significant first
+        words <<= 1
+        words |= plane
+    return words
 
 
 def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> BasisSchedule:
@@ -349,7 +345,7 @@ def build_basis_schedule(kprime: ExpandedKey, r: np.ndarray, m_bases: int) -> Ba
     partner in the second quadrant.
     """
     r = np.asarray(r, dtype=np.uint8)
-    parity = _parities(kprime, m_bases)
+    parity = (basis_words(kprime, m_bases) & 1).astype(np.uint8)
     if len(r) != len(parity):
         raise ValueError(
             f"data length {len(r)} != floor(|K'| / log2(M)) = {len(parity)}"

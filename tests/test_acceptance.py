@@ -13,7 +13,6 @@ from hpqkd import cli, reporting, scenario
 from hpqkd.attacks import estimate_success, pns_exploitable_fraction
 from hpqkd.keystream import (
     ExpandedKey,
-    basis_parities,
     expand_key,
     popcount,
     random_bytes,
@@ -286,22 +285,24 @@ def test_criterion_10_key_pipeline_round_trip():
     slots = 10_000
     rng = np.random.default_rng(SEED + 5)
     seed_key = SeedKey.from_hex("00112233445566778899aabbccddeeff")
-    kprime = expand_key(seed_key, slots * 8)
+    parity = expand_key(seed_key, slots).packed  # slot i's parity is bit i of K' at any M
     r = random_bytes(rng, slots)
-    bits, erased = simulate_meso_transmission(basis_parities(kprime, m), r, slots, 25.0, rng, 1.0, 0.0, (rng, rng))
+    bits, erased = simulate_meso_transmission(parity, r, slots, 25.0, rng, 1.0, 0.0, (rng, rng))
     erasures = int(popcount(erased, slots))
     erasure_rate = erasures / slots
     error_rate = int(popcount((bits ^ r) & ~erased, slots)) / (slots - erasures)
 
     # Exhaustive quadrant codification: all 4 parity/bit cases for each M.
+    # A one-slot K' holds its word plane by plane, least significant bit
+    # first, and the slot's parity is the key's first bit.
     quadrant_ok = True
     for m_cases in (2, 4, 16, 256):
         bits_per = m_cases.bit_length() - 1
         for word in (0, 1):
-            word_bits = [(word >> (bits_per - 1 - i)) & 1 for i in range(bits_per)]
+            word_bits = [(word >> j) & 1 for j in range(bits_per)]
             for bit in (0, 1):
                 kp = ExpandedKey(packed=np.packbits(np.array(word_bits, dtype=np.uint8)), num_bits=bits_per)
-                parity = int(basis_parities(kp, m_cases)[0]) >> 7
+                parity = int(kp.packed[0]) >> 7
                 angle = _transmit_angle(word, parity, bit, m_cases)
                 in_first = angle < np.pi / 2
                 quadrant_ok = quadrant_ok and (in_first == ((word % 2) ^ bit == 0))

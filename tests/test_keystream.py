@@ -11,13 +11,14 @@ from hpqkd.keystream import (
     MAX_M_BASES,
     SeedKey,
     _WORD_COUNT_BYTES,
-    basis_parities,
     bits_per_slot,
     expand_key,
     popcount,
     random_bytes,
     simulate_meso_transmission,
 )
+from hpqkd.protocol import ChannelModel
+from physics_reference import basis_words
 
 #: Frozen interoperability vectors for the shake256-ctr64k-v2 keystream.
 VECTOR_SEED_HEX = "00112233445566778899aabbccddeeff"
@@ -62,36 +63,21 @@ def random_bits(rng, n: int) -> np.ndarray:
 
 
 def parity_bits(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
-    """``basis_parities`` unpacked, one uint8 per whole word of K'."""
-    return np.unpackbits(basis_parities(kprime, m_bases), count=len(kprime) // bits_per_slot(m_bases))
+    """The package's parities of K''s floor(|K'| / log2(M)) slots, one uint8 each: K''s first bits.
+
+    For an expanded key these are the bits of ``expand_key(seed, slots)``,
+    what a session expands.
+    """
+    return key_bits(kprime)[: len(kprime) // bits_per_slot(m_bases)]
 
 
 def meso_round_trip(kprime, r_bits, m_bases, alpha_sq, rng, survival=1.0, dark=0.0):
     """``simulate_meso_transmission`` on K''s parities and the 0/1 values ``r_bits``: (bits, erased), unpacked."""
     n = len(r_bits)
     bits, erased = simulate_meso_transmission(
-        basis_parities(kprime, m_bases), np.packbits(r_bits), n, alpha_sq, rng, survival, dark, (rng, rng)
+        np.packbits(parity_bits(kprime, m_bases)), np.packbits(r_bits), n, alpha_sq, rng, survival, dark, (rng, rng)
     )
     return np.unpackbits(bits, count=n), np.unpackbits(erased, count=n).astype(bool)
-
-
-def basis_words(kprime: ExpandedKey, m_bases: int) -> np.ndarray:
-    """Reference: the whole log2(M)-bit words D of K', read big-endian, as int64.
-
-    Whole-byte words join the key's bytes; other widths join its unpacked
-    bits.  The package reads only parity(D), which must equal ``D & 1``.
-    """
-    bits_per = bits_per_slot(m_bases)
-    slots = len(kprime) // bits_per
-    if bits_per % 8 == 0:
-        columns, shift = kprime.packed[: slots * bits_per // 8].reshape(slots, bits_per // 8).T, 8
-    else:
-        columns, shift = np.unpackbits(kprime.packed, count=slots * bits_per).reshape(slots, bits_per).T, 1
-    words = columns[0].astype(np.int64)
-    for column in columns[1:]:  # most significant first
-        words <<= shift
-        words |= column
-    return words
 
 
 def first_quadrant_angle(words, m_bases: int) -> np.ndarray:
@@ -324,43 +310,64 @@ class TestSchedule:
         kprime = packed_key(words_bits)
         return transmit_angle(basis_words(kprime, m), parity_bits(kprime, m), np.asarray(r, dtype=np.uint8), m)
 
+    # One slot: its word's bits are K''s bits, least significant first.
     def test_even_word_bit_zero_first_quadrant(self):
         assert self._angle_for([0, 0, 0, 0], [0], 16)[0] == pytest.approx(0.0)
 
     def test_odd_word_bit_zero_second_quadrant(self):
         m = 16
-        assert self._angle_for([0, 0, 0, 1], [0], m)[0] == pytest.approx(np.pi / (2 * m) + np.pi / 2)
+        assert self._angle_for([1, 0, 0, 0], [0], m)[0] == pytest.approx(np.pi / (2 * m) + np.pi / 2)
 
     def test_odd_word_bit_one_first_quadrant(self):
         m = 16
-        assert self._angle_for([0, 0, 0, 1], [1], m)[0] == pytest.approx(np.pi / (2 * m))
+        assert self._angle_for([1, 0, 0, 0], [1], m)[0] == pytest.approx(np.pi / (2 * m))
 
     def test_even_word_bit_one_second_quadrant(self):
-        assert self._angle_for([0, 0, 1, 0], [1], 16)[0] == pytest.approx(2 * np.pi / 32 + np.pi / 2)
+        assert self._angle_for([0, 1, 0, 0], [1], 16)[0] == pytest.approx(2 * np.pi / 32 + np.pi / 2)
 
     @pytest.mark.parametrize("m", [2, 4, 64, 256, 1024, 2**16, 2**48])
     def test_basis_words_are_big_endian(self, m):
+        # K''s bits are counted big-endian in each byte (``np.packbits``
+        # order), and bit j of word i is bit 50 j + i of them; written out
+        # most significant first, word i reads its planes last to first.
         bits_per = int(np.log2(m))
         kprime = expand_key(_fresh_key(), 50 * bits_per + bits_per - 1)  # trailing bits unused
-        parity = basis_parities(kprime, m)
+        bits = key_bits(kprime)
         expected = [
-            int("".join(str(b) for b in key_bits(kprime)[i * bits_per : (i + 1) * bits_per]), 2)
-            for i in range(50)
+            int("".join(str(bits[j * 50 + i]) for j in reversed(range(bits_per))), 2) for i in range(50)
         ]
         assert basis_words(kprime, m).tolist() == expected
+        parity = np.packbits(parity_bits(kprime, m))
         assert parity.dtype == np.uint8 and len(parity) == 7
         assert np.unpackbits(parity).tolist() == [word & 1 for word in expected] + [0] * 6
+        assert np.array_equal(parity, expand_key(_fresh_key(), 50).packed)
 
     @pytest.mark.parametrize("slots", [1, 7, 8, 9, 63, 4097])
     def test_parity_is_the_last_bit_of_each_word(self, slots):
-        # Packed, zero past the last slot: np.packbits pads so.
+        # Slot i's parity, the last bit of its word written out, is bit i of
+        # K' at every M: a session's n bits.  Packed, zero past the last
+        # slot, as np.packbits pads.
         key = _fresh_key(b"p")
+        parities = expand_key(key, slots).packed
         for log_m in range(1, 53):
             m = 2**log_m
             kprime = expand_key(key, slots * log_m + log_m - 1)  # trailing bits unused
-            np.testing.assert_array_equal(
-                basis_parities(kprime, m), np.packbits(basis_words(kprime, m) & 1), err_msg=f"M = 2**{log_m}"
-            )
+            np.testing.assert_array_equal(parities, np.packbits(basis_words(kprime, m) & 1), err_msg=f"M = 2**{log_m}")
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 2001, 8 * 65536 + 3])
+    @pytest.mark.parametrize("m", [2, 4, 256, MAX_M_BASES])
+    def test_first_key_bits_are_the_plane_major_parities(self, m, n, lanes):
+        # expand_key(key, slots) is what a session hashes; the reference
+        # builds every word from slots * log2(M) bits.  With two lanes the
+        # string is hybrid_parallel's, channel 1 then channel 2 in each of n
+        # slots, whose planes are cut over all 2n.  8 * 65536 + 3 slots
+        # cross a block boundary of the first plane.
+        key = _fresh_key(b"w")
+        slots = lanes * n
+        words = basis_words(expand_key(key, slots * bits_per_slot(m)), m)
+        assert len(words) == slots
+        np.testing.assert_array_equal(expand_key(key, slots).packed, np.packbits(words & 1))
 
     @given(m=powers_of_two, seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
@@ -384,14 +391,16 @@ class TestSchedule:
         expected = kbits // int(np.log2(m))
         if expected == 0:
             return
-        parity = basis_parities(kprime, m)
+        assert len(basis_words(kprime, m)) == expected
+        parity = expand_key(_fresh_key(), expected).packed
         assert len(parity) == -(-expected // 8)
         assert not np.unpackbits(parity)[expected:].any()
 
     def test_non_power_of_two_rejected(self):
-        kprime = expand_key(_fresh_key(), 12)
-        with pytest.raises(ValueError):
-            basis_parities(kprime, 12)
+        with pytest.raises(ValueError, match="power of two"):
+            bits_per_slot(12)
+        with pytest.raises(ValueError, match="power of two"):
+            ChannelModel(m_bases=12)
 
     @pytest.mark.parametrize("m", [2 * MAX_M_BASES, 2**63, 2**64, 2**65])
     def test_basis_count_above_cap_rejected(self, m):
@@ -411,7 +420,7 @@ class TestSchedule:
 
     def test_length_mismatch_rejected(self):
         # Four slots are one byte of parities; two bytes of data are refused.
-        parity = basis_parities(expand_key(_fresh_key(), 16), 16)
+        parity = expand_key(_fresh_key(), 4).packed
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="data bytes"):
             simulate_meso_transmission(parity, np.zeros(2, dtype=np.uint8), 4, 25.0, rng, 1.0, 0.0, (rng, rng))
@@ -419,7 +428,7 @@ class TestSchedule:
     def test_both_sides_derive_identical_words(self):
         kprime_alice = expand_key(_fresh_key(), 64)
         kprime_bob = expand_key(_fresh_key(), 64)
-        np.testing.assert_array_equal(basis_parities(kprime_alice, 16), basis_parities(kprime_bob, 16))
+        np.testing.assert_array_equal(parity_bits(kprime_alice, 16), parity_bits(kprime_bob, 16))
         np.testing.assert_array_equal(basis_words(kprime_alice, 16), basis_words(kprime_bob, 16))
 
     def test_analyzer_angles_are_first_quadrant_canonical(self):
@@ -476,7 +485,7 @@ class TestRoundTrip:
         # and each bit decodes exactly under an even and an odd word.
         m = 16
         for word in (0, 1):
-            kprime = packed_key([0, 0, 0, word])
+            kprime = packed_key([word, 0, 0, 0])
             parity = parity_bits(kprime, m)
             for bit in (0, 1):
                 r = np.array([bit], dtype=np.uint8)
@@ -487,7 +496,7 @@ class TestRoundTrip:
 
     def test_event_count_mismatch_rejected(self):
         # Four slots are one byte; a slot count of nine needs two.
-        parity = basis_parities(expand_key(_fresh_key(), 8), 4)
+        parity = expand_key(_fresh_key(), 4).packed
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="for 9 slots"):
             simulate_meso_transmission(parity, np.zeros(1, dtype=np.uint8), 9, 25.0, rng, 1.0, 0.0, (rng, rng))

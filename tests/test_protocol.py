@@ -723,13 +723,13 @@ def _mode_roles(mode: str, dark: bool) -> list[str]:
 
 @pytest.mark.parametrize("mode", protocol.MODES)
 def test_session_draws_follow_layout6(mode, monkeypatch):
-    """Layout 6: one byte draw per bases role and R, the meso click fields in their regimes, and on each
+    """Layouts 6 and 7: one byte draw per bases role and R, the meso click fields in their regimes, and on each
     ``weak_counts_ch*`` role one multinomial draw over the 8 slot classes and nothing else.
 
     Each role the mode reads is built once, where it is read: a second
     build would restart its stream and repeat its draws.
     """
-    assert protocol.STREAM_LAYOUT == 6
+    assert protocol.STREAM_LAYOUT == 7
     slots = 2 * CLICK_BLOCK + 1001  # three blocks
     stream = protocol._stream
     channels = (1, 2) if mode in ("parallel", "hybrid_parallel") else (1,)
@@ -787,7 +787,7 @@ def test_stream_is_its_roles_spawned_child(seed):
 
 #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)`` of
 #: ``run_session`` at seed 7 and 2000 slots on each ``GOLDEN_CHANNELS`` link,
-#: in stream layout 6.  They pin every number a session reports.  A change
+#: in stream layout 7.  They pin every number a session reports.  A change
 #: that moves one changes what a scenario produces: it must bump
 #: ``protocol.STREAM_LAYOUT`` (or rename the changed field) and give the
 #: reason in CHANGES.md.
@@ -800,21 +800,21 @@ GOLDEN_DIGESTS = {
     },
     "longhaul": {
         "baseline_bb84": "52f0026a0bd0f4eb8cdd228c6219749caa4cec9e782bf5d781a917b726e7ebe4",
-        "hybrid": "1d945b96b742ce5d44371b699c842d8c02163fe8326b66675f18e3cb12df8048",
+        "hybrid": "5cf21f7e2fae3b17b42a66248593d8ef1947bc5f39fcc84aa004414ccbd0fd91",
         "parallel": "1c184f0bc4c9c511d8fd389ddc907147d5ab5c18ce911817482270b7445a57a6",
-        "hybrid_parallel": "b005d314baee0dfd93c6913f4292f100a614775f60a7e9fc28edb4df5d58c63c",
+        "hybrid_parallel": "3201d834adbd6a732626238fa5d0fb4cc48bea26d6a6625666ca03ff8200851d",
     },
     "dark": {
         "baseline_bb84": "0d5b436667c52304dc3583ca6e9908f4eeb49771261b28b84c56494a002f184d",
-        "hybrid": "8d84b4d7a4b5605c231fdcd58169eb30d482869934715ecfa90a004ef7940f9a",
+        "hybrid": "59b3b503d3a821e41317bbb935ddf01e8861e6dcb529ed248490bdeb6ce6d919",
         "parallel": "7e561a1973db4ae5c02b7e5028068592727d178032607efd1cc202f4ce27ac1b",
-        "hybrid_parallel": "548ede9b963569feed18487b6d1c8f2635aad581a8fe28d45f4013e34c268aba",
+        "hybrid_parallel": "fe620443f9a09f4998d1ab68dbbc48dc4bc2f1bde493f73600b166f878015c36",
     },
     "dense-dark": {
         "baseline_bb84": "c6e6e3bf546f6dc2b566cc56ed2c5c4c244a2b8ba968702792ad6853044b348b",
-        "hybrid": "ca53e32facc5212801b736c3565f2ea2169e5abacb52585c5025faac1405cac6",
+        "hybrid": "ab348bd7a977d221852493956f2505bde5f7290f21e5a55a82e281797b98a48e",
         "parallel": "6c5931e48fdd9e6ed432db2737d03e302a50b2a7154b4cd8bf876d6b963b0c1f",
-        "hybrid_parallel": "f371a73cf7c3d4834c83ddfeceb2df5641f2b1cfc76a709a63f4b322509c414b",
+        "hybrid_parallel": "5664f3e53abf2906413bdaaf8825685b708403be16c54ec843d173416b7cfbb0",
     },
 }
 
@@ -839,9 +839,9 @@ LAYOUT5_DIGESTS = {
     },
     "dark": {
         "baseline_bb84": "c2ad78f5926781be3145374ef553ece889c8af1316c84548f59cf3b1d82ac2ab",
-        "hybrid": "e9304a7716cdb8c467718709937c67bcb57f0c52de4483116b605eb07f71ba13",
+        "hybrid": "517988d09f36e638b31efc2973562acd6edaeac1b88de5fa04533310ea71a8bf",
         "parallel": "d30a2f4a9ef0b8c84fbc397701edae8eaa0616bacba58d310cdb12c3cecc6e84",
-        "hybrid_parallel": "36d587a27948f459621477f6cd6ec56b518d1815bb098ff6dae525b4911ef27a",
+        "hybrid_parallel": "d5e82c13b9d05d594aecc5902575faa7a42d7e3665439073fce00c5ae9ea981f",
     },
 }
 GOLDEN_CHANNELS = {
@@ -869,14 +869,15 @@ def test_layout5_reference_reproduces_layout5_sessions(mode, channel):
 
 
 @pytest.mark.parametrize("slots", (3, 2001))
-@pytest.mark.parametrize("m_bases", (2, 8, 256, 2**12, 2**16))
+@pytest.mark.parametrize("m_bases", (2, 8, 256, 2**12, 2**16, ks.MAX_M_BASES))
 @pytest.mark.parametrize("channel", sorted(GOLDEN_CHANNELS))
 def test_packed_meso_leg_equals_the_per_slot_reference(channel, m_bases, slots):
     """The packed meso leg gives the per-slot one's decode and erasures, bit for bit.
 
-    Words of 1, 3 and 12 bits share bytes; words of 8 and 16 bits are whole
-    bytes.  Neither slot count is a whole number of bytes, and the bits past
-    the last slot must be zero, as ``np.packbits`` pads them.
+    The reference builds every word from its log2(M) planes of K' and reads
+    its parity; the package reads the first n bits of K'.  Neither slot
+    count is a whole number of bytes, and the bits past the last slot must
+    be zero, as ``np.packbits`` pads them.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SecurityConditionWarning)  # alpha_sq >= M at M = 2 and 8
@@ -887,6 +888,42 @@ def test_packed_meso_leg_equals_the_per_slot_reference(channel, m_bases, slots):
     decoded = ref.meso_leg(cfg, np.unpackbits(r, count=slots))
     np.testing.assert_array_equal(bits, np.packbits(decoded.bits))
     np.testing.assert_array_equal(erased, np.packbits(decoded.erasure))
+
+
+@pytest.mark.parametrize("m_bases", (2, ks.MAX_M_BASES))
+def test_session_expands_one_key_bit_per_meso_slot(m_bases, monkeypatch):
+    expand_key, asked = ks.expand_key, []
+
+    def recording(seed, target_bits):
+        asked.append(target_bits)
+        return expand_key(seed, target_bits)
+
+    monkeypatch.setattr(ks, "expand_key", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SecurityConditionWarning)  # alpha_sq >= M at M = 2
+        link = dataclasses.replace(GOLDEN_CHANNELS["dark"], m_bases=m_bases)
+    for mode, asks in (("baseline_bb84", []), ("parallel", []), ("hybrid", [2001]), ("hybrid_parallel", [4002])):
+        asked.clear()
+        run_session(config(mode=mode, seed=7, slots=2001, channel=link))
+        assert asked == asks, mode
+
+
+@pytest.mark.parametrize("channel", ("longhaul", "dark", "dense-dark"))
+@pytest.mark.parametrize("mode", ("hybrid", "hybrid_parallel"))
+def test_report_does_not_depend_on_the_basis_count(mode, channel):
+    """An assisted session reads only the parity plane of K', so M leaves its report as it is.
+
+    On these links some slots decode through a dark count or not at all,
+    and there the parity sets Bob's decoded basis: a session that read more
+    of each word would report differently at each M.
+    """
+    reports = []
+    for m_bases in (2, 256, ks.MAX_M_BASES):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SecurityConditionWarning)  # alpha_sq >= M at M = 2
+            link = dataclasses.replace(GOLDEN_CHANNELS[channel], m_bases=m_bases)
+        reports.append(run_session(config(mode=mode, seed=7, slots=2001, channel=link)).to_dict())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def _mask_bits(report) -> tuple[np.ndarray, int]:

@@ -153,7 +153,7 @@ class TestSimulateCommand:
         assert by_mode["baseline_bb84"]["rate_ratio_vs_baseline"] == 1.0
         assert by_mode["hybrid_parallel"]["rate_ratio_vs_baseline"] == pytest.approx(4.0, abs=0.8)
         assert bundle["data"]["scenario"] == FAST_SIM
-        assert bundle["data"]["results"]["stream_layout"] == 6
+        assert bundle["data"]["results"]["stream_layout"] == 7
         summary = capsys.readouterr().out
         assert "hybrid_parallel" in summary
 

@@ -41,17 +41,17 @@ WORKLOADS = {
 }
 
 #: sha256 of ``reporting.data_bytes`` per (workload, command): the
-#: ``simulate`` data in session stream layout 6 (``protocol.STREAM_LAYOUT``)
+#: ``simulate`` data in session stream layout 7 (``protocol.STREAM_LAYOUT``)
 #: and the ``attack-sweep`` data in attack stream layout 4
 #: (``attacks.STREAM_LAYOUT``).  A change that moves one changes what the
 #: command writes: it must bump the layout id of the streams it changed, or
 #: rename the changed field, and give the reason in CHANGES.md.
 DATA_DIGESTS = {
-    ("sim-ideal", "simulate"): "78ef5355adae84ab9e261e597a8e29655fb557af90ec8fcf32e9acf7abe01ac0",
+    ("sim-ideal", "simulate"): "f07b5b8bf7da00990b84a485a44ba3ff50b712144a5cc85f50536b862dd6aaff",
     ("sim-ideal", "attack-sweep"): "75c9778b997eac0f7bf3714524e4a926cfe9048e794eac5d1c337646cf249bb8",
-    ("sim-longhaul", "simulate"): "c4da07f26cdad759edf83ca25b6d42ba4e94e9c7a1f84f2de5e7a8e6347978b0",
+    ("sim-longhaul", "simulate"): "4eaba0db678eebf5882e1a406fffaa0f16728a283d4d300218169499347a46c6",
     ("sim-longhaul", "attack-sweep"): "7ba34b5e7387c0e4700be2b12c687fcffd397a7f2543c31d2bbcf8b3e0ff1d22",
-    ("analysis", "simulate"): "5dbfdefe776073ad4ef912638ae72cdafc5d4a198450299c03b025edde398590",
+    ("analysis", "simulate"): "c9fcbd524d275fcf68193247cee233b01c2a53b75ab37b382752aa2629e60ba0",
     ("analysis", "attack-sweep"): "78db3e53a932b3ec73ac7f685a52e30d596a3b5e318f98334f6b3542c5693181",
 }
 
@@ -61,8 +61,17 @@ DATA_DIGESTS = {
 #: ``LAYOUT5_DIGESTS``, a change to the session's own draws leaves them.
 LAYOUT5_SIMULATE_DIGESTS = {
     "sim-ideal": "448729c280c6a48a9ca8ae8a973af3816704894a032282b3e7018c2c3d93dbe0",
-    "sim-longhaul": "1e2a52169673ff4145b7c45b5b8180c4f32215963991c417c45ee57402ee1a1d",
+    "sim-longhaul": "e7e7adfaa8746698d1cc3477b2d2179f9d244311dce859d8d3e583a212808d21",
     "analysis": "504ef092da5e9ea0806d1b564bbf7488f6fe0027cb2fdbb7a202e0dce77ca8d2",
+}
+
+#: The ``simulate`` digests of the two lossless workloads in stream layout 6.
+#: Layout 7 cuts the basis words of K' plane by plane, which changes the
+#: parities, but with no loss and no dark count Bob decodes R whatever the
+#: parity: these data differ from layout 7's only in ``stream_layout``.
+LAYOUT6_SIMULATE_DIGESTS = {
+    "sim-ideal": "78ef5355adae84ab9e261e597a8e29655fb557af90ec8fcf32e9acf7abe01ac0",
+    "analysis": "5dbfdefe776073ad4ef912638ae72cdafc5d4a198450299c03b025edde398590",
 }
 
 EXPECTED_OPTICS = pathlib.Path(__file__).with_name("scenario_matrix_optics.json")
@@ -89,12 +98,21 @@ def test_data_matches_pinned_digest(tmp_path, workload, command):
     )
 
 
+@pytest.mark.parametrize("workload", sorted(LAYOUT6_SIMULATE_DIGESTS))
+def test_lossless_data_moved_only_by_the_layout_id(tmp_path, workload):
+    bundle = _bundle(tmp_path, workload, "simulate")
+    results = bundle["data"]["results"]
+    assert results["stream_layout"] == 7
+    results["stream_layout"] = 6
+    assert hashlib.sha256(reporting.data_bytes(bundle)).hexdigest() == LAYOUT6_SIMULATE_DIGESTS[workload]
+
+
 @pytest.mark.parametrize("workload", sorted(LAYOUT5_SIMULATE_DIGESTS))
 def test_layout5_reference_reproduces_layout5_data(tmp_path, workload, monkeypatch):
     monkeypatch.setattr(reporting, "run_session", reference_run_session)
     bundle = _bundle(tmp_path, workload, "simulate")
     results = bundle["data"]["results"]
-    assert results["stream_layout"] == 6
+    assert results["stream_layout"] == 7
     results["stream_layout"] = 5
     for session in results["sessions"]:
         del session["useful_rate_bits_per_sent_slot"], session["rate_ratio_per_sent_slot_vs_baseline"]
